@@ -1,41 +1,43 @@
 """Global maximization of the square-root theta norm over the Jacobian torus.
 
 Deterministic two-stage search: a full tensor grid in lattice coordinates
-(vectorized, double precision) followed by derivative-free simplex refinement
-of the best cells at working precision.  No global-optimality certificate is
-produced; the probe and grid-monotonicity properties in the test suite are the
-practical guard.
+(vectorized, double precision), then Newton's method on log<s,s> from the best
+grid points at working precision.  The gradient and Hessian come from the same
+lattice sum as theta (Deconinck, Heil, Bobenko, van Hoeij, Schmies, "Computing
+Riemann theta functions", Math. Comp. 73 (2004)).  No global-optimality
+certificate is produced; the probe and grid-monotonicity properties in the
+test suite are the practical guard.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import ConfigRejected, InvalidInput
+from .errors import BudgetExceeded, ConfigRejected, InvalidInput
 from .periods import PeriodMatrix, PrecisionConfig, ThetaPoint, norm_batch, theta_norm
+from .periods import _theta_reduced
 
 _GRID_BUDGET = 10**8
+_GRID_CHUNK = 20_000
+_NEWTON_MAX_STEPS = 20  # starts in a maximum's basin converge in about six
+# norm_batch values carry a relative error of about 1e-15; a refined maximum
+# further below grid_best than this means Newton left the grid's best basin.
+_GRID_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     grid_points_per_dim: int = 32
     refine_starts: int = 8
-    coord_tolerance: float = 1e-9
-    value_tolerance: float = 1e-12
 
     def __post_init__(self):
         if self.grid_points_per_dim < 8:
             raise InvalidInput("grid_points_per_dim must be >= 8")
         if self.refine_starts < 4:
             raise InvalidInput("refine_starts must be >= 4")
-        if self.coord_tolerance <= 0 or self.value_tolerance <= 0:
-            raise InvalidInput("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -49,64 +51,47 @@ def default_optimizer_config(g: int) -> OptimizerConfig:
     return OptimizerConfig(grid_points_per_dim=256 if g == 1 else 32)
 
 
-def _sqrt_norm_mp(tau: PeriodMatrix, coords, cfg: PrecisionConfig):
-    """sqrt(<s,s>) at lattice coordinates, mpmath path."""
+def _lattice_point(tau: PeriodMatrix, x) -> ThetaPoint:
+    """z = n + tau m from lattice coordinates x = (n, m)."""
     g = tau.g
-    with mp.workprec(cfg.working_precision_bits):
-        nc = [mp.mpf(c) for c in coords[:g]]
-        mc = [mp.mpf(c) for c in coords[g:]]
-        z = tuple(
-            nc[i] + sum(tau.tau[i, j] * mc[j] for j in range(g)) for i in range(g)
-        )
-        return mp.sqrt(theta_norm(tau, ThetaPoint(z), cfg))
+    return ThetaPoint(
+        tuple(x[i] + sum(tau.tau[i, j] * x[g + j] for j in range(g)) for i in range(g))
+    )
 
 
-def _nelder_mead_mp(f, x0, step, coord_tol, value_tol, max_iter=400):
-    """Minimize f over mpf vectors with a standard Nelder-Mead simplex."""
-    dim = len(x0)
-    simplex = [list(x0)]
-    for i in range(dim):
-        v = list(x0)
-        v[i] = v[i] + step
-        simplex.append(v)
-    vals = [f(v) for v in simplex]
-    for _ in range(max_iter):
-        order = sorted(range(dim + 1), key=lambda k: vals[k])
-        simplex = [simplex[k] for k in order]
-        vals = [vals[k] for k in order]
-        diam = max(
-            max(abs(simplex[i][d] - simplex[0][d]) for d in range(dim))
-            for i in range(1, dim + 1)
-        )
-        if diam < coord_tol and abs(vals[-1] - vals[0]) < value_tol:
-            break
-        centroid = [sum(simplex[i][d] for i in range(dim)) / dim for d in range(dim)]
-        worst = simplex[-1]
-        refl = [centroid[d] + (centroid[d] - worst[d]) for d in range(dim)]
-        fr = f(refl)
-        if fr < vals[0]:
-            exp_ = [centroid[d] + 2 * (centroid[d] - worst[d]) for d in range(dim)]
-            fe = f(exp_)
-            if fe < fr:
-                simplex[-1], vals[-1] = exp_, fe
-            else:
-                simplex[-1], vals[-1] = refl, fr
-        elif fr < vals[-2]:
-            simplex[-1], vals[-1] = refl, fr
-        else:
-            contr = [centroid[d] + (worst[d] - centroid[d]) / 2 for d in range(dim)]
-            fc = f(contr)
-            if fc < vals[-1]:
-                simplex[-1], vals[-1] = contr, fc
-            else:
-                for i in range(1, dim + 1):
-                    simplex[i] = [
-                        simplex[0][d] + (simplex[i][d] - simplex[0][d]) / 2
-                        for d in range(dim)
-                    ]
-                    vals[i] = f(simplex[i])
-    best = min(range(dim + 1), key=lambda k: vals[k])
-    return simplex[best], vals[best]
+def _newton(tau: PeriodMatrix, start, cfg: PrecisionConfig):
+    """Newton ascent on log<s,s> = const - 2 pi m'Ym + 2 Re log theta(n + tau m).
+
+    With J = [I | tau] and a = theta'/theta the gradient in x = (n, m) is
+    2 Re(J'a) - 4 pi (0, Ym) and the Hessian 2 Re(J'(theta''/theta - a a')J)
+    - 4 pi diag(0, Y).  A step below 2^(-bits/2) in max-norm leaves an error
+    near 2^(-bits) and ends the iteration.  Returns x reduced to [0,1)^{2g},
+    or None when the Hessian is not negative definite or the cap is reached.
+    """
+    g = tau.g
+    bits = cfg.working_precision_bits
+    with mp.workprec(bits):
+        J = mp.matrix([[int(i == j) for j in range(g)] + tau.tau.tolist()[i] for i in range(g)])
+        tol = mp.mpf(2) ** (-mp.mpf(bits) / 2)
+        x = [mp.mpf(c) for c in start]
+        for _ in range(_NEWTON_MAX_STEPS):
+            x = [c - mp.floor(c) for c in x]
+            th, d1, d2 = _theta_reduced(tau, _lattice_point(tau, x), cfg)
+            a = d1 / th
+            grad = (J.T * a).apply(mp.re) * 2
+            hess = (J.T * (d2 / th - a * a.T) * J).apply(mp.re) * 2
+            for i in range(g):
+                for j in range(g):
+                    grad[g + i] -= 4 * mp.pi * tau.Y[i, j] * x[g + j]
+                    hess[g + i, g + j] -= 4 * mp.pi * tau.Y[i, j]
+            try:
+                step = mp.cholesky_solve(-hess, grad)
+            except ValueError:
+                return None
+            x = [x[k] + step[k] for k in range(2 * g)]
+            if mp.mnorm(step, mp.inf) < tol:
+                return tuple(c - mp.floor(c) for c in x)
+    return None
 
 
 def theta_max(
@@ -117,10 +102,13 @@ def theta_max(
 ) -> ThetaMaxResult:
     """Maximum of sqrt(<s,s>) over the torus, with argmax coordinates.
 
-    Grid scan over {(k + grid_offset)/Nd}^{2g}, then simplex refinement from
-    the best cells: first in double precision, then polished with mpmath at
-    the working precision.  Deterministic for fixed configs (ties broken by
-    lowest lexicographic coordinate).
+    Grid scan over {(k + grid_offset)/Nd}^{2g}, then Newton's method from the
+    ``refine_starts`` best grid points at the working precision; a start whose
+    Hessian is not negative definite, or that does not converge within the
+    step cap, is dropped.  The value is ``theta_norm`` at the best converged
+    point.  Deterministic for fixed configs (ties broken by lowest
+    lexicographic coordinate).  Raises BudgetExceeded when no start converges
+    or the best value falls below the grid's best by more than double rounding.
     """
     ocfg = ocfg or default_optimizer_config(tau.g)
     cfg = cfg or PrecisionConfig()
@@ -133,47 +121,30 @@ def theta_max(
     axis = (np.arange(nd) + grid_offset) / nd
     grid_best = -np.inf
     best_starts: list[tuple[float, tuple]] = []
-    chunk = 20000
-    grid_iter = itertools.product(axis, repeat=dim)
-    while True:
-        block = np.array(list(itertools.islice(grid_iter, chunk)))
-        if block.size == 0:
-            break
+    for first in range(0, nd**dim, _GRID_CHUNK):
+        flat = np.arange(first, min(first + _GRID_CHUNK, nd**dim))
+        block = axis[np.stack(np.unravel_index(flat, (nd,) * dim), axis=1)]
         vals = np.sqrt(norm_batch(tau, block))
         grid_best = max(grid_best, float(vals.max()))
-        k = max(1, ocfg.refine_starts)
-        top = np.argsort(-vals)[: k]
+        top = np.argsort(-vals)[: ocfg.refine_starts]
         best_starts.extend((float(vals[i]), tuple(block[i])) for i in top)
     best_starts.sort(key=lambda t: (-t[0], t[1]))
-    starts = [c for _, c in best_starts[: ocfg.refine_starts]]
-
-    def neg_sqrt_norm_np(c):
-        return -float(np.sqrt(norm_batch(tau, np.asarray(c)[None, :] % 1.0)[0]))
 
     candidates = []
-    for start in starts:
-        res = minimize(
-            neg_sqrt_norm_np,
-            np.array(start),
-            method="Nelder-Mead",
-            options=dict(xatol=1e-10, fatol=1e-14, maxiter=4000, maxfev=8000),
-        )
-        x = res.x % 1.0
-        with mp.workprec(cfg.working_precision_bits):
-            x_mp = [mp.mpf(float(v)) for v in x]
-            xs, fv = _nelder_mead_mp(
-                lambda c: -_sqrt_norm_mp(tau, c, cfg),
-                x_mp,
-                step=mp.mpf("1e-7"),
-                coord_tol=mp.mpf(ocfg.coord_tolerance),
-                value_tol=mp.mpf(ocfg.value_tolerance),
-            )
-            coords = tuple(v - mp.floor(v) for v in xs)
-            candidates.append((-fv, coords))
+    for _, start in best_starts[: ocfg.refine_starts]:
+        coords = _newton(tau, start, cfg)
+        if coords is not None:
+            with mp.workprec(cfg.working_precision_bits):
+                value = mp.sqrt(theta_norm(tau, _lattice_point(tau, coords), cfg))
+            candidates.append((value, coords))
+    if not candidates:
+        raise BudgetExceeded("Newton refinement converged from no grid start")
     candidates.sort(key=lambda t: (-t[0], tuple(float(c) for c in t[1])))
     value, argmax = candidates[0]
-    if value < grid_best:
-        value = mp.mpf(grid_best)
+    if value < grid_best * (1 - _GRID_RTOL):
+        raise BudgetExceeded(
+            f"refined maximum {mp.nstr(value, 17)} is below the grid value {grid_best!r}"
+        )
     return ThetaMaxResult(value=value, argmax_coords=argmax, grid_best=grid_best)
 
 

@@ -20,6 +20,9 @@ from .errors import BudgetExceeded, InvalidInput, InvalidPeriodMatrix, Precision
 
 _SYMMETRY_RTOL = 1e-10
 _LAMBDA_MIN_TOL = 1e-20
+# Lattice terms per norm_batch chunk: 20,000 points of the genus-2 preset's
+# 17^2 box, so each complex temporary stays near 92 MB whatever the genus.
+_BATCH_TERMS = 20_000 * 289
 
 
 @dataclass(frozen=True)
@@ -192,15 +195,23 @@ def _truncation_radius(g: int, lam_min: float, y_norm: float, target: float) -> 
 
 
 def _theta_reduced(tau: PeriodMatrix, z0: ThetaPoint, cfg: PrecisionConfig, extra_R: int = 0):
-    """Theta sum at an already-reduced argument, truncated at the tail radius."""
+    """Theta sum at an already-reduced argument, truncated at the tail radius.
+
+    Returns ``(theta, d1, d2)``: the sum, and the gradient (g x 1) and Hessian
+    (g x g) in z of the same truncated sum, whose terms are weighted by
+    2*pi*i*m and (2*pi*i)^2 * m m'.
+    """
     g = tau.g
     with mp.workprec(cfg.working_precision_bits):
         y_norm = float(mp.sqrt(sum(w.imag**2 for w in z0.z)))
         R = _truncation_radius(g, float(tau.lambda_min), y_norm, float(cfg.target_abs_error))
         R += extra_R
         total = mp.mpc(0)
+        d1 = [mp.mpc(0)] * g
+        d2 = [[mp.mpc(0)] * g for _ in range(g)]
         two_pi_i = 2j * mp.pi
         zt = list(z0.z)
+        tt = tau.tau.tolist()
         for m in itertools.product(range(-R, R + 1), repeat=g):
             quad = mp.mpc(0)
             lin = mp.mpc(0)
@@ -209,9 +220,17 @@ def _theta_reduced(tau: PeriodMatrix, z0: ThetaPoint, cfg: PrecisionConfig, extr
                     lin += m[i] * zt[i]
                     for j in range(g):
                         if m[j]:
-                            quad += m[i] * m[j] * tau.tau[i, j]
-            total += mp.exp(two_pi_i * (quad / 2 + lin))
-        return total
+                            quad += m[i] * m[j] * tt[i][j]
+            term = mp.exp(two_pi_i * (quad / 2 + lin))
+            total += term
+            for i in range(g):
+                if m[i]:
+                    d1[i] += m[i] * term
+                    for j in range(i + 1):
+                        if m[j]:
+                            d2[i][j] += m[i] * m[j] * term
+        hess = [[d2[max(i, j)][min(i, j)] for j in range(g)] for i in range(g)]
+        return total, two_pi_i * mp.matrix(d1), two_pi_i**2 * mp.matrix(hess)
 
 
 def theta(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None, extra_R: int = 0):
@@ -223,7 +242,7 @@ def theta(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None, 
     cfg = cfg or PrecisionConfig()
     with mp.workprec(cfg.working_precision_bits):
         z0, m, n, log_mult = reduce_to_fundamental(tau, z)
-        val = _theta_reduced(tau, z0, cfg, extra_R=extra_R)
+        val = _theta_reduced(tau, z0, cfg, extra_R=extra_R)[0]
         return mp.exp(log_mult) * val
 
 
@@ -236,7 +255,7 @@ def theta_norm(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = N
     cfg = cfg or PrecisionConfig()
     with mp.workprec(cfg.working_precision_bits):
         z0, _, _, _ = reduce_to_fundamental(tau, z)
-        th = _theta_reduced(tau, z0, cfg)
+        th = _theta_reduced(tau, z0, cfg)[0]
         y0 = mp.matrix([[w.imag] for w in z0.z])
         quad = (y0.T * tau.Yinv * y0)[0]
         return mp.sqrt(tau.detY) * mp.exp(-2 * mp.pi * quad) * abs(th) ** 2
@@ -250,11 +269,13 @@ def _lattice_box(g: int, R: int) -> np.ndarray:
     return np.array(list(itertools.product(range(-R, R + 1), repeat=g)))
 
 
-def norm_batch(tau: PeriodMatrix, coords: np.ndarray, chunk: int = 20000) -> np.ndarray:
+def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
     """<s,s> at lattice coordinates ``coords`` (N x 2g, layout (n, m)), doubles.
 
     Coordinates are recentred to [-1/2, 1/2) before summation; the norm is
-    lattice invariant so the recentring does not change the values.
+    lattice invariant so the recentring does not change the values.  Points
+    are summed in chunks of at most ``_BATCH_TERMS`` lattice terms, so peak
+    memory does not grow with the size of the truncation box.
     """
     g = tau.g
     coords = np.asarray(coords, dtype=float)
@@ -270,6 +291,7 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray, chunk: int = 20000) -> np.
     y_norm = float(np.linalg.norm(np.abs(Y) @ np.full(g, 0.5)))
     R = _truncation_radius(g, lam, y_norm, 1e-18)
     M = _lattice_box(g, R)
+    chunk = max(1, _BATCH_TERMS // len(M))
     quad = 0.5 * np.einsum("li,ij,lj->l", M, taun, M)
     out = np.empty(len(coords))
     for i in range(0, len(coords), chunk):
@@ -277,7 +299,10 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray, chunk: int = 20000) -> np.
         mm = mc[i : i + chunk]
         zb = nn + mm @ taun.T
         yb = mm @ Y.T
-        phases = np.exp(2j * np.pi * (quad[:, None] + M @ zb.T))
+        phases = M @ zb.T
+        phases += quad[:, None]
+        phases *= 2j * np.pi
+        np.exp(phases, out=phases)
         th2 = np.abs(phases.sum(axis=0)) ** 2
         gauss = np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", yb, Yinv, yb))
         out[i : i + chunk] = math.sqrt(detY) * gauss * th2

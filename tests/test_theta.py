@@ -1,7 +1,9 @@
 import itertools
 import random
+import tracemalloc
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import thetadist as td
@@ -157,3 +159,22 @@ class TestNormalization:
     def test_budget_guard(self, tau_g1, cfg):
         with pytest.raises(td.InvalidInput):
             td.theta_norm_normalization_check(tau_g1, 100, cfg)
+
+
+class TestNormBatch:
+    def test_chunks_bound_memory_at_g3(self):
+        """tau = 0.8i I_3 has an 11^3 box, so 20,000 points in one chunk would
+        hold 20,000 x 1,331 complex values (426 MB) per temporary."""
+        tau = td.PeriodMatrix([[0.8j, 0, 0], [0, 0.8j, 0], [0, 0, 0.8j]])
+        coords = np.random.default_rng(7).random((20000, 6))
+        tracemalloc.start()
+        try:
+            vals = td.periods.norm_batch(tau, coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300e6
+        small = np.concatenate(
+            [td.periods.norm_batch(tau, coords[i : i + 500]) for i in range(0, 20000, 500)]
+        )
+        np.testing.assert_allclose(vals, small, rtol=1e-12)

@@ -31,7 +31,8 @@ class TestThetaMaxG2:
         r_2i = td.theta_max(td.PeriodMatrix([[2j]]), o1, cfg)
         o2 = td.OptimizerConfig(grid_points_per_dim=12, refine_starts=6)
         r_d = td.theta_max(td.PeriodMatrix([[1j, 0], [0, 2j]]), o2, cfg)
-        assert abs(float(r_d.value) - float(r_i.value * r_2i.value)) < 1e-9
+        with mp.workprec(cfg.working_precision_bits):
+            assert abs(r_d.value - r_i.value * r_2i.value) < 1e-20
 
     def test_probes_never_beat_max(self, tau_s4, s4_theta_max):
         rng = np.random.default_rng(42)
@@ -51,7 +52,15 @@ class TestThetaMaxG2:
     def test_shifted_grid_stability(self, tau_s4, cfg, s4_theta_max):
         ocfg = td.OptimizerConfig(grid_points_per_dim=16, refine_starts=8)
         shifted = td.theta_max(tau_s4, ocfg, cfg, grid_offset=0.5)
-        assert abs(float(shifted.value) - float(s4_theta_max.value)) < 10 * 1e-12
+        with mp.workprec(cfg.working_precision_bits):
+            assert abs(shifted.value - s4_theta_max.value) < 1e-20
+
+    def test_closed_form_value(self, preset, cfg, s4_theta_max):
+        """log Theta_Max + zar_degree = (3/8) log 5 to within the 1e-25 theta
+        tail bound, so Newton must bring the value that close."""
+        with mp.workprec(cfg.working_precision_bits):
+            closed = mp.exp(mp.mpf(3) / 8 * mp.log(5) - td.zar_degree(preset.data, cfg))
+            assert abs(s4_theta_max.value - closed) < mp.mpf("1e-24")
 
     def test_argmax_reproduces_value(self, tau_s4, cfg, s4_theta_max):
         coords = s4_theta_max.argmax_coords
@@ -70,8 +79,6 @@ class TestConfigAndGuards:
             td.OptimizerConfig(grid_points_per_dim=4)
         with pytest.raises(td.InvalidInput):
             td.OptimizerConfig(refine_starts=2)
-        with pytest.raises(td.InvalidInput):
-            td.OptimizerConfig(coord_tolerance=0)
 
     def test_grid_budget_guard(self, tau_s4, cfg):
         with pytest.raises(td.ConfigRejected):
@@ -89,6 +96,16 @@ class TestConfigAndGuards:
         assert v == max(singles)
         with pytest.raises(td.InvalidInput):
             td.theta_max_over_embeddings([], ocfg, cfg)
+
+    def test_no_converged_start_raises(self, tau_g1, cfg, monkeypatch):
+        monkeypatch.setattr(td.maximize, "_newton", lambda tau, start, cfg: None)
+        with pytest.raises(td.BudgetExceeded):
+            td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=8), cfg)
+
+    def test_refined_below_grid_raises(self, tau_g1, cfg, monkeypatch):
+        monkeypatch.setattr(td.maximize, "theta_norm", lambda tau, z, cfg: mp.mpf("0.5"))
+        with pytest.raises(td.BudgetExceeded):
+            td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=8), cfg)
 
     def test_deterministic_rerun(self, tau_s4, cfg):
         ocfg = td.OptimizerConfig(grid_points_per_dim=12, refine_starts=4)
