@@ -1,30 +1,38 @@
 """Global maximization of the square-root theta norm over the Jacobian torus.
 
-Deterministic two-stage search: a full tensor grid in lattice coordinates
-(vectorized, double precision), then Newton's method on log<s,s> from the best
-grid points at working precision.  The gradient and Hessian come from the same
-lattice sum as theta (Deconinck, Heil, Bobenko, van Hoeij, Schmies, "Computing
-Riemann theta functions", Math. Comp. 73 (2004)).  No global-optimality
-certificate is produced; the probe and grid-monotonicity properties in the
-test suite are the practical guard.
+Deterministic two-stage search.  A full tensor grid in lattice coordinates is
+scanned in double precision by ``periods.sqrt_norm_grid``, which evaluates the
+theta sum on each m-slice as a trigonometric polynomial in n (one small matrix
+product per axis).  Newton's method on log<s,s> then runs at working precision
+from the grid's discrete local maxima, one start per cluster of tied
+neighbouring maxima, so symmetric copies of one maximum, or neighbouring points
+of one peak, do not use up the starts.  The gradient and Hessian come from the
+same lattice sum as theta (Deconinck, Heil, Bobenko, van Hoeij, Schmies,
+"Computing Riemann theta functions", Math. Comp. 73 (2004)).  No
+global-optimality certificate is produced; the probe and grid-monotonicity
+properties in the test suite are the practical guard.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigRejected, InvalidInput
-from .periods import PeriodMatrix, PrecisionConfig, ThetaPoint, norm_batch, theta_norm
+from .periods import PeriodMatrix, PrecisionConfig, ThetaPoint, sqrt_norm_grid, theta_norm
 from .periods import _theta_reduced
 
+# Grid points per scan.  The value array, resident from the scan until the
+# starts are chosen, costs 8 bytes per point; choosing the starts briefly holds
+# four more arrays of that size.
 _GRID_BUDGET = 10**8
-_GRID_CHUNK = 20_000
 _NEWTON_MAX_STEPS = 20  # starts in a maximum's basin converge in about six
-# norm_batch values carry a relative error of about 1e-15; a refined maximum
-# further below grid_best than this means Newton left the grid's best basin.
+# Grid values carry a relative error of about 1e-15: values closer than this
+# are ties, and a refined maximum further below grid_best than this means
+# Newton left the grid's best basin.
 _GRID_RTOL = 1e-13
 
 
@@ -76,7 +84,7 @@ def _newton(tau: PeriodMatrix, start, cfg: PrecisionConfig):
         x = [mp.mpf(c) for c in start]
         for _ in range(_NEWTON_MAX_STEPS):
             x = [c - mp.floor(c) for c in x]
-            th, d1, d2 = _theta_reduced(tau, _lattice_point(tau, x), cfg)
+            th, d1, d2 = _theta_reduced(tau, _lattice_point(tau, x), cfg, derivs=True)
             a = d1 / th
             grad = (J.T * a).apply(mp.re) * 2
             hess = (J.T * (d2 / th - a * a.T) * J).apply(mp.re) * 2
@@ -94,6 +102,47 @@ def _newton(tau: PeriodMatrix, start, cfg: PrecisionConfig):
     return None
 
 
+def _grid_starts(vals: np.ndarray) -> np.ndarray:
+    """Flat indices of the local maxima of a periodic grid, one per tie cluster.
+
+    A point is a local maximum when none of its 3^d - 1 wrap-around
+    neighbours exceeds it by more than ``_GRID_RTOL``.  Neighbouring local
+    maxima form one cluster, represented by its lowest flat index.  The
+    result is ordered by value, values within ``_GRID_RTOL`` of the first of
+    a run counting as tied and ordered by flat index, so rounding noise in
+    the values cannot reorder them.
+    """
+    shape = vals.shape
+    top = vals.copy()
+    for ax in range(vals.ndim):
+        np.maximum(top, np.maximum(np.roll(top, 1, ax), np.roll(top, -1, ax)), out=top)
+    flat = np.flatnonzero(top <= vals * (1 + _GRID_RTOL))
+    coords = np.array(np.unravel_index(flat, shape))
+    src, dst = [], []
+    for step in itertools.product((-1, 0, 1), repeat=vals.ndim):
+        nbr = np.ravel_multi_index(coords + np.array(step)[:, None], shape, mode="wrap")
+        pos = np.minimum(np.searchsorted(flat, nbr), len(flat) - 1)
+        hit = flat[pos] == nbr
+        src.append(np.flatnonzero(hit))
+        dst.append(pos[hit])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    label = flat.copy()
+    while True:
+        new = label.copy()
+        np.minimum.at(new, src, label[dst])
+        if np.array_equal(new, label):
+            break
+        label = new
+    reps = flat[label == flat]
+    v = vals.ravel()[reps]
+    order = np.lexsort((reps, -v))
+    reps, v = reps[order], v[order]
+    run = np.empty(len(v), dtype=int)
+    for i in range(len(v)):
+        run[i] = i if i == 0 or v[i] < v[run[i - 1]] * (1 - _GRID_RTOL) else run[i - 1]
+    return reps[np.lexsort((reps, run))]
+
+
 def theta_max(
     tau: PeriodMatrix,
     ocfg: OptimizerConfig | None = None,
@@ -102,36 +151,32 @@ def theta_max(
 ) -> ThetaMaxResult:
     """Maximum of sqrt(<s,s>) over the torus, with argmax coordinates.
 
-    Grid scan over {(k + grid_offset)/Nd}^{2g}, then Newton's method from the
-    ``refine_starts`` best grid points at the working precision; a start whose
-    Hessian is not negative definite, or that does not converge within the
-    step cap, is dropped.  The value is ``theta_norm`` at the best converged
-    point.  Deterministic for fixed configs (ties broken by lowest
-    lexicographic coordinate).  Raises BudgetExceeded when no start converges
+    Scans the grid {(k + grid_offset)/Nd}^{2g} with ``sqrt_norm_grid``, then
+    runs Newton's method at the working precision from the grid's discrete
+    local maxima (wrap-around neighbours, values compared at a relative
+    1e-13), one start per cluster of tied neighbouring maxima, the best
+    ``refine_starts`` of them; a start whose Hessian is not negative definite,
+    or that does not converge within the step cap, is dropped.  The value is
+    ``theta_norm`` at the best converged point.  Deterministic for fixed
+    configs: a tie cluster starts from its lowest flat grid index, tied
+    starts run in flat-index order, and tied refined values keep the lowest
+    lexicographic coordinate.  Raises BudgetExceeded when no start converges
     or the best value falls below the grid's best by more than double rounding.
     """
     ocfg = ocfg or default_optimizer_config(tau.g)
     cfg = cfg or PrecisionConfig()
-    g = tau.g
-    dim = 2 * g
+    dim = 2 * tau.g
     nd = ocfg.grid_points_per_dim
     if nd**dim > _GRID_BUDGET:
         raise ConfigRejected(f"grid budget exceeded: {nd}^{dim} > {_GRID_BUDGET}")
 
+    vals = sqrt_norm_grid(tau, nd, grid_offset)
+    grid_best = float(vals.max())
     axis = (np.arange(nd) + grid_offset) / nd
-    grid_best = -np.inf
-    best_starts: list[tuple[float, tuple]] = []
-    for first in range(0, nd**dim, _GRID_CHUNK):
-        flat = np.arange(first, min(first + _GRID_CHUNK, nd**dim))
-        block = axis[np.stack(np.unravel_index(flat, (nd,) * dim), axis=1)]
-        vals = np.sqrt(norm_batch(tau, block))
-        grid_best = max(grid_best, float(vals.max()))
-        top = np.argsort(-vals)[: ocfg.refine_starts]
-        best_starts.extend((float(vals[i]), tuple(block[i])) for i in top)
-    best_starts.sort(key=lambda t: (-t[0], t[1]))
+    starts = _grid_starts(vals)[: ocfg.refine_starts]
 
     candidates = []
-    for _, start in best_starts[: ocfg.refine_starts]:
+    for start in axis[np.stack(np.unravel_index(starts, vals.shape), axis=1)]:
         coords = _newton(tau, start, cfg)
         if coords is not None:
             with mp.workprec(cfg.working_precision_bits):

@@ -3,8 +3,9 @@
 The theta series is summed over a box ``||m||_inf <= R`` with R chosen from a
 geometric-majorant tail bound, after reducing the argument to the fundamental
 cell of the lattice spanned by the columns of [Id, tau].  High-precision paths
-run on mpmath at a configurable bit count; a vectorized double-precision batch
-evaluator backs the quadrature and grid-search consumers.
+run on mpmath at a configurable bit count.  In double precision, a vectorized
+batch evaluator at scattered points backs quadrature and spot checks, and a
+separable evaluator on tensor grids backs the maximizer's grid scan.
 """
 
 from __future__ import annotations
@@ -194,12 +195,14 @@ def _truncation_radius(g: int, lam_min: float, y_norm: float, target: float) -> 
             raise BudgetExceeded("truncation radius search did not terminate")
 
 
-def _theta_reduced(tau: PeriodMatrix, z0: ThetaPoint, cfg: PrecisionConfig, extra_R: int = 0):
+def _theta_reduced(
+    tau: PeriodMatrix, z0: ThetaPoint, cfg: PrecisionConfig, extra_R: int = 0, derivs: bool = False
+):
     """Theta sum at an already-reduced argument, truncated at the tail radius.
 
-    Returns ``(theta, d1, d2)``: the sum, and the gradient (g x 1) and Hessian
-    (g x g) in z of the same truncated sum, whose terms are weighted by
-    2*pi*i*m and (2*pi*i)^2 * m m'.
+    Returns the sum, or with ``derivs`` the triple ``(theta, d1, d2)``: the
+    sum, and the gradient (g x 1) and Hessian (g x g) in z of the same
+    truncated sum, whose terms are weighted by 2*pi*i*m and (2*pi*i)^2 * m m'.
     """
     g = tau.g
     with mp.workprec(cfg.working_precision_bits):
@@ -223,12 +226,16 @@ def _theta_reduced(tau: PeriodMatrix, z0: ThetaPoint, cfg: PrecisionConfig, extr
                             quad += m[i] * m[j] * tt[i][j]
             term = mp.exp(two_pi_i * (quad / 2 + lin))
             total += term
+            if not derivs:
+                continue
             for i in range(g):
                 if m[i]:
                     d1[i] += m[i] * term
                     for j in range(i + 1):
                         if m[j]:
                             d2[i][j] += m[i] * m[j] * term
+        if not derivs:
+            return total
         hess = [[d2[max(i, j)][min(i, j)] for j in range(g)] for i in range(g)]
         return total, two_pi_i * mp.matrix(d1), two_pi_i**2 * mp.matrix(hess)
 
@@ -242,7 +249,7 @@ def theta(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None, 
     cfg = cfg or PrecisionConfig()
     with mp.workprec(cfg.working_precision_bits):
         z0, m, n, log_mult = reduce_to_fundamental(tau, z)
-        val = _theta_reduced(tau, z0, cfg, extra_R=extra_R)[0]
+        val = _theta_reduced(tau, z0, cfg, extra_R=extra_R)
         return mp.exp(log_mult) * val
 
 
@@ -255,14 +262,14 @@ def theta_norm(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = N
     cfg = cfg or PrecisionConfig()
     with mp.workprec(cfg.working_precision_bits):
         z0, _, _, _ = reduce_to_fundamental(tau, z)
-        th = _theta_reduced(tau, z0, cfg)[0]
+        th = _theta_reduced(tau, z0, cfg)
         y0 = mp.matrix([[w.imag] for w in z0.z])
         quad = (y0.T * tau.Yinv * y0)[0]
         return mp.sqrt(tau.detY) * mp.exp(-2 * mp.pi * quad) * abs(th) ** 2
 
 
 # ---------------------------------------------------------------------------
-# Vectorized double-precision batch path (quadrature / grid search backend)
+# Vectorized double-precision paths (quadrature and grid scan backends)
 # ---------------------------------------------------------------------------
 
 def _lattice_box(g: int, R: int) -> np.ndarray:
@@ -307,6 +314,46 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
         gauss = np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", yb, Yinv, yb))
         out[i : i + chunk] = math.sqrt(detY) * gauss * th2
     return out
+
+
+def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.ndarray:
+    """sqrt(<s,s>) on the tensor grid {(k + grid_offset)/nd}^{2g}, doubles.
+
+    Returns an array of shape (nd,)*2g indexed by the lattice coordinates
+    (n, m), with the values ``norm_batch`` gives at those points to within
+    rounding.  For fixed m the theta sum is a trigonometric polynomial in n,
+    theta(n + tau m) = sum_M C_M(m) exp(2 pi i M'n) with coefficients
+    C_M(m) = exp(2 pi i (M'tau M/2 + M'tau m)) over ``norm_batch``'s box, so
+    each m-slice is C contracted with the nd x (2R+1) table exp(2 pi i n_k M)
+    along each of the g axes (E C E' for g = 2).  A matrix product, unlike an
+    FFT, does not alias when 2R+1 > nd.  The slices are evaluated nd^(g-1)
+    at a time, so memory beyond the returned array is a small multiple of
+    16/nd bytes per grid point.
+    """
+    g = tau.g
+    taun = tau.tau_np
+    Y = taun.imag
+    # recentred to [-1/2, 1/2) as in norm_batch, where the truncation bound holds
+    axis = (np.arange(nd) + grid_offset) / nd
+    axis -= np.round(axis)
+    y_norm = float(np.linalg.norm(np.abs(Y) @ np.full(g, 0.5)))
+    R = _truncation_radius(g, float(tau.lambda_min), y_norm, 1e-18)
+    M = _lattice_box(g, R)
+    E = np.exp(2j * np.pi * np.outer(axis, np.arange(-R, R + 1)))
+    quad = 0.5 * np.einsum("li,ij,lj->l", M, taun, M)
+    scale = math.sqrt(float(tau.detY))
+    ms = np.array(list(itertools.product(axis, repeat=g)))
+    out = np.empty((nd**g, nd**g))
+    rows = nd ** (g - 1)
+    for i in range(0, nd**g, rows):
+        m = ms[i : i + rows]
+        C = np.exp(2j * np.pi * (quad + (m @ taun) @ M.T)).reshape((rows,) + (2 * R + 1,) * g)
+        for _ in range(g):
+            C = np.tensordot(C, E, axes=(1, 1))
+        gauss = scale * np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", m, Y, m))
+        out[:, i : i + rows] = (np.abs(C.reshape(rows, -1)) ** 2 * gauss[:, None]).T
+    np.sqrt(out, out=out)
+    return out.reshape((nd,) * (2 * g))
 
 
 def _sobol_points(dim: int, count: int) -> np.ndarray:

@@ -13,6 +13,34 @@ from conftest import brute_theta
 S4_THETA0_RE = "1.0502862579537883794134248631481479"
 S4_THETA0_IM = "-0.16634900114656232797813445567977354"
 
+TAU_G3 = [
+    [0.1 + 1.8j, 0.3 + 0.4j, -0.2 + 0.1j],
+    [0.3 + 0.4j, -0.2 + 1.6j, 0.25 + 0.2j],
+    [-0.2 + 0.1j, 0.25 + 0.2j, 0.4 + 1.7j],
+]
+
+# theta and theta_norm at 128 bits, frozen from the lattice loop as it was
+# when every call also summed the z-gradient and Hessian: (tau, z, Re theta,
+# Im theta, theta_norm)
+FROZEN_128 = [
+    ("s4", (0.3 + 0.2j, -0.1 + 0.4j),
+     "1.2573281757964903490774125287228952694924",
+     "0.21323628025532574591080321204524827319457",
+     "0.60782568394122881335350900589760264330277"),
+    ("s4", (1.7 - 0.3j, 0.25 + 1.1j),
+     "-112.18201851648166216859792684099291693399",
+     "-23.621240246801501989167009105496681584866",
+     "0.017944365442950343940105142514516386924058"),
+    ("i", (0.4 + 0.3j,),
+     "0.76448451162538062248677484765530177091733",
+     "-0.16328879883371408609863297127983095523639",
+     "0.34715577812811408786357773291307898908891"),
+    ("0.8i", (0.1 + 0.2j, -0.3j, 0.45),
+     "1.6354163524142758938024508533312901908821",
+     "-0.20194825058291694805554493190968506891104",
+     "0.69990909930843456954036217564033852005216"),
+]
+
 
 class TestTheta:
     def test_g1_value_matches_classical_constant(self, tau_g1, cfg):
@@ -67,6 +95,23 @@ class TestTheta:
             td.PeriodMatrix([[1j, 0.5], [0.2, 1j]])  # not symmetric
         with pytest.raises(td.InvalidPeriodMatrix):
             td.PeriodMatrix([[-1j]])  # Im not positive definite
+
+    @pytest.mark.parametrize("case", FROZEN_128, ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_values_bit_identical(self, case, tau_s4, cfg):
+        """theta and theta_norm do not depend on whether derivatives are summed."""
+        name, z, re, im, norm = case
+        tau = {
+            "s4": tau_s4,
+            "i": td.PeriodMatrix([[1j]]),
+            "0.8i": td.PeriodMatrix([[0.8j, 0, 0], [0, 0.8j, 0], [0, 0, 0.8j]]),
+        }[name]
+        point = td.ThetaPoint(z)
+        with mp.workprec(cfg.working_precision_bits):
+            assert td.theta(tau, point, cfg) == mp.mpc(re, im)
+            assert td.theta_norm(tau, point, cfg) == mp.mpf(norm)
+            z0 = td.reduce_to_fundamental(tau, point)[0]
+            th = td.periods._theta_reduced(tau, z0, cfg)
+            assert td.periods._theta_reduced(tau, z0, cfg, derivs=True)[0] == th
 
     def test_precision_floor_rejected(self):
         with pytest.raises(td.PrecisionTooLow):
@@ -178,3 +223,21 @@ class TestNormBatch:
             [td.periods.norm_batch(tau, coords[i : i + 500]) for i in range(0, 20000, 500)]
         )
         np.testing.assert_allclose(vals, small, rtol=1e-12)
+
+
+class TestSqrtNormGrid:
+    @pytest.mark.parametrize(
+        "name, nd, offset",
+        [("s4", 8, 0.0), ("s4", 16, 0.5), ("i", 256, 0.0), ("g3", 6, 0.0)],
+    )
+    def test_matches_norm_batch(self, name, nd, offset, tau_s4):
+        """The separable scan against norm_batch at every grid point.  The
+        preset's box has 2R+1 = 17 > 8 and the g = 3 box 11 > 6, where an FFT
+        of length nd would alias."""
+        tau = {"s4": tau_s4, "i": td.PeriodMatrix([[1j]]), "g3": td.PeriodMatrix(TAU_G3)}[name]
+        grid = td.periods.sqrt_norm_grid(tau, nd, offset)
+        assert grid.shape == (nd,) * (2 * tau.g)
+        axis = (np.arange(nd) + offset) / nd
+        coords = np.array(list(itertools.product(axis, repeat=2 * tau.g)))
+        ref = np.sqrt(td.periods.norm_batch(tau, coords))
+        assert np.abs(grid.ravel() - ref).max() <= 1e-14 * grid.max()

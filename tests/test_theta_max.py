@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -62,6 +63,30 @@ class TestThetaMaxG2:
             closed = mp.exp(mp.mpf(3) / 8 * mp.log(5) - td.zar_degree(preset.data, cfg))
             assert abs(s4_theta_max.value - closed) < mp.mpf("1e-24")
 
+    def test_ridge_matrix_converges(self, cfg):
+        """The 8 best 16^4 grid points of this (not Minkowski-reduced) matrix
+        lie on one ridge where the Hessian is indefinite, so Newton drops
+        every start taken from them; one start per grid local maximum still
+        reaches the maximum the 24^4 grid finds."""
+        tau = td.PeriodMatrix(
+            [[-0.446 + 3.397j, -0.104 - 0.358j], [-0.104 - 0.358j, -0.455 + 1.238j]]
+        )
+        r16 = td.theta_max(tau, td.OptimizerConfig(grid_points_per_dim=16), cfg)
+        r24 = td.theta_max(tau, td.OptimizerConfig(grid_points_per_dim=24), cfg)
+        with mp.workprec(cfg.working_precision_bits):
+            assert abs(r16.value - mp.mpf("1.4324439077679387733")) < 1e-18
+            assert abs(r16.value - r24.value) < 1e-20
+
+    def test_grid_scan_memory(self, tau_s4, cfg):
+        """The 32^4 scan and start selection hold a few 8 MB value arrays."""
+        tracemalloc.start()
+        try:
+            td.theta_max(tau_s4, td.OptimizerConfig(grid_points_per_dim=32), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
     def test_argmax_reproduces_value(self, tau_s4, cfg, s4_theta_max):
         coords = s4_theta_max.argmax_coords
         with mp.workprec(cfg.working_precision_bits):
@@ -71,6 +96,43 @@ class TestThetaMaxG2:
             )
             v = mp.sqrt(td.theta_norm(tau_s4, td.ThetaPoint(z), cfg))
         assert abs(v - s4_theta_max.value) < 1e-12
+
+
+class TestGridStarts:
+    def test_one_start_per_symmetric_maximum(self, tau_s4):
+        """The 10 grid points within 1e-14 of the preset's 32^4 maximum form
+        two 5-point clusters, one around each of two symmetric maxima."""
+        vals = td.periods.sqrt_norm_grid(tau_s4, 32)
+        starts = td.maximize._grid_starts(vals)
+        near = np.flatnonzero(vals.ravel() >= vals.max() * (1 - 1e-14))
+        assert len(near) == 10
+
+        def cluster(i):
+            d = np.abs(np.array(np.unravel_index(near, vals.shape)).T
+                       - np.array(np.unravel_index(i, vals.shape))) % 32
+            return set(near[np.minimum(d, 32 - d).max(axis=1) <= 2])
+
+        picked = [i for i in starts if i in near]
+        assert len(picked) == 2
+        a, b = cluster(picked[0]), cluster(picked[1])
+        assert len(a) == len(b) == 5 and not a & b
+        assert list(starts[:2]) == sorted(picked)
+
+    def test_rounding_noise_keeps_starts(self, tau_s4):
+        vals = td.periods.sqrt_norm_grid(tau_s4, 32)
+        starts = td.maximize._grid_starts(vals)
+        for seed in range(3):
+            eps = np.random.default_rng(seed).uniform(-1e-15, 1e-15, vals.shape)
+            assert np.array_equal(td.maximize._grid_starts(vals * (1 + eps)), starts)
+
+    def test_plateau_is_one_cluster(self):
+        """Equal neighbours across the wrap-around edge are one start, at the
+        lowest flat index."""
+        k = np.cos(2 * np.pi * np.arange(8) / 8)
+        vals = k[:, None] + k[None, :]
+        vals[0, 7] = vals[7, 0] = 2.0
+        vals[4, 4] = 3.0
+        assert list(td.maximize._grid_starts(vals)) == [36, 0]
 
 
 class TestConfigAndGuards:
