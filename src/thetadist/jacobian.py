@@ -398,11 +398,11 @@ def enumerate_curve_points_mod(curve: HyperellipticCurve, p: int, j: int):
 def on_curve_mod(curve: HyperellipticCurve, Dmod: MumfordDivisor, p: int, j: int) -> bool:
     """Is Dmod the image over Z/p^j of a point of the embedded curve?
 
-    Fast path at j = 1 (field case): zero and degree-1 pairs are decided
-    directly; a degree-2 u is off the curve unless it carries a double root a
-    with v(a) = 0, in which case the conjugate pair is stripped and the class
-    is the base point.  For j >= 2, membership is decided against the
-    enumeration oracle (Mumford uniqueness over non-field rings is delicate).
+    Zero and degree-1 pairs are decided directly.  At j = 1 and p > 2 a
+    degree-2 u is off the curve unless it carries a double root a with
+    v(a) = 0, in which case the conjugate pair is stripped and the class is
+    the base point.  Every other degree-2 u is off the curve: the embedded
+    points (``enumerate_curve_points_mod``) have degree at most 1.
     """
     R = Dmod.ring
     mod = R.modulus
@@ -412,18 +412,14 @@ def on_curve_mod(curve: HyperellipticCurve, Dmod: MumfordDivisor, p: int, j: int
         a = (-Dmod.u[0]) % mod
         b = Dmod.v[0] if Dmod.v else 0
         return b * b % mod == peval(R, curve.f_in(R), a)
-    if j == 1 and p > 2:
-        u0, u1 = Dmod.u[0], Dmod.u[1]
-        disc_u = (u1 * u1 - 4 * u0) % p
-        if disc_u != 0:
-            return False
-        alpha = (-u1 * R.inv(2)) % p
-        if peval(R, Dmod.v, alpha) == 0:
-            # conjugate pair of a Weierstrass point: the class is the base point
-            return True
+    if j > 1 or p == 2:
         return False
-    member_keys = {d.key() for d in enumerate_curve_points_mod(curve, p, j)}
-    return Dmod.key() in member_keys
+    u0, u1 = Dmod.u[0], Dmod.u[1]
+    if (u1 * u1 - 4 * u0) % p != 0:
+        return False
+    alpha = (-u1 * R.inv(2)) % p
+    # conjugate pair of a Weierstrass point: the class is the base point
+    return peval(R, Dmod.v, alpha) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The theta series is summed over a box ``||m||_inf <= R`` with R chosen from a
 geometric-majorant tail bound, after reducing the argument to the fundamental
 cell of the lattice spanned by the columns of [Id, tau].  High-precision paths
 run on mpmath at a configurable bit count.  In double precision, a vectorized
-batch evaluator at scattered points backs quadrature and spot checks, and a
-separable evaluator on tensor grids backs the maximizer's grid scan.
+batch evaluator at scattered points backs spot checks, and a separable
+evaluator on tensor grids backs the maximizer's grid scan and the torus
+average.
 """
 
 from __future__ import annotations
@@ -269,11 +270,25 @@ def theta_norm(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = N
 
 
 # ---------------------------------------------------------------------------
-# Vectorized double-precision paths (quadrature and grid scan backends)
+# Vectorized double-precision paths (spot-check and tensor-grid backends)
 # ---------------------------------------------------------------------------
 
-def _lattice_box(g: int, R: int) -> np.ndarray:
-    return np.array(list(itertools.product(range(-R, R + 1), repeat=g)))
+def _double_box(tau: PeriodMatrix):
+    """Inputs shared by the double-precision kernels.
+
+    Returns tau as doubles, Y = Im tau, the box radius R, the box M of lattice
+    vectors with ||M||_inf <= R (one per row) and the phases M'tau M/2.  R
+    bounds the tail below 1e-18 for every y = Y m with m in [-1/2, 1/2)^g, the
+    range the kernels recentre their coordinates to.
+    """
+    g = tau.g
+    taun = tau.tau_np
+    Y = taun.imag
+    y_norm = float(np.linalg.norm(np.abs(Y) @ np.full(g, 0.5)))
+    R = _truncation_radius(g, float(tau.lambda_min), y_norm, 1e-18)
+    M = np.array(list(itertools.product(range(-R, R + 1), repeat=g)))
+    quad = 0.5 * np.einsum("li,ij,lj->l", M, taun, M)
+    return taun, Y, R, M, quad
 
 
 def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
@@ -288,31 +303,22 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2 * g:
         raise InvalidInput("coords must have shape (N, 2g)")
-    taun = tau.tau_np
-    Y = taun.imag
-    Yinv = np.linalg.inv(Y)
-    detY = float(tau.detY)
+    taun, Y, _, M, quad = _double_box(tau)
+    scale = math.sqrt(float(tau.detY))
     nc = coords[:, :g] - np.round(coords[:, :g])
     mc = coords[:, g:] - np.round(coords[:, g:])
-    lam = float(tau.lambda_min)
-    y_norm = float(np.linalg.norm(np.abs(Y) @ np.full(g, 0.5)))
-    R = _truncation_radius(g, lam, y_norm, 1e-18)
-    M = _lattice_box(g, R)
     chunk = max(1, _BATCH_TERMS // len(M))
-    quad = 0.5 * np.einsum("li,ij,lj->l", M, taun, M)
     out = np.empty(len(coords))
     for i in range(0, len(coords), chunk):
         nn = nc[i : i + chunk]
         mm = mc[i : i + chunk]
-        zb = nn + mm @ taun.T
-        yb = mm @ Y.T
-        phases = M @ zb.T
+        phases = M @ (nn + mm @ taun.T).T
         phases += quad[:, None]
         phases *= 2j * np.pi
         np.exp(phases, out=phases)
         th2 = np.abs(phases.sum(axis=0)) ** 2
-        gauss = np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", yb, Yinv, yb))
-        out[i : i + chunk] = math.sqrt(detY) * gauss * th2
+        gauss = np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", mm, Y, mm))
+        out[i : i + chunk] = scale * gauss * th2
     return out
 
 
@@ -331,16 +337,11 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.n
     16/nd bytes per grid point.
     """
     g = tau.g
-    taun = tau.tau_np
-    Y = taun.imag
+    taun, Y, R, M, quad = _double_box(tau)
     # recentred to [-1/2, 1/2) as in norm_batch, where the truncation bound holds
     axis = (np.arange(nd) + grid_offset) / nd
     axis -= np.round(axis)
-    y_norm = float(np.linalg.norm(np.abs(Y) @ np.full(g, 0.5)))
-    R = _truncation_radius(g, float(tau.lambda_min), y_norm, 1e-18)
-    M = _lattice_box(g, R)
     E = np.exp(2j * np.pi * np.outer(axis, np.arange(-R, R + 1)))
-    quad = 0.5 * np.einsum("li,ij,lj->l", M, taun, M)
     scale = math.sqrt(float(tau.detY))
     ms = np.array(list(itertools.product(axis, repeat=g)))
     out = np.empty((nd**g, nd**g))
@@ -356,29 +357,24 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.n
     return out.reshape((nd,) * (2 * g))
 
 
-def _sobol_points(dim: int, count: int) -> np.ndarray:
-    from scipy.stats import qmc
-
-    n = 2 ** int(math.floor(math.log2(count)))
-    return qmc.Sobol(d=dim, scramble=False).random(n)
-
-
 def theta_norm_normalization_check(
     tau: PeriodMatrix, sample_budget: int, cfg: PrecisionConfig | None = None
 ):
     """Average of the theta norm over the torus against the reference 2^(-g/2).
 
-    Uses a midpoint tensor-product grid for g = 1 and an unscrambled Sobol
-    sequence for g >= 2, both deterministic.
+    The average is the mean of <s,s> on the midpoint grid {(k + 1/2)/nd}^{2g}
+    from ``sqrt_norm_grid``, with nd the largest integer such that nd^(2g) <=
+    ``sample_budget``.  The nd-point average over n of |sum_M C_M(m) exp(2 pi
+    i M'n)|^2 is sum_M |C_M|^2 exactly, up to the Gaussian-small cross terms
+    C_M conj(C_M') with M != M', M = M' mod nd.  What is left, times the
+    norm's factor, is the periodized Gaussian sqrt(det Y) sum_M exp(-2 pi
+    (m+M)'Y(m+M)) in m, on which the midpoint rule converges geometrically.
     """
     if sample_budget < 10**3:
         raise InvalidInput("sample_budget must be at least 10^3")
     g = tau.g
-    if g == 1:
-        n = int(math.isqrt(sample_budget))
-        axis = (np.arange(n) + 0.5) / n
-        coords = np.array(list(itertools.product(axis, repeat=2)))
-    else:
-        coords = _sobol_points(2 * g, sample_budget)
-    estimate = float(norm_batch(tau, coords).mean())
+    nd = 1
+    while (nd + 1) ** (2 * g) <= sample_budget:
+        nd += 1
+    estimate = float(np.mean(sqrt_norm_grid(tau, nd, 0.5) ** 2))
     return estimate, 2.0 ** (-g / 2)

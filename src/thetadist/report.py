@@ -38,7 +38,7 @@ from .jacobian import (
     verify_bound,
 )
 from .logscale import LogScaledReal
-from .maximize import OptimizerConfig, theta_max
+from .maximize import OptimizerConfig, default_optimizer_config, theta_max
 from .periods import PeriodMatrix, PrecisionConfig
 
 _PRESET_ALIASES = {"bost-mestre", "bost-mestre-y2+y=x5"}
@@ -157,12 +157,10 @@ def run(config: RunConfig) -> BoundReport:
     if violated:
         raise HypothesisViolated("; ".join(violated))
 
-    ocfg_kwargs = {}
-    if config.grid_points_per_dim is not None:
-        ocfg_kwargs["grid_points_per_dim"] = config.grid_points_per_dim
-    elif tau.g == 1:
-        ocfg_kwargs["grid_points_per_dim"] = 256
-    ocfg = OptimizerConfig(**ocfg_kwargs)
+    if config.grid_points_per_dim is None:
+        ocfg = default_optimizer_config(tau.g)
+    else:
+        ocfg = OptimizerConfig(grid_points_per_dim=config.grid_points_per_dim)
 
     tm = theta_max(tau, ocfg, cfg)
     data.theta_max = tm.value

@@ -263,6 +263,15 @@ class TestOnCurveMod:
                 assert not td.on_curve_mod(curve, two, p, 2)
                 assert two.key() not in keys
 
+    def test_degree2_off_curve_beyond_enumeration_budget(self, curve, preset):
+        """p^2 = 10,201 is over the enumeration oracle's budget, and a
+        degree-2 class is off the curve without consulting it."""
+        p = 101
+        assert td.admissible_prime(p, preset.data)
+        two = td.reduce_mod(curve, td.scalar_mul(curve, 2, D1(curve)), p, 2)
+        assert len(two.u) == 3
+        assert not td.on_curve_mod(curve, two, p, 2)
+
 
 class TestVpDistance:
     def test_curve_point_is_infinite(self, curve):

@@ -189,17 +189,21 @@ class TestNormalization:
         est, ref = td.theta_norm_normalization_check(tau, 512 * 512, cfg)
         assert abs(est - ref) < 1e-6
 
-    def test_g2_sobol(self, tau_s4, cfg):
+    def test_g2_grid(self, tau_s4, cfg):
         est, ref = td.theta_norm_normalization_check(tau_s4, 10**6, cfg)
         assert ref == 0.5
-        assert abs(est - ref) < 1e-3
+        assert abs(est - ref) < 1e-14
 
-    def test_error_decreases_over_budget_decades(self, tau_s4, cfg):
-        errs = [
-            abs(td.theta_norm_normalization_check(tau_s4, b, cfg)[0] - 0.5)
-            for b in (10**3, 10**5, 10**6)
-        ]
-        assert errs[0] > errs[1] > errs[2]
+    @pytest.mark.parametrize(
+        "name, budget", [("s4", 10**3), ("s4", 10**5), ("s4", 10**6), ("g3", 10**6)]
+    )
+    def test_exact_at_every_budget(self, name, budget, tau_s4, cfg):
+        """The midpoint grid average of the lattice-periodic, real-analytic
+        norm is exact to rounding already at nd = 5 on the preset."""
+        tau = tau_s4 if name == "s4" else td.PeriodMatrix(TAU_G3)
+        est, ref = td.theta_norm_normalization_check(tau, budget, cfg)
+        assert ref == 2.0 ** (-tau.g / 2)
+        assert abs(est - ref) < 1e-14
 
     def test_budget_guard(self, tau_g1, cfg):
         with pytest.raises(td.InvalidInput):
