@@ -58,23 +58,9 @@ def _ln_of(n) -> mp.mpf:
 
 
 def l_bound(n, m: int, g: int) -> LogScaledReal:
-    """L_{n,m} = [n^(Bu_m g) + (2^2g - 2g - 1) n^(Bu_m (g-1)) + 2g n^(Bu_m (g-1/2))]^(4g^2)."""
-    if (isinstance(n, int) and n < 2) or (
-        isinstance(n, LogScaledReal) and n < LogScaledReal.from_int(2)
-    ):
-        raise InvalidInput("n must be >= 2")
-    b = bu(m, g)
-    with mp.workprec(192):
-        ln_n = _ln_of(n)
-        terms = [
-            LogScaledReal.exp_of(b * g * ln_n),
-            LogScaledReal.from_int(2 ** (2 * g) - 2 * g - 1)
-            * LogScaledReal.exp_of(b * (g - 1) * ln_n),
-            LogScaledReal.from_int(2 * g)
-            * LogScaledReal.exp_of(b * (mp.mpf(g) - mp.mpf(1) / 2) * ln_n),
-        ]
-        inner = terms[0] + terms[1] + terms[2]
-        return inner ** (4 * g * g)
+    """L_{n,m}: the Galois-degree bound on the Hasse-Weil bound with d = Bu_m,
+    [n^(Bu_m g) + (2^2g - 2g - 1) n^(Bu_m (g-1)) + 2g n^(Bu_m (g-1/2))]^(4g^2)."""
+    return degree_bound(hasse_weil_card_bound(n, bu(m, g), g), g)
 
 
 def h_bound(m: int, g: int, deg_K0: int) -> LogScaledReal:
@@ -86,12 +72,13 @@ def h_bound(m: int, g: int, deg_K0: int) -> LogScaledReal:
     return l_bound(n, m, g)
 
 
-def hasse_weil_card_bound(q: int, d: int, g: int) -> LogScaledReal:
-    """Upper bound q^(dg) + (2^2g - 2g - 1) q^(d(g-1)) + 2g q^(d(g-1/2)) on #A(F_q^d)."""
+def hasse_weil_card_bound(q, d: int, g: int) -> LogScaledReal:
+    """Upper bound q^(dg) + (2^2g - 2g - 1) q^(d(g-1)) + 2g q^(d(g-1/2)) on
+    #A(F_q^d); q is an int or a LogScaledReal."""
     if q < 2 or d < 1:
         raise InvalidInput("need q >= 2 and d >= 1")
     with mp.workprec(192):
-        ln_q = mp.log(mp.mpf(q))
+        ln_q = _ln_of(q)
         return (
             LogScaledReal.exp_of(d * g * ln_q)
             + LogScaledReal.from_int(2 ** (2 * g) - 2 * g - 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import (
     BudgetExceeded,
@@ -38,51 +39,32 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--p", type=int, help="the prime p")
     ap.add_argument("--f", type=int, dest="residue_degree", help="residue degree of p")
     ap.add_argument("--precision-bits", type=int, help="working precision in bits")
-    ap.add_argument("--grid", type=int, help="grid points per dimension")
-    ap.add_argument("--jmax", type=int, help="deepest residue level p^j scanned")
-    ap.add_argument("--out", help="report path, '-' for stdout")
     ap.add_argument(
-        "--verify", action="store_true", help="run the p-adic verification table"
+        "--grid", type=int, dest="grid_points_per_dim", metavar="GRID",
+        help="grid points per dimension",
+    )
+    ap.add_argument("--jmax", type=int, help="deepest residue level p^j scanned")
+    ap.add_argument("--out", dest="output_path", metavar="OUT", help="report path, '-' for stdout")
+    ap.add_argument(
+        "--verify", action="store_true", default=None,
+        help="run the p-adic verification table",
     )
     return ap
 
 
 def config_from_args(args) -> RunConfig:
+    """RunConfig from the config document's fields, overlaid with the flags
+    that were given; document keys that are not fields are ignored."""
     doc = {}
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
-    kwargs = dict(
-        preset=doc.get("preset"),
-        inline=doc.get("inline"),
-        p=doc.get("p", 3),
-        residue_degree=doc.get("residue_degree"),
-        precision_bits=doc.get("precision_bits", 128),
-        grid_points_per_dim=doc.get("grid_points_per_dim"),
-        jmax=doc.get("jmax", 4),
-        torsion_list=doc.get("torsion_list"),
-        verify=doc.get("verify", False),
-        output_path=doc.get("output_path", "-"),
-    )
-    # flags override config-file fields
-    if args.preset is not None:
-        kwargs["preset"] = args.preset
-        kwargs["inline"] = None
-    if args.p is not None:
-        kwargs["p"] = args.p
-    if args.residue_degree is not None:
-        kwargs["residue_degree"] = args.residue_degree
-    if args.precision_bits is not None:
-        kwargs["precision_bits"] = args.precision_bits
-    if args.grid is not None:
-        kwargs["grid_points_per_dim"] = args.grid
-    if args.jmax is not None:
-        kwargs["jmax"] = args.jmax
-    if args.out is not None:
-        kwargs["output_path"] = args.out
-    if args.verify:
-        kwargs["verify"] = True
-    return RunConfig(**kwargs)
+    names = {f.name for f in fields(RunConfig)}
+    kwargs = {k: v for k, v in doc.items() if k in names}
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    if "preset" in flags:
+        kwargs.pop("inline", None)
+    return RunConfig(**{**kwargs, **flags})
 
 
 def main(argv=None) -> int:

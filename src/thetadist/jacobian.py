@@ -6,12 +6,19 @@ are carried in Mumford form (u, v) with u monic of degree <= 2 and u | v^2 - f,
 over the rationals or over a residue ring Z/p^j.  The group law is Cantor
 composition-and-reduction; divisions by non-units over Z/p^j raise
 RepresentationDegenerate rather than guessing a representative.
+
+Each coefficient ring owns its normal form: ``R.reduce`` is the identity
+over Q and ``x % p^j`` over Z/p^j.  The polynomial helpers pass every
+coefficient they return through it, so a zero coefficient is falsy and no
+helper branches on the ring; a new ring needs ``coerce``, ``reduce`` and
+``inv``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, zip_longest
 from math import gcd
 
 from .errors import (
@@ -32,18 +39,18 @@ _ENUM_BUDGET = 10**4
 # ---------------------------------------------------------------------------
 
 class RationalField:
-    """Exact rational coefficients (Fraction)."""
+    """Exact rational coefficients (Fraction); every value is already reduced."""
 
     modulus = None
 
     def coerce(self, x):
         return Fraction(x)
 
-    def is_unit(self, x):
-        return x != 0
+    def reduce(self, x):
+        return x
 
     def inv(self, x):
-        if x == 0:
+        if not x:
             raise RepresentationDegenerate("division by zero over Q")
         return Fraction(1, 1) / x
 
@@ -58,7 +65,8 @@ class RationalField:
 
 
 class ResidueRing:
-    """Z/m with m = p^j; units are residues coprime to p."""
+    """Z/m with m = p^j, values reduced into range(m); units are residues
+    coprime to p."""
 
     def __init__(self, p: int, j: int):
         if j < 1:
@@ -73,14 +81,14 @@ class ResidueRing:
                 raise NotPIntegral(
                     f"denominator {x.denominator} not coprime to {self.p}"
                 )
-            return x.numerator * pow(x.denominator, -1, self.modulus) % self.modulus
-        return int(x) % self.modulus
+            return self.reduce(x.numerator * pow(x.denominator, -1, self.modulus))
+        return self.reduce(int(x))
 
-    def is_unit(self, x):
-        return gcd(int(x), self.p) == 1
+    def reduce(self, x):
+        return x % self.modulus
 
     def inv(self, x):
-        if not self.is_unit(x):
+        if gcd(int(x), self.p) != 1:
             raise RepresentationDegenerate(
                 f"{x} is not a unit modulo {self.p}^{self.j}"
             )
@@ -100,30 +108,24 @@ QQ = RationalField()
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers (tuples, low degree first) over a ring
+# Dense polynomial helpers (tuples, low degree first) over a ring.  Results
+# are in normal form: every coefficient passed through R.reduce, and no
+# trailing zero.
 # ---------------------------------------------------------------------------
 
 def ptrim(R, a):
-    a = list(a)
-    while a and a[-1] == R.coerce(0):
+    a = [R.reduce(x) for x in a]
+    while a and not a[-1]:
         a.pop()
     return tuple(a)
 
 
 def padd(R, a, b):
-    n = max(len(a), len(b))
-    zero = R.coerce(0)
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        s = x + y
-        out.append(s % R.modulus if R.modulus else s)
-    return ptrim(R, out)
+    return ptrim(R, [x + y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def pneg(R, a):
-    return tuple((-x) % R.modulus if R.modulus else -x for x in a)
+    return ptrim(R, [-x for x in a])
 
 
 def psub(R, a, b):
@@ -131,21 +133,15 @@ def psub(R, a, b):
 
 
 def pmul(R, a, b):
-    if not a or not b:
-        return ()
-    out = [R.coerce(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-            if R.modulus:
-                out[i + j] %= R.modulus
+            out[i + j] += x * y
     return ptrim(R, out)
 
 
 def pscale(R, c, a):
-    return ptrim(
-        R, tuple((c * x) % R.modulus if R.modulus else c * x for x in a)
-    )
+    return ptrim(R, [c * x for x in a])
 
 
 def pdivmod(R, a, b):
@@ -153,23 +149,14 @@ def pdivmod(R, a, b):
     if not b:
         raise RepresentationDegenerate("polynomial division by zero")
     inv_lc = R.inv(b[-1])
-    a = list(a)
-    q = [R.coerce(0)] * max(len(a) - len(b) + 1, 0)
+    a, q = list(a), []
     while len(a) >= len(b):
-        if a[-1] == R.coerce(0):
-            a.pop()
-            continue
-        c = a[-1] * inv_lc
-        if R.modulus:
-            c %= R.modulus
-        d = len(a) - len(b)
-        q[d] = c
-        for i, x in enumerate(b):
-            a[d + i] = a[d + i] - c * x
-            if R.modulus:
-                a[d + i] %= R.modulus
-        a.pop()
-    return ptrim(R, q), ptrim(R, a)
+        c = R.reduce(a.pop() * inv_lc)
+        d = len(a) + 1 - len(b)
+        for i in range(len(b) - 1):
+            a[d + i] = R.reduce(a[d + i] - c * b[i])
+        q.append(c)
+    return ptrim(R, q[::-1]), ptrim(R, a)
 
 
 def pmod(R, a, b):
@@ -193,11 +180,9 @@ def pxgcd(R, a, b):
 
 
 def peval(R, a, x):
-    acc = R.coerce(0)
+    acc = 0
     for c in reversed(a):
-        acc = acc * x + c
-        if R.modulus:
-            acc %= R.modulus
+        acc = R.reduce(acc * x + c)
     return acc
 
 
@@ -262,11 +247,11 @@ class MumfordDivisor:
 def make_divisor(curve: HyperellipticCurve, u, v, ring=QQ) -> MumfordDivisor:
     """Validate and build a reduced Mumford divisor over the given ring."""
     R = ring
-    u = ptrim(R, tuple(R.coerce(c) for c in u))
-    v = ptrim(R, tuple(R.coerce(c) for c in v))
+    u = ptrim(R, map(R.coerce, u))
+    v = ptrim(R, map(R.coerce, v))
     if not u or len(u) - 1 > 2:
         raise InvalidInput("u must be nonzero of degree <= 2")
-    if not R.is_unit(u[-1]) or u[-1] != R.coerce(1):
+    if u[-1] != 1:
         raise InvalidInput("u must be monic")
     if len(v) >= max(len(u), 2):
         raise InvalidInput("v must have degree < max(deg u, 1)")
@@ -326,7 +311,7 @@ def add(curve: HyperellipticCurve, D1: MumfordDivisor, D2: MumfordDivisor) -> Mu
         u = u_new
     if not u:
         u = (R.coerce(1),)
-    elif u[-1] != R.coerce(1):
+    elif u[-1] != 1:
         u = pscale(R, R.inv(u[-1]), u)
     return MumfordDivisor(u=u, v=v, ring=R)
 
@@ -405,13 +390,12 @@ def on_curve_mod(curve: HyperellipticCurve, Dmod: MumfordDivisor, p: int, j: int
     points (``enumerate_curve_points_mod``) have degree at most 1.
     """
     R = Dmod.ring
-    mod = R.modulus
     if Dmod.is_zero():
         return True
     if len(Dmod.u) == 2:
-        a = (-Dmod.u[0]) % mod
+        a = R.reduce(-Dmod.u[0])
         b = Dmod.v[0] if Dmod.v else 0
-        return b * b % mod == peval(R, curve.f_in(R), a)
+        return R.reduce(b * b) == peval(R, curve.f_in(R), a)
     if j > 1 or p == 2:
         return False
     u0, u1 = Dmod.u[0], Dmod.u[1]
@@ -466,20 +450,11 @@ def jacobian_order_mod_p(curve: HyperellipticCurve, p: int) -> int:
         raise BudgetExceeded("brute-force Jacobian count restricted to p <= 7")
     R = ResidueRing(p, 1)
     f = curve.f_in(R)
-    count = 1  # the zero class
-    squares: dict[int, list] = {}
-    for b in range(p):
-        squares.setdefault(b * b % p, []).append(b)
-    for a in range(p):
-        count += len(squares.get(peval(R, f, a), ()))
-    for u0 in range(p):
-        for u1 in range(p):
-            u = (u0, u1, 1)
-            for v0 in range(p):
-                for v1 in range(p):
-                    v = ptrim(R, (v0, v1))
-                    if not pmod(R, psub(R, pmul(R, v, v), f), u):
-                        count += 1
+    count = len(enumerate_curve_points_mod(curve, p, 1))  # zero and deg u = 1
+    for u0, u1, v0, v1 in product(range(p), repeat=4):
+        v = ptrim(R, (v0, v1))
+        if not pmod(R, psub(R, pmul(R, v, v), f), (u0, u1, 1)):
+            count += 1
     return count
 
 

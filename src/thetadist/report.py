@@ -99,6 +99,8 @@ def _inline_curve(inline: dict, cfg: PrecisionConfig):
         [_parse_complex(e, bits) for e in row] for row in inline["period_matrix"]
     ]
     tau = PeriodMatrix(tau_entries, bits=bits)
+    if tau.g != g:
+        raise ConfigRejected(f"period matrix is {tau.g}x{tau.g} but g = {g}")
     if "h_fal" in inline:
         h_fal = mp.mpf(inline["h_fal"])
     else:

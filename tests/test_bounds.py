@@ -60,6 +60,17 @@ class TestLBound:
         with pytest.raises(td.InvalidInput):
             td.l_bound(1, 1, 2)
 
+    def test_is_degree_bound_of_hasse_weil(self):
+        """L_{n,m} = degree_bound(hasse_weil_card_bound(n, Bu_m, g), g)
+        exactly, for the preset's H_3 (n = 3^40 in log scale) and two more."""
+        with mp.workprec(192):
+            n_h3 = LSR.exp_of(40 * mp.log(mp.mpf(3)))
+        assert td.l_bound(n_h3, 3, 2) == td.h_bound(3, 2, 40)
+        for n, m, g in ((n_h3, 3, 2), (2, 1, 2), (27, 7, 3)):
+            a = td.l_bound(n, m, g)
+            b = td.degree_bound(td.hasse_weil_card_bound(n, td.bu(m, g), g), g)
+            assert (a.sign, a.log_magnitude) == (b.sign, b.log_magnitude)
+
 
 class TestHBound:
     def test_equals_l_at_power(self):

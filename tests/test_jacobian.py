@@ -4,7 +4,19 @@ from fractions import Fraction
 import pytest
 
 import thetadist as td
-from thetadist.jacobian import QQ, ResidueRing, peval, pmod, pmul, psub, ptrim
+from thetadist.jacobian import (
+    QQ,
+    ResidueRing,
+    padd,
+    pdivmod,
+    peval,
+    pmod,
+    pmul,
+    pneg,
+    pscale,
+    psub,
+    ptrim,
+)
 
 
 def D1(curve):
@@ -195,6 +207,52 @@ class TestResidueRings:
     def test_bad_exponent(self):
         with pytest.raises(td.InvalidInput):
             ResidueRing(3, 0)
+
+    @pytest.mark.parametrize(
+        "ring",
+        [QQ] + [ResidueRing(p, j) for p in (3, 7) for j in (1, 2, 3)],
+        ids=lambda R: "QQ" if R == QQ else f"p{R.p}j{R.j}",
+    )
+    def test_results_in_normal_form(self, curve, rational_subgroup, ring):
+        """Sums and multiples of the ten rational classes, and the helpers
+        applied to their (u, v), carry reduced coefficients (in range(p^j)
+        over Z/p^j) and no trailing zero."""
+
+        def assert_normal(a):
+            assert not a or a[-1] != 0, a
+            if ring == QQ:
+                assert all(isinstance(x, Fraction) for x in a), a
+            else:
+                assert all(type(x) is int and 0 <= x < ring.modulus for x in a), a
+
+        f = curve.f_in(ring)
+        classes = [
+            D if ring == QQ else td.reduce_mod(curve, D, ring.p, ring.j)
+            for D in rational_subgroup
+        ]
+        results = [td.scalar_mul(curve, k, D) for D in classes for k in (2, 3, 7, -4)]
+        for A in classes:
+            for B in classes:
+                try:
+                    results.append(td.add(curve, A, B))
+                except td.RepresentationDegenerate:
+                    assert ring != QQ and ring.j >= 2
+        assert len(results) >= 120
+        for D in results:
+            assert D.ring == ring
+            assert_normal(D.u)
+            assert_normal(D.v)
+            assert D.u[-1] == 1
+            v2f = psub(ring, pmul(ring, D.v, D.v), f)
+            for a in (
+                padd(ring, D.u, D.v),
+                pneg(ring, D.v),
+                v2f,
+                pscale(ring, -3, D.u),
+                *pdivmod(ring, v2f, D.u),
+            ):
+                assert_normal(a)
+            assert not pmod(ring, v2f, D.u)
 
 
 class TestEnumeration:

@@ -7,6 +7,15 @@ import thetadist as td
 from thetadist import cli
 
 
+# declares g = 2 but carries the 1x1 period matrix [[i]]
+GENUS_MISMATCH_INLINE = {
+    "g": 2,
+    "deg_K0": 1,
+    "h_fal": 0.0,
+    "period_matrix": [[{"re": "0", "im": "1"}]],
+}
+
+
 @pytest.fixture(scope="module")
 def cli_reports(tmp_path_factory):
     """Two identical CLI invocations against the preset, kept for reuse."""
@@ -77,6 +86,11 @@ class TestCliExitCodes:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
+        assert cli.main(["--config", str(path)]) == 2
+
+    def test_inline_genus_mismatch_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"inline": GENUS_MISMATCH_INLINE}))
         assert cli.main(["--config", str(path)]) == 2
 
 
@@ -167,6 +181,10 @@ class TestRunInline:
         with pytest.raises(td.ConfigRejected):
             td.run(config)
 
+    def test_inline_genus_mismatch_rejected(self):
+        with pytest.raises(td.ConfigRejected):
+            td.run(td.RunConfig(inline=GENUS_MISMATCH_INLINE, p=3))
+
 
 class TestFlagOverrides:
     def test_flags_override_config_file(self, tmp_path):
@@ -180,3 +198,22 @@ class TestFlagOverrides:
         assert config.p == 3
         assert config.jmax == 2
         assert config.grid_points_per_dim == 12
+
+    def test_document_verify_kept_without_flag(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "bost-mestre", "verify": True}))
+        args = cli.build_parser().parse_args(["--config", str(path), "--p", "7"])
+        config = cli.config_from_args(args)
+        assert config.verify is True
+        assert config.p == 7
+
+    def test_preset_only_document_gives_defaults(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "bost-mestre", "comment": "ignored"}))
+        args = cli.build_parser().parse_args(["--config", str(path)])
+        config = cli.config_from_args(args)
+        assert config == td.RunConfig(preset="bost-mestre")
+        assert (config.p, config.precision_bits, config.jmax) == (3, 128, 4)
+        assert config.output_path == "-"
+        assert config.verify is False
+        assert config.grid_points_per_dim is None
