@@ -56,7 +56,14 @@ class ThetaMaxResult:
 
 
 def default_optimizer_config(g: int) -> OptimizerConfig:
-    return OptimizerConfig(grid_points_per_dim=256 if g == 1 else 32)
+    """256 points per axis at g = 1; for g >= 2 the largest nd <= 32 with
+    nd^(2g) <= 32^4, the preset's grid (10 at g = 3), but at least 8."""
+    if g == 1:
+        return OptimizerConfig(grid_points_per_dim=256)
+    nd = 32
+    while nd > 8 and nd ** (2 * g) > 32**4:
+        nd -= 1
+    return OptimizerConfig(grid_points_per_dim=nd)
 
 
 def _lattice_point(tau: PeriodMatrix, x) -> ThetaPoint:

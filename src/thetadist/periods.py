@@ -7,13 +7,25 @@ run on mpmath at a configurable bit count.  In double precision, a vectorized
 batch evaluator at scattered points backs spot checks, and a separable
 evaluator on tensor grids backs the maximizer's grid scan and the torus
 average.
+
+All three sums read one lattice context per ``PeriodMatrix``, built on first
+use (the lattice-sum layout of Deconinck, Heil, Bobenko, van Hoeij, Schmies,
+"Computing Riemann theta functions", Math. Comp. 73 (2004)).  Its double part
+is built once per tau: tau and Y as doubles, the box radius R for a 1e-18
+tail over the half cell, the box M in lexicographic order and M'tau M/2.  Its
+working-precision part is keyed by bit count and holds exp(pi i M'tau M) for
+each lattice vector M, grown shell by shell up to the largest radius any call
+has needed.  Each mpmath sum still truncates at its own point's radius; a
+term is the table entry times per-axis powers of exp(2 pi i z_k), so a call
+within the table's radius makes g exponentials.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
@@ -99,6 +111,11 @@ class PeriodMatrix:
         return np.array(
             [[complex(self.tau[i, j]) for j in range(self.g)] for i in range(self.g)]
         )
+
+    @cached_property
+    def lattice(self) -> LatticeContext:
+        """The lattice context the theta sums share, built on first use."""
+        return LatticeContext(self)
 
     def __repr__(self):
         return f"PeriodMatrix(g={self.g}, bits={self.bits})"
@@ -196,36 +213,87 @@ def _truncation_radius(g: int, lam_min: float, y_norm: float, target: float) -> 
             raise BudgetExceeded("truncation radius search did not terminate")
 
 
-def _theta_reduced(
-    tau: PeriodMatrix, z0: ThetaPoint, cfg: PrecisionConfig, extra_R: int = 0, derivs: bool = False
-):
+class LatticeContext:
+    """Per-tau inputs of the three lattice sums (see the module docstring).
+
+    The double part: ``taun`` and ``Y`` (tau and Im tau as doubles),
+    ``scale`` = sqrt(det Y), the radius ``R``, the box ``M`` of lattice
+    vectors with ||M||_inf <= R (one per row, lexicographic) and ``quad`` =
+    M'tau M/2.  R bounds the tail below 1e-18 for every y = Y m with m in
+    [-1/2, 1/2)^g, the range the double kernels recentre their coordinates
+    to.  ``phases(bits, R)`` gives the working-precision part.
+    """
+
+    def __init__(self, tau: PeriodMatrix):
+        g = tau.g
+        self.g = g
+        self._tau = tau.tau.tolist()
+        self._phases = {}
+        self.taun = tau.tau_np
+        self.Y = self.taun.imag
+        self.scale = math.sqrt(float(tau.detY))
+        y_norm = float(np.linalg.norm(np.abs(self.Y) @ np.full(g, 0.5)))
+        self.R = _truncation_radius(g, float(tau.lambda_min), y_norm, 1e-18)
+        self.M = np.array(list(itertools.product(range(-self.R, self.R + 1), repeat=g)))
+        self.quad = 0.5 * np.einsum("li,ij,lj->l", self.M, self.taun, self.M)
+
+    def phases(self, bits: int, R: int) -> dict:
+        """exp(pi i M'tau M) at ``bits`` for every M with ||M||_inf <= R.
+
+        One table per bit count, keyed by the tuple M.  Shells beyond the
+        largest radius asked for so far are added on demand, so the table
+        never holds more than the largest box a sum has needed.
+        """
+        radius, table = self._phases.get(bits, (-1, {}))
+        if R > radius:
+            g, tt = self.g, self._tau
+            with mp.workprec(bits):
+                pi_i = 1j * mp.pi
+                for m in itertools.product(range(-R, R + 1), repeat=g):
+                    if max(map(abs, m)) > radius:
+                        nz = [i for i in range(g) if m[i]]
+                        quad = sum(m[i] * m[j] * tt[i][j] for i in nz for j in nz)
+                        table[m] = mp.exp(pi_i * quad)
+            self._phases[bits] = (R, table)
+        return table
+
+
+def _axis_powers(w, R: int) -> list:
+    """exp(2 pi i w)^k for k in [-R, R] in a list read at index k (negative k
+    counting from the end), by repeated multiplication after one exp."""
+    e = mp.exp(2j * mp.pi * w)
+    inv = 1 / e
+    up, down = [mp.mpc(1)], [mp.mpc(1)]
+    for _ in range(R):
+        up.append(up[-1] * e)
+        down.append(down[-1] * inv)
+    return up + down[:0:-1]
+
+
+def _theta_reduced(tau: PeriodMatrix, z0: ThetaPoint, cfg: PrecisionConfig, derivs: bool = False):
     """Theta sum at an already-reduced argument, truncated at the tail radius.
 
-    Returns the sum, or with ``derivs`` the triple ``(theta, d1, d2)``: the
-    sum, and the gradient (g x 1) and Hessian (g x g) in z of the same
-    truncated sum, whose terms are weighted by 2*pi*i*m and (2*pi*i)^2 * m m'.
+    The radius is the point's own, from ``_truncation_radius``.  Each term
+    exp(2 pi i (M'tau M/2 + M'z)) is the context's phase for M times the
+    per-axis powers exp(2 pi i z_k)^(M_k).  Returns the sum, or with
+    ``derivs`` the triple ``(theta, d1, d2)``: the sum, and the gradient
+    (g x 1) and Hessian (g x g) in z of the same truncated sum, whose terms
+    are weighted by 2*pi*i*M and (2*pi*i)^2 * M M'.
     """
     g = tau.g
-    with mp.workprec(cfg.working_precision_bits):
+    bits = cfg.working_precision_bits
+    with mp.workprec(bits):
         y_norm = float(mp.sqrt(sum(w.imag**2 for w in z0.z)))
         R = _truncation_radius(g, float(tau.lambda_min), y_norm, float(cfg.target_abs_error))
-        R += extra_R
+        table = tau.lattice.phases(bits, R)
+        powers = [_axis_powers(w, R) for w in z0.z]
         total = mp.mpc(0)
         d1 = [mp.mpc(0)] * g
         d2 = [[mp.mpc(0)] * g for _ in range(g)]
-        two_pi_i = 2j * mp.pi
-        zt = list(z0.z)
-        tt = tau.tau.tolist()
         for m in itertools.product(range(-R, R + 1), repeat=g):
-            quad = mp.mpc(0)
-            lin = mp.mpc(0)
+            term = table[m]
             for i in range(g):
-                if m[i]:
-                    lin += m[i] * zt[i]
-                    for j in range(g):
-                        if m[j]:
-                            quad += m[i] * m[j] * tt[i][j]
-            term = mp.exp(two_pi_i * (quad / 2 + lin))
+                term *= powers[i][m[i]]
             total += term
             if not derivs:
                 continue
@@ -237,11 +305,12 @@ def _theta_reduced(
                             d2[i][j] += m[i] * m[j] * term
         if not derivs:
             return total
+        two_pi_i = 2j * mp.pi
         hess = [[d2[max(i, j)][min(i, j)] for j in range(g)] for i in range(g)]
         return total, two_pi_i * mp.matrix(d1), two_pi_i**2 * mp.matrix(hess)
 
 
-def theta(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None, extra_R: int = 0):
+def theta(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None):
     """Riemann theta function theta(z, tau) with absolute error <= the target.
 
     The argument is first reduced to the fundamental cell; the quasi-periodicity
@@ -250,7 +319,7 @@ def theta(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None, 
     cfg = cfg or PrecisionConfig()
     with mp.workprec(cfg.working_precision_bits):
         z0, m, n, log_mult = reduce_to_fundamental(tau, z)
-        val = _theta_reduced(tau, z0, cfg, extra_R=extra_R)
+        val = _theta_reduced(tau, z0, cfg)
         return mp.exp(log_mult) * val
 
 
@@ -273,24 +342,6 @@ def theta_norm(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = N
 # Vectorized double-precision paths (spot-check and tensor-grid backends)
 # ---------------------------------------------------------------------------
 
-def _double_box(tau: PeriodMatrix):
-    """Inputs shared by the double-precision kernels.
-
-    Returns tau as doubles, Y = Im tau, the box radius R, the box M of lattice
-    vectors with ||M||_inf <= R (one per row) and the phases M'tau M/2.  R
-    bounds the tail below 1e-18 for every y = Y m with m in [-1/2, 1/2)^g, the
-    range the kernels recentre their coordinates to.
-    """
-    g = tau.g
-    taun = tau.tau_np
-    Y = taun.imag
-    y_norm = float(np.linalg.norm(np.abs(Y) @ np.full(g, 0.5)))
-    R = _truncation_radius(g, float(tau.lambda_min), y_norm, 1e-18)
-    M = np.array(list(itertools.product(range(-R, R + 1), repeat=g)))
-    quad = 0.5 * np.einsum("li,ij,lj->l", M, taun, M)
-    return taun, Y, R, M, quad
-
-
 def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
     """<s,s> at lattice coordinates ``coords`` (N x 2g, layout (n, m)), doubles.
 
@@ -303,22 +354,21 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2 * g:
         raise InvalidInput("coords must have shape (N, 2g)")
-    taun, Y, _, M, quad = _double_box(tau)
-    scale = math.sqrt(float(tau.detY))
+    ctx = tau.lattice
     nc = coords[:, :g] - np.round(coords[:, :g])
     mc = coords[:, g:] - np.round(coords[:, g:])
-    chunk = max(1, _BATCH_TERMS // len(M))
+    chunk = max(1, _BATCH_TERMS // len(ctx.M))
     out = np.empty(len(coords))
     for i in range(0, len(coords), chunk):
         nn = nc[i : i + chunk]
         mm = mc[i : i + chunk]
-        phases = M @ (nn + mm @ taun.T).T
-        phases += quad[:, None]
+        phases = ctx.M @ (nn + mm @ ctx.taun.T).T
+        phases += ctx.quad[:, None]
         phases *= 2j * np.pi
         np.exp(phases, out=phases)
         th2 = np.abs(phases.sum(axis=0)) ** 2
-        gauss = np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", mm, Y, mm))
-        out[i : i + chunk] = scale * gauss * th2
+        gauss = np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", mm, ctx.Y, mm))
+        out[i : i + chunk] = ctx.scale * gauss * th2
     return out
 
 
@@ -337,21 +387,22 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.n
     16/nd bytes per grid point.
     """
     g = tau.g
-    taun, Y, R, M, quad = _double_box(tau)
+    ctx = tau.lattice
+    R = ctx.R
     # recentred to [-1/2, 1/2) as in norm_batch, where the truncation bound holds
     axis = (np.arange(nd) + grid_offset) / nd
     axis -= np.round(axis)
     E = np.exp(2j * np.pi * np.outer(axis, np.arange(-R, R + 1)))
-    scale = math.sqrt(float(tau.detY))
     ms = np.array(list(itertools.product(axis, repeat=g)))
     out = np.empty((nd**g, nd**g))
     rows = nd ** (g - 1)
     for i in range(0, nd**g, rows):
         m = ms[i : i + rows]
-        C = np.exp(2j * np.pi * (quad + (m @ taun) @ M.T)).reshape((rows,) + (2 * R + 1,) * g)
+        C = np.exp(2j * np.pi * (ctx.quad + (m @ ctx.taun) @ ctx.M.T))
+        C = C.reshape((rows,) + (2 * R + 1,) * g)
         for _ in range(g):
             C = np.tensordot(C, E, axes=(1, 1))
-        gauss = scale * np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", m, Y, m))
+        gauss = ctx.scale * np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", m, ctx.Y, m))
         out[:, i : i + rows] = (np.abs(C.reshape(rows, -1)) ** 2 * gauss[:, None]).T
     np.sqrt(out, out=out)
     return out.reshape((nd,) * (2 * g))

@@ -5,6 +5,7 @@ import pytest
 
 import thetadist as td
 from thetadist import cli
+from test_theta import TAU_G3
 
 
 # declares g = 2 but carries the 1x1 period matrix [[i]]
@@ -184,6 +185,21 @@ class TestRunInline:
     def test_inline_genus_mismatch_rejected(self):
         with pytest.raises(td.ConfigRejected):
             td.run(td.RunConfig(inline=GENUS_MISMATCH_INLINE, p=3))
+
+    def test_inline_genus_three_default_grid(self):
+        """Without a grid size, g = 3 runs at 10^6 grid points, within the
+        grid budget, and gives the value the 12^6 scan gives."""
+        inline = {
+            "g": 3,
+            "deg_K0": 1,
+            "h_fal": 0.0,
+            "period_matrix": [
+                [{"re": repr(z.real), "im": repr(z.imag)} for z in row] for row in TAU_G3
+            ],
+        }
+        report = td.run(td.RunConfig(inline=inline, p=3))
+        assert report.payload["config_echo"]["grid_points_per_dim"] == 10
+        assert report.payload["theta_max"]["value"]["dec"] == "1.48984839546273286995697154643"
 
 
 class TestFlagOverrides:

@@ -13,6 +13,15 @@ from conftest import brute_theta
 S4_THETA0_RE = "1.0502862579537883794134248631481479"
 S4_THETA0_IM = "-0.16634900114656232797813445567977354"
 
+
+def point_radius(tau, z0, cfg):
+    """The kernel's truncation radius at a reduced point z0."""
+    y_norm = float(mp.sqrt(sum(w.imag**2 for w in z0.z)))
+    return td.periods._truncation_radius(
+        tau.g, float(tau.lambda_min), y_norm, cfg.target_abs_error
+    )
+
+
 TAU_G3 = [
     [0.1 + 1.8j, 0.3 + 0.4j, -0.2 + 0.1j],
     [0.3 + 0.4j, -0.2 + 1.6j, 0.25 + 0.2j],
@@ -20,8 +29,9 @@ TAU_G3 = [
 ]
 
 # theta and theta_norm at 128 bits, frozen from the lattice loop as it was
-# when every call also summed the z-gradient and Hessian: (tau, z, Re theta,
-# Im theta, theta_norm)
+# when every call also summed the z-gradient and Hessian and called exp once
+# per term: (tau, z, Re theta, Im theta, theta_norm).  Terms built from the
+# phase table and per-axis powers round differently, by up to 7.3e-38 here.
 FROZEN_128 = [
     ("s4", (0.3 + 0.2j, -0.1 + 0.4j),
      "1.2573281757964903490774125287228952694924",
@@ -68,16 +78,55 @@ class TestTheta:
             assert abs(a - b) <= 2 * cfg.target_abs_error * max(1, abs(a))
 
     def test_truncation_soundness(self, tau_s4, tau_g1, cfg):
+        """The sum truncated at a reduced point's radius R against the
+        independent oracle summed to R + 2."""
         rng = random.Random(5)
-        for tau in (tau_g1, tau_s4):
-            for _ in range(5):
+        for tau in (tau_g1, tau_s4, td.PeriodMatrix(TAU_G3)):
+            for _ in range(5 if tau.g < 3 else 3):
                 z = tuple(
                     complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
                     for _ in range(tau.g)
                 )
-                a = td.theta(tau, td.ThetaPoint(z), cfg)
-                b = td.theta(tau, td.ThetaPoint(z), cfg, extra_R=2)
+                z0 = td.reduce_to_fundamental(tau, td.ThetaPoint(z))[0]
+                a = td.periods._theta_reduced(tau, z0, cfg)
+                b = brute_theta(tau, z0.z, point_radius(tau, z0, cfg) + 2)
                 assert abs(a - b) < cfg.target_abs_error * max(1, abs(a))
+
+    @pytest.mark.parametrize("name", ["s4", "g3"])
+    def test_derivatives_match_oracle(self, name, tau_s4, cfg):
+        """Newton's gradient and Hessian against mp.diff of the oracle summed
+        to R + 1: first derivatives along each axis, and second derivatives
+        along e_i + e_j, which are v'Hv.  brute_theta is exact to 2^-200, so
+        a step of 2^-50 leaves finite-difference errors near 1e-30."""
+        tau = tau_s4 if name == "s4" else td.PeriodMatrix(TAU_G3)
+        g = tau.g
+        with mp.workprec(cfg.working_precision_bits):
+            z = [0.3 + 0.1 * i + sum(tau.tau[i, j] * (0.3 - 0.05 * j) for j in range(g))
+                 for i in range(g)]
+        z0 = td.ThetaPoint(tuple(z))
+        _, d1, d2 = td.periods._theta_reduced(tau, z0, cfg, derivs=True)
+        R = point_radius(tau, z0, cfg) + 1
+        unit = [[int(i == k) for k in range(g)] for i in range(g)]
+        with mp.workprec(200):
+            h = mp.mpf(2) ** -50
+            center = brute_theta(tau, z0.z, R)
+
+            def along(v, order):
+                def f(t):
+                    if t == 0:
+                        return center
+                    return brute_theta(tau, [w + t * c for w, c in zip(z0.z, v)], R)
+
+                return mp.diff(f, 0, order, h=h)
+
+            for i in range(g):
+                ref = along(unit[i], 1)
+                assert abs(d1[i] - ref) <= 1e-20 * max(1, abs(ref))
+                for j in range(i + 1):
+                    v = [a + b for a, b in zip(unit[i], unit[j])]
+                    ref = along(v, 2)
+                    got = sum(v[k] * v[l] * d2[k, l] for k in range(g) for l in range(g))
+                    assert abs(got - ref) <= 1e-20 * max(1, abs(ref))
 
     def test_oracle_agreement_random_points(self, tau_s4, cfg):
         rng = random.Random(7)
@@ -107,8 +156,10 @@ class TestTheta:
         }[name]
         point = td.ThetaPoint(z)
         with mp.workprec(cfg.working_precision_bits):
-            assert td.theta(tau, point, cfg) == mp.mpc(re, im)
-            assert td.theta_norm(tau, point, cfg) == mp.mpf(norm)
+            th = td.theta(tau, point, cfg)
+            assert abs(th - mp.mpc(re, im)) <= 1e-35 * abs(th)
+            nv = td.theta_norm(tau, point, cfg)
+            assert abs(nv - mp.mpf(norm)) <= 1e-35 * nv
             z0 = td.reduce_to_fundamental(tau, point)[0]
             th = td.periods._theta_reduced(tau, z0, cfg)
             assert td.periods._theta_reduced(tau, z0, cfg, derivs=True)[0] == th
@@ -245,3 +296,45 @@ class TestSqrtNormGrid:
         coords = np.array(list(itertools.product(axis, repeat=2 * tau.g)))
         ref = np.sqrt(td.periods.norm_batch(tau, coords))
         assert np.abs(grid.ravel() - ref).max() <= 1e-14 * grid.max()
+
+
+class TestLatticeContext:
+    @pytest.mark.parametrize("name", ["s4", "g3"])
+    def test_warm_theta_norm_makes_g_plus_two_exps(self, name, tau_s4, cfg, monkeypatch):
+        """Once the phase table covers a point's radius, a theta_norm call
+        exponentiates only per axis, plus the norm's Gaussian factor."""
+        tau = tau_s4 if name == "s4" else td.PeriodMatrix(TAU_G3)
+        point = td.ThetaPoint(tuple(0.3 + 0.2j - 0.1j * i for i in range(tau.g)))
+        td.theta_norm(tau, point, cfg)
+        calls = []
+        exp = mp.exp
+        monkeypatch.setattr(mp, "exp", lambda x: calls.append(x) or exp(x))
+        td.theta_norm(tau, point, cfg)
+        assert 0 < len(calls) <= tau.g + 2
+
+    def test_double_kernels_reuse_radius(self, monkeypatch):
+        tau = td.PeriodMatrix(TAU_G3)
+        coords = np.random.default_rng(3).random((50, 6))
+        first = td.periods.norm_batch(tau, coords)
+        grid = td.periods.sqrt_norm_grid(tau, 4)
+        calls = []
+        radius = td.periods._truncation_radius
+        monkeypatch.setattr(
+            td.periods, "_truncation_radius", lambda *a: calls.append(a) or radius(*a)
+        )
+        assert np.array_equal(td.periods.norm_batch(tau, coords), first)
+        assert np.array_equal(td.periods.sqrt_norm_grid(tau, 4), grid)
+        assert calls == []
+
+    def test_tables_keyed_by_precision(self, tau_s4, cfg):
+        """A 192-bit sum after a 128-bit one on the same tau uses its own
+        table: it equals the sum on a fresh tau, and the 128-bit value to
+        the tail bound."""
+        hi = td.PrecisionConfig(working_precision_bits=192, target_abs_error=1e-25)
+        tau = td.PeriodMatrix(tau_s4.tau.tolist())
+        point = td.ThetaPoint((1.7 - 0.3j, 0.25 + 1.1j))
+        low = td.theta(tau, point, cfg)
+        high = td.theta(tau, point, hi)
+        assert high == td.theta(td.PeriodMatrix(tau_s4.tau.tolist()), point, hi)
+        with mp.workprec(192):
+            assert abs(high - low) < 1e-25 * max(1, abs(high))

@@ -149,6 +149,10 @@ class TestConfigAndGuards:
     def test_default_config_by_genus(self):
         assert td.default_optimizer_config(1).grid_points_per_dim == 256
         assert td.default_optimizer_config(2).grid_points_per_dim == 32
+        # 10^6 <= 32^4 < 11^6; at g = 4 no nd >= 8 fits 32^4, and 8^8 is
+        # within the grid budget
+        assert td.default_optimizer_config(3).grid_points_per_dim == 10
+        assert td.default_optimizer_config(4).grid_points_per_dim == 8
 
     def test_over_embeddings(self, cfg):
         ocfg = td.OptimizerConfig(grid_points_per_dim=32, refine_starts=4)
