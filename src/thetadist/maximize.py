@@ -1,13 +1,17 @@
 """Global maximization of the square-root theta norm over the Jacobian torus.
 
-Deterministic two-stage search.  A full tensor grid in lattice coordinates is
-scanned in double precision by ``periods.sqrt_norm_grid``, which evaluates the
-theta sum on each m-slice as a trigonometric polynomial in n (one small matrix
-product per axis).  Newton's method on log<s,s> then runs at working precision
+Deterministic three-stage search.  A full tensor grid in lattice coordinates
+is scanned in double precision by ``periods.sqrt_norm_grid``, which evaluates
+the theta sum on each m-slice as a trigonometric polynomial in n (one small
+matrix product per axis).  Newton's method on log<s,s> then runs in doubles
 from the grid's discrete local maxima, one start per cluster of tied
-neighbouring maxima, so symmetric copies of one maximum, or neighbouring points
-of one peak, do not use up the starts.  The gradient and Hessian come from the
-same lattice sum as theta (Deconinck, Heil, Bobenko, van Hoeij, Schmies,
+neighbouring maxima, so symmetric copies of one maximum, or neighbouring
+points of one peak, do not use up the starts.  Only the converged points
+whose double value ties the best are polished by the same Newton iteration at
+working precision, which from double accuracy takes two lattice sums.  The
+gradient and Hessian come from the same lattice sum as theta, in doubles from
+``periods.theta_derivs`` and at working precision from
+``periods._theta_reduced`` (Deconinck, Heil, Bobenko, van Hoeij, Schmies,
 "Computing Riemann theta functions", Math. Comp. 73 (2004)).  No
 global-optimality certificate is produced; the probe and grid-monotonicity
 properties in the test suite are the practical guard.
@@ -22,7 +26,15 @@ import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigRejected, InvalidInput
-from .periods import PeriodMatrix, PrecisionConfig, ThetaPoint, sqrt_norm_grid, theta_norm
+from .periods import (
+    PeriodMatrix,
+    PrecisionConfig,
+    ThetaPoint,
+    norm_batch,
+    sqrt_norm_grid,
+    theta_derivs,
+    theta_norm,
+)
 from .periods import _theta_reduced
 
 # Grid points per scan.  The value array, resident from the scan until the
@@ -31,7 +43,8 @@ from .periods import _theta_reduced
 _GRID_BUDGET = 10**8
 _NEWTON_MAX_STEPS = 20  # starts in a maximum's basin converge in about six
 # Grid values carry a relative error of about 1e-15: values closer than this
-# are ties, and a refined maximum further below grid_best than this means
+# are ties, a double Newton value further below the best than this is not
+# polished, and a refined maximum further below grid_best than this means
 # Newton left the grid's best basin.
 _GRID_RTOL = 1e-13
 
@@ -74,14 +87,46 @@ def _lattice_point(tau: PeriodMatrix, x) -> ThetaPoint:
     )
 
 
+def _newton_double(tau: PeriodMatrix, start):
+    """``_newton`` in doubles on ``periods.theta_derivs``, with the same
+    gradient and Hessian.  The iterate is kept in [-1/2, 1/2)^{2g}, where the
+    double kernel's box holds, and a step below 2^(-26) ends the iteration.
+    Returns x, or None when -H has no Cholesky factor or the cap is reached.
+    """
+    g = tau.g
+    ctx = tau.lattice
+    J = np.hstack([np.eye(g), ctx.taun])
+    x = np.asarray(start, dtype=float)
+    for _ in range(_NEWTON_MAX_STEPS):
+        x = x - np.round(x)
+        th, d1, d2 = theta_derivs(tau, x)
+        a = d1 / th
+        grad = 2 * (J.T @ a).real
+        hess = 2 * (J.T @ (d2 / th - np.outer(a, a)) @ J).real
+        grad[g:] -= 4 * np.pi * ctx.Y @ x[g:]
+        hess[g:, g:] -= 4 * np.pi * ctx.Y
+        try:
+            L = np.linalg.cholesky(-hess)
+        except np.linalg.LinAlgError:
+            return None
+        step = np.linalg.solve(L.T, np.linalg.solve(L, grad))
+        x = x + step
+        if np.abs(step).max() < 2.0**-26:
+            return x
+    return None
+
+
 def _newton(tau: PeriodMatrix, start, cfg: PrecisionConfig):
     """Newton ascent on log<s,s> = const - 2 pi m'Ym + 2 Re log theta(n + tau m).
 
     With J = [I | tau] and a = theta'/theta the gradient in x = (n, m) is
     2 Re(J'a) - 4 pi (0, Ym) and the Hessian 2 Re(J'(theta''/theta - a a')J)
-    - 4 pi diag(0, Y).  A step below 2^(-bits/2) in max-norm leaves an error
-    near 2^(-bits) and ends the iteration.  Returns x reduced to [0,1)^{2g},
-    or None when the Hessian is not negative definite or the cap is reached.
+    - 4 pi diag(0, Y).  The iterate is kept in [-1/2, 1/2)^{2g}, where the
+    sum's own truncation radius is smallest.  A step below 2^(-bits/2) in
+    max-norm leaves an error near 2^(-bits) and ends the iteration, so from a
+    start of double accuracy it takes two lattice sums.  Returns x reduced to
+    [0,1)^{2g}, or None when the Hessian is not negative definite or the cap
+    is reached.
     """
     g = tau.g
     bits = cfg.working_precision_bits
@@ -90,7 +135,7 @@ def _newton(tau: PeriodMatrix, start, cfg: PrecisionConfig):
         tol = mp.mpf(2) ** (-mp.mpf(bits) / 2)
         x = [mp.mpf(c) for c in start]
         for _ in range(_NEWTON_MAX_STEPS):
-            x = [c - mp.floor(c) for c in x]
+            x = [c - mp.nint(c) for c in x]
             th, d1, d2 = _theta_reduced(tau, _lattice_point(tau, x), cfg, derivs=True)
             a = d1 / th
             grad = (J.T * a).apply(mp.re) * 2
@@ -159,12 +204,14 @@ def theta_max(
     """Maximum of sqrt(<s,s>) over the torus, with argmax coordinates.
 
     Scans the grid {(k + grid_offset)/Nd}^{2g} with ``sqrt_norm_grid``, then
-    runs Newton's method at the working precision from the grid's discrete
-    local maxima (wrap-around neighbours, values compared at a relative
-    1e-13), one start per cluster of tied neighbouring maxima, the best
-    ``refine_starts`` of them; a start whose Hessian is not negative definite,
-    or that does not converge within the step cap, is dropped.  The value is
-    ``theta_norm`` at the best converged point.  Deterministic for fixed
+    runs Newton's method in doubles from the grid's discrete local maxima
+    (wrap-around neighbours, values compared at a relative 1e-13), one start
+    per cluster of tied neighbouring maxima, the best ``refine_starts`` of
+    them; a start whose Hessian is not negative definite, or that does not
+    converge within the step cap, is dropped without a working-precision sum.
+    The converged points whose double value is within a relative 1e-13 of the
+    best are polished by Newton at the working precision, and the value is
+    ``theta_norm`` at the best polished point.  Deterministic for fixed
     configs: a tie cluster starts from its lowest flat grid index, tied
     starts run in flat-index order, and tied refined values keep the lowest
     lexicographic coordinate.  Raises BudgetExceeded when no start converges
@@ -182,9 +229,20 @@ def theta_max(
     axis = (np.arange(nd) + grid_offset) / nd
     starts = _grid_starts(vals)[: ocfg.refine_starts]
 
-    candidates = []
+    converged = []
     for start in axis[np.stack(np.unravel_index(starts, vals.shape), axis=1)]:
-        coords = _newton(tau, start, cfg)
+        x = _newton_double(tau, start)
+        if x is not None:
+            converged.append(x)
+    if not converged:
+        raise BudgetExceeded("Newton in doubles converged from no grid start")
+    approx = np.sqrt(norm_batch(tau, np.array(converged)))
+
+    candidates = []
+    for x, v in zip(converged, approx):
+        if v < approx.max() * (1 - _GRID_RTOL):
+            continue
+        coords = _newton(tau, x, cfg)
         if coords is not None:
             with mp.workprec(cfg.working_precision_bits):
                 value = mp.sqrt(theta_norm(tau, _lattice_point(tau, coords), cfg))

@@ -4,11 +4,11 @@ The theta series is summed over a box ``||m||_inf <= R`` with R chosen from a
 geometric-majorant tail bound, after reducing the argument to the fundamental
 cell of the lattice spanned by the columns of [Id, tau].  High-precision paths
 run on mpmath at a configurable bit count.  In double precision, a vectorized
-batch evaluator at scattered points backs spot checks, and a separable
-evaluator on tensor grids backs the maximizer's grid scan and the torus
-average.
+batch evaluator at scattered points backs spot checks, a separable evaluator
+on tensor grids backs the maximizer's grid scan and the torus average, and a
+one-point sum with z-derivatives backs the maximizer's Newton steps.
 
-All three sums read one lattice context per ``PeriodMatrix``, built on first
+All these sums read one lattice context per ``PeriodMatrix``, built on first
 use (the lattice-sum layout of Deconinck, Heil, Bobenko, van Hoeij, Schmies,
 "Computing Riemann theta functions", Math. Comp. 73 (2004)).  Its double part
 is built once per tau: tau and Y as doubles, the box radius R for a 1e-18
@@ -214,7 +214,7 @@ def _truncation_radius(g: int, lam_min: float, y_norm: float, target: float) -> 
 
 
 class LatticeContext:
-    """Per-tau inputs of the three lattice sums (see the module docstring).
+    """Per-tau inputs of the lattice sums (see the module docstring).
 
     The double part: ``taun`` and ``Y`` (tau and Im tau as doubles),
     ``scale`` = sqrt(det Y), the radius ``R``, the box ``M`` of lattice
@@ -370,6 +370,31 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
         gauss = np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", mm, ctx.Y, mm))
         out[i : i + chunk] = ctx.scale * gauss * th2
     return out
+
+
+def theta_derivs(tau: PeriodMatrix, x) -> tuple:
+    """theta, its z-gradient and its z-Hessian at lattice coordinates x, doubles.
+
+    ``x`` = (n, m) has length 2g and is recentred to [-1/2, 1/2) as in
+    ``norm_batch``, where the context's 1e-18 box holds; the sums are taken at
+    z = n + tau m for the recentred coordinates.  The terms are weighted by
+    2 pi i M and (2 pi i)^2 M M' as in ``_theta_reduced``.  Returns
+    ``(theta, d1, d2)``: a complex number, a length-g vector and a g x g
+    matrix.
+    """
+    g = tau.g
+    ctx = tau.lattice
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2 * g,):
+        raise InvalidInput("x must have shape (2g,)")
+    x = x - np.round(x)
+    terms = np.exp(2j * np.pi * (ctx.quad + ctx.M @ (x[:g] + ctx.taun @ x[g:])))
+    two_pi_i = 2j * np.pi
+    return (
+        terms.sum(),
+        two_pi_i * (terms @ ctx.M),
+        two_pi_i**2 * ((ctx.M.T * terms) @ ctx.M),
+    )
 
 
 def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.ndarray:

@@ -79,6 +79,14 @@ def _dec(x, bits: int, digits: int = 30) -> dict:
         return {"dec": mp.nstr(mp.mpf(x), digits, strip_zeros=False), "bits": bits}
 
 
+def _coord(c, bits: int) -> str:
+    """A lattice coordinate in [0, 1) to 20 digits: the rounding taken mod 1,
+    so a coordinate just below 1 prints as 0."""
+    with mp.workprec(bits):
+        r = mp.mpf(mp.nstr(mp.mpf(c), 20))
+        return mp.nstr(r - mp.floor(r), 20)
+
+
 def _lsr(x: LogScaledReal, digits: int = 30) -> dict:
     if x.sign == 0:
         return {"sign": 0, "ln": "0"}
@@ -217,8 +225,9 @@ def run(config: RunConfig) -> BoundReport:
         },
         "theta_max": {
             "value": _dec(tm.value, bits),
-            "argmax_coords": [mp.nstr(mp.mpf(c), 20) for c in tm.argmax_coords],
-            "grid_best": _dec(tm.grid_best, bits),
+            "argmax_coords": [_coord(c, bits) for c in tm.argmax_coords],
+            # a double: 17 significant digits round-trip it, more would be noise
+            "grid_best": {"dec": f"{tm.grid_best:.17g}", "bits": 53},
         },
         "zar_degree": _dec(zd, bits),
         "combined_constant": _dec(combined, bits),

@@ -135,6 +135,33 @@ class TestReportContent:
         assert td.serialize_report(report).encode() == blobs[0]
 
 
+class TestThetaMaxFields:
+    """The report's theta_max block, on a stubbed maximization result."""
+
+    @pytest.fixture
+    def stub_run(self, monkeypatch):
+        def run(argmax_coords, grid_best):
+            value = mp.mpf("1.0663927736913620667")
+            result = td.ThetaMaxResult(value, argmax_coords, grid_best)
+            monkeypatch.setattr(td.report, "theta_max", lambda tau, ocfg, cfg: result)
+            return td.run(td.RunConfig(preset="bost-mestre", p=3)).payload["theta_max"]
+
+        return run
+
+    def test_coordinate_below_one_prints_in_unit_interval(self, stub_run):
+        with mp.workprec(128):
+            coords = (1 - mp.mpf("3e-42"), mp.mpf("3e-42"), mp.mpf("0.25"), mp.mpf("0.9"))
+        printed = stub_run(coords, 1.0)["argmax_coords"]
+        assert printed == ["0.0", "3.0e-42", "0.25", "0.9"]
+        assert all(0 <= mp.mpf(c) < 1 for c in printed)
+
+    def test_grid_best_round_trips(self, stub_run):
+        grid_best = 0.1 + 0.2
+        printed = stub_run((0.1, 0.9, 0.8, 0.1), grid_best)["grid_best"]
+        assert float(printed["dec"]) == grid_best
+        assert printed == {"dec": "0.30000000000000004", "bits": 53}
+
+
 class TestRunInline:
     def test_inline_curve_runs(self, preset):
         bits = 128

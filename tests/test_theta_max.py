@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 import thetadist as td
+from test_theta import TAU_G3
+
+# not Minkowski reduced; its best 16^4 grid points lie on one ridge
+TAU_RIDGE = [[-0.446 + 3.397j, -0.104 - 0.358j], [-0.104 - 0.358j, -0.455 + 1.238j]]
+# Theta_Max of the preset at 32^4 and its argmax, frozen from Newton at 128
+# bits started from the raw grid points
+S4_THETA_MAX = "1.0663927736913620667105407585684746528"
+S4_ARGMAX = ("0.1", "0.9", "0.8", "0.1")
 
 
 class TestThetaMaxG1:
@@ -68,9 +76,7 @@ class TestThetaMaxG2:
         lie on one ridge where the Hessian is indefinite, so Newton drops
         every start taken from them; one start per grid local maximum still
         reaches the maximum the 24^4 grid finds."""
-        tau = td.PeriodMatrix(
-            [[-0.446 + 3.397j, -0.104 - 0.358j], [-0.104 - 0.358j, -0.455 + 1.238j]]
-        )
+        tau = td.PeriodMatrix(TAU_RIDGE)
         r16 = td.theta_max(tau, td.OptimizerConfig(grid_points_per_dim=16), cfg)
         r24 = td.theta_max(tau, td.OptimizerConfig(grid_points_per_dim=24), cfg)
         with mp.workprec(cfg.working_precision_bits):
@@ -96,6 +102,64 @@ class TestThetaMaxG2:
             )
             v = mp.sqrt(td.theta_norm(tau_s4, td.ThetaPoint(z), cfg))
         assert abs(v - s4_theta_max.value) < 1e-12
+
+
+    def test_preset_cost_and_value(self, tau_s4, cfg, monkeypatch):
+        """At 32^4 the three half-period starts (value 0.99694) are dropped in
+        doubles; only the two symmetric maxima are polished, at two
+        derivative sums and one theta_norm each."""
+        calls = []
+        kernel = td.periods._theta_reduced
+
+        def counted(tau, z0, cfg, derivs=False):
+            calls.append(z0)
+            return kernel(tau, z0, cfg, derivs)
+
+        monkeypatch.setattr(td.periods, "_theta_reduced", counted)
+        monkeypatch.setattr(td.maximize, "_theta_reduced", counted)
+        res = td.theta_max(tau_s4, td.OptimizerConfig(grid_points_per_dim=32), cfg)
+
+        half_periods = {528: (0, 0, 0.5, 0.5), 16384: (0, 0.5, 0, 0), 524288: (0.5, 0, 0, 0)}
+        starts = td.maximize._grid_starts(td.periods.sqrt_norm_grid(tau_s4, 32))[:8]
+        assert set(half_periods) <= set(starts)
+        assert len(calls) <= 6
+        Yinv = np.linalg.inv(tau_s4.lattice.Y)
+        for z0 in calls:
+            z = np.array([complex(w) for w in z0.z])
+            m = Yinv @ z.imag
+            x = np.concatenate([z.real - tau_s4.lattice.taun.real @ m, m])
+            for h in half_periods.values():
+                d = (x - np.array(h)) % 1
+                assert np.minimum(d, 1 - d).max() > 1e-3
+        with mp.workprec(cfg.working_precision_bits):
+            assert abs(res.value - mp.mpf(S4_THETA_MAX)) < mp.mpf("1e-35")
+            assert max(abs(c - mp.mpf(a)) for c, a in zip(res.argmax_coords, S4_ARGMAX)) < 1e-30
+
+
+class TestThetaDerivs:
+    @pytest.mark.parametrize("name", ["i", "s4", "ridge", "g3"])
+    def test_matches_working_precision_kernel(self, name, tau_s4, cfg):
+        """theta_derivs against _theta_reduced(derivs=True) at seeded points,
+        taken at the recentred coordinates the double kernel sums at."""
+        tau = {"i": td.PeriodMatrix([[1j]]), "s4": tau_s4,
+               "ridge": td.PeriodMatrix(TAU_RIDGE), "g3": td.PeriodMatrix(TAU_G3)}[name]
+        g = tau.g
+        rng = np.random.default_rng(7)
+        for x in rng.random((4, 2 * g)):
+            fast = td.periods.theta_derivs(tau, x)
+            x = x - np.round(x)
+            with mp.workprec(cfg.working_precision_bits):
+                z = tuple(
+                    x[i] + sum(tau.tau[i, j] * x[g + j] for j in range(g)) for i in range(g)
+                )
+                th, d1, d2 = td.periods._theta_reduced(tau, td.ThetaPoint(z), cfg, derivs=True)
+            slow = (
+                np.array(complex(th)),
+                np.array([complex(d1[i]) for i in range(g)]),
+                np.array([[complex(d2[i, j]) for j in range(g)] for i in range(g)]),
+            )
+            for f, s in zip(fast, slow):
+                assert np.abs(f - s).max() <= 1e-12 * np.abs(s).max()
 
 
 class TestGridStarts:
@@ -165,6 +229,17 @@ class TestConfigAndGuards:
 
     def test_no_converged_start_raises(self, tau_g1, cfg, monkeypatch):
         monkeypatch.setattr(td.maximize, "_newton", lambda tau, start, cfg: None)
+        with pytest.raises(td.BudgetExceeded):
+            td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=8), cfg)
+
+    def test_no_double_converged_start_raises(self, tau_g1, cfg, monkeypatch):
+        """When Newton in doubles drops every start, no start is polished at
+        working precision."""
+        def polish(tau, start, cfg):
+            raise AssertionError("polished a start Newton in doubles dropped")
+
+        monkeypatch.setattr(td.maximize, "_newton_double", lambda tau, start: None)
+        monkeypatch.setattr(td.maximize, "_newton", polish)
         with pytest.raises(td.BudgetExceeded):
             td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=8), cfg)
 
