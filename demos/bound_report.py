@@ -34,7 +34,7 @@ print("Galois-degree bound on that order:  log10 =",
 h_fal = td.faltings_height_gamma(preset.gamma_terms, preset.gamma_constant, cfg)
 print("\nFaltings height (gamma product):", mp.nstr(h_fal, 28))
 
-ocfg = td.OptimizerConfig(grid_points_per_dim=16, refine_starts=8)
+ocfg = td.OptimizerConfig(grid_points_per_dim=16)
 tm = td.theta_max(preset.tau, ocfg, cfg)
 preset.data.theta_max = tm.value
 with mp.workprec(cfg.working_precision_bits):

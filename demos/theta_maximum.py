@@ -34,12 +34,12 @@ print("\n<s,s>(z1)           =", mp.nstr(n1, 25))
 print("<s,s>(z1 + lattice) =", mp.nstr(n2, 25))
 
 # the metric is normalized so the torus average of <s,s> is 2^(-g/2)
-est, ref = td.theta_norm_normalization_check(tau, 10**5, cfg)
+est, ref = td.theta_norm_normalization_check(tau, 10**5)
 print("\ntorus average of <s,s>: estimate", f"{est:.8f}", "reference", ref)
 
 # --- global maximization ---------------------------------------------------
 # grid 16^4 keeps this demo fast; the acceptance run uses 32^4
-ocfg = td.OptimizerConfig(grid_points_per_dim=16, refine_starts=8)
+ocfg = td.OptimizerConfig(grid_points_per_dim=16)
 result = td.theta_max(tau, ocfg, cfg)
 print("\nTheta_Max =", mp.nstr(result.value, 27))
 print("argmax (lattice coordinates):", [mp.nstr(c, 10) for c in result.argmax_coords])

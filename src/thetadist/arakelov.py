@@ -9,7 +9,7 @@ equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import mpmath as mp
@@ -70,18 +70,7 @@ class HypothesisReport:
     p_admissible: str
 
     def all_satisfied(self) -> bool:
-        return all(
-            v == SATISFIED
-            for v in (
-                self.semistable,
-                self.p_odd,
-                self.good_reduction_at_p,
-                self.unramified_at_p,
-                self.order_coprime_to_p,
-                self.neutral_component,
-                self.p_admissible,
-            )
-        )
+        return all(getattr(self, f.name) == SATISFIED for f in fields(self))
 
     def violated_conditions(self) -> list:
         names = [

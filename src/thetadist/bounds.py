@@ -107,8 +107,6 @@ def tate_voloch_exponent_main(D, H_p: LogScaledReal) -> LogScaledReal:
     D = mp.mpf(D) if not isinstance(D, mp.mpf) else D
     if D < 0:
         raise InvalidInput("D must be nonnegative")
-    if D == 0:
-        return LogScaledReal.one()
     return LogScaledReal.one() + LogScaledReal.from_real(D) * H_p
 
 
@@ -117,8 +115,6 @@ def tate_voloch_exponent_sharp(params: BoundParams, arak_const) -> LogScaledReal
     arak = mp.mpf(arak_const)
     if arak < 0:
         raise InvalidInput("arak_const must be nonnegative")
-    if arak == 0:
-        return LogScaledReal.one()
     lq = l_bound(params.q, params.p, params.g)
     return LogScaledReal.one() + LogScaledReal.from_int(2 * params.deg_K0) * LogScaledReal.from_real(arak) * lq
 

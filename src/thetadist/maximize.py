@@ -5,14 +5,14 @@ is scanned in double precision by ``periods.sqrt_norm_grid``, which evaluates
 the theta sum on each m-slice as a trigonometric polynomial in n (one small
 matrix product per axis).  Newton's method on log<s,s> then runs in doubles
 from the grid's discrete local maxima, one start per cluster of tied
-neighbouring maxima, so symmetric copies of one maximum, or neighbouring
-points of one peak, do not use up the starts.  Only the converged points
-whose double value ties the best are polished by the same Newton iteration at
-working precision, which from double accuracy takes two lattice sums.  The
-gradient and Hessian come from the same lattice sum as theta, in doubles from
-``periods.theta_derivs`` and at working precision from
+neighbouring maxima, so neighbouring points of one peak make one start.  Only
+the converged points whose double value ties the best are polished by the
+same Newton iteration at working precision, which from double accuracy takes
+two lattice sums.  The gradient and Hessian come from the same lattice sum as
+theta, in doubles from ``periods.theta_derivs`` and at working precision from
 ``periods._theta_reduced`` (Deconinck, Heil, Bobenko, van Hoeij, Schmies,
-"Computing Riemann theta functions", Math. Comp. 73 (2004)).  No
+"Computing Riemann theta functions", Math. Comp. 73 (2004)), and each
+Newton's value is the norm from the theta of its own last sum.  No
 global-optimality certificate is produced; the probe and grid-monotonicity
 properties in the test suite are the practical guard.
 """
@@ -30,10 +30,8 @@ from .periods import (
     PeriodMatrix,
     PrecisionConfig,
     ThetaPoint,
-    norm_batch,
     sqrt_norm_grid,
     theta_derivs,
-    theta_norm,
 )
 from .periods import _theta_reduced
 
@@ -52,13 +50,10 @@ _GRID_RTOL = 1e-13
 @dataclass(frozen=True)
 class OptimizerConfig:
     grid_points_per_dim: int = 32
-    refine_starts: int = 8
 
     def __post_init__(self):
         if self.grid_points_per_dim < 8:
             raise InvalidInput("grid_points_per_dim must be >= 8")
-        if self.refine_starts < 4:
-            raise InvalidInput("refine_starts must be >= 4")
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,8 @@ def _newton_double(tau: PeriodMatrix, start):
     """``_newton`` in doubles on ``periods.theta_derivs``, with the same
     gradient and Hessian.  The iterate is kept in [-1/2, 1/2)^{2g}, where the
     double kernel's box holds, and a step below 2^(-26) ends the iteration.
-    Returns x, or None when -H has no Cholesky factor or the cap is reached.
+    Returns ``(value, x)`` with value the square-root norm from the theta of
+    the last sum, or None when -H has no Cholesky factor or the cap is reached.
     """
     g = tau.g
     ctx = tau.lattice
@@ -110,9 +106,10 @@ def _newton_double(tau: PeriodMatrix, start):
         except np.linalg.LinAlgError:
             return None
         step = np.linalg.solve(L.T, np.linalg.solve(L, grad))
+        m = x[g:]
         x = x + step
         if np.abs(step).max() < 2.0**-26:
-            return x
+            return abs(th) * np.sqrt(ctx.scale * np.exp(-2 * np.pi * m @ ctx.Y @ m)), x
     return None
 
 
@@ -124,9 +121,11 @@ def _newton(tau: PeriodMatrix, start, cfg: PrecisionConfig):
     - 4 pi diag(0, Y).  The iterate is kept in [-1/2, 1/2)^{2g}, where the
     sum's own truncation radius is smallest.  A step below 2^(-bits/2) in
     max-norm leaves an error near 2^(-bits) and ends the iteration, so from a
-    start of double accuracy it takes two lattice sums.  Returns x reduced to
-    [0,1)^{2g}, or None when the Hessian is not negative definite or the cap
-    is reached.
+    start of double accuracy it takes two lattice sums.  Returns ``(value,
+    x)``: x reduced to [0,1)^{2g}, and value = sqrt(<s,s>) from the theta of
+    the last sum, taken one sub-tolerance step from x, where <s,s> differs
+    from its value at x only at second order.  Returns None when the Hessian
+    is not negative definite or the cap is reached.
     """
     g = tau.g
     bits = cfg.working_precision_bits
@@ -148,9 +147,12 @@ def _newton(tau: PeriodMatrix, start, cfg: PrecisionConfig):
                 step = mp.cholesky_solve(-hess, grad)
             except ValueError:
                 return None
+            m = x[g:]
             x = [x[k] + step[k] for k in range(2 * g)]
             if mp.mnorm(step, mp.inf) < tol:
-                return tuple(c - mp.floor(c) for c in x)
+                quad = sum(m[i] * tau.Y[i, j] * m[j] for i in range(g) for j in range(g))
+                value = mp.sqrt(mp.sqrt(tau.detY) * mp.exp(-2 * mp.pi * quad)) * abs(th)
+                return value, tuple(c - mp.floor(c) for c in x)
     return None
 
 
@@ -159,10 +161,8 @@ def _grid_starts(vals: np.ndarray) -> np.ndarray:
 
     A point is a local maximum when none of its 3^d - 1 wrap-around
     neighbours exceeds it by more than ``_GRID_RTOL``.  Neighbouring local
-    maxima form one cluster, represented by its lowest flat index.  The
-    result is ordered by value, values within ``_GRID_RTOL`` of the first of
-    a run counting as tied and ordered by flat index, so rounding noise in
-    the values cannot reorder them.
+    maxima form one cluster, represented by its lowest flat index, so a
+    plateau of ties makes one start.  Returned in flat-index order.
     """
     shape = vals.shape
     top = vals.copy()
@@ -185,37 +185,29 @@ def _grid_starts(vals: np.ndarray) -> np.ndarray:
         if np.array_equal(new, label):
             break
         label = new
-    reps = flat[label == flat]
-    v = vals.ravel()[reps]
-    order = np.lexsort((reps, -v))
-    reps, v = reps[order], v[order]
-    run = np.empty(len(v), dtype=int)
-    for i in range(len(v)):
-        run[i] = i if i == 0 or v[i] < v[run[i - 1]] * (1 - _GRID_RTOL) else run[i - 1]
-    return reps[np.lexsort((reps, run))]
+    return flat[label == flat]
 
 
 def theta_max(
     tau: PeriodMatrix,
     ocfg: OptimizerConfig | None = None,
     cfg: PrecisionConfig | None = None,
-    grid_offset: float = 0.0,
 ) -> ThetaMaxResult:
     """Maximum of sqrt(<s,s>) over the torus, with argmax coordinates.
 
-    Scans the grid {(k + grid_offset)/Nd}^{2g} with ``sqrt_norm_grid``, then
-    runs Newton's method in doubles from the grid's discrete local maxima
-    (wrap-around neighbours, values compared at a relative 1e-13), one start
-    per cluster of tied neighbouring maxima, the best ``refine_starts`` of
-    them; a start whose Hessian is not negative definite, or that does not
-    converge within the step cap, is dropped without a working-precision sum.
-    The converged points whose double value is within a relative 1e-13 of the
-    best are polished by Newton at the working precision, and the value is
-    ``theta_norm`` at the best polished point.  Deterministic for fixed
-    configs: a tie cluster starts from its lowest flat grid index, tied
-    starts run in flat-index order, and tied refined values keep the lowest
-    lexicographic coordinate.  Raises BudgetExceeded when no start converges
-    or the best value falls below the grid's best by more than double rounding.
+    Scans the grid {k/Nd}^{2g} with ``sqrt_norm_grid``, then runs Newton's
+    method in doubles from the grid's discrete local maxima (wrap-around
+    neighbours, values compared at a relative 1e-13), one start per cluster
+    of tied neighbouring maxima; a start whose Hessian is not negative
+    definite, or that does not converge within the step cap, is dropped
+    without a working-precision sum.  The converged points whose double value
+    is within a relative 1e-13 of the best are polished by Newton at the
+    working precision, and the value is the one the best polish took from its
+    own last lattice sum.  Deterministic for fixed configs: a tie cluster
+    starts from its lowest flat grid index, and tied refined values keep the
+    lowest lexicographic coordinate.  Raises BudgetExceeded when no start
+    converges or the best value falls below the grid's best by more than
+    double rounding.
     """
     ocfg = ocfg or default_optimizer_config(tau.g)
     cfg = cfg or PrecisionConfig()
@@ -224,29 +216,21 @@ def theta_max(
     if nd**dim > _GRID_BUDGET:
         raise ConfigRejected(f"grid budget exceeded: {nd}^{dim} > {_GRID_BUDGET}")
 
-    vals = sqrt_norm_grid(tau, nd, grid_offset)
+    vals = sqrt_norm_grid(tau, nd)
     grid_best = float(vals.max())
-    axis = (np.arange(nd) + grid_offset) / nd
-    starts = _grid_starts(vals)[: ocfg.refine_starts]
+    starts = np.stack(np.unravel_index(_grid_starts(vals), vals.shape), axis=1) / nd
 
-    converged = []
-    for start in axis[np.stack(np.unravel_index(starts, vals.shape), axis=1)]:
-        x = _newton_double(tau, start)
-        if x is not None:
-            converged.append(x)
+    converged = [r for r in (_newton_double(tau, x) for x in starts) if r is not None]
     if not converged:
         raise BudgetExceeded("Newton in doubles converged from no grid start")
-    approx = np.sqrt(norm_batch(tau, np.array(converged)))
+    best = max(v for v, _ in converged)
 
     candidates = []
-    for x, v in zip(converged, approx):
-        if v < approx.max() * (1 - _GRID_RTOL):
-            continue
-        coords = _newton(tau, x, cfg)
-        if coords is not None:
-            with mp.workprec(cfg.working_precision_bits):
-                value = mp.sqrt(theta_norm(tau, _lattice_point(tau, coords), cfg))
-            candidates.append((value, coords))
+    for v, x in converged:
+        if v >= best * (1 - _GRID_RTOL):
+            polished = _newton(tau, x, cfg)
+            if polished is not None:
+                candidates.append(polished)
     if not candidates:
         raise BudgetExceeded("Newton refinement converged from no grid start")
     candidates.sort(key=lambda t: (-t[0], tuple(float(c) for c in t[1])))

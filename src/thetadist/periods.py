@@ -138,14 +138,6 @@ class ThetaPoint:
                 raise InvalidInput("theta argument has a non-finite entry")
         object.__setattr__(self, "z", zt)
 
-    @property
-    def x(self):
-        return tuple(w.real for w in self.z)
-
-    @property
-    def y(self):
-        return tuple(w.imag for w in self.z)
-
 
 def reduce_to_fundamental(tau: PeriodMatrix, z: ThetaPoint):
     """Translate z by the lattice [Id, tau] into the fundamental cell.
@@ -433,9 +425,7 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.n
     return out.reshape((nd,) * (2 * g))
 
 
-def theta_norm_normalization_check(
-    tau: PeriodMatrix, sample_budget: int, cfg: PrecisionConfig | None = None
-):
+def theta_norm_normalization_check(tau: PeriodMatrix, sample_budget: int):
     """Average of the theta norm over the torus against the reference 2^(-g/2).
 
     The average is the mean of <s,s> on the midpoint grid {(k + 1/2)/nd}^{2g}

@@ -8,7 +8,7 @@ report dictionary whose serialization is byte-stable for a fixed config.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -237,15 +237,7 @@ def run(config: RunConfig) -> BoundReport:
         "main_exponent": _lsr(main_exp),
         "log10_sharp_exponent": None if sharp is None else _dec(sharp.log10(), bits),
         "admissible_prime": admissible_prime(p, data),
-        "hypotheses": {
-            "semistable": hyp.semistable,
-            "p_odd": hyp.p_odd,
-            "good_reduction_at_p": hyp.good_reduction_at_p,
-            "unramified_at_p": hyp.unramified_at_p,
-            "order_coprime_to_p": hyp.order_coprime_to_p,
-            "neutral_component": hyp.neutral_component,
-            "p_admissible": hyp.p_admissible,
-        },
+        "hypotheses": asdict(hyp),
         "verification_table": verification,
     }
     return BoundReport(payload=payload)

@@ -34,7 +34,7 @@ def s4_theta_max_timed(tau_s4, cfg):
     """Full-budget maximization on the built-in period matrix, computed once."""
     import time
 
-    ocfg = td.OptimizerConfig(grid_points_per_dim=32, refine_starts=8)
+    ocfg = td.OptimizerConfig(grid_points_per_dim=32)
     t0 = time.perf_counter()
     result = td.theta_max(tau_s4, ocfg, cfg)
     return result, time.perf_counter() - t0

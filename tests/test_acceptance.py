@@ -66,9 +66,9 @@ def test_criterion_3_combined_constant(preset, cfg, s4_theta_max, announce):
     )
 
 
-def test_criterion_4_normalization(tau_g1, tau_s4, cfg, announce):
-    est1, ref1 = td.theta_norm_normalization_check(tau_g1, 512 * 512, cfg)
-    est2, ref2 = td.theta_norm_normalization_check(tau_s4, 10**6, cfg)
+def test_criterion_4_normalization(tau_g1, tau_s4, announce):
+    est1, ref1 = td.theta_norm_normalization_check(tau_g1, 512 * 512)
+    est2, ref2 = td.theta_norm_normalization_check(tau_s4, 10**6)
     e1, e2 = abs(est1 - ref1), abs(est2 - ref2)
     ok = e1 < 1e-6 and e2 < 1e-3
     announce(

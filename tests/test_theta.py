@@ -230,35 +230,35 @@ class TestThetaNorm:
 
 
 class TestNormalization:
-    def test_g1_grid(self, tau_g1, cfg):
-        est, ref = td.theta_norm_normalization_check(tau_g1, 512 * 512, cfg)
+    def test_g1_grid(self, tau_g1):
+        est, ref = td.theta_norm_normalization_check(tau_g1, 512 * 512)
         assert ref == pytest.approx(2 ** -0.5, abs=1e-15)
         assert abs(est - ref) < 1e-6
 
-    def test_g1_tau_2i(self, cfg):
+    def test_g1_tau_2i(self):
         tau = td.PeriodMatrix([[2j]])
-        est, ref = td.theta_norm_normalization_check(tau, 512 * 512, cfg)
+        est, ref = td.theta_norm_normalization_check(tau, 512 * 512)
         assert abs(est - ref) < 1e-6
 
-    def test_g2_grid(self, tau_s4, cfg):
-        est, ref = td.theta_norm_normalization_check(tau_s4, 10**6, cfg)
+    def test_g2_grid(self, tau_s4):
+        est, ref = td.theta_norm_normalization_check(tau_s4, 10**6)
         assert ref == 0.5
         assert abs(est - ref) < 1e-14
 
     @pytest.mark.parametrize(
         "name, budget", [("s4", 10**3), ("s4", 10**5), ("s4", 10**6), ("g3", 10**6)]
     )
-    def test_exact_at_every_budget(self, name, budget, tau_s4, cfg):
+    def test_exact_at_every_budget(self, name, budget, tau_s4):
         """The midpoint grid average of the lattice-periodic, real-analytic
         norm is exact to rounding already at nd = 5 on the preset."""
         tau = tau_s4 if name == "s4" else td.PeriodMatrix(TAU_G3)
-        est, ref = td.theta_norm_normalization_check(tau, budget, cfg)
+        est, ref = td.theta_norm_normalization_check(tau, budget)
         assert ref == 2.0 ** (-tau.g / 2)
         assert abs(est - ref) < 1e-14
 
-    def test_budget_guard(self, tau_g1, cfg):
+    def test_budget_guard(self, tau_g1):
         with pytest.raises(td.InvalidInput):
-            td.theta_norm_normalization_check(tau_g1, 100, cfg)
+            td.theta_norm_normalization_check(tau_g1, 100)
 
 
 class TestNormBatch:
