@@ -2,8 +2,8 @@
 >= 2 embedded in its Jacobian.
 
 Pieces: error-controlled Riemann theta evaluation and the translation-invariant
-theta norm, its global maximum over the Jacobian torus, log-scaled evaluation
-of the combinatorial bound chain, assembly of the Arakelov-side constants, and
+theta norm, its global maximum over the Jacobian torus, the combinatorial
+bound chain in mpmath floats, assembly of the Arakelov-side constants, and
 genus-2 Mumford/Cantor arithmetic with the p-adic valuation of the distance to
 the embedded curve.
 """
@@ -38,7 +38,6 @@ from .maximize import (
     theta_max,
     theta_max_over_embeddings,
 )
-from .logscale import LogScaledReal
 from .bounds import (
     BoundParams,
     admissible_prime,

@@ -4,8 +4,9 @@ Chain: the mod-l^2 point bound Bu_m, the Galois-degree bound L_{n,m} built
 from the Hasse-Weil cardinality estimate, H_m = L_{m^[K0:Q], m}, and the two
 exponent assemblies 1 + D*H_p (worst case over the residue degree) and
 1 + 2*L_q*[K0:Q]*|combined constant| (actual residue cardinality).
-Everything past Bu_m lives in log scale; exact big integers serve as the
-cross-check oracle in the tests.
+Everything past Bu_m is an mpmath float at BOUND_BITS bits: its binary
+exponent is unbounded, so values like 10^(10^16) need no log scale.  Exact
+big integers serve as the cross-check oracle in the tests.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import InvalidInput
-from .logscale import LogScaledReal
+
+BOUND_BITS = 192  # every bound value, whatever mpmath's ambient precision
 
 
 @dataclass(frozen=True)
@@ -50,73 +52,62 @@ def bu(m: int, g: int) -> int:
     return (m * (2 * g - 2) + 6 * g) * m ** (2 * g) * 3**g * math.factorial(g)
 
 
-def _ln_of(n) -> mp.mpf:
-    if isinstance(n, LogScaledReal):
-        return n.ln()
-    with mp.workprec(192):
-        return mp.log(mp.mpf(n))
-
-
-def l_bound(n, m: int, g: int) -> LogScaledReal:
+def l_bound(n, m: int, g: int) -> mp.mpf:
     """L_{n,m}: the Galois-degree bound on the Hasse-Weil bound with d = Bu_m,
     [n^(Bu_m g) + (2^2g - 2g - 1) n^(Bu_m (g-1)) + 2g n^(Bu_m (g-1/2))]^(4g^2)."""
     return degree_bound(hasse_weil_card_bound(n, bu(m, g), g), g)
 
 
-def h_bound(m: int, g: int, deg_K0: int) -> LogScaledReal:
+def h_bound(m: int, g: int, deg_K0: int) -> mp.mpf:
     """H_m = L_{m^[K0:Q], m}."""
     if m < 2:
         raise InvalidInput("m must be >= 2")
-    with mp.workprec(192):
-        n = LogScaledReal.exp_of(deg_K0 * mp.log(mp.mpf(m)))
-    return l_bound(n, m, g)
+    return l_bound(m**deg_K0, m, g)
 
 
-def hasse_weil_card_bound(q, d: int, g: int) -> LogScaledReal:
+def hasse_weil_card_bound(q, d: int, g: int) -> mp.mpf:
     """Upper bound q^(dg) + (2^2g - 2g - 1) q^(d(g-1)) + 2g q^(d(g-1/2)) on
-    #A(F_q^d); q is an int or a LogScaledReal."""
+    #A(F_q^d); q is an int or an mpf."""
     if q < 2 or d < 1:
         raise InvalidInput("need q >= 2 and d >= 1")
-    with mp.workprec(192):
-        ln_q = _ln_of(q)
+    with mp.workprec(BOUND_BITS):
+        q = mp.mpf(q)
         return (
-            LogScaledReal.exp_of(d * g * ln_q)
-            + LogScaledReal.from_int(2 ** (2 * g) - 2 * g - 1)
-            * LogScaledReal.exp_of(d * (g - 1) * ln_q)
-            + LogScaledReal.from_int(2 * g)
-            * LogScaledReal.exp_of(d * (mp.mpf(g) - mp.mpf(1) / 2) * ln_q)
+            q ** (d * g)
+            + (2 ** (2 * g) - 2 * g - 1) * q ** (d * (g - 1))
+            + 2 * g * mp.sqrt(q) ** (d * (2 * g - 1))
         )
 
 
-def order_bound(params: BoundParams) -> LogScaledReal:
+def order_bound(params: BoundParams) -> mp.mpf:
     """Bound on the order of the torsion point: Hasse-Weil with d = Bu_p."""
     return hasse_weil_card_bound(params.q, bu(params.p, params.g), params.g)
 
 
-def degree_bound(N: LogScaledReal, g: int) -> LogScaledReal:
+def degree_bound(N, g: int) -> mp.mpf:
     """Galois-degree bound N^(4g^2) (via #GL_2g(Z/NZ) <= N^(4g^2))."""
-    if not isinstance(N, LogScaledReal):
-        N = LogScaledReal.from_int(N)
-    if N < LogScaledReal.one():
+    if N < 1:
         raise InvalidInput("N must be >= 1")
-    return N ** (4 * g * g)
+    with mp.workprec(BOUND_BITS):
+        return mp.mpf(N) ** (4 * g * g)
 
 
-def tate_voloch_exponent_main(D, H_p: LogScaledReal) -> LogScaledReal:
+def tate_voloch_exponent_main(D, H_p) -> mp.mpf:
     """Exponent 1 + D*H_p; the distance bound is then p^(-exponent)."""
-    D = mp.mpf(D) if not isinstance(D, mp.mpf) else D
-    if D < 0:
-        raise InvalidInput("D must be nonnegative")
-    return LogScaledReal.one() + LogScaledReal.from_real(D) * H_p
+    with mp.workprec(BOUND_BITS):
+        D = mp.mpf(D)
+        if D < 0:
+            raise InvalidInput("D must be nonnegative")
+        return 1 + D * H_p
 
 
-def tate_voloch_exponent_sharp(params: BoundParams, arak_const) -> LogScaledReal:
+def tate_voloch_exponent_sharp(params: BoundParams, arak_const) -> mp.mpf:
     """Exponent 1 + 2*L_q*[K0:Q]*|combined constant|, with L_q = L_{q,p}."""
-    arak = mp.mpf(arak_const)
-    if arak < 0:
-        raise InvalidInput("arak_const must be nonnegative")
-    lq = l_bound(params.q, params.p, params.g)
-    return LogScaledReal.one() + LogScaledReal.from_int(2 * params.deg_K0) * LogScaledReal.from_real(arak) * lq
+    with mp.workprec(BOUND_BITS):
+        arak = mp.mpf(arak_const)
+        if arak < 0:
+            raise InvalidInput("arak_const must be nonnegative")
+        return 1 + 2 * params.deg_K0 * arak * l_bound(params.q, params.p, params.g)
 
 
 def admissible_prime(p: int, data) -> bool:

@@ -21,6 +21,8 @@ from fractions import Fraction
 from itertools import product, zip_longest
 from math import gcd
 
+import mpmath as mp
+
 from .errors import (
     BudgetExceeded,
     HypothesisViolated,
@@ -29,7 +31,6 @@ from .errors import (
     RepresentationDegenerate,
     UnsupportedPrime,
 )
-from .logscale import LogScaledReal
 
 _ENUM_BUDGET = 10**4
 
@@ -412,18 +413,18 @@ def on_curve_mod(curve: HyperellipticCurve, Dmod: MumfordDivisor, p: int, j: int
 
 @dataclass(frozen=True)
 class PadicDistanceResult:
-    """v_p and the distance d_p = p^(-v_p/e), kept as an exact pair."""
+    """v_p and the distance d_p = p^(-v_p), kept as an exact pair (every
+    admissible p is unramified, hypothesis (4))."""
 
     p: int
     v_p: int
     at_least: bool = False   # true when membership still holds at j_max
     infinite: bool = False   # the class is itself a point of the embedded curve
-    e: int = 1
 
     def d_p_exponent(self):
         if self.infinite:
             return None  # d_p is formally 0
-        return Fraction(-self.v_p, self.e)
+        return Fraction(-self.v_p)
 
 
 def vp_distance(curve: HyperellipticCurve, D: MumfordDivisor, p: int, j_max: int) -> PadicDistanceResult:
@@ -464,7 +465,7 @@ def jacobian_order_mod_p(curve: HyperellipticCurve, p: int) -> int:
 class VerifyRow:
     order: object
     v_p: int | None
-    d_p: tuple | None            # (p, -v_p/e) as an exact pair
+    d_p: tuple | None            # (p, -v_p) as an exact pair
     bound_exponent_log10: object
     inequality_holds: bool | None
     rejected_reason: str | None = None
@@ -473,18 +474,19 @@ class VerifyRow:
 def verify_bound(curve: HyperellipticCurve, preset_data, torsion_list, p: int, j_max: int):
     """Check d_p(T, C) >= p^(-(1 + D*H_p)) on concrete off-curve torsion classes.
 
-    Comparison happens on exponents in log scale; rows for torsion orders
-    divisible by p are rejected (hypothesis (5)).
+    v_p is compared with the exponent itself, an mpmath float far beyond float
+    range; rows for torsion orders divisible by p are rejected (hypothesis (5)).
     """
     from .arakelov import constant_D
-    from .bounds import admissible_prime, h_bound, tate_voloch_exponent_main
+    from .bounds import BOUND_BITS, admissible_prime, h_bound, tate_voloch_exponent_main
 
     if not admissible_prime(p, preset_data):
         raise HypothesisViolated(f"p = {p} is not an admissible prime for this curve")
     D_const = constant_D(preset_data)
     H_p = h_bound(p, preset_data.g, preset_data.deg_K0)
     exponent = tate_voloch_exponent_main(D_const, H_p)
-    exp_log10 = exponent.log10()
+    with mp.workprec(BOUND_BITS):
+        exp_log10 = mp.log10(exponent)
     rows = []
     for T in torsion_list:
         n = order_of(curve, T, search_bound=1000)
@@ -501,7 +503,7 @@ def verify_bound(curve: HyperellipticCurve, preset_data, torsion_list, p: int, j
         res = vp_distance(curve, T, p, j_max)
         if res.infinite:
             continue  # T lies on the curve; the bound does not apply
-        holds = LogScaledReal.from_int(res.v_p) <= exponent
+        holds = res.v_p <= exponent
         rows.append(
             VerifyRow(n, res.v_p, (p, res.d_p_exponent()), exp_log10, holds)
         )

@@ -1,7 +1,7 @@
 """Pipeline assembly and canonical report serialization.
 
-run() chains theta-norm maximization, the Arakelov constants, the log-scaled
-bound chain, and (optionally) the p-adic verification table into a single
+run() chains theta-norm maximization, the Arakelov constants, the bound
+chain, and (optionally) the p-adic verification table into a single
 report dictionary whose serialization is byte-stable for a fixed config.
 """
 
@@ -37,7 +37,6 @@ from .jacobian import (
     make_divisor,
     verify_bound,
 )
-from .logscale import LogScaledReal
 from .maximize import OptimizerConfig, default_optimizer_config, theta_max
 from .periods import PeriodMatrix, PrecisionConfig
 
@@ -87,12 +86,6 @@ def _coord(c, bits: int) -> str:
         return mp.nstr(r - mp.floor(r), 20)
 
 
-def _lsr(x: LogScaledReal, digits: int = 30) -> dict:
-    if x.sign == 0:
-        return {"sign": 0, "ln": "0"}
-    return {"sign": x.sign, "ln": mp.nstr(x.log_magnitude, digits, strip_zeros=False)}
-
-
 def _parse_complex(entry, bits: int):
     with mp.workprec(bits):
         return mp.mpc(mp.mpf(entry["re"]), mp.mpf(entry["im"]))
@@ -109,13 +102,14 @@ def _inline_curve(inline: dict, cfg: PrecisionConfig):
     tau = PeriodMatrix(tau_entries, bits=bits)
     if tau.g != g:
         raise ConfigRejected(f"period matrix is {tau.g}x{tau.g} but g = {g}")
-    if "h_fal" in inline:
-        h_fal = mp.mpf(inline["h_fal"])
-    else:
-        from .arakelov import faltings_height_gamma
+    with mp.workprec(bits):
+        if "h_fal" in inline:
+            h_fal = mp.mpf(inline["h_fal"])
+        else:
+            from .arakelov import faltings_height_gamma
 
-        terms = [(Fraction(a), int(e)) for a, e in inline["gamma_terms"]]
-        h_fal = faltings_height_gamma(terms, mp.mpf(inline["gamma_constant"]), cfg)
+            terms = [(Fraction(a), int(e)) for a, e in inline["gamma_terms"]]
+            h_fal = faltings_height_gamma(terms, mp.mpf(inline["gamma_constant"]), cfg)
     data = CurveArithData(
         g=g,
         deg_K0=int(inline["deg_K0"]),
@@ -179,15 +173,21 @@ def run(config: RunConfig) -> BoundReport:
         zd = zar_degree(data, cfg)
         combined = mp.log(tm.value) + zd
         D = constant_D(data, cfg)
-
-    H_p = h_bound(p, data.g, data.deg_K0)
-    main_exp = tate_voloch_exponent_main(D, H_p)
-    sharp = None
-    if config.residue_degree is not None:
-        params = BoundParams(
-            g=data.g, deg_K0=data.deg_K0, p=p, q=p**config.residue_degree
-        )
-        sharp = tate_voloch_exponent_sharp(params, abs(combined))
+        H_p = h_bound(p, data.g, data.deg_K0)
+        main_exp = tate_voloch_exponent_main(D, H_p)
+        log10_H_p = mp.log10(H_p)
+        log10_main = mp.log10(main_exp)
+        # the exponent is at least 1, so its sign is +1 and its log is real
+        main_sign_ln = {
+            "sign": int(mp.sign(main_exp)),
+            "ln": mp.nstr(mp.log(main_exp), 30, strip_zeros=False),
+        }
+        log10_sharp = None
+        if config.residue_degree is not None:
+            params = BoundParams(
+                g=data.g, deg_K0=data.deg_K0, p=p, q=p**config.residue_degree
+            )
+            log10_sharp = mp.log10(tate_voloch_exponent_sharp(params, abs(combined)))
 
     verification = []
     if config.verify:
@@ -232,10 +232,10 @@ def run(config: RunConfig) -> BoundReport:
         "zar_degree": _dec(zd, bits),
         "combined_constant": _dec(combined, bits),
         "D": _dec(D, bits),
-        "log10_H_p": _dec(H_p.log10(), bits),
-        "log10_main_exponent": _dec(main_exp.log10(), bits),
-        "main_exponent": _lsr(main_exp),
-        "log10_sharp_exponent": None if sharp is None else _dec(sharp.log10(), bits),
+        "log10_H_p": _dec(log10_H_p, bits),
+        "log10_main_exponent": _dec(log10_main, bits),
+        "main_exponent": main_sign_ln,
+        "log10_sharp_exponent": None if log10_sharp is None else _dec(log10_sharp, bits),
         "admissible_prime": admissible_prime(p, data),
         "hypotheses": asdict(hyp),
         "verification_table": verification,

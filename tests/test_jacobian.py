@@ -345,7 +345,7 @@ class TestVpDistance:
         assert res.d_p_exponent() == Fraction(0)
 
     def test_exponent_fraction(self):
-        res = td.PadicDistanceResult(p=3, v_p=2, e=1)
+        res = td.PadicDistanceResult(p=3, v_p=2)
         assert res.d_p_exponent() == Fraction(-2)
 
     def test_requires_rational_divisor(self, curve):

@@ -5,6 +5,7 @@ import pytest
 
 import thetadist as td
 from thetadist import cli
+from test_logscale import ln_l_bound
 from test_theta import TAU_G3
 
 
@@ -162,29 +163,34 @@ class TestThetaMaxFields:
         assert printed == {"dec": "0.30000000000000004", "bits": 53}
 
 
+def preset_inline(preset, digits=40):
+    """The preset as an inline config: tau and the gamma-product constant as
+    decimal strings of the given length."""
+    with mp.workprec(256):
+        entries = [
+            [
+                {"re": mp.nstr(preset.tau.tau[i, j].real, digits),
+                 "im": mp.nstr(preset.tau.tau[i, j].imag, digits)}
+                for j in range(2)
+            ]
+            for i in range(2)
+        ]
+        gamma_constant = mp.nstr(preset.gamma_constant, digits)
+    return {
+        "g": 2,
+        "deg_K0": 40,
+        "nt_omega": 0.0,
+        "gamma_terms": [["1/5", 5], ["2/5", 3], ["3/5", 1], ["4/5", -1]],
+        "gamma_constant": gamma_constant,
+        "period_matrix": entries,
+        "disc": 10,
+        "base_point_hyperelliptic_fixed": True,
+    }
+
+
 class TestRunInline:
     def test_inline_curve_runs(self, preset):
-        bits = 128
-        with mp.workprec(bits):
-            entries = [
-                [
-                    {"re": mp.nstr(preset.tau.tau[i, j].real, 40),
-                     "im": mp.nstr(preset.tau.tau[i, j].imag, 40)}
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-        inline = {
-            "g": 2,
-            "deg_K0": 40,
-            "nt_omega": 0.0,
-            "gamma_terms": [["1/5", 5], ["2/5", 3], ["3/5", 1], ["4/5", -1]],
-            "gamma_constant": str(2 * mp.log(2 * mp.pi)),
-            "period_matrix": entries,
-            "disc": 10,
-            "base_point_hyperelliptic_fixed": True,
-        }
-        config = td.RunConfig(inline=inline, p=3, grid_points_per_dim=12)
+        config = td.RunConfig(inline=preset_inline(preset), p=3, grid_points_per_dim=12)
         report = td.run(config)
         tm = float(report.payload["theta_max"]["value"]["dec"])
         assert abs(tm - 1.06639277369136) < 1e-6
@@ -227,6 +233,50 @@ class TestRunInline:
         report = td.run(td.RunConfig(inline=inline, p=3))
         assert report.payload["config_echo"]["grid_points_per_dim"] == 10
         assert report.payload["theta_max"]["value"]["dec"] == "1.48984839546273286995697154643"
+
+
+class TestWorkingPrecision:
+    """Every printed digit comes from the working precision, not from
+    mpmath's ambient precision."""
+
+    PRESET_131 = dict(preset="bost-mestre", p=131, residue_degree=1, grid_points_per_dim=8)
+
+    def test_sharp_exponent_at_p131(self):
+        payload = td.run(td.RunConfig(**self.PRESET_131)).payload
+        # 600-bit analytic value of log10(1 + 2 [K0:Q] |combined| L_{131,131}),
+        # from the printed constant
+        ln_L = ln_l_bound(131, 131)
+        with mp.workprec(600):
+            combined = mp.mpf(payload["combined_constant"]["dec"])
+            ref = (mp.log(2 * 40 * combined) + ln_L) / mp.log(10)
+            ref = mp.nstr(ref, 30, strip_zeros=False)
+        assert ref == "98408981854021.8487616167821694"
+        assert payload["log10_sharp_exponent"]["dec"] == ref
+
+    @pytest.mark.parametrize("source", ["preset", "inline"])
+    def test_report_ignores_ambient_precision(self, preset, source):
+        if source == "preset":
+            config = td.RunConfig(**self.PRESET_131)
+        else:
+            config = td.RunConfig(
+                inline=preset_inline(preset), p=131, residue_degree=1, grid_points_per_dim=8
+            )
+        texts = []
+        for ambient in (53, 300):
+            with mp.workprec(ambient):
+                texts.append(td.serialize_report(td.run(config)))
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("source", ["h_fal", "gamma_constant"])
+    def test_inline_h_fal_at_working_precision(self, preset, source):
+        inline = preset_inline(preset)
+        with mp.workprec(256):
+            h_ref = mp.mpf(mp.nstr(preset.data.h_fal, 40))
+        if source == "h_fal":
+            inline["h_fal"] = mp.nstr(h_ref, 40)
+        data, _, _ = td.report._inline_curve(inline, td.PrecisionConfig())
+        with mp.workprec(256):
+            assert abs(data.h_fal - h_ref) < mp.mpf("1e-35")
 
 
 class TestFlagOverrides:
