@@ -6,13 +6,17 @@ cell of the lattice spanned by the columns of [Id, tau].  High-precision paths
 run on mpmath at a configurable bit count.  In double precision, a vectorized
 batch evaluator at scattered points backs spot checks, a separable evaluator
 on tensor grids backs the maximizer's grid scan and the torus average, and a
-one-point sum with z-derivatives backs the maximizer's Newton steps.
+one-point sum with z-derivatives backs the maximizer's Newton steps.  The
+batch evaluator factors each term into a phase table shared by all points
+and per-axis powers of each point, damped by the half-cell bound on Im z so
+that no factor overflows (see ``norm_batch``).
 
 All these sums read one lattice context per ``PeriodMatrix``, built on first
 use (the lattice-sum layout of Deconinck, Heil, Bobenko, van Hoeij, Schmies,
 "Computing Riemann theta functions", Math. Comp. 73 (2004)).  Its double part
-is built once per tau: tau and Y as doubles, the box radius R for a 1e-18
-tail over the half cell, the box M in lexicographic order and M'tau M/2.  Its
+is built once per tau: tau and Y as doubles, the half-cell bound ybar on
+Im z, the box radius R for a 1e-18 tail over the half cell, the box M in
+lexicographic order and M'tau M/2.  Its
 working-precision part is keyed by bit count and holds exp(pi i M'tau M) for
 each lattice vector M, grown shell by shell up to the largest radius any call
 has needed.  Each mpmath sum still truncates at its own point's radius; a
@@ -34,8 +38,9 @@ from .errors import BudgetExceeded, InvalidInput, InvalidPeriodMatrix, Precision
 
 _SYMMETRY_RTOL = 1e-10
 _LAMBDA_MIN_TOL = 1e-20
-# Lattice terms per norm_batch chunk: 20,000 points of the genus-2 preset's
-# 17^2 box, so each complex temporary stays near 92 MB whatever the genus.
+# Complex values in the largest temporary of one norm_batch chunk (the
+# (2R+1)^(g-1) partial sums or the g (2R+1) per-axis powers of each point):
+# 20,000 x 17^2, 92 MB.
 _BATCH_TERMS = 20_000 * 289
 
 
@@ -213,7 +218,8 @@ class LatticeContext:
     vectors with ||M||_inf <= R (one per row, lexicographic) and ``quad`` =
     M'tau M/2.  R bounds the tail below 1e-18 for every y = Y m with m in
     [-1/2, 1/2)^g, the range the double kernels recentre their coordinates
-    to.  ``phases(bits, R)`` gives the working-precision part.
+    to; ``ybar`` = |Y| (1/2, ..., 1/2) bounds |y_k| there.
+    ``phases(bits, R)`` gives the working-precision part.
     """
 
     def __init__(self, tau: PeriodMatrix):
@@ -224,7 +230,8 @@ class LatticeContext:
         self.taun = tau.tau_np
         self.Y = self.taun.imag
         self.scale = math.sqrt(float(tau.detY))
-        y_norm = float(np.linalg.norm(np.abs(self.Y) @ np.full(g, 0.5)))
+        self.ybar = np.abs(self.Y) @ np.full(g, 0.5)
+        y_norm = float(np.linalg.norm(self.ybar))
         self.R = _truncation_radius(g, float(tau.lambda_min), y_norm, 1e-18)
         self.M = np.array(list(itertools.product(range(-self.R, self.R + 1), repeat=g)))
         self.quad = 0.5 * np.einsum("li,ij,lj->l", self.M, self.taun, self.M)
@@ -338,29 +345,49 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
     """<s,s> at lattice coordinates ``coords`` (N x 2g, layout (n, m)), doubles.
 
     Coordinates are recentred to [-1/2, 1/2) before summation; the norm is
-    lattice invariant so the recentring does not change the values.  Points
-    are summed in chunks of at most ``_BATCH_TERMS`` lattice terms, so peak
-    memory does not grow with the size of the truncation box.
+    lattice invariant so the recentring does not change the values.
+
+    The term exp(2 pi i (M'tau M/2 + M'w)) at w = n + tau m is the product of
+    a phase-table entry c_M = exp(2 pi i M'tau M/2 + 2 pi ybar'|M|), the same
+    for every point, and per-axis rows P_k(j) = exp(2 pi i w_k j - 2 pi ybar_k
+    |j|) at j = M_k, with ybar the context's half-cell bound.  |Im w_k| <=
+    ybar_k, so every row entry has modulus at most 1, and |c_M| does not
+    depend on the point: no factor overflows, where the undamped powers
+    exp(2 pi i w_k j) do once 2 pi ybar_k R passes the double range (large
+    Y_kk).  Theta is the table contracted with the rows one axis at a time,
+    first one (N x (2R+1)) x ((2R+1) x (2R+1)^(g-1)) product, then a batched
+    vector-matrix product per remaining axis: N g (2R+1) + (2R+1)^g
+    exponentials per call instead of N (2R+1)^g.  Points are summed in
+    chunks so that no temporary holds more than ``_BATCH_TERMS`` complex
+    values.
     """
     g = tau.g
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2 * g:
         raise InvalidInput("coords must have shape (N, 2g)")
+    if not np.isfinite(coords).all():
+        raise InvalidInput("coords has a non-finite entry")
     ctx = tau.lattice
+    L = 2 * ctx.R + 1
+    j = np.arange(-ctx.R, ctx.R + 1)
+    table = np.exp(2j * np.pi * ctx.quad + 2 * np.pi * (np.abs(ctx.M) @ ctx.ybar))
+    table = table.reshape(L, L ** (g - 1))
+    damping = 2 * np.pi * np.outer(ctx.ybar, np.abs(j))
     nc = coords[:, :g] - np.round(coords[:, :g])
     mc = coords[:, g:] - np.round(coords[:, g:])
-    chunk = max(1, _BATCH_TERMS // len(ctx.M))
+    chunk = max(1, _BATCH_TERMS // max(g * L, L ** (g - 1)))
     out = np.empty(len(coords))
     for i in range(0, len(coords), chunk):
-        nn = nc[i : i + chunk]
         mm = mc[i : i + chunk]
-        phases = ctx.M @ (nn + mm @ ctx.taun.T).T
-        phases += ctx.quad[:, None]
-        phases *= 2j * np.pi
-        np.exp(phases, out=phases)
-        th2 = np.abs(phases.sum(axis=0)) ** 2
+        w = nc[i : i + chunk] + mm @ ctx.taun.T
+        rows = w[:, :, None] * (2j * np.pi * j)
+        rows -= damping
+        np.exp(rows, out=rows)
+        th = rows[:, 0] @ table
+        for k in range(1, g):
+            th = (rows[:, k, None, :] @ th.reshape(len(w), L, -1))[:, 0]
         gauss = np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", mm, ctx.Y, mm))
-        out[i : i + chunk] = ctx.scale * gauss * th2
+        out[i : i + chunk] = ctx.scale * gauss * np.abs(th[:, 0]) ** 2
     return out
 
 
@@ -379,6 +406,8 @@ def theta_derivs(tau: PeriodMatrix, x) -> tuple:
     x = np.asarray(x, dtype=float)
     if x.shape != (2 * g,):
         raise InvalidInput("x must have shape (2g,)")
+    if not np.isfinite(x).all():
+        raise InvalidInput("x has a non-finite entry")
     x = x - np.round(x)
     terms = np.exp(2j * np.pi * (ctx.quad + ctx.M @ (x[:g] + ctx.taun @ x[g:])))
     two_pi_i = 2j * np.pi

@@ -73,9 +73,16 @@ class BoundReport:
         return serialize_report(self)
 
 
-def _dec(x, bits: int, digits: int = 30) -> dict:
+def _digits(bits: int) -> int:
+    """Significant digits printed at ``bits``: 30, or two fewer than the
+    decimal digits the precision carries when that is less (26 at 96 bits),
+    so the last printed digit is not rounding noise."""
+    return min(30, mp.libmp.prec_to_dps(bits) - 2)
+
+
+def _dec(x, bits: int) -> dict:
     with mp.workprec(bits):
-        return {"dec": mp.nstr(mp.mpf(x), digits, strip_zeros=False), "bits": bits}
+        return {"dec": mp.nstr(mp.mpf(x), _digits(bits), strip_zeros=False), "bits": bits}
 
 
 def _coord(c, bits: int) -> str:
@@ -180,7 +187,7 @@ def run(config: RunConfig) -> BoundReport:
         # the exponent is at least 1, so its sign is +1 and its log is real
         main_sign_ln = {
             "sign": int(mp.sign(main_exp)),
-            "ln": mp.nstr(mp.log(main_exp), 30, strip_zeros=False),
+            "ln": mp.nstr(mp.log(main_exp), _digits(bits), strip_zeros=False),
         }
         log10_sharp = None
         if config.residue_degree is not None:

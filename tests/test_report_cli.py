@@ -267,6 +267,33 @@ class TestWorkingPrecision:
                 texts.append(td.serialize_report(td.run(config)))
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("bits", [96, 100])
+    def test_printed_digits_follow_precision(self, bits):
+        """Below 112 bits a report prints fewer than 30 digits, and each
+        decimal field is the 128-bit value rounded to that many: no printed
+        digit is rounding noise of the lower precision."""
+
+        def decimals(precision_bits):
+            payload = td.run(td.RunConfig(
+                preset="bost-mestre", p=3, residue_degree=1,
+                precision_bits=precision_bits, grid_points_per_dim=8,
+            )).payload
+            fields = {
+                key: entry["dec"] for key, entry in payload.items()
+                if isinstance(entry, dict) and "dec" in entry
+            }
+            fields["theta_max.value"] = payload["theta_max"]["value"]["dec"]
+            fields["main_exponent.ln"] = payload["main_exponent"]["ln"]
+            return fields
+
+        digits = {96: 26, 100: 27}[bits]
+        ref = decimals(128)
+        low = decimals(bits)
+        assert low.keys() == ref.keys() and len(low) == 8
+        with mp.workprec(300):
+            for key, dec in ref.items():
+                assert low[key] == mp.nstr(mp.mpf(dec), digits, strip_zeros=False), key
+
     @pytest.mark.parametrize("source", ["h_fal", "gamma_constant"])
     def test_inline_h_fal_at_working_precision(self, preset, source):
         inline = preset_inline(preset)

@@ -28,6 +28,28 @@ TAU_G3 = [
     [-0.2 + 0.1j, 0.25 + 0.2j, 0.4 + 1.7j],
 ]
 
+# Siegel-reduced matrices with a large Y_22.  The per-axis powers
+# exp(2 pi i w_k j) of a batch point reach exp(2 pi ybar_k R) there, past the
+# double range (R = 22 and R = 60), so undamped they overflow.
+TAU_Y21 = [[1j, 0.3 + 0.4j], [0.3 + 0.4j, 21j]]
+TAU_Y60 = [[1j, 0.3 + 0.4j], [0.3 + 0.4j, 60j]]
+
+
+def per_term_norm_batch(tau, coords):
+    """<s,s> with one complex exp per (point, lattice term) over the context's
+    box: the unfactored sum, the reference for ``norm_batch``."""
+    g = tau.g
+    ctx = tau.lattice
+    x = coords - np.round(coords)
+    out = []
+    for i in range(0, len(x), 1000):
+        n, m = x[i : i + 1000, :g], x[i : i + 1000, g:]
+        terms = np.exp(2j * np.pi * (ctx.quad[:, None] + ctx.M @ (n + m @ ctx.taun.T).T))
+        gauss = np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", m, ctx.Y, m))
+        out.append(ctx.scale * gauss * np.abs(terms.sum(axis=0)) ** 2)
+    return np.concatenate(out)
+
+
 # theta and theta_norm at 128 bits, frozen from the lattice loop as it was
 # when every call also summed the z-gradient and Hessian and called exp once
 # per term: (tau, z, Re theta, Im theta, theta_norm).  Terms built from the
@@ -278,6 +300,51 @@ class TestNormBatch:
             [td.periods.norm_batch(tau, coords[i : i + 500]) for i in range(0, 20000, 500)]
         )
         np.testing.assert_allclose(vals, small, rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coords(self, bad, tau_s4):
+        coords = np.array([[0.1, 0.2, 0.2, 0.3], [0.1, bad, 0.2, 0.3]])
+        with pytest.raises(td.InvalidInput):
+            td.periods.norm_batch(tau_s4, coords)
+        with pytest.raises(td.InvalidInput):
+            td.periods.theta_derivs(tau_s4, coords[1])
+
+    def test_empty_batch(self, tau_s4):
+        assert td.periods.norm_batch(tau_s4, np.empty((0, 4))).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "name, points", [("i", 20), ("s4", 20), ("g3", 8), ("y21", 12), ("y60", 6)]
+    )
+    def test_matches_theta_norm(self, name, points, tau_s4, cfg):
+        """Against the 128-bit sum, which shares no code with the batch kernel
+        beyond the lattice context.  Near a zero of theta both lose all
+        relative digits, so the relative bound applies where <s,s> is above
+        1e-6 of the batch maximum; elsewhere the bound is absolute."""
+        tau = {
+            "i": td.PeriodMatrix([[1j]]),
+            "s4": tau_s4,
+            "g3": td.PeriodMatrix(TAU_G3),
+            "y21": td.PeriodMatrix(TAU_Y21),
+            "y60": td.PeriodMatrix(TAU_Y60),
+        }[name]
+        coords = np.random.default_rng(17).random((points, 2 * tau.g))
+        fast = td.periods.norm_batch(tau, coords)
+        with mp.workprec(cfg.working_precision_bits):
+            zs = [td.maximize._lattice_point(tau, [float(v) for v in x]) for x in coords]
+        ref = np.array([float(td.theta_norm(tau, z, cfg)) for z in zs])
+        big = ref > 1e-6 * ref.max()
+        assert big.sum() >= 2
+        assert np.abs(fast - ref).max() <= 1e-12 * ref.max()
+        assert (np.abs(fast - ref)[big] <= 1e-12 * ref[big]).all()
+
+    @pytest.mark.parametrize("name", ["s4", "g3"])
+    def test_matches_per_term_sum(self, name, tau_s4):
+        """The factored sum against one exp per lattice term on 20,000
+        uniform points, to 1e-13 of the batch maximum."""
+        tau = tau_s4 if name == "s4" else td.PeriodMatrix(TAU_G3)
+        coords = np.random.default_rng(23).random((20000, 2 * tau.g))
+        ref = per_term_norm_batch(tau, coords)
+        assert np.abs(td.periods.norm_batch(tau, coords) - ref).max() <= 1e-13 * ref.max()
 
 
 class TestSqrtNormGrid:
