@@ -7,16 +7,15 @@ run on mpmath at a configurable bit count.  In double precision, a vectorized
 batch evaluator at scattered points backs spot checks, a separable evaluator
 on tensor grids backs the maximizer's grid scan and the torus average, and a
 one-point sum with z-derivatives backs the maximizer's Newton steps.  The
-batch evaluator factors each term into a phase table shared by all points
-and per-axis powers of each point, damped by the half-cell bound on Im z so
-that no factor overflows (see ``norm_batch``).
+batch evaluator factors each term into a phase table shared by the points of
+a cell of Im z and per-axis powers of each point, centred on the cell so
+that neither factor overflows whatever tau is (see ``norm_batch``).
 
 All these sums read one lattice context per ``PeriodMatrix``, built on first
 use (the lattice-sum layout of Deconinck, Heil, Bobenko, van Hoeij, Schmies,
 "Computing Riemann theta functions", Math. Comp. 73 (2004)).  Its double part
-is built once per tau: tau and Y as doubles, the half-cell bound ybar on
-Im z, the box radius R for a 1e-18 tail over the half cell, the box M in
-lexicographic order and M'tau M/2.  Its
+is built once per tau: tau and Y as doubles, the box radius R for a 1e-18
+tail over the half cell, the box M in lexicographic order and M'tau M/2.  Its
 working-precision part is keyed by bit count and holds exp(pi i M'tau M) for
 each lattice vector M, grown shell by shell up to the largest radius any call
 has needed.  Each mpmath sum still truncates at its own point's radius; a
@@ -42,6 +41,10 @@ _LAMBDA_MIN_TOL = 1e-20
 # (2R+1)^(g-1) partial sums or the g (2R+1) per-axis powers of each point):
 # 20,000 x 17^2, 92 MB.
 _BATCH_TERMS = 20_000 * 289
+# Bound on the log of the product of the g per-axis row moduli in norm_batch.
+# Its phase-table entries have modulus <= 1, so every partial sum stays below
+# (2R+1)^g exp(500), far inside the double range.
+_ROW_LOG_BOUND = 500.0
 
 
 @dataclass(frozen=True)
@@ -218,8 +221,7 @@ class LatticeContext:
     vectors with ||M||_inf <= R (one per row, lexicographic) and ``quad`` =
     M'tau M/2.  R bounds the tail below 1e-18 for every y = Y m with m in
     [-1/2, 1/2)^g, the range the double kernels recentre their coordinates
-    to; ``ybar`` = |Y| (1/2, ..., 1/2) bounds |y_k| there.
-    ``phases(bits, R)`` gives the working-precision part.
+    to.  ``phases(bits, R)`` gives the working-precision part.
     """
 
     def __init__(self, tau: PeriodMatrix):
@@ -230,8 +232,7 @@ class LatticeContext:
         self.taun = tau.tau_np
         self.Y = self.taun.imag
         self.scale = math.sqrt(float(tau.detY))
-        self.ybar = np.abs(self.Y) @ np.full(g, 0.5)
-        y_norm = float(np.linalg.norm(self.ybar))
+        y_norm = float(np.linalg.norm(np.abs(self.Y) @ np.full(g, 0.5)))
         self.R = _truncation_radius(g, float(tau.lambda_min), y_norm, 1e-18)
         self.M = np.array(list(itertools.product(range(-self.R, self.R + 1), repeat=g)))
         self.quad = 0.5 * np.einsum("li,ij,lj->l", self.M, self.taun, self.M)
@@ -347,19 +348,27 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
     Coordinates are recentred to [-1/2, 1/2) before summation; the norm is
     lattice invariant so the recentring does not change the values.
 
-    The term exp(2 pi i (M'tau M/2 + M'w)) at w = n + tau m is the product of
-    a phase-table entry c_M = exp(2 pi i M'tau M/2 + 2 pi ybar'|M|), the same
-    for every point, and per-axis rows P_k(j) = exp(2 pi i w_k j - 2 pi ybar_k
-    |j|) at j = M_k, with ybar the context's half-cell bound.  |Im w_k| <=
-    ybar_k, so every row entry has modulus at most 1, and |c_M| does not
-    depend on the point: no factor overflows, where the undamped powers
-    exp(2 pi i w_k j) do once 2 pi ybar_k R passes the double range (large
-    Y_kk).  Theta is the table contracted with the rows one axis at a time,
-    first one (N x (2R+1)) x ((2R+1) x (2R+1)^(g-1)) product, then a batched
-    vector-matrix product per remaining axis: N g (2R+1) + (2R+1)^g
-    exponentials per call instead of N (2R+1)^g.  Points are summed in
-    chunks so that no temporary holds more than ``_BATCH_TERMS`` complex
-    values.
+    Points are grouped into cells of m.  In a cell with centre c, the term
+    exp(2 pi i (M'tau M/2 + M'w)) at w = n + tau m, times exp(-pi c'Y c), is
+    a phase-table entry t_M = exp(2 pi i (M'tau M/2 + M'tau c) - pi c'Y c),
+    shared by the cell, times per-axis rows P_k(j) = exp(2 pi i u_k j) at j
+    = M_k, with u = n + tau (m - c).  |t_M| = exp(-pi (M+c)'Y (M+c)) <= 1
+    for every tau.  With B_l cells on axis l, |m_l - c_l| <= 1/(2 B_l), so
+    the g row moduli multiply to at most exp(2 pi R sum_k |Y (m - c)|_k) <=
+    exp(pi R sum_l colsum_l / B_l), colsum_l = sum_k |Y_kl|, and B_l =
+    ceil(pi R g colsum_l / ``_ROW_LOG_BOUND``) keeps that below
+    exp(``_ROW_LOG_BOUND``): no factor or partial sum overflows, and a table
+    entry that underflows drops a term below exp(-745 + ``_ROW_LOG_BOUND``).
+    Each product of moduli is the term's own, so rounding errors are those
+    of the unfactored sum.  A well-conditioned tau, such as the preset, has
+    one cell, c = 0.
+
+    Theta is the table contracted with the rows one axis at a time, first
+    one (n x (2R+1)) x ((2R+1) x (2R+1)^(g-1)) product, then a batched
+    vector-matrix product per remaining axis: N g (2R+1) exponentials per
+    call, plus (2R+1)^g per occupied cell, instead of N (2R+1)^g.  Points
+    are summed in chunks so that no temporary holds more than
+    ``_BATCH_TERMS`` complex values.
     """
     g = tau.g
     coords = np.asarray(coords, dtype=float)
@@ -369,25 +378,32 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
         raise InvalidInput("coords has a non-finite entry")
     ctx = tau.lattice
     L = 2 * ctx.R + 1
-    j = np.arange(-ctx.R, ctx.R + 1)
-    table = np.exp(2j * np.pi * ctx.quad + 2 * np.pi * (np.abs(ctx.M) @ ctx.ybar))
-    table = table.reshape(L, L ** (g - 1))
-    damping = 2 * np.pi * np.outer(ctx.ybar, np.abs(j))
+    j = 2j * np.pi * np.arange(-ctx.R, ctx.R + 1)
     nc = coords[:, :g] - np.round(coords[:, :g])
     mc = coords[:, g:] - np.round(coords[:, g:])
+    cells = np.ceil(np.pi * ctx.R * g * np.abs(ctx.Y).sum(axis=0) / _ROW_LOG_BOUND).astype(int)
+    index = np.minimum(((mc + 0.5) * cells).astype(int), cells - 1)
+    key = np.ravel_multi_index(index.T, cells)
+    order = np.argsort(key, kind="stable")
+    edges = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
     chunk = max(1, _BATCH_TERMS // max(g * L, L ** (g - 1)))
     out = np.empty(len(coords))
-    for i in range(0, len(coords), chunk):
-        mm = mc[i : i + chunk]
-        w = nc[i : i + chunk] + mm @ ctx.taun.T
-        rows = w[:, :, None] * (2j * np.pi * j)
-        rows -= damping
-        np.exp(rows, out=rows)
-        th = rows[:, 0] @ table
-        for k in range(1, g):
-            th = (rows[:, k, None, :] @ th.reshape(len(w), L, -1))[:, 0]
-        gauss = np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", mm, ctx.Y, mm))
-        out[i : i + chunk] = ctx.scale * gauss * np.abs(th[:, 0]) ** 2
+    for start, stop in zip(edges[:-1], edges[1:]):
+        centre = (index[order[start]] + 0.5) / cells - 0.5
+        qc = centre @ ctx.Y @ centre
+        table = np.exp(2j * np.pi * (ctx.quad + ctx.M @ (ctx.taun @ centre)) - np.pi * qc)
+        table = table.reshape(L, L ** (g - 1))
+        for i in range(start, stop, chunk):
+            pts = order[i : min(i + chunk, stop)]
+            mm = mc[pts]
+            u = nc[pts] + (mm - centre) @ ctx.taun.T
+            rows = u[:, :, None] * j
+            np.exp(rows, out=rows)
+            th = rows[:, 0] @ table
+            for k in range(1, g):
+                th = (rows[:, k, None, :] @ th.reshape(len(pts), L, -1))[:, 0]
+            qm = np.einsum("ni,ij,nj->n", mm, ctx.Y, mm)
+            out[pts] = ctx.scale * np.abs(np.exp(-np.pi * (qm - qc)) * th[:, 0]) ** 2
     return out
 
 

@@ -29,10 +29,17 @@ TAU_G3 = [
 ]
 
 # Siegel-reduced matrices with a large Y_22.  The per-axis powers
-# exp(2 pi i w_k j) of a batch point reach exp(2 pi ybar_k R) there, past the
-# double range (R = 22 and R = 60), so undamped they overflow.
+# exp(2 pi i w_k j) of a batch point reach exp(2 pi |Im w_k| R) there, past
+# the double range (R = 22 and R = 60), so summed in one cell around m = 0
+# they overflow.
 TAU_Y21 = [[1j, 0.3 + 0.4j], [0.3 + 0.4j, 21j]]
 TAU_Y60 = [[1j, 0.3 + 0.4j], [0.3 + 0.4j, 60j]]
+# Matrices with strongly coupled axes: Y = 10 [[1, 0.95], [0.95, 1]] (R = 55)
+# and the Minkowski-reduced Y = 113 [[1, 1/2], [1/2, 1]].  A phase table
+# damped by exp(2 pi sum_k |Y_k.| |M_k| / 2) overflows along M = (k, -k),
+# where M'YM is small.
+TAU_R10 = [[10j, 9.5j], [9.5j, 10j]]
+TAU_A113 = [[113j, 56.5j], [56.5j, 113j]]
 
 
 def per_term_norm_batch(tau, coords):
@@ -313,7 +320,8 @@ class TestNormBatch:
         assert td.periods.norm_batch(tau_s4, np.empty((0, 4))).shape == (0,)
 
     @pytest.mark.parametrize(
-        "name, points", [("i", 20), ("s4", 20), ("g3", 8), ("y21", 12), ("y60", 6)]
+        "name, points",
+        [("i", 20), ("s4", 20), ("g3", 8), ("y21", 12), ("y60", 6), ("r10", 8), ("a113", 40)],
     )
     def test_matches_theta_norm(self, name, points, tau_s4, cfg):
         """Against the 128-bit sum, which shares no code with the batch kernel
@@ -326,6 +334,8 @@ class TestNormBatch:
             "g3": td.PeriodMatrix(TAU_G3),
             "y21": td.PeriodMatrix(TAU_Y21),
             "y60": td.PeriodMatrix(TAU_Y60),
+            "r10": td.PeriodMatrix(TAU_R10),
+            "a113": td.PeriodMatrix(TAU_A113),
         }[name]
         coords = np.random.default_rng(17).random((points, 2 * tau.g))
         fast = td.periods.norm_batch(tau, coords)
@@ -337,11 +347,12 @@ class TestNormBatch:
         assert np.abs(fast - ref).max() <= 1e-12 * ref.max()
         assert (np.abs(fast - ref)[big] <= 1e-12 * ref[big]).all()
 
-    @pytest.mark.parametrize("name", ["s4", "g3"])
+    @pytest.mark.parametrize("name", ["s4", "g3", "y21"])
     def test_matches_per_term_sum(self, name, tau_s4):
         """The factored sum against one exp per lattice term on 20,000
-        uniform points, to 1e-13 of the batch maximum."""
-        tau = tau_s4 if name == "s4" else td.PeriodMatrix(TAU_G3)
+        uniform points, to 1e-13 of the batch maximum.  TAU_Y21 splits the
+        points into six cells of m_2."""
+        tau = {"s4": tau_s4, "g3": td.PeriodMatrix(TAU_G3), "y21": td.PeriodMatrix(TAU_Y21)}[name]
         coords = np.random.default_rng(23).random((20000, 2 * tau.g))
         ref = per_term_norm_batch(tau, coords)
         assert np.abs(td.periods.norm_batch(tau, coords) - ref).max() <= 1e-13 * ref.max()
