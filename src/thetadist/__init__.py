@@ -36,7 +36,6 @@ from .maximize import (
     ThetaMaxResult,
     default_optimizer_config,
     theta_max,
-    theta_max_over_embeddings,
 )
 from .bounds import (
     BoundParams,

@@ -9,7 +9,8 @@ neighbouring maxima, so neighbouring points of one peak make one start.  Only
 the converged points whose double value ties the best are polished by the
 same Newton iteration at working precision, which from double accuracy takes
 two lattice sums.  The gradient and Hessian come from the same lattice sum as
-theta, in doubles from ``periods.theta_derivs`` and at working precision from
+theta, in doubles from the scattered-point kernel ``periods._theta_batch``
+behind ``norm_batch`` and at working precision from
 ``periods._theta_reduced`` (Deconinck, Heil, Bobenko, van Hoeij, Schmies,
 "Computing Riemann theta functions", Math. Comp. 73 (2004)), and each
 Newton's value is the norm from the theta of its own last sum.  No
@@ -31,9 +32,8 @@ from .periods import (
     PrecisionConfig,
     ThetaPoint,
     sqrt_norm_grid,
-    theta_derivs,
 )
-from .periods import _theta_reduced
+from .periods import _theta_batch, _theta_reduced
 
 # Grid points per scan.  The value array, resident from the scan until the
 # starts are chosen, costs 8 bytes per point; choosing the starts briefly holds
@@ -83,11 +83,13 @@ def _lattice_point(tau: PeriodMatrix, x) -> ThetaPoint:
 
 
 def _newton_double(tau: PeriodMatrix, start):
-    """``_newton`` in doubles on ``periods.theta_derivs``, with the same
-    gradient and Hessian.  The iterate is kept in [-1/2, 1/2)^{2g}, where the
-    double kernel's box holds, and a step below 2^(-26) ends the iteration.
-    Returns ``(value, x)`` with value the square-root norm from the theta of
-    the last sum, or None when -H has no Cholesky factor or the cap is reached.
+    """``_newton`` in doubles on ``periods._theta_batch`` at one point, with
+    the same gradient and Hessian.  The kernel's derivatives carry its factor
+    exp(-pi m'Ym), which cancels in the ratios theta'/theta and theta''/theta.
+    The iterate is kept in [-1/2, 1/2)^{2g}, where the double kernel's box
+    holds, and a step below 2^(-26) ends the iteration.  Returns ``(value,
+    x)`` with value the square-root norm from the s of the last sum, or None
+    when -H has no Cholesky factor or the cap is reached.
     """
     g = tau.g
     ctx = tau.lattice
@@ -95,7 +97,7 @@ def _newton_double(tau: PeriodMatrix, start):
     x = np.asarray(start, dtype=float)
     for _ in range(_NEWTON_MAX_STEPS):
         x = x - np.round(x)
-        th, d1, d2 = theta_derivs(tau, x)
+        th, d1, d2 = (v[0] for v in _theta_batch(tau, x[None], derivs=True))
         a = d1 / th
         grad = 2 * (J.T @ a).real
         hess = 2 * (J.T @ (d2 / th - np.outer(a, a)) @ J).real
@@ -106,10 +108,9 @@ def _newton_double(tau: PeriodMatrix, start):
         except np.linalg.LinAlgError:
             return None
         step = np.linalg.solve(L.T, np.linalg.solve(L, grad))
-        m = x[g:]
         x = x + step
         if np.abs(step).max() < 2.0**-26:
-            return abs(th) * np.sqrt(ctx.scale * np.exp(-2 * np.pi * m @ ctx.Y @ m)), x
+            return abs(th) * np.sqrt(ctx.scale), x
     return None
 
 
@@ -240,13 +241,3 @@ def theta_max(
             f"refined maximum {mp.nstr(value, 17)} is below the grid value {grid_best!r}"
         )
     return ThetaMaxResult(value=value, argmax_coords=argmax, grid_best=grid_best)
-
-
-def theta_max_over_embeddings(
-    taus, ocfg: OptimizerConfig | None = None, cfg: PrecisionConfig | None = None
-):
-    """Maximum of theta_max over a nonempty list of period matrices."""
-    taus = list(taus)
-    if not taus:
-        raise InvalidInput("list of period matrices must be nonempty")
-    return max(theta_max(t, ocfg, cfg).value for t in taus)

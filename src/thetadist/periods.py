@@ -3,13 +3,13 @@
 The theta series is summed over a box ``||m||_inf <= R`` with R chosen from a
 geometric-majorant tail bound, after reducing the argument to the fundamental
 cell of the lattice spanned by the columns of [Id, tau].  High-precision paths
-run on mpmath at a configurable bit count.  In double precision, a vectorized
-batch evaluator at scattered points backs spot checks, a separable evaluator
-on tensor grids backs the maximizer's grid scan and the torus average, and a
-one-point sum with z-derivatives backs the maximizer's Newton steps.  The
-batch evaluator factors each term into a phase table shared by the points of
-a cell of Im z and per-axis powers of each point, centred on the cell so
-that neither factor overflows whatever tau is (see ``norm_batch``).
+run on mpmath at a configurable bit count.  In double precision there are
+two kernels: a separable evaluator on tensor grids backs the maximizer's grid
+scan and the torus average, and a batch evaluator at scattered points, with
+optional z-derivatives, backs spot checks and the maximizer's Newton steps.
+The batch evaluator factors each term into a phase table shared by the points
+of a cell of Im z and per-axis powers of each point, centred on the cell so
+that neither factor overflows whatever tau is (see ``_theta_batch``).
 
 All these sums read one lattice context per ``PeriodMatrix``, built on first
 use (the lattice-sum layout of Deconinck, Heil, Bobenko, van Hoeij, Schmies,
@@ -37,11 +37,11 @@ from .errors import BudgetExceeded, InvalidInput, InvalidPeriodMatrix, Precision
 
 _SYMMETRY_RTOL = 1e-10
 _LAMBDA_MIN_TOL = 1e-20
-# Complex values in the largest temporary of one norm_batch chunk (the
-# (2R+1)^(g-1) partial sums or the g (2R+1) per-axis powers of each point):
-# 20,000 x 17^2, 92 MB.
+# Complex values in the largest temporary of one _theta_batch chunk (the
+# (2R+1)^(g-1) partial sums or the g (2R+1) per-axis powers of each point,
+# for each of its weighted copies): 20,000 x 17^2, 92 MB.
 _BATCH_TERMS = 20_000 * 289
-# Bound on the log of the product of the g per-axis row moduli in norm_batch.
+# Bound on the log of the product of the g per-axis row moduli in _theta_batch.
 # Its phase-table entries have modulus <= 1, so every partial sum stays below
 # (2R+1)^g exp(500), far inside the double range.
 _ROW_LOG_BOUND = 500.0
@@ -346,7 +346,22 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
     """<s,s> at lattice coordinates ``coords`` (N x 2g, layout (n, m)), doubles.
 
     Coordinates are recentred to [-1/2, 1/2) before summation; the norm is
-    lattice invariant so the recentring does not change the values.
+    lattice invariant so the recentring does not change the values.  The
+    value is sqrt(det Y) |s|^2 with s from ``_theta_batch``.
+    """
+    return tau.lattice.scale * np.abs(_theta_batch(tau, coords)) ** 2
+
+
+def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
+    """s = theta(n + tau m) exp(-pi m'Ym) at lattice coordinates ``coords``
+    (N x 2g, layout (n, m)) recentred to [-1/2, 1/2), doubles.
+
+    With the factor each term has modulus exp(-pi (M+m)'Y(M+m)) <= 1, so s
+    stays in the double range whatever tau is, and sqrt(det Y) |s|^2 is the
+    theta norm.  With ``derivs`` returns ``(s, d1, d2)``: s, and the
+    z-gradient (N x g) and z-Hessian (N x g x g) of theta, each times the
+    same factor.  The factor does not depend on z, so the ratios d1/s and
+    d2/s are theta'/theta and theta''/theta.
 
     Points are grouped into cells of m.  In a cell with centre c, the term
     exp(2 pi i (M'tau M/2 + M'w)) at w = n + tau m, times exp(-pi c'Y c), is
@@ -366,9 +381,13 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
     Theta is the table contracted with the rows one axis at a time, first
     one (n x (2R+1)) x ((2R+1) x (2R+1)^(g-1)) product, then a batched
     vector-matrix product per remaining axis: N g (2R+1) exponentials per
-    call, plus (2R+1)^g per occupied cell, instead of N (2R+1)^g.  Points
-    are summed in chunks so that no temporary holds more than
-    ``_BATCH_TERMS`` complex values.
+    call, plus (2R+1)^g per occupied cell, instead of N (2R+1)^g.  Since
+    dP_k/dz_k = 2 pi i j P_k, the derivatives are the same contraction with
+    axis k's rows weighted by 2 pi i j for d/dz_k, and axes k and l weighted
+    for d^2/dz_k dz_l (as in ``_theta_reduced``): with ``derivs`` each point
+    contributes K = 1 + g + g(g+1)/2 weighted copies of its rows.  Points are
+    summed in chunks so that no temporary holds more than ``_BATCH_TERMS``
+    complex values.
     """
     g = tau.g
     coords = np.asarray(coords, dtype=float)
@@ -379,6 +398,12 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
     ctx = tau.lattice
     L = 2 * ctx.R + 1
     j = 2j * np.pi * np.arange(-ctx.R, ctx.R + 1)
+    weights = [()]
+    if derivs:
+        weights += [(k,) for k in range(g)] + [(k, l) for k in range(g) for l in range(k + 1)]
+        # W[w, k] is (2 pi i j)^(the number of times weight w differentiates in z_k)
+        W = j ** np.array([[axes.count(k) for k in range(g)] for axes in weights])[:, :, None]
+    K = len(weights)
     nc = coords[:, :g] - np.round(coords[:, :g])
     mc = coords[:, g:] - np.round(coords[:, g:])
     cells = np.ceil(np.pi * ctx.R * g * np.abs(ctx.Y).sum(axis=0) / _ROW_LOG_BOUND).astype(int)
@@ -386,8 +411,8 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
     key = np.ravel_multi_index(index.T, cells)
     order = np.argsort(key, kind="stable")
     edges = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
-    chunk = max(1, _BATCH_TERMS // max(g * L, L ** (g - 1)))
-    out = np.empty(len(coords))
+    chunk = max(1, _BATCH_TERMS // (K * max(g * L, L ** (g - 1))))
+    out = np.empty((len(coords), K), dtype=complex)
     for start, stop in zip(edges[:-1], edges[1:]):
         centre = (index[order[start]] + 0.5) / cells - 0.5
         qc = centre @ ctx.Y @ centre
@@ -399,39 +424,19 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
             u = nc[pts] + (mm - centre) @ ctx.taun.T
             rows = u[:, :, None] * j
             np.exp(rows, out=rows)
+            if derivs:
+                rows = (rows[:, None] * W).reshape(-1, g, L)
             th = rows[:, 0] @ table
             for k in range(1, g):
-                th = (rows[:, k, None, :] @ th.reshape(len(pts), L, -1))[:, 0]
+                th = (rows[:, k, None, :] @ th.reshape(len(rows), L, -1))[:, 0]
             qm = np.einsum("ni,ij,nj->n", mm, ctx.Y, mm)
-            out[pts] = ctx.scale * np.abs(np.exp(-np.pi * (qm - qc)) * th[:, 0]) ** 2
-    return out
-
-
-def theta_derivs(tau: PeriodMatrix, x) -> tuple:
-    """theta, its z-gradient and its z-Hessian at lattice coordinates x, doubles.
-
-    ``x`` = (n, m) has length 2g and is recentred to [-1/2, 1/2) as in
-    ``norm_batch``, where the context's 1e-18 box holds; the sums are taken at
-    z = n + tau m for the recentred coordinates.  The terms are weighted by
-    2 pi i M and (2 pi i)^2 M M' as in ``_theta_reduced``.  Returns
-    ``(theta, d1, d2)``: a complex number, a length-g vector and a g x g
-    matrix.
-    """
-    g = tau.g
-    ctx = tau.lattice
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2 * g,):
-        raise InvalidInput("x must have shape (2g,)")
-    if not np.isfinite(x).all():
-        raise InvalidInput("x has a non-finite entry")
-    x = x - np.round(x)
-    terms = np.exp(2j * np.pi * (ctx.quad + ctx.M @ (x[:g] + ctx.taun @ x[g:])))
-    two_pi_i = 2j * np.pi
-    return (
-        terms.sum(),
-        two_pi_i * (terms @ ctx.M),
-        two_pi_i**2 * ((ctx.M.T * terms) @ ctx.M),
-    )
+            out[pts] = np.exp(-np.pi * (qm - qc))[:, None] * th.reshape(len(pts), K)
+    if not derivs:
+        return out[:, 0]
+    d2 = np.empty((len(coords), g, g), dtype=complex)
+    for w, (k, l) in enumerate(weights[1 + g :], start=1 + g):
+        d2[:, k, l] = d2[:, l, k] = out[:, w]
+    return out[:, 0], out[:, 1 : 1 + g], d2
 
 
 def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.ndarray:

@@ -69,9 +69,6 @@ class RunConfig:
 class BoundReport:
     payload: dict
 
-    def to_text(self) -> str:
-        return serialize_report(self)
-
 
 def _digits(bits: int) -> int:
     """Significant digits printed at ``bits``: 30, or two fewer than the

@@ -314,10 +314,12 @@ class TestNormBatch:
         with pytest.raises(td.InvalidInput):
             td.periods.norm_batch(tau_s4, coords)
         with pytest.raises(td.InvalidInput):
-            td.periods.theta_derivs(tau_s4, coords[1])
+            td.periods._theta_batch(tau_s4, coords[1:], derivs=True)
 
     def test_empty_batch(self, tau_s4):
         assert td.periods.norm_batch(tau_s4, np.empty((0, 4))).shape == (0,)
+        s, d1, d2 = td.periods._theta_batch(tau_s4, np.empty((0, 4)), derivs=True)
+        assert (s.shape, d1.shape, d2.shape) == ((0,), (0, 2), (0, 2, 2))
 
     @pytest.mark.parametrize(
         "name, points",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import thetadist as td
-from test_theta import TAU_G3
+from test_theta import TAU_A113, TAU_G3, TAU_Y21
 
 # not Minkowski reduced; its best 16^4 grid points lie on one ridge
 TAU_RIDGE = [[-0.446 + 3.397j, -0.104 - 0.358j], [-0.104 - 0.358j, -0.455 + 1.238j]]
@@ -138,22 +138,30 @@ class TestThetaMaxG2:
 
 
 class TestThetaDerivs:
-    @pytest.mark.parametrize("name", ["i", "s4", "ridge", "g3"])
+    @pytest.mark.parametrize("name", ["i", "s4", "ridge", "g3", "y21", "a113"])
     def test_matches_working_precision_kernel(self, name, tau_s4, cfg):
-        """theta_derivs against _theta_reduced(derivs=True) at seeded points,
-        taken at the recentred coordinates the double kernel sums at."""
+        """_theta_batch(derivs=True) against _theta_reduced(derivs=True) at
+        seeded points, taken at the recentred coordinates the double kernel
+        sums at and times its factor exp(-pi m'Ym).  TAU_Y21 (1 x 6 cells)
+        and TAU_A113 (9 x 9 cells) take the derivatives across cells."""
         tau = {"i": td.PeriodMatrix([[1j]]), "s4": tau_s4,
-               "ridge": td.PeriodMatrix(TAU_RIDGE), "g3": td.PeriodMatrix(TAU_G3)}[name]
+               "ridge": td.PeriodMatrix(TAU_RIDGE), "g3": td.PeriodMatrix(TAU_G3),
+               "y21": td.PeriodMatrix(TAU_Y21), "a113": td.PeriodMatrix(TAU_A113)}[name]
         g = tau.g
         rng = np.random.default_rng(7)
         for x in rng.random((4, 2 * g)):
-            fast = td.periods.theta_derivs(tau, x)
+            fast = [v[0] for v in td.periods._theta_batch(tau, x[None], derivs=True)]
             x = x - np.round(x)
             with mp.workprec(cfg.working_precision_bits):
                 z = tuple(
                     x[i] + sum(tau.tau[i, j] * x[g + j] for j in range(g)) for i in range(g)
                 )
                 th, d1, d2 = td.periods._theta_reduced(tau, td.ThetaPoint(z), cfg, derivs=True)
+                m = x[g:]
+                factor = mp.exp(
+                    -mp.pi * sum(m[i] * tau.Y[i, j] * m[j] for i in range(g) for j in range(g))
+                )
+                th, d1, d2 = factor * th, factor * d1, factor * d2
             slow = (
                 np.array(complex(th)),
                 np.array([complex(d1[i]) for i in range(g)]),
@@ -216,15 +224,6 @@ class TestConfigAndGuards:
         # within the grid budget
         assert td.default_optimizer_config(3).grid_points_per_dim == 10
         assert td.default_optimizer_config(4).grid_points_per_dim == 8
-
-    def test_over_embeddings(self, cfg):
-        ocfg = td.OptimizerConfig(grid_points_per_dim=32)
-        taus = [td.PeriodMatrix([[1j]]), td.PeriodMatrix([[2j]])]
-        v = td.theta_max_over_embeddings(taus, ocfg, cfg)
-        singles = [td.theta_max(t, ocfg, cfg).value for t in taus]
-        assert v == max(singles)
-        with pytest.raises(td.InvalidInput):
-            td.theta_max_over_embeddings([], ocfg, cfg)
 
     def test_no_converged_start_raises(self, tau_g1, cfg, monkeypatch):
         monkeypatch.setattr(td.maximize, "_newton", lambda tau, start, cfg: None)
