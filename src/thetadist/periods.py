@@ -7,15 +7,15 @@ run on mpmath at a configurable bit count.  In double precision there are
 two kernels: a separable evaluator on tensor grids backs the maximizer's grid
 scan and the torus average, and a batch evaluator at scattered points, with
 optional z-derivatives, backs spot checks and the maximizer's Newton steps.
-The batch evaluator factors each term into a phase table shared by the points
-of a cell of Im z and per-axis powers of each point, centred on the cell so
-that neither factor overflows whatever tau is (see ``_theta_batch``).
 
 All these sums read one lattice context per ``PeriodMatrix``, built on first
 use (the lattice-sum layout of Deconinck, Heil, Bobenko, van Hoeij, Schmies,
 "Computing Riemann theta functions", Math. Comp. 73 (2004)).  Its double part
 is built once per tau: tau and Y as doubles, the box radius R for a 1e-18
-tail over the half cell, the box M in lexicographic order and M'tau M/2.  Its
+tail over the half cell, the box M in lexicographic order and M'tau M/2, and
+the one term layout both double kernels sum: a phase table shared by a cell
+of Im z times per-axis powers, centred on the cell so that no factor
+overflows whatever tau is (see ``LatticeContext``).  Its
 working-precision part is keyed by bit count and holds exp(pi i M'tau M) for
 each lattice vector M, grown shell by shell up to the largest radius any call
 has needed.  Each mpmath sum still truncates at its own point's radius; a
@@ -41,10 +41,13 @@ _LAMBDA_MIN_TOL = 1e-20
 # (2R+1)^(g-1) partial sums or the g (2R+1) per-axis powers of each point,
 # for each of its weighted copies): 20,000 x 17^2, 92 MB.
 _BATCH_TERMS = 20_000 * 289
-# Bound on the log of the product of the g per-axis row moduli in _theta_batch.
-# Its phase-table entries have modulus <= 1, so every partial sum stays below
-# (2R+1)^g exp(500), far inside the double range.
+# Bound on the log of the product of the g per-axis row moduli of a term in
+# LatticeContext's layout.  Its phase-table entries have modulus <= 1, so every
+# partial sum stays below (2R+1)^g exp(500), far inside the double range.
 _ROW_LOG_BOUND = 500.0
+# Largest aliasing error of the torus average's midpoint rule that
+# theta_norm_normalization_check accepts.
+_ALIAS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -222,6 +225,26 @@ class LatticeContext:
     M'tau M/2.  R bounds the tail below 1e-18 for every y = Y m with m in
     [-1/2, 1/2)^g, the range the double kernels recentre their coordinates
     to.  ``phases(bits, R)`` gives the working-precision part.
+
+    It also owns the one term layout of both double kernels.  The term of M
+    at w = n + tau m, times exp(-pi m'Ym), is the product of
+
+    - a phase-table entry t_M = exp(2 pi i (M'tau M/2 + M'tau c) - pi c'Yc),
+      shared by every m in the cell with centre c (``cell_table``);
+    - per-axis rows P_k(j) = exp(2 pi i u_k j) at j = M_k, u = n + tau (m - c);
+    - exp(-pi (m'Ym - c'Yc)).
+
+    |t_M| = exp(-pi (M+c)'Y(M+c)) <= 1 for every tau.  The cells split each
+    axis l of m in [-1/2, 1/2) into ``cells[l]`` = B_l equal parts, so
+    |m_l - c_l| <= 1/(2 B_l) and the g row moduli multiply to at most
+    exp(2 pi R sum_k |Y (m - c)|_k) <= exp(pi R sum_l colsum_l / B_l), with
+    colsum_l = sum_k |Y_kl|.  B_l = ceil(pi R g colsum_l /
+    ``_ROW_LOG_BOUND``) keeps that below exp(``_ROW_LOG_BOUND``): no factor
+    or partial sum of a contraction overflows, and a table entry that
+    underflows drops a term below exp(-745 + ``_ROW_LOG_BOUND``).  Each
+    product of moduli is the term's own, so rounding errors are those of the
+    unfactored sum.  A well-conditioned tau, such as the preset, has one
+    cell, c = 0.
     """
 
     def __init__(self, tau: PeriodMatrix):
@@ -236,6 +259,36 @@ class LatticeContext:
         self.R = _truncation_radius(g, float(tau.lambda_min), y_norm, 1e-18)
         self.M = np.array(list(itertools.product(range(-self.R, self.R + 1), repeat=g)))
         self.quad = 0.5 * np.einsum("li,ij,lj->l", self.M, self.taun, self.M)
+        colsum = np.abs(self.Y).sum(axis=0)
+        self.cells = np.ceil(np.pi * self.R * g * colsum / _ROW_LOG_BOUND).astype(int)
+        # the last table built: a table per cell could hold up to
+        # prod(cells) (2R+1)^g values
+        self._table = (None, None)
+
+    def cell_groups(self, m: np.ndarray):
+        """Yield ``(cell, rows)`` for each occupied cell, in cell order: the
+        flat cell index and the indices of the rows of ``m`` (N x g, in
+        [-1/2, 1/2)) that lie in it, in their original order."""
+        index = np.minimum(((m + 0.5) * self.cells).astype(int), self.cells - 1)
+        key = np.ravel_multi_index(index.T, self.cells)
+        order = np.argsort(key, kind="stable")
+        edges = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
+        for start, stop in zip(edges[:-1], edges[1:]):
+            yield key[order[start]], order[start:stop]
+
+    def cell_table(self, cell) -> tuple:
+        """``(c, c'Yc, t)`` for a flat cell index: the centre, its quadratic
+        form and the phase table t_M of shape ((2R+1),)*g.  The last table
+        built is kept, so consecutive calls on one cell build it once."""
+        if self._table[0] != cell:
+            self._table = (cell, self._build_cell_table(cell))
+        return self._table[1]
+
+    def _build_cell_table(self, cell) -> tuple:
+        centre = (np.array(np.unravel_index(cell, self.cells)) + 0.5) / self.cells - 0.5
+        qc = centre @ self.Y @ centre
+        table = np.exp(2j * np.pi * (self.quad + self.M @ (self.taun @ centre)) - np.pi * qc)
+        return centre, qc, table.reshape((2 * self.R + 1,) * self.g)
 
     def phases(self, bits: int, R: int) -> dict:
         """exp(pi i M'tau M) at ``bits`` for every M with ||M||_inf <= R.
@@ -363,31 +416,19 @@ def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
     same factor.  The factor does not depend on z, so the ratios d1/s and
     d2/s are theta'/theta and theta''/theta.
 
-    Points are grouped into cells of m.  In a cell with centre c, the term
-    exp(2 pi i (M'tau M/2 + M'w)) at w = n + tau m, times exp(-pi c'Y c), is
-    a phase-table entry t_M = exp(2 pi i (M'tau M/2 + M'tau c) - pi c'Y c),
-    shared by the cell, times per-axis rows P_k(j) = exp(2 pi i u_k j) at j
-    = M_k, with u = n + tau (m - c).  |t_M| = exp(-pi (M+c)'Y (M+c)) <= 1
-    for every tau.  With B_l cells on axis l, |m_l - c_l| <= 1/(2 B_l), so
-    the g row moduli multiply to at most exp(2 pi R sum_k |Y (m - c)|_k) <=
-    exp(pi R sum_l colsum_l / B_l), colsum_l = sum_k |Y_kl|, and B_l =
-    ceil(pi R g colsum_l / ``_ROW_LOG_BOUND``) keeps that below
-    exp(``_ROW_LOG_BOUND``): no factor or partial sum overflows, and a table
-    entry that underflows drops a term below exp(-745 + ``_ROW_LOG_BOUND``).
-    Each product of moduli is the term's own, so rounding errors are those
-    of the unfactored sum.  A well-conditioned tau, such as the preset, has
-    one cell, c = 0.
-
-    Theta is the table contracted with the rows one axis at a time, first
-    one (n x (2R+1)) x ((2R+1) x (2R+1)^(g-1)) product, then a batched
-    vector-matrix product per remaining axis: N g (2R+1) exponentials per
-    call, plus (2R+1)^g per occupied cell, instead of N (2R+1)^g.  Since
-    dP_k/dz_k = 2 pi i j P_k, the derivatives are the same contraction with
-    axis k's rows weighted by 2 pi i j for d/dz_k, and axes k and l weighted
-    for d^2/dz_k dz_l (as in ``_theta_reduced``): with ``derivs`` each point
-    contributes K = 1 + g + g(g+1)/2 weighted copies of its rows.  Points are
-    summed in chunks so that no temporary holds more than ``_BATCH_TERMS``
-    complex values.
+    The terms are the context's (``LatticeContext``): points are grouped
+    into its cells of m, and in a cell with centre c theta is the cell's
+    phase table contracted with the per-axis rows P_k(j) = exp(2 pi i u_k j),
+    u = n + tau (m - c), one axis at a time, first one (n x (2R+1)) x ((2R+1)
+    x (2R+1)^(g-1)) product, then a batched vector-matrix product per
+    remaining axis: N g (2R+1) exponentials per call, plus (2R+1)^g per
+    cell whose table is not the context's last, instead of N (2R+1)^g.
+    Since dP_k/dz_k = 2 pi i j P_k, the derivatives are the same contraction
+    with axis k's rows weighted by 2 pi i j for d/dz_k, and axes k and l
+    weighted for d^2/dz_k dz_l (as in ``_theta_reduced``): with ``derivs``
+    each point contributes K = 1 + g + g(g+1)/2 weighted copies of its rows.
+    Points are summed in chunks so that no temporary holds more than
+    ``_BATCH_TERMS`` complex values.
     """
     g = tau.g
     coords = np.asarray(coords, dtype=float)
@@ -406,20 +447,13 @@ def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
     K = len(weights)
     nc = coords[:, :g] - np.round(coords[:, :g])
     mc = coords[:, g:] - np.round(coords[:, g:])
-    cells = np.ceil(np.pi * ctx.R * g * np.abs(ctx.Y).sum(axis=0) / _ROW_LOG_BOUND).astype(int)
-    index = np.minimum(((mc + 0.5) * cells).astype(int), cells - 1)
-    key = np.ravel_multi_index(index.T, cells)
-    order = np.argsort(key, kind="stable")
-    edges = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
     chunk = max(1, _BATCH_TERMS // (K * max(g * L, L ** (g - 1))))
     out = np.empty((len(coords), K), dtype=complex)
-    for start, stop in zip(edges[:-1], edges[1:]):
-        centre = (index[order[start]] + 0.5) / cells - 0.5
-        qc = centre @ ctx.Y @ centre
-        table = np.exp(2j * np.pi * (ctx.quad + ctx.M @ (ctx.taun @ centre)) - np.pi * qc)
+    for cell, members in ctx.cell_groups(mc):
+        centre, qc, table = ctx.cell_table(cell)
         table = table.reshape(L, L ** (g - 1))
-        for i in range(start, stop, chunk):
-            pts = order[i : min(i + chunk, stop)]
+        for i in range(0, len(members), chunk):
+            pts = members[i : i + chunk]
             mm = mc[pts]
             u = nc[pts] + (mm - centre) @ ctx.taun.T
             rows = u[:, :, None] * j
@@ -445,34 +479,66 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.n
     Returns an array of shape (nd,)*2g indexed by the lattice coordinates
     (n, m), with the values ``norm_batch`` gives at those points to within
     rounding.  For fixed m the theta sum is a trigonometric polynomial in n,
-    theta(n + tau m) = sum_M C_M(m) exp(2 pi i M'n) with coefficients
-    C_M(m) = exp(2 pi i (M'tau M/2 + M'tau m)) over ``norm_batch``'s box, so
-    each m-slice is C contracted with the nd x (2R+1) table exp(2 pi i n_k M)
-    along each of the g axes (E C E' for g = 2).  A matrix product, unlike an
-    FFT, does not alias when 2R+1 > nd.  The slices are evaluated nd^(g-1)
-    at a time, so memory beyond the returned array is a small multiple of
-    16/nd bytes per grid point.
+    theta(n + tau m) = sum_M C_M(m) exp(2 pi i M'n).  The coefficients are
+    the context's terms at n = 0 (``LatticeContext``): the m-slices are
+    grouped by its cells, and in a cell with centre c, C_M(m) exp(-pi m'Ym)
+    is the cell's phase table times the slice's per-axis powers exp(2 pi i
+    j (tau (m - c))_k) times exp(-pi (m'Ym - c'Yc)), so a slice costs g (2R+1)
+    exponentials.  Each slice's C is contracted with the nd x (2R+1) table
+    exp(2 pi i n_k M) along each of the g axes (E C E' for g = 2).  A
+    matrix product, unlike an FFT, does not alias when 2R+1 > nd.  The slices
+    are evaluated up to nd^(g-1) at a time, so memory beyond the returned
+    array is a small multiple of 16/nd bytes per grid point.
     """
     g = tau.g
     ctx = tau.lattice
-    R = ctx.R
+    L = 2 * ctx.R + 1
+    j = 2j * np.pi * np.arange(-ctx.R, ctx.R + 1)
     # recentred to [-1/2, 1/2) as in norm_batch, where the truncation bound holds
     axis = (np.arange(nd) + grid_offset) / nd
     axis -= np.round(axis)
-    E = np.exp(2j * np.pi * np.outer(axis, np.arange(-R, R + 1)))
+    E = np.exp(np.outer(axis, j))
     ms = np.array(list(itertools.product(axis, repeat=g)))
     out = np.empty((nd**g, nd**g))
-    rows = nd ** (g - 1)
-    for i in range(0, nd**g, rows):
-        m = ms[i : i + rows]
-        C = np.exp(2j * np.pi * (ctx.quad + (m @ ctx.taun) @ ctx.M.T))
-        C = C.reshape((rows,) + (2 * R + 1,) * g)
-        for _ in range(g):
-            C = np.tensordot(C, E, axes=(1, 1))
-        gauss = ctx.scale * np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", m, ctx.Y, m))
-        out[:, i : i + rows] = (np.abs(C.reshape(rows, -1)) ** 2 * gauss[:, None]).T
+    chunk = nd ** (g - 1)
+    for cell, members in ctx.cell_groups(ms):
+        centre, qc, table = ctx.cell_table(cell)
+        for i in range(0, len(members), chunk):
+            cols = members[i : i + chunk]
+            m = ms[cols]
+            rows = np.exp(((m - centre) @ ctx.taun.T)[:, :, None] * j)
+            C = rows[:, 0]
+            for k in range(1, g):
+                C = C[..., None] * rows[:, k].reshape((len(m),) + (1,) * k + (L,))
+            C *= table
+            for _ in range(g):
+                C = np.tensordot(C, E, axes=(1, 1))
+            qm = np.einsum("ni,ij,nj->n", m, ctx.Y, m)
+            gauss = ctx.scale * np.exp(-2 * np.pi * (qm - qc))
+            out[:, cols] = (np.abs(C.reshape(len(m), -1)) ** 2 * gauss[:, None]).T
     np.sqrt(out, out=out)
     return out.reshape((nd,) * (2 * g))
+
+
+def _alias_sum(Q: np.ndarray, nd: int) -> float:
+    """sum of exp(-pi nd^2 j'Qj/2) over the nonzero integer vectors j.
+
+    The terms with ||j||_inf <= J are summed; the rest is bounded through
+    j'Qj >= lambda |j|^2, lambda = lambda_min(Q), where |j|^2 separates by
+    axis: with S_J = sum_{|k| <= J} exp(-b k^2), b = pi nd^2 lambda/2, and
+    sum_{k > J} exp(-b k^2) <= exp(-b (J+1)^2) / (1 - exp(-b (2J+3))) = r/2,
+    the rest is at most (S_J + r)^g - S_J^g.  J is taken so that
+    exp(-b (J+1)^2) < e^-40, within a box of at most 10^4 vectors.
+    """
+    g = len(Q)
+    b = math.pi * nd * nd * float(np.linalg.eigvalsh(Q)[0]) / 2
+    J = max(1, min(math.ceil(math.sqrt(40 / b)) - 1, int(10_000 ** (1 / g)) // 2))
+    js = np.array(list(itertools.product(range(-J, J + 1), repeat=g)))
+    js = js[js.any(axis=1)]
+    box = float(np.exp(-math.pi * nd * nd / 2 * np.einsum("li,ij,lj->l", js, Q, js)).sum())
+    s_J = sum(math.exp(-b * k * k) for k in range(-J, J + 1))
+    r = 2 * math.exp(-b * (J + 1) ** 2) / -math.expm1(-b * (2 * J + 3))
+    return box + s_J**g * math.expm1(g * math.log1p(r / s_J))
 
 
 def theta_norm_normalization_check(tau: PeriodMatrix, sample_budget: int):
@@ -480,11 +546,17 @@ def theta_norm_normalization_check(tau: PeriodMatrix, sample_budget: int):
 
     The average is the mean of <s,s> on the midpoint grid {(k + 1/2)/nd}^{2g}
     from ``sqrt_norm_grid``, with nd the largest integer such that nd^(2g) <=
-    ``sample_budget``.  The nd-point average over n of |sum_M C_M(m) exp(2 pi
-    i M'n)|^2 is sum_M |C_M|^2 exactly, up to the Gaussian-small cross terms
-    C_M conj(C_M') with M != M', M = M' mod nd.  What is left, times the
-    norm's factor, is the periodized Gaussian sqrt(det Y) sum_M exp(-2 pi
-    (m+M)'Y(m+M)) in m, on which the midpoint rule converges geometrically.
+    ``sample_budget``.  <s,s> has the Fourier coefficient 2^(-g/2) exp(-pi
+    k'Yk/2 - pi (l - Xk)'Y^-1 (l - Xk)/2) at the frequency (k, l) in (n, m):
+    k comes from the cross terms C_M conj(C_M') of |sum_M C_M(m) exp(2 pi i
+    M'n)|^2 with M - M' = k, l from the periodized Gaussian in m.  The grid
+    mean is the sum of the coefficients with k and l in nd Z^g, (0, 0)
+    giving 2^(-g/2).  With A(Q) = sum_{j != 0} exp(-pi nd^2 j'Qj/2), the
+    l-sum at a fixed k is at most 1 + A(Y^-1) (a Gaussian lattice sum is
+    largest unshifted, by Poisson summation), so the error is at most
+    2^(-g/2) (A(Y^-1) + A(Y) (1 + A(Y^-1))).  Raises BudgetExceeded when
+    that bound exceeds ``_ALIAS_TOL``, before any grid is summed: a large
+    Im tau_kk narrows the Gaussian in m below what the grid resolves.
     """
     if sample_budget < 10**3:
         raise InvalidInput("sample_budget must be at least 10^3")
@@ -492,5 +564,13 @@ def theta_norm_normalization_check(tau: PeriodMatrix, sample_budget: int):
     nd = 1
     while (nd + 1) ** (2 * g) <= sample_budget:
         nd += 1
+    Y = tau.lattice.Y
+    a_inv = _alias_sum(np.linalg.inv(Y), nd)
+    bound = 2.0 ** (-g / 2) * (a_inv + _alias_sum(Y, nd) * (1 + a_inv))
+    if bound > _ALIAS_TOL:
+        raise BudgetExceeded(
+            f"the midpoint rule on {nd}^{2 * g} points has aliasing bound "
+            f"{bound:.1e} > {_ALIAS_TOL:.0e}; this Im tau needs a larger sample_budget"
+        )
     estimate = float(np.mean(sqrt_norm_grid(tau, nd, 0.5) ** 2))
     return estimate, 2.0 ** (-g / 2)

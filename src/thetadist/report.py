@@ -230,8 +230,9 @@ def run(config: RunConfig) -> BoundReport:
         "theta_max": {
             "value": _dec(tm.value, bits),
             "argmax_coords": [_coord(c, bits) for c in tm.argmax_coords],
-            # a double: 17 significant digits round-trip it, more would be noise
-            "grid_best": {"dec": f"{tm.grid_best:.17g}", "bits": 53},
+            # a double only ever compared at a relative 1e-13 (maximize._GRID_RTOL):
+            # 13 significant digits, so the report does not move with its rounding
+            "grid_best": {"dec": f"{tm.grid_best:#.13g}", "bits": 53},
         },
         "zar_degree": _dec(zd, bits),
         "combined_constant": _dec(combined, bits),

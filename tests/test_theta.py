@@ -40,6 +40,10 @@ TAU_Y60 = [[1j, 0.3 + 0.4j], [0.3 + 0.4j, 60j]]
 # where M'YM is small.
 TAU_R10 = [[10j, 9.5j], [9.5j, 10j]]
 TAU_A113 = [[113j, 56.5j], [56.5j, 113j]]
+# Siegel-reduced, with Y = 200 [[2, 1], [1, 2]]: one complex exp per term
+# exp(2 pi i (M'tau M/2 + M'tau m)) overflows at m = (1/2, 1/2) - 1/16, so a
+# grid scan without the cell-centred terms returns NaN on an 8^4 midpoint grid.
+TAU_COUPLED = [[400j, 200j], [200j, 400j]]
 
 
 def per_term_norm_batch(tau, coords):
@@ -285,6 +289,15 @@ class TestNormalization:
         assert ref == 2.0 ** (-tau.g / 2)
         assert abs(est - ref) < 1e-14
 
+    def test_raises_when_grid_cannot_resolve_m(self):
+        """A large Im tau_kk makes the norm's Gaussian in m narrower than the
+        31^4 grid of budget 10^6 resolves: the aliasing bound is 2.3e-2 on
+        diag(i, 400i), whose average came out 0.4770, and 2.0e-2 on
+        TAU_COUPLED.  The check raises instead of returning a wrong value."""
+        for entries in ([[1j, 0], [0, 400j]], TAU_COUPLED):
+            with pytest.raises(td.BudgetExceeded, match="aliasing bound"):
+                td.theta_norm_normalization_check(td.PeriodMatrix(entries), 10**6)
+
     def test_budget_guard(self, tau_g1):
         with pytest.raises(td.InvalidInput):
             td.theta_norm_normalization_check(tau_g1, 100)
@@ -323,7 +336,10 @@ class TestNormBatch:
 
     @pytest.mark.parametrize(
         "name, points",
-        [("i", 20), ("s4", 20), ("g3", 8), ("y21", 12), ("y60", 6), ("r10", 8), ("a113", 40)],
+        [
+            ("i", 20), ("s4", 20), ("g3", 8), ("y21", 12), ("y60", 6), ("r10", 8),
+            ("a113", 40), ("coupled", 6),
+        ],
     )
     def test_matches_theta_norm(self, name, points, tau_s4, cfg):
         """Against the 128-bit sum, which shares no code with the batch kernel
@@ -338,8 +354,13 @@ class TestNormBatch:
             "y60": td.PeriodMatrix(TAU_Y60),
             "r10": td.PeriodMatrix(TAU_R10),
             "a113": td.PeriodMatrix(TAU_A113),
+            "coupled": td.PeriodMatrix(TAU_COUPLED),
         }[name]
         coords = np.random.default_rng(17).random((points, 2 * tau.g))
+        if name == "coupled":
+            # the norm is below 1e-20 of its maximum except within about
+            # 1/sqrt(4 pi 200) of the integer m
+            coords[:, tau.g :] /= 20
         fast = td.periods.norm_batch(tau, coords)
         with mp.workprec(cfg.working_precision_bits):
             zs = [td.maximize._lattice_point(tau, [float(v) for v in x]) for x in coords]
@@ -363,19 +384,35 @@ class TestNormBatch:
 class TestSqrtNormGrid:
     @pytest.mark.parametrize(
         "name, nd, offset",
-        [("s4", 8, 0.0), ("s4", 16, 0.5), ("i", 256, 0.0), ("g3", 6, 0.0)],
+        [
+            ("s4", 8, 0.0), ("s4", 16, 0.5), ("i", 256, 0.0), ("g3", 6, 0.0),
+            ("coupled", 8, 0.5), ("r10", 12, 0.0),
+        ],
     )
     def test_matches_norm_batch(self, name, nd, offset, tau_s4):
         """The separable scan against norm_batch at every grid point.  The
         preset's box has 2R+1 = 17 > 8 and the g = 3 box 11 > 6, where an FFT
-        of length nd would alias."""
-        tau = {"s4": tau_s4, "i": td.PeriodMatrix([[1j]]), "g3": td.PeriodMatrix(TAU_G3)}[name]
+        of length nd would alias.  TAU_R10 has 14 x 14 cells of m.  Both
+        kernels take their terms from the lattice context, so where one
+        exp per term stays in the double range (not on TAU_COUPLED or
+        TAU_R10) the scan is also checked against that unfactored sum."""
+        tau = {
+            "s4": tau_s4,
+            "i": td.PeriodMatrix([[1j]]),
+            "g3": td.PeriodMatrix(TAU_G3),
+            "coupled": td.PeriodMatrix(TAU_COUPLED),
+            "r10": td.PeriodMatrix(TAU_R10),
+        }[name]
         grid = td.periods.sqrt_norm_grid(tau, nd, offset)
         assert grid.shape == (nd,) * (2 * tau.g)
+        assert np.isfinite(grid).all()
         axis = (np.arange(nd) + offset) / nd
         coords = np.array(list(itertools.product(axis, repeat=2 * tau.g)))
         ref = np.sqrt(td.periods.norm_batch(tau, coords))
         assert np.abs(grid.ravel() - ref).max() <= 1e-14 * grid.max()
+        if name in ("s4", "i", "g3"):
+            ref = np.sqrt(per_term_norm_batch(tau, coords))
+            assert np.abs(grid.ravel() - ref).max() <= 1e-14 * grid.max()
 
 
 class TestLatticeContext:
@@ -405,6 +442,21 @@ class TestLatticeContext:
         assert np.array_equal(td.periods.norm_batch(tau, coords), first)
         assert np.array_equal(td.periods.sqrt_norm_grid(tau, 4), grid)
         assert calls == []
+
+    def test_newton_builds_cell_table_once(self, tau_s4, monkeypatch):
+        """The context keeps its last cell table, so Newton in doubles on the
+        preset (one cell) builds it once for all its one-point steps."""
+        tau = td.PeriodMatrix(tau_s4.tau.tolist())
+        ctx = tau.lattice
+        builds, steps = [], []
+        build, batch = ctx._build_cell_table, td.maximize._theta_batch
+        monkeypatch.setattr(ctx, "_build_cell_table", lambda c: builds.append(c) or build(c))
+        monkeypatch.setattr(
+            td.maximize, "_theta_batch", lambda *a, **k: steps.append(a) or batch(*a, **k)
+        )
+        assert td.maximize._newton_double(tau, np.array([3, 29, 26, 3]) / 32) is not None
+        assert len(steps) >= 3
+        assert len(builds) == 1
 
     def test_tables_keyed_by_precision(self, tau_s4, cfg):
         """A 192-bit sum after a 128-bit one on the same tau uses its own
