@@ -120,7 +120,7 @@ def _newton(tau: PeriodMatrix, start, cfg: PrecisionConfig):
     With J = [I | tau] and a = theta'/theta the gradient in x = (n, m) is
     2 Re(J'a) - 4 pi (0, Ym) and the Hessian 2 Re(J'(theta''/theta - a a')J)
     - 4 pi diag(0, Y).  The iterate is kept in [-1/2, 1/2)^{2g}, where the
-    sum's own truncation radius is smallest.  A step below 2^(-bits/2) in
+    sum's lattice set, whose r^2 grows with m'Ym, is smallest.  A step below 2^(-bits/2) in
     max-norm leaves an error near 2^(-bits) and ends the iteration, so from a
     start of double accuracy it takes two lattice sums.  Returns ``(value,
     x)``: x reduced to [0,1)^{2g}, and value = sqrt(<s,s>) from the theta of

@@ -1,12 +1,15 @@
 """Riemann theta evaluation and the translation-invariant theta norm.
 
-The theta series is summed over a box ``||m||_inf <= R`` with R chosen from a
-geometric-majorant tail bound, after reducing the argument to the fundamental
-cell of the lattice spanned by the columns of [Id, tau].  High-precision paths
-run on mpmath at a configurable bit count.  In double precision there are
-two kernels: a separable evaluator on tensor grids backs the maximizer's grid
-scan and the torus average, and a batch evaluator at scattered points, with
-optional z-derivatives, backs spot checks and the maximizer's Newton steps.
+The argument is first reduced to the fundamental cell of the lattice spanned
+by the columns of [Id, tau].  High-precision paths run on mpmath at a
+configurable bit count and sum the theta series over an ellipsoid fitted to
+Y = Im tau, {M : (M+c)'Y(M+c) <= r^2} with c = Y^-1 Im z, whose left-out
+terms sum to at most 2^-bits (``_ellipsoid_radius2``).  In double precision
+there are two kernels, both summed over a box ``||m||_inf <= R`` with R
+chosen from a geometric-majorant tail bound: a separable evaluator on tensor
+grids backs the maximizer's grid scan and the torus average, and a batch
+evaluator at scattered points, with optional z-derivatives, backs spot
+checks and the maximizer's Newton steps.
 
 All these sums read one lattice context per ``PeriodMatrix``, built on first
 use (the lattice-sum layout of Deconinck, Heil, Bobenko, van Hoeij, Schmies,
@@ -15,12 +18,14 @@ is built once per tau: tau and Y as doubles, the box radius R for a 1e-18
 tail over the half cell, the box M in lexicographic order and M'tau M/2, and
 the one term layout both double kernels sum: a phase table shared by a cell
 of Im z times per-axis powers, centred on the cell so that no factor
-overflows whatever tau is (see ``LatticeContext``).  Its
-working-precision part is keyed by bit count and holds exp(pi i M'tau M) for
-each lattice vector M, grown shell by shell up to the largest radius any call
-has needed.  Each mpmath sum still truncates at its own point's radius; a
-term is the table entry times per-axis powers of exp(2 pi i z_k), so a call
-within the table's radius makes g exponentials.
+overflows whatever tau is (see ``LatticeContext``).  For the working
+precision it holds the factors of Y that enumerate each point's ellipsoid
+axis by axis (Fincke, Pohst, Math. Comp. 44 (1985)), one row of the last
+axis per prefix of the others, and per bit count a table of exp(pi i M'tau
+M) filled for the M the ellipsoids ask for.  A term is the table entry times
+per-axis powers of exp(2 pi i z_k), and each row of the last axis is summed
+before its prefix's powers multiply it once, so a call whose set the table
+already holds makes g exponentials and about one complex product per term.
 """
 
 from __future__ import annotations
@@ -48,11 +53,26 @@ _ROW_LOG_BOUND = 500.0
 # Largest aliasing error of the torus average's midpoint rule that
 # theta_norm_normalization_check accepts.
 _ALIAS_TOL = 1e-12
+# Relative inflation of r^2 before the working-precision lattice set is
+# enumerated in doubles.  The rounding error of each partial form is about
+# g^2 eps sqrt(cond Y) r^2, far below this for any Y the theta sums can use.
+_ELLIPSOID_SLACK = 2.0**-20
+# Extra bits for the exponents of the phases and of the per-axis powers.  A
+# term near 1 can be the product of factors like exp(-400 pi) and exp(400 pi)
+# (diag(i, 400i)), whose exponents rounded at the working precision would
+# carry their magnitude times 2^-bits into its relative error.
+_GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision (bits) and the absolute error target for theta sums."""
+    """Working precision (bits) and the absolute error target for theta sums.
+
+    ``target_abs_error`` is the stated accuracy contract and, through the
+    floor 2^(8 - bits), the check that the precision can meet it.  The
+    mpmath theta sums truncate at 2^-bits, below every admissible target,
+    so the target does not set their lattice sets.
+    """
 
     working_precision_bits: int = 128
     target_abs_error: float = 1e-25
@@ -264,6 +284,12 @@ class LatticeContext:
         # the last table built: a table per cell could hold up to
         # prod(cells) (2R+1)^g values
         self._table = (None, None)
+        # Y = U U' with U upper triangular: the Cholesky factor of Y with its
+        # axes reversed.  (M+c)'Y(M+c) = sum_k d_k (v_k + sum_{j<k} mu_jk
+        # v_j)^2 with v = M + c, d_k = U_kk^2 and mu_jk = U_jk / U_kk.
+        U = np.linalg.cholesky(self.Y[::-1, ::-1])[::-1, ::-1]
+        self._d = (np.diag(U) ** 2).tolist()
+        self._mu = (U / np.diag(U)).tolist()
 
     def cell_groups(self, m: np.ndarray):
         """Yield ``(cell, rows)`` for each occupied cell, in cell order: the
@@ -290,74 +316,190 @@ class LatticeContext:
         table = np.exp(2j * np.pi * (self.quad + self.M @ (self.taun @ centre)) - np.pi * qc)
         return centre, qc, table.reshape((2 * self.R + 1,) * self.g)
 
-    def phases(self, bits: int, R: int) -> dict:
-        """exp(pi i M'tau M) at ``bits`` for every M with ||M||_inf <= R.
+    def phases(self, bits: int) -> dict:
+        """exp(pi i M'tau M) at ``bits``, keyed by the tuple M.
 
-        One table per bit count, keyed by the tuple M.  Shells beyond the
-        largest radius asked for so far are added on demand, so the table
-        never holds more than the largest box a sum has needed.
+        One table per bit count.  An entry is computed the first time a
+        lattice set asks for its M and kept, so the table holds the union of
+        the sets summed so far at that bit count.
         """
-        radius, table = self._phases.get(bits, (-1, {}))
-        if R > radius:
-            g, tt = self.g, self._tau
-            with mp.workprec(bits):
-                pi_i = 1j * mp.pi
-                for m in itertools.product(range(-R, R + 1), repeat=g):
-                    if max(map(abs, m)) > radius:
-                        nz = [i for i in range(g) if m[i]]
-                        quad = sum(m[i] * m[j] * tt[i][j] for i in nz for j in nz)
-                        table[m] = mp.exp(pi_i * quad)
-            self._phases[bits] = (R, table)
-        return table
+        if bits not in self._phases:
+            self._phases[bits] = _PhaseTable(self._tau, bits)
+        return self._phases[bits]
+
+    def ellipsoid_rows(self, c, r2: float) -> list:
+        """The lattice set {M : (M+c)'Y(M+c) <= r2} as rows ``(prefix, lo,
+        hi)``, one per prefix (M_1, ..., M_{g-1}) in lexicographic order: the
+        set's M with that prefix are prefix + (j,) for lo <= j <= hi.
+
+        Fincke-Pohst enumeration on Y = U U' with U upper triangular, so that
+        with v = M + c the form is sum_k d_k (v_k + sum_{j<k} mu_jk v_j)^2
+        and axis k's term depends on the axes before it alone: each prefix
+        leaves one interval of M_k.  Membership is decided in doubles, on r2
+        inflated by ``_ELLIPSOID_SLACK``, so the rows hold the set and
+        possibly a few points on its boundary.
+        """
+        g, d, mu = self.g, self._d, self._mu
+        rows = []
+
+        def walk(k, prefix, v, rest):
+            s = c[k] + sum(mu[j][k] * v[j] for j in range(k))
+            h = math.sqrt(max(rest, 0.0) / d[k])
+            lo, hi = math.ceil(-s - h), math.floor(-s + h)
+            if k == g - 1:
+                if lo <= hi:
+                    rows.append((prefix, lo, hi))
+                return
+            for m in range(lo, hi + 1):
+                walk(k + 1, prefix + (m,), v + [m + c[k]], rest - d[k] * (m + s) ** 2)
+
+        walk(0, (), [], r2 * (1 + _ELLIPSOID_SLACK))
+        return rows
 
 
-def _axis_powers(w, R: int) -> list:
-    """exp(2 pi i w)^k for k in [-R, R] in a list read at index k (negative k
-    counting from the end), by repeated multiplication after one exp."""
-    e = mp.exp(2j * mp.pi * w)
-    inv = 1 / e
-    up, down = [mp.mpc(1)], [mp.mpc(1)]
-    for _ in range(R):
-        up.append(up[-1] * e)
-        down.append(down[-1] * inv)
-    return up + down[:0:-1]
+class _PhaseTable(dict):
+    """exp(pi i M'tau M) at one bit count, computed on first lookup of M."""
+
+    def __init__(self, tau: list, bits: int):
+        super().__init__()
+        self._tau = tau
+        self._bits = bits
+
+    def __missing__(self, m: tuple):
+        nz = [i for i in range(len(m)) if m[i]]
+        with mp.workprec(self._bits + _GUARD_BITS):
+            arg = 1j * mp.pi * sum(m[i] * m[j] * self._tau[i][j] for i in nz for j in nz)
+        with mp.workprec(self._bits):
+            value = self[m] = mp.exp(arg)
+        return value
+
+
+def _ellipsoid_radius2(g: int, lam: float, cyc: float, cnorm: float, bits: int) -> float:
+    """r^2 of the working-precision lattice set {M : (M+c)'Y(M+c) <= r^2}.
+
+    At z with Im z = Y c, the term of M has modulus exp(pi c'Yc - pi
+    (M+c)'Y(M+c)).  With lam = lambda_min(Y) and 0 < delta < 1, the terms
+    outside the set, each weighted by |2 pi M|^k for k = 0, 1, 2 (theta, its
+    gradient and its Hessian), sum to at most
+
+        (2 pi (r / sqrt(lam) + |c|))^k exp(pi c'Yc - pi (1 - delta) r^2)
+            (1 + 1 / sqrt(delta lam))^g
+
+    whenever r^2 >= k / (2 pi delta): there |M| <= |M+c| + |c| <=
+    sqrt(Q/lam) + |c| for Q = (M+c)'Y(M+c), so the weight at Q >= r^2 is at
+    most its value at r^2 times (Q/r^2)^(k/2) <= exp(pi delta (Q - r^2));
+    exp(-pi (1 - delta) Q) <= exp(-pi (1 - 2 delta) r^2 - pi delta Q) outside
+    the set; and sum_M exp(-pi delta Q) <= prod_k sum_n exp(-pi delta lam
+    (n + c_k)^2) <= (1 + 1/sqrt(delta lam))^g.  Returns the smallest r^2,
+    over delta = 2^-1, ..., 2^-8, at which this bound is at most 2^-bits for
+    all three k, so one set serves theta with and without derivatives.
+    """
+    best = math.inf
+    for e in range(1, 9):
+        delta = 2.0**-e
+        base = bits * math.log(2) + math.pi * cyc + g * math.log1p(1 / math.sqrt(delta * lam))
+
+        def needed(r2):
+            weight = 2 * math.log(max(1.0, 2 * math.pi * (math.sqrt(r2 / lam) + cnorm)))
+            return max((base + weight) / (math.pi * (1 - delta)), 1 / (math.pi * delta))
+
+        # needed(r2) grows like log r2, so stepping to it from below crosses
+        # the fixed point after a few steps
+        r2 = needed(0.0)
+        while needed(r2) > r2:
+            r2 = needed(r2) + 1e-3
+        best = min(best, r2)
+    return best
+
+
+def _axis_powers(w, lo: int, hi: int) -> list:
+    """exp(2 pi i w)^j for j in [lo, hi], in a list read at index j - lo, by
+    repeated multiplication after one exp."""
+    with mp.extraprec(_GUARD_BITS):
+        arg = 2j * mp.pi * w
+    e = mp.exp(arg)
+    powers = [e**lo]
+    for _ in range(hi - lo):
+        powers.append(powers[-1] * e)
+    return powers
+
+
+def _lattice_set(tau: PeriodMatrix, z0: ThetaPoint, bits: int) -> list:
+    """The rows (``LatticeContext.ellipsoid_rows``) of the lattice set the
+    sum at ``bits`` runs over at z0: {M : (M+c)'Y(M+c) <= r^2}, with c =
+    Y^-1 Im z0 and r^2 from ``_ellipsoid_radius2``."""
+    ctx = tau.lattice
+    with mp.workprec(bits):
+        cv = tau.Yinv * mp.matrix([[w.imag] for w in z0.z])
+    c = np.array([float(cv[i]) for i in range(tau.g)])
+    r2 = _ellipsoid_radius2(
+        tau.g, float(tau.lambda_min), float(c @ ctx.Y @ c), float(np.linalg.norm(c)), bits
+    )
+    return ctx.ellipsoid_rows(c.tolist(), r2)
+
+
+def _extent(rows: list) -> tuple:
+    """``(lows, highs)``: the least and largest M_k over a lattice set's
+    rows, for each axis k."""
+    axes = list(zip(*(prefix for prefix, _, _ in rows)))
+    lows = [min(a) for a in axes] + [min(lo for _, lo, _ in rows)]
+    highs = [max(a) for a in axes] + [max(hi for _, _, hi in rows)]
+    return lows, highs
 
 
 def _theta_reduced(tau: PeriodMatrix, z0: ThetaPoint, cfg: PrecisionConfig, derivs: bool = False):
-    """Theta sum at an already-reduced argument, truncated at the tail radius.
+    """Theta sum at an already-reduced argument, truncated to its ellipsoid.
 
-    The radius is the point's own, from ``_truncation_radius``.  Each term
-    exp(2 pi i (M'tau M/2 + M'z)) is the context's phase for M times the
-    per-axis powers exp(2 pi i z_k)^(M_k).  Returns the sum, or with
-    ``derivs`` the triple ``(theta, d1, d2)``: the sum, and the gradient
-    (g x 1) and Hessian (g x g) in z of the same truncated sum, whose terms
-    are weighted by 2*pi*i*M and (2*pi*i)^2 * M M'.
+    With c = Y^-1 Im z0, the sum runs over the lattice set {M : (M+c)'Y(M+c)
+    <= r^2} of ``LatticeContext.ellipsoid_rows``, with r^2 from
+    ``_ellipsoid_radius2``: the terms left out, and their derivative
+    weights, sum to at most 2^-bits.  Each term exp(2 pi i (M'tau M/2 +
+    M'z)) is the context's phase for M times the per-axis powers exp(2 pi i
+    z_k)^(M_k), each axis's taken over the set's own extent on it.  The sum
+    is contracted by rows: along a row's range of M_g the phases are dotted
+    with the powers of axis g, and the row sum is multiplied once by the
+    powers of its prefix's g - 1 axes.
+
+    Returns the sum, or with ``derivs`` the triple ``(theta, d1, d2)``: the
+    sum, and the gradient (g x 1) and Hessian (g x g) in z of the same
+    truncated sum, whose terms are weighted by 2*pi*i*M and (2*pi*i)^2 *
+    M M'.  A weight is the prefix's entries, constant on a row, times a
+    power of M_g, which the row sums with the weighted powers of axis g.
+    Theta is summed in the same rows and order either way, so it is
+    bit-identical with and without ``derivs``.
     """
     g = tau.g
     bits = cfg.working_precision_bits
     with mp.workprec(bits):
-        y_norm = float(mp.sqrt(sum(w.imag**2 for w in z0.z)))
-        R = _truncation_radius(g, float(tau.lambda_min), y_norm, float(cfg.target_abs_error))
-        table = tau.lattice.phases(bits, R)
-        powers = [_axis_powers(w, R) for w in z0.z]
-        total = mp.mpc(0)
-        d1 = [mp.mpc(0)] * g
-        d2 = [[mp.mpc(0)] * g for _ in range(g)]
-        for m in itertools.product(range(-R, R + 1), repeat=g):
-            term = table[m]
-            for i in range(g):
-                term *= powers[i][m[i]]
-            total += term
-            if not derivs:
-                continue
-            for i in range(g):
-                if m[i]:
-                    d1[i] += m[i] * term
-                    for j in range(i + 1):
-                        if m[j]:
-                            d2[i][j] += m[i] * m[j] * term
+        rows = _lattice_set(tau, z0, bits)
+        table = tau.lattice.phases(bits)
+        lows, highs = _extent(rows)
+        powers = [_axis_powers(w, lo, hi) for w, lo, hi in zip(z0.z, lows, highs)]
+        # axis g's powers weighted by M_g^q, q = 0, 1, 2: the row sums of the
+        # terms weighted by that power of M_g
+        last = [powers[-1]]
+        if derivs:
+            js = range(lows[-1], highs[-1] + 1)
+            last += [[j * p for j, p in zip(js, last[0])], [j * j * p for j, p in zip(js, last[0])]]
+        lo_g = lows[-1]
+        sums = [[] for _ in last]
+        prefs = []
+        for prefix, lo, hi in rows:
+            ph = [table[prefix + (j,)] for j in range(lo, hi + 1)]
+            for q, row in enumerate(last):
+                sums[q].append(mp.fdot(ph, row[lo - lo_g : hi + 1 - lo_g]))
+            prefs.append(math.prod(powers[k][m - lows[k]] for k, m in enumerate(prefix)))
+        total = mp.fdot(sums[0], prefs)
         if not derivs:
             return total
+        vals = [[s * p for s, p in zip(sq, prefs)] for sq in sums]
+
+        def weighted(axes):
+            outer = [math.prod(p[a] for a in axes if a < g - 1) for p, _, _ in rows]
+            return mp.fdot(outer, vals[axes.count(g - 1)])
+
+        d1 = [weighted((i,)) for i in range(g)]
+        d2 = [[weighted((i, j)) for j in range(i + 1)] for i in range(g)]
         two_pi_i = 2j * mp.pi
         hess = [[d2[max(i, j)][min(i, j)] for j in range(g)] for i in range(g)]
         return total, two_pi_i * mp.matrix(d1), two_pi_i**2 * mp.matrix(hess)

@@ -14,12 +14,13 @@ S4_THETA0_RE = "1.0502862579537883794134248631481479"
 S4_THETA0_IM = "-0.16634900114656232797813445567977354"
 
 
-def point_radius(tau, z0, cfg):
-    """The kernel's truncation radius at a reduced point z0."""
-    y_norm = float(mp.sqrt(sum(w.imag**2 for w in z0.z)))
-    return td.periods._truncation_radius(
-        tau.g, float(tau.lambda_min), y_norm, cfg.target_abs_error
-    )
+def set_radii(tau, z0, cfg, shells):
+    """Per-axis box radii around the lattice set the working-precision sum
+    runs over at a reduced point z0: its extent on each axis plus
+    ``shells``."""
+    rows = td.periods._lattice_set(tau, z0, cfg.working_precision_bits)
+    lows, highs = td.periods._extent(rows)
+    return [max(-lo, hi) + shells for lo, hi in zip(lows, highs)]
 
 
 TAU_G3 = [
@@ -61,28 +62,43 @@ def per_term_norm_batch(tau, coords):
     return np.concatenate(out)
 
 
-# theta and theta_norm at 128 bits, frozen from the lattice loop as it was
-# when every call also summed the z-gradient and Hessian and called exp once
-# per term: (tau, z, Re theta, Im theta, theta_norm).  Terms built from the
-# phase table and per-axis powers round differently, by up to 7.3e-38 here.
+# theta and theta_norm from brute_theta at 300 bits over the box of
+# _truncation_radius for a 1e-40 tail (R = 9, 10, 5 and 6; the sums at R + 2
+# differ by less than 1e-44): (tau, z, Re theta, Im theta, theta_norm).
 FROZEN_128 = [
     ("s4", (0.3 + 0.2j, -0.1 + 0.4j),
-     "1.2573281757964903490774125287228952694924",
-     "0.21323628025532574591080321204524827319457",
-     "0.60782568394122881335350900589760264330277"),
+     "1.2573281757964903490774125287228952695030",
+     "0.21323628025532574591080321204524827318983",
+     "0.60782568394122881335350900589760264330941"),
     ("s4", (1.7 - 0.3j, 0.25 + 1.1j),
-     "-112.18201851648166216859792684099291693399",
-     "-23.621240246801501989167009105496681584866",
-     "0.017944365442950343940105142514516386924058"),
+     "-112.18201851648166216859792684099291694692",
+     "-23.621240246801501989167009105496681587809",
+     "0.017944365442950343940105142514516386928411"),
     ("i", (0.4 + 0.3j,),
-     "0.76448451162538062248677484765530177091733",
-     "-0.16328879883371408609863297127983095523639",
-     "0.34715577812811408786357773291307898908891"),
+     "0.76448451162538062248677484765626497922311",
+     "-0.16328879883371408609863297127983095523387",
+     "0.34715577812811408786357773291391561471341"),
     ("0.8i", (0.1 + 0.2j, -0.3j, 0.45),
-     "1.6354163524142758938024508533312901908821",
-     "-0.20194825058291694805554493190968506891104",
-     "0.69990909930843456954036217564033852005216"),
+     "1.6354163524142758938024508533313341741952",
+     "-0.20194825058291694805554493190969049954729",
+     "0.69990909930843456954036217564037616706766"),
 ]
+
+# diag(i, 400i): Siegel reduced; a box of one radius for a 1e-25 tail held a
+# median of 491,977 terms at a reduced point, where a 2^-128 tail needs
+# about a dozen
+TAU_D400 = [[1j, 0], [0, 400j]]
+# the matrices of the working-precision lattice-set tests; the preset is
+# added by name
+SET_TAUS = {"g3": TAU_G3, "y60": TAU_Y60, "r10": TAU_R10, "d400": TAU_D400}
+
+
+def set_tau(name, tau_s4):
+    if name == "s4":
+        return tau_s4
+    if name == "i":
+        return td.PeriodMatrix([[1j]])
+    return td.PeriodMatrix(SET_TAUS[name])
 
 
 class TestTheta:
@@ -110,26 +126,54 @@ class TestTheta:
             b = td.theta(tau_s4, td.ThetaPoint(zm), cfg)
             assert abs(a - b) <= 2 * cfg.target_abs_error * max(1, abs(a))
 
-    def test_truncation_soundness(self, tau_s4, tau_g1, cfg):
-        """The sum truncated at a reduced point's radius R against the
-        independent oracle summed to R + 2."""
+    def test_truncation_soundness(self, tau_s4, cfg):
+        """The sum over the lattice set at a reduced point against the
+        independent oracle summed over the set's per-axis extent plus two
+        shells, on tau = i, the preset and each matrix of SET_TAUS."""
         rng = random.Random(5)
-        for tau in (tau_g1, tau_s4, td.PeriodMatrix(TAU_G3)):
+        for name in ["i", "s4"] + list(SET_TAUS):
+            tau = set_tau(name, tau_s4)
             for _ in range(5 if tau.g < 3 else 3):
-                z = tuple(
-                    complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
-                    for _ in range(tau.g)
-                )
-                z0 = td.reduce_to_fundamental(tau, td.ThetaPoint(z))[0]
+                x = [rng.random() for _ in range(2 * tau.g)]
+                z0 = td.reduce_to_fundamental(tau, td.maximize._lattice_point(tau, x))[0]
                 a = td.periods._theta_reduced(tau, z0, cfg)
-                b = brute_theta(tau, z0.z, point_radius(tau, z0, cfg) + 2)
-                assert abs(a - b) < cfg.target_abs_error * max(1, abs(a))
+                b = brute_theta(tau, z0.z, set_radii(tau, z0, cfg, 2))
+                assert abs(a - b) < 1e-35 * max(1, abs(a)), name
+
+    @pytest.mark.parametrize("name", ["s4"] + list(SET_TAUS))
+    def test_lattice_set_is_tight(self, name, tau_s4, cfg, monkeypatch):
+        """At ten seeded points theta_norm's sum runs over at most twice the
+        M whose term has modulus >= 2^-128 at the reduced point z0: exp(pi
+        c'Yc - pi (M+c)'Y(M+c)) with c = Y^-1 Im z0, counted over a box
+        around the set."""
+        tau = set_tau(name, tau_s4)
+        g = tau.g
+        sets = []
+        rows_of = tau.lattice.ellipsoid_rows
+        monkeypatch.setattr(
+            tau.lattice, "ellipsoid_rows", lambda *a: sets.append(rows_of(*a)) or sets[-1]
+        )
+        rng = np.random.default_rng(1)
+        Y, Yinv = tau.lattice.Y, np.linalg.inv(tau.lattice.Y)
+        for x in rng.random((10, 2 * g)):
+            point = td.maximize._lattice_point(tau, x)
+            td.theta_norm(tau, point, cfg)
+            z0 = td.reduce_to_fundamental(tau, point)[0]
+            summed = sum(hi - lo + 1 for _, lo, hi in sets[-1])
+            c = Yinv @ np.array([float(w.imag) for w in z0.z])
+            box = np.array(list(itertools.product(
+                *(range(-r, r + 1) for r in set_radii(tau, z0, cfg, 2))
+            )))
+            q = np.einsum("li,ij,lj->l", box + c, Y, box + c)
+            needed = int((q <= c @ Y @ c + 128 * np.log(2) / np.pi).sum())
+            assert needed <= summed <= 2 * needed
 
     @pytest.mark.parametrize("name", ["s4", "g3"])
     def test_derivatives_match_oracle(self, name, tau_s4, cfg):
         """Newton's gradient and Hessian against mp.diff of the oracle summed
-        to R + 1: first derivatives along each axis, and second derivatives
-        along e_i + e_j, which are v'Hv.  brute_theta is exact to 2^-200, so
+        over the lattice set's extent plus one shell: first derivatives
+        along each axis, and second derivatives along e_i + e_j, which are
+        v'Hv.  brute_theta is exact to 2^-200, so
         a step of 2^-50 leaves finite-difference errors near 1e-30."""
         tau = tau_s4 if name == "s4" else td.PeriodMatrix(TAU_G3)
         g = tau.g
@@ -138,7 +182,7 @@ class TestTheta:
                  for i in range(g)]
         z0 = td.ThetaPoint(tuple(z))
         _, d1, d2 = td.periods._theta_reduced(tau, z0, cfg, derivs=True)
-        R = point_radius(tau, z0, cfg) + 1
+        R = set_radii(tau, z0, cfg, 1)
         unit = [[int(i == k) for k in range(g)] for i in range(g)]
         with mp.workprec(200):
             h = mp.mpf(2) ** -50
@@ -418,8 +462,8 @@ class TestSqrtNormGrid:
 class TestLatticeContext:
     @pytest.mark.parametrize("name", ["s4", "g3"])
     def test_warm_theta_norm_makes_g_plus_two_exps(self, name, tau_s4, cfg, monkeypatch):
-        """Once the phase table covers a point's radius, a theta_norm call
-        exponentiates only per axis, plus the norm's Gaussian factor."""
+        """Once the phase table holds a point's lattice set, a theta_norm
+        call exponentiates only per axis, plus the norm's Gaussian factor."""
         tau = tau_s4 if name == "s4" else td.PeriodMatrix(TAU_G3)
         point = td.ThetaPoint(tuple(0.3 + 0.2j - 0.1j * i for i in range(tau.g)))
         td.theta_norm(tau, point, cfg)
