@@ -86,10 +86,11 @@ def _newton_double(tau: PeriodMatrix, start):
     """``_newton`` in doubles on ``periods._theta_batch`` at one point, with
     the same gradient and Hessian.  The kernel's derivatives carry its factor
     exp(-pi m'Ym), which cancels in the ratios theta'/theta and theta''/theta.
-    The iterate is kept in [-1/2, 1/2)^{2g}, where the double kernel's box
-    holds, and a step below 2^(-26) ends the iteration.  Returns ``(value,
-    x)`` with value the square-root norm from the s of the last sum, or None
-    when -H has no Cholesky factor or the cap is reached.
+    The iterate is kept in [-1/2, 1/2)^{2g}, where the lattice context's box
+    holds the point's lattice set, and a step below 2^(-26) ends the
+    iteration.  Returns ``(value, x)`` with value the square-root norm from
+    the s of the last sum, or None when -H has no Cholesky factor or the cap
+    is reached.
     """
     g = tau.g
     ctx = tau.lattice
@@ -204,11 +205,12 @@ def theta_max(
     without a working-precision sum.  The converged points whose double value
     is within a relative 1e-13 of the best are polished by Newton at the
     working precision, and the value is the one the best polish took from its
-    own last lattice sum.  Deterministic for fixed configs: a tie cluster
-    starts from its lowest flat grid index, and tied refined values keep the
-    lowest lexicographic coordinate.  Raises BudgetExceeded when no start
-    converges or the best value falls below the grid's best by more than
-    double rounding.
+    own last lattice sum.  Deterministic for fixed configs at any ambient
+    mpmath precision: a tie cluster starts from its lowest flat grid index,
+    and of the refined values within ``target_abs_error`` of the best,
+    compared at the working precision, the lowest lexicographic coordinates
+    win.  Raises BudgetExceeded when no start converges or the best value
+    falls below the grid's best by more than double rounding.
     """
     ocfg = ocfg or default_optimizer_config(tau.g)
     cfg = cfg or PrecisionConfig()
@@ -234,8 +236,10 @@ def theta_max(
                 candidates.append(polished)
     if not candidates:
         raise BudgetExceeded("Newton refinement converged from no grid start")
-    candidates.sort(key=lambda t: (-t[0], tuple(float(c) for c in t[1])))
-    value, argmax = candidates[0]
+    with mp.workprec(cfg.working_precision_bits):
+        top = max(v for v, _ in candidates)
+        ties = [t for t in candidates if top - t[0] <= cfg.target_abs_error]
+    value, argmax = min(ties, key=lambda t: t[1])
     if value < grid_best * (1 - _GRID_RTOL):
         raise BudgetExceeded(
             f"refined maximum {mp.nstr(value, 17)} is below the grid value {grid_best!r}"

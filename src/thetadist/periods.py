@@ -1,24 +1,23 @@
 """Riemann theta evaluation and the translation-invariant theta norm.
 
 The argument is first reduced to the fundamental cell of the lattice spanned
-by the columns of [Id, tau].  High-precision paths run on mpmath at a
-configurable bit count and sum the theta series over an ellipsoid fitted to
-Y = Im tau, {M : (M+c)'Y(M+c) <= r^2} with c = Y^-1 Im z, whose left-out
-terms sum to at most 2^-bits (``_ellipsoid_radius2``).  In double precision
-there are two kernels, both summed over a box ``||m||_inf <= R`` with R
-chosen from a geometric-majorant tail bound: a separable evaluator on tensor
-grids backs the maximizer's grid scan and the torus average, and a batch
-evaluator at scattered points, with optional z-derivatives, backs spot
-checks and the maximizer's Newton steps.
+by the columns of [Id, tau].  Every theta sum leaves out the terms outside
+an ellipsoid fitted to Y = Im tau, {M : (M+c)'Y(M+c) <= r^2} with c = Y^-1
+Im z, which sum to at most 2^-bits (``_ellipsoid_radius2``).  The mpmath
+paths sum each point's ellipsoid at a configurable bit count.  The two
+double kernels sum a box that holds the 2^-60 ellipsoid of every point: a
+separable evaluator on tensor grids backs the maximizer's grid scan and the
+torus average, and a batch evaluator at scattered points, with optional
+z-derivatives, backs spot checks and the maximizer's Newton steps.
 
 All these sums read one lattice context per ``PeriodMatrix``, built on first
 use (the lattice-sum layout of Deconinck, Heil, Bobenko, van Hoeij, Schmies,
 "Computing Riemann theta functions", Math. Comp. 73 (2004)).  Its double part
-is built once per tau: tau and Y as doubles, the box radius R for a 1e-18
-tail over the half cell, the box M in lexicographic order and M'tau M/2, and
-the one term layout both double kernels sum: a phase table shared by a cell
-of Im z times per-axis powers, centred on the cell so that no factor
-overflows whatever tau is (see ``LatticeContext``).  For the working
+is built once per tau: tau and Y as doubles, the box radii R_k, the box M in
+lexicographic order and M'tau M/2, and the one term layout both double
+kernels sum: a phase table shared by a cell of Im z times per-axis powers,
+centred on the cell so that no factor overflows whatever tau is (see
+``LatticeContext``).  For the working
 precision it holds the factors of Y that enumerate each point's ellipsoid
 axis by axis (Fincke, Pohst, Math. Comp. 44 (1985)), one row of the last
 axis per prefix of the others, and per bit count a table of exp(pi i M'tau
@@ -43,12 +42,13 @@ from .errors import BudgetExceeded, InvalidInput, InvalidPeriodMatrix, Precision
 _SYMMETRY_RTOL = 1e-10
 _LAMBDA_MIN_TOL = 1e-20
 # Complex values in the largest temporary of one _theta_batch chunk (the
-# (2R+1)^(g-1) partial sums or the g (2R+1) per-axis powers of each point,
-# for each of its weighted copies): 20,000 x 17^2, 92 MB.
+# prod_{k>1} (2R_k+1) partial sums or the sum_k (2R_k+1) per-axis powers of
+# each point, for each of its weighted copies), 92 MB, and the most terms a
+# context's box may hold.
 _BATCH_TERMS = 20_000 * 289
 # Bound on the log of the product of the g per-axis row moduli of a term in
 # LatticeContext's layout.  Its phase-table entries have modulus <= 1, so every
-# partial sum stays below (2R+1)^g exp(500), far inside the double range.
+# partial sum stays below exp(500) times the box's number of terms.
 _ROW_LOG_BOUND = 500.0
 # Largest aliasing error of the torus average's midpoint rule that
 # theta_norm_normalization_check accepts.
@@ -209,42 +209,23 @@ def reduce_to_fundamental(tau: PeriodMatrix, z: ThetaPoint):
     return z0, tuple(m), tuple(n), log_mult
 
 
-def _truncation_radius(g: int, lam_min: float, y_norm: float, target: float) -> int:
-    """Smallest box radius whose geometric-majorant tail is below target.
-
-    Each shell ||m||_inf = k contributes at most 2g*(2k+1)^(g-1) terms, each of
-    modulus <= exp(-pi*lam*k^2 + 2*pi*||y||*k); once consecutive shell bounds
-    decay by at least 1/2 the tail is at most twice the first neglected shell.
-    """
-    log_target = math.log(target)
-    R = 1
-    while True:
-        k = R + 1
-        log_shell = (
-            math.log(2 * g) + (g - 1) * math.log(2 * k + 1)
-            - math.pi * lam_min * k * k + 2 * math.pi * y_norm * k
-        )
-        k2 = k + 1
-        log_next = (
-            math.log(2 * g) + (g - 1) * math.log(2 * k2 + 1)
-            - math.pi * lam_min * k2 * k2 + 2 * math.pi * y_norm * k2
-        )
-        if log_next - log_shell <= math.log(0.5) and math.log(2) + log_shell < log_target:
-            return R
-        R += 1
-        if R > 10_000:
-            raise BudgetExceeded("truncation radius search did not terminate")
-
-
 class LatticeContext:
     """Per-tau inputs of the lattice sums (see the module docstring).
 
     The double part: ``taun`` and ``Y`` (tau and Im tau as doubles),
-    ``scale`` = sqrt(det Y), the radius ``R``, the box ``M`` of lattice
-    vectors with ||M||_inf <= R (one per row, lexicographic) and ``quad`` =
-    M'tau M/2.  R bounds the tail below 1e-18 for every y = Y m with m in
-    [-1/2, 1/2)^g, the range the double kernels recentre their coordinates
-    to.  ``phases(bits, R)`` gives the working-precision part.
+    ``scale`` = sqrt(det Y), the radii ``R`` (one per axis), the box ``M``
+    of lattice vectors with |M_k| <= R_k (one per row, lexicographic) and
+    ``quad`` = M'tau M/2.  A double kernel's term at m in [-1/2, 1/2]^g, the
+    range it recentres its coordinates to, has modulus exp(-pi (M+m)'Y(M+m)):
+    the case c = m of ``_ellipsoid_radius2`` without its factor exp(pi
+    c'Yc).  So with r^2 = ``_ellipsoid_radius2``(g, lambda_min, 0,
+    sqrt(g)/2, 60) the terms outside {M : (M+m)'Y(M+m) <= r^2}, with their
+    gradient and Hessian weights, sum to at most 2^-60.  On that set |M_k +
+    m_k| <= r sqrt((Y^-1)_kk), so R_k = floor(r sqrt((Y^-1)_kk) + 1/2) makes
+    the box hold every such point's set.  A box of more than
+    ``_BATCH_TERMS`` terms (a nearly degenerate Y) raises BudgetExceeded
+    before any array is built.  ``phases(bits)`` and ``ellipsoid_rows`` give
+    the working-precision part.
 
     It also owns the one term layout of both double kernels.  The term of M
     at w = n + tau m, times exp(-pi m'Ym), is the product of
@@ -257,9 +238,9 @@ class LatticeContext:
     |t_M| = exp(-pi (M+c)'Y(M+c)) <= 1 for every tau.  The cells split each
     axis l of m in [-1/2, 1/2) into ``cells[l]`` = B_l equal parts, so
     |m_l - c_l| <= 1/(2 B_l) and the g row moduli multiply to at most
-    exp(2 pi R sum_k |Y (m - c)|_k) <= exp(pi R sum_l colsum_l / B_l), with
-    colsum_l = sum_k |Y_kl|.  B_l = ceil(pi R g colsum_l /
-    ``_ROW_LOG_BOUND``) keeps that below exp(``_ROW_LOG_BOUND``): no factor
+    exp(2 pi sum_k R_k |Y (m - c)|_k) <= exp(pi sum_l colsum_l / B_l), with
+    colsum_l = sum_k R_k |Y_kl|.  B_l = max(1, ceil(pi g colsum_l /
+    ``_ROW_LOG_BOUND``)) keeps that below exp(``_ROW_LOG_BOUND``): no factor
     or partial sum of a contraction overflows, and a table entry that
     underflows drops a term below exp(-745 + ``_ROW_LOG_BOUND``).  Each
     product of moduli is the term's own, so rounding errors are those of the
@@ -275,14 +256,20 @@ class LatticeContext:
         self.taun = tau.tau_np
         self.Y = self.taun.imag
         self.scale = math.sqrt(float(tau.detY))
-        y_norm = float(np.linalg.norm(np.abs(self.Y) @ np.full(g, 0.5)))
-        self.R = _truncation_radius(g, float(tau.lambda_min), y_norm, 1e-18)
-        self.M = np.array(list(itertools.product(range(-self.R, self.R + 1), repeat=g)))
+        r = math.sqrt(_ellipsoid_radius2(g, float(tau.lambda_min), 0.0, math.sqrt(g) / 2, 60))
+        self.R = tuple(int(r * math.sqrt(v) + 0.5) for v in np.diag(np.linalg.inv(self.Y)))
+        terms = math.prod(2 * k + 1 for k in self.R)
+        if terms > _BATCH_TERMS:
+            raise BudgetExceeded(
+                f"the double kernels' box of radii {self.R} holds {terms:,} lattice "
+                f"terms, more than {_BATCH_TERMS:,}: Im tau is too close to singular"
+            )
+        self.M = np.array(list(itertools.product(*(range(-k, k + 1) for k in self.R))))
         self.quad = 0.5 * np.einsum("li,ij,lj->l", self.M, self.taun, self.M)
-        colsum = np.abs(self.Y).sum(axis=0)
-        self.cells = np.ceil(np.pi * self.R * g * colsum / _ROW_LOG_BOUND).astype(int)
+        colsum = np.array(self.R) @ np.abs(self.Y)
+        self.cells = np.maximum(1, np.ceil(np.pi * g * colsum / _ROW_LOG_BOUND)).astype(int)
         # the last table built: a table per cell could hold up to
-        # prod(cells) (2R+1)^g values
+        # prod(cells) prod_k (2R_k+1) values
         self._table = (None, None)
         # Y = U U' with U upper triangular: the Cholesky factor of Y with its
         # axes reversed.  (M+c)'Y(M+c) = sum_k d_k (v_k + sum_{j<k} mu_jk
@@ -304,8 +291,9 @@ class LatticeContext:
 
     def cell_table(self, cell) -> tuple:
         """``(c, c'Yc, t)`` for a flat cell index: the centre, its quadratic
-        form and the phase table t_M of shape ((2R+1),)*g.  The last table
-        built is kept, so consecutive calls on one cell build it once."""
+        form and the phase table t_M of shape (2R_1+1, ..., 2R_g+1).  The
+        last table built is kept, so consecutive calls on one cell build it
+        once."""
         if self._table[0] != cell:
             self._table = (cell, self._build_cell_table(cell))
         return self._table[1]
@@ -314,7 +302,7 @@ class LatticeContext:
         centre = (np.array(np.unravel_index(cell, self.cells)) + 0.5) / self.cells - 0.5
         qc = centre @ self.Y @ centre
         table = np.exp(2j * np.pi * (self.quad + self.M @ (self.taun @ centre)) - np.pi * qc)
-        return centre, qc, table.reshape((2 * self.R + 1,) * self.g)
+        return centre, qc, table.reshape([2 * k + 1 for k in self.R])
 
     def phases(self, bits: int) -> dict:
         """exp(pi i M'tau M) at ``bits``, keyed by the tuple M.
@@ -558,17 +546,18 @@ def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
     same factor.  The factor does not depend on z, so the ratios d1/s and
     d2/s are theta'/theta and theta''/theta.
 
-    The terms are the context's (``LatticeContext``): points are grouped
-    into its cells of m, and in a cell with centre c theta is the cell's
-    phase table contracted with the per-axis rows P_k(j) = exp(2 pi i u_k j),
-    u = n + tau (m - c), one axis at a time, first one (n x (2R+1)) x ((2R+1)
-    x (2R+1)^(g-1)) product, then a batched vector-matrix product per
-    remaining axis: N g (2R+1) exponentials per call, plus (2R+1)^g per
-    cell whose table is not the context's last, instead of N (2R+1)^g.
-    Since dP_k/dz_k = 2 pi i j P_k, the derivatives are the same contraction
-    with axis k's rows weighted by 2 pi i j for d/dz_k, and axes k and l
-    weighted for d^2/dz_k dz_l (as in ``_theta_reduced``): with ``derivs``
-    each point contributes K = 1 + g + g(g+1)/2 weighted copies of its rows.
+    The terms are the context's (``LatticeContext``), over its box |j_k| <=
+    R_k: points are grouped into its cells of m, and in a cell with centre c
+    theta is the cell's phase table contracted with the per-axis rows P_k(j)
+    = exp(2 pi i u_k j), u = n + tau (m - c), one axis at a time, first one
+    (n x L_1) x (L_1 x L_2...L_g) product with L_k = 2R_k+1, then a batched
+    vector-matrix product per remaining axis: N (L_1 + ... + L_g)
+    exponentials per call, plus L_1...L_g per cell whose table is not the
+    context's last, instead of N L_1...L_g.  Since dP_k/dz_k = 2 pi i j P_k,
+    the derivatives are the same contraction with axis k's rows weighted by
+    2 pi i j for d/dz_k, and axes k and l weighted for d^2/dz_k dz_l (as in
+    ``_theta_reduced``): with ``derivs`` each point contributes K = 1 + g +
+    g(g+1)/2 weighted copies of its rows.
     Points are summed in chunks so that no temporary holds more than
     ``_BATCH_TERMS`` complex values.
     """
@@ -579,32 +568,29 @@ def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
     if not np.isfinite(coords).all():
         raise InvalidInput("coords has a non-finite entry")
     ctx = tau.lattice
-    L = 2 * ctx.R + 1
-    j = 2j * np.pi * np.arange(-ctx.R, ctx.R + 1)
+    js = [2j * np.pi * np.arange(-r, r + 1) for r in ctx.R]
+    L = [len(j) for j in js]
     weights = [()]
     if derivs:
         weights += [(k,) for k in range(g)] + [(k, l) for k in range(g) for l in range(k + 1)]
-        # W[w, k] is (2 pi i j)^(the number of times weight w differentiates in z_k)
-        W = j ** np.array([[axes.count(k) for k in range(g)] for axes in weights])[:, :, None]
+    # W[k][w] is (2 pi i j)^(the number of times weight w differentiates in z_k)
+    W = [j ** np.array([axes.count(k) for axes in weights])[:, None] for k, j in enumerate(js)]
     K = len(weights)
     nc = coords[:, :g] - np.round(coords[:, :g])
     mc = coords[:, g:] - np.round(coords[:, g:])
-    chunk = max(1, _BATCH_TERMS // (K * max(g * L, L ** (g - 1))))
+    chunk = max(1, _BATCH_TERMS // (K * max(sum(L), math.prod(L[1:]))))
     out = np.empty((len(coords), K), dtype=complex)
     for cell, members in ctx.cell_groups(mc):
         centre, qc, table = ctx.cell_table(cell)
-        table = table.reshape(L, L ** (g - 1))
+        table = table.reshape(L[0], -1)
         for i in range(0, len(members), chunk):
             pts = members[i : i + chunk]
             mm = mc[pts]
             u = nc[pts] + (mm - centre) @ ctx.taun.T
-            rows = u[:, :, None] * j
-            np.exp(rows, out=rows)
-            if derivs:
-                rows = (rows[:, None] * W).reshape(-1, g, L)
-            th = rows[:, 0] @ table
+            rows = [np.exp(u[:, k, None, None] * j) * w for k, (j, w) in enumerate(zip(js, W))]
+            th = rows[0].reshape(-1, L[0]) @ table
             for k in range(1, g):
-                th = (rows[:, k, None, :] @ th.reshape(len(rows), L, -1))[:, 0]
+                th = (rows[k].reshape(-1, 1, L[k]) @ th.reshape(len(th), L[k], -1))[:, 0]
             qm = np.einsum("ni,ij,nj->n", mm, ctx.Y, mm)
             out[pts] = np.exp(-np.pi * (qm - qc))[:, None] * th.reshape(len(pts), K)
     if not derivs:
@@ -625,21 +611,21 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.n
     the context's terms at n = 0 (``LatticeContext``): the m-slices are
     grouped by its cells, and in a cell with centre c, C_M(m) exp(-pi m'Ym)
     is the cell's phase table times the slice's per-axis powers exp(2 pi i
-    j (tau (m - c))_k) times exp(-pi (m'Ym - c'Yc)), so a slice costs g (2R+1)
-    exponentials.  Each slice's C is contracted with the nd x (2R+1) table
-    exp(2 pi i n_k M) along each of the g axes (E C E' for g = 2).  A
-    matrix product, unlike an FFT, does not alias when 2R+1 > nd.  The slices
-    are evaluated up to nd^(g-1) at a time, so memory beyond the returned
-    array is a small multiple of 16/nd bytes per grid point.
+    j (tau (m - c))_k), |j| <= R_k, times exp(-pi (m'Ym - c'Yc)), so a slice
+    costs (2R_1+1) + ... + (2R_g+1) exponentials.  Each slice's C is
+    contracted with the nd x (2R_k+1) table exp(2 pi i n_k M_k) along each
+    axis k (E_1 C E_2' for g = 2).  A matrix product, unlike an FFT, does
+    not alias when 2R_k+1 > nd.  The slices are evaluated up to nd^(g-1) at
+    a time, so memory beyond the returned array is a small multiple of 16/nd
+    bytes per grid point.
     """
     g = tau.g
     ctx = tau.lattice
-    L = 2 * ctx.R + 1
-    j = 2j * np.pi * np.arange(-ctx.R, ctx.R + 1)
-    # recentred to [-1/2, 1/2) as in norm_batch, where the truncation bound holds
+    js = [2j * np.pi * np.arange(-r, r + 1) for r in ctx.R]
+    # recentred to [-1/2, 1/2) as in norm_batch, where the box holds
     axis = (np.arange(nd) + grid_offset) / nd
     axis -= np.round(axis)
-    E = np.exp(np.outer(axis, j))
+    E = [np.exp(np.outer(axis, j)) for j in js]
     ms = np.array(list(itertools.product(axis, repeat=g)))
     out = np.empty((nd**g, nd**g))
     chunk = nd ** (g - 1)
@@ -648,13 +634,14 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.n
         for i in range(0, len(members), chunk):
             cols = members[i : i + chunk]
             m = ms[cols]
-            rows = np.exp(((m - centre) @ ctx.taun.T)[:, :, None] * j)
-            C = rows[:, 0]
+            u = (m - centre) @ ctx.taun.T
+            C = np.exp(u[:, 0, None] * js[0])
             for k in range(1, g):
-                C = C[..., None] * rows[:, k].reshape((len(m),) + (1,) * k + (L,))
+                row = np.exp(u[:, k, None] * js[k])
+                C = C[..., None] * row.reshape((len(m),) + (1,) * k + (-1,))
             C *= table
-            for _ in range(g):
-                C = np.tensordot(C, E, axes=(1, 1))
+            for e in E:
+                C = np.tensordot(C, e, axes=(1, 1))
             qm = np.einsum("ni,ij,nj->n", m, ctx.Y, m)
             gauss = ctx.scale * np.exp(-2 * np.pi * (qm - qc))
             out[:, cols] = (np.abs(C.reshape(len(m), -1)) ** 2 * gauss[:, None]).T

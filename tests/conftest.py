@@ -84,25 +84,3 @@ def brute_theta(tau: td.PeriodMatrix, z, R, bits: int = 200):
             total += mp.exp(2j * mp.pi * (quad / 2 + lin))
         return total
 
-
-def brute_theta_derivs(tau: td.PeriodMatrix, z, R, bits: int = 200):
-    """Independent naive sum of theta, its z-gradient and its z-Hessian over
-    |m_k| <= R: each term exp(2 pi i (m'tau m/2 + m'z)) weighted by 2 pi i m
-    and (2 pi i)^2 m m'.  Returns ``(theta, d1, d2)`` as mpmath values, d1 a
-    list and d2 a list of rows."""
-    g = tau.g
-    with mp.workprec(bits):
-        zt = [mp.mpc(w) for w in z]
-        two_pi_i = 2j * mp.pi
-        total = mp.mpc(0)
-        d1 = [mp.mpc(0)] * g
-        d2 = [[mp.mpc(0)] * g for _ in range(g)]
-        for m in _box(g, R):
-            quad = sum(m[i] * m[j] * tau.tau[i, j] for i in range(g) for j in range(g))
-            term = mp.exp(two_pi_i * (quad / 2 + sum(m[i] * zt[i] for i in range(g))))
-            total += term
-            for i in range(g):
-                d1[i] += two_pi_i * m[i] * term
-                for j in range(g):
-                    d2[i][j] += two_pi_i**2 * m[i] * m[j] * term
-        return total, d1, d2

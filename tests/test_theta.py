@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import time
 import tracemalloc
 
 import mpmath as mp
@@ -29,18 +31,18 @@ TAU_G3 = [
     [-0.2 + 0.1j, 0.25 + 0.2j, 0.4 + 1.7j],
 ]
 
-# Siegel-reduced matrices with a large Y_22.  The per-axis powers
-# exp(2 pi i w_k j) of a batch point reach exp(2 pi |Im w_k| R) there, past
-# the double range (R = 22 and R = 60), so summed in one cell around m = 0
-# they overflow.
+# Siegel-reduced matrices with a large Y_22, where the double box's radii
+# differ by axis: (4, 1) on both.
 TAU_Y21 = [[1j, 0.3 + 0.4j], [0.3 + 0.4j, 21j]]
 TAU_Y60 = [[1j, 0.3 + 0.4j], [0.3 + 0.4j, 60j]]
-# Matrices with strongly coupled axes: Y = 10 [[1, 0.95], [0.95, 1]] (R = 55)
-# and the Minkowski-reduced Y = 113 [[1, 1/2], [1/2, 1]].  A phase table
-# damped by exp(2 pi sum_k |Y_k.| |M_k| / 2) overflows along M = (k, -k),
-# where M'YM is small.
+# Matrices with strongly coupled axes: Y = 10 [[1, 0.95], [0.95, 1]] (double
+# box radii (4, 4)) and the Minkowski-reduced Y = 113 [[1, 1/2], [1/2, 1]],
+# whose double box is {0}.
 TAU_R10 = [[10j, 9.5j], [9.5j, 10j]]
 TAU_A113 = [[113j, 56.5j], [56.5j, 113j]]
+# Unreduced and strongly coupled, Y = 30 [[1, 0.99], [0.99, 1]]: radii (5, 5)
+# and 4 x 4 cells of m, so the double kernels sum across cells.
+TAU_C30 = [[30j, 29.7j], [29.7j, 30j]]
 # Siegel-reduced, with Y = 200 [[2, 1], [1, 2]]: one complex exp per term
 # exp(2 pi i (M'tau M/2 + M'tau m)) overflows at m = (1/2, 1/2) - 1/16, so a
 # grid scan without the cell-centred terms returns NaN on an 8^4 midpoint grid.
@@ -62,9 +64,10 @@ def per_term_norm_batch(tau, coords):
     return np.concatenate(out)
 
 
-# theta and theta_norm from brute_theta at 300 bits over the box of
-# _truncation_radius for a 1e-40 tail (R = 9, 10, 5 and 6; the sums at R + 2
-# differ by less than 1e-44): (tau, z, Re theta, Im theta, theta_norm).
+# theta and theta_norm from brute_theta at 300 bits over the boxes |m_k| <= R
+# with R = 9, 10, 5 and 6, a 1e-40 tail by a geometric majorant in lambda_min
+# (the sums at R + 2 differ by less than 1e-44): (tau, z, Re theta, Im theta,
+# theta_norm).
 FROZEN_128 = [
     ("s4", (0.3 + 0.2j, -0.1 + 0.4j),
      "1.2573281757964903490774125287228952695030",
@@ -382,7 +385,7 @@ class TestNormBatch:
         "name, points",
         [
             ("i", 20), ("s4", 20), ("g3", 8), ("y21", 12), ("y60", 6), ("r10", 8),
-            ("a113", 40), ("coupled", 6),
+            ("a113", 40), ("coupled", 6), ("d400", 12),
         ],
     )
     def test_matches_theta_norm(self, name, points, tau_s4, cfg):
@@ -399,11 +402,12 @@ class TestNormBatch:
             "r10": td.PeriodMatrix(TAU_R10),
             "a113": td.PeriodMatrix(TAU_A113),
             "coupled": td.PeriodMatrix(TAU_COUPLED),
+            "d400": td.PeriodMatrix(TAU_D400),
         }[name]
         coords = np.random.default_rng(17).random((points, 2 * tau.g))
-        if name == "coupled":
-            # the norm is below 1e-20 of its maximum except within about
-            # 1/sqrt(4 pi 200) of the integer m
+        if name in ("coupled", "d400"):
+            # the norm is below 1e-20 of its maximum except near the integer
+            # m, where it is a Gaussian of width about 1/sqrt(4 pi Y_22)
             coords[:, tau.g :] /= 20
         fast = td.periods.norm_batch(tau, coords)
         with mp.workprec(cfg.working_precision_bits):
@@ -414,12 +418,13 @@ class TestNormBatch:
         assert np.abs(fast - ref).max() <= 1e-12 * ref.max()
         assert (np.abs(fast - ref)[big] <= 1e-12 * ref[big]).all()
 
-    @pytest.mark.parametrize("name", ["s4", "g3", "y21"])
+    @pytest.mark.parametrize("name", ["s4", "g3", "y21", "c30"])
     def test_matches_per_term_sum(self, name, tau_s4):
         """The factored sum against one exp per lattice term on 20,000
-        uniform points, to 1e-13 of the batch maximum.  TAU_Y21 splits the
-        points into six cells of m_2."""
-        tau = {"s4": tau_s4, "g3": td.PeriodMatrix(TAU_G3), "y21": td.PeriodMatrix(TAU_Y21)}[name]
+        uniform points, to 1e-13 of the batch maximum.  TAU_C30 splits the
+        points into 4 x 4 cells of m."""
+        tau = {"s4": tau_s4, "g3": td.PeriodMatrix(TAU_G3), "y21": td.PeriodMatrix(TAU_Y21),
+               "c30": td.PeriodMatrix(TAU_C30)}[name]
         coords = np.random.default_rng(23).random((20000, 2 * tau.g))
         ref = per_term_norm_batch(tau, coords)
         assert np.abs(td.periods.norm_batch(tau, coords) - ref).max() <= 1e-13 * ref.max()
@@ -430,22 +435,23 @@ class TestSqrtNormGrid:
         "name, nd, offset",
         [
             ("s4", 8, 0.0), ("s4", 16, 0.5), ("i", 256, 0.0), ("g3", 6, 0.0),
-            ("coupled", 8, 0.5), ("r10", 12, 0.0),
+            ("coupled", 8, 0.5), ("r10", 12, 0.0), ("c30", 12, 0.5),
         ],
     )
     def test_matches_norm_batch(self, name, nd, offset, tau_s4):
         """The separable scan against norm_batch at every grid point.  The
-        preset's box has 2R+1 = 17 > 8 and the g = 3 box 11 > 6, where an FFT
-        of length nd would alias.  TAU_R10 has 14 x 14 cells of m.  Both
-        kernels take their terms from the lattice context, so where one
-        exp per term stays in the double range (not on TAU_COUPLED or
-        TAU_R10) the scan is also checked against that unfactored sum."""
+        preset's box has 2R_k+1 = 11 > 8 and the g = 3 box 7 > 6, where an FFT
+        of length nd would alias.  TAU_C30 has 4 x 4 cells of m.  Both
+        kernels take their terms from the lattice context, so the scan is
+        also checked against the unfactored sum, one exp per term, except on
+        TAU_C30, where those terms reach e^94 before the Gaussian factor."""
         tau = {
             "s4": tau_s4,
             "i": td.PeriodMatrix([[1j]]),
             "g3": td.PeriodMatrix(TAU_G3),
             "coupled": td.PeriodMatrix(TAU_COUPLED),
             "r10": td.PeriodMatrix(TAU_R10),
+            "c30": td.PeriodMatrix(TAU_C30),
         }[name]
         grid = td.periods.sqrt_norm_grid(tau, nd, offset)
         assert grid.shape == (nd,) * (2 * tau.g)
@@ -454,7 +460,7 @@ class TestSqrtNormGrid:
         coords = np.array(list(itertools.product(axis, repeat=2 * tau.g)))
         ref = np.sqrt(td.periods.norm_batch(tau, coords))
         assert np.abs(grid.ravel() - ref).max() <= 1e-14 * grid.max()
-        if name in ("s4", "i", "g3"):
+        if name != "c30":
             ref = np.sqrt(per_term_norm_batch(tau, coords))
             assert np.abs(grid.ravel() - ref).max() <= 1e-14 * grid.max()
 
@@ -479,13 +485,46 @@ class TestLatticeContext:
         first = td.periods.norm_batch(tau, coords)
         grid = td.periods.sqrt_norm_grid(tau, 4)
         calls = []
-        radius = td.periods._truncation_radius
+        radius = td.periods._ellipsoid_radius2
         monkeypatch.setattr(
-            td.periods, "_truncation_radius", lambda *a: calls.append(a) or radius(*a)
+            td.periods, "_ellipsoid_radius2", lambda *a: calls.append(a) or radius(*a)
         )
         assert np.array_equal(td.periods.norm_batch(tau, coords), first)
         assert np.array_equal(td.periods.sqrt_norm_grid(tau, 4), grid)
         assert calls == []
+
+    @pytest.mark.parametrize("name", ["s4", "g3", "y60", "r10", "c30", "d400"])
+    def test_box_holds_every_point_set(self, name, tau_s4):
+        """The double kernels sum the box |M_k| <= R_k.  At m in [-1/2, 1/2]^g
+        their terms have modulus exp(-pi (M+m)'Y(M+m)), and those outside
+        the set {M : (M+m)'Y(M+m) <= r^2}, r^2 from the 2^-60 ellipsoid
+        bound with c'Yc taken as 0 and |c| <= sqrt(g)/2, sum to at most
+        2^-60.  Every row of that set lies in the box, at seeded m and at
+        the corners of the half cell."""
+        tau = tau_s4 if name == "s4" else td.PeriodMatrix({**SET_TAUS, "c30": TAU_C30}[name])
+        g, ctx = tau.g, tau.lattice
+        r2 = td.periods._ellipsoid_radius2(g, float(tau.lambda_min), 0.0, np.sqrt(g) / 2, 60)
+        corners = np.array(list(itertools.product((-0.5, 0.5), repeat=g)))
+        ms = np.vstack([np.random.default_rng(9).random((200, g)) - 0.5, corners])
+        sets = [ctx.ellipsoid_rows(m.tolist(), r2) for m in ms]
+        assert sum(map(len, sets)) > len(ms)
+        for m, rows in zip(ms, sets):
+            for prefix, lo, hi in rows:
+                assert all(abs(k) <= r for k, r in zip(prefix, ctx.R)), (name, m)
+                assert -ctx.R[-1] <= lo and hi <= ctx.R[-1], (name, m)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-10])
+    def test_near_singular_y_fails_fast(self, eps):
+        """Y = [[1, 1 - eps], [1 - eps, 1]] would need a double box of tens
+        of millions of terms or more; the context raises before building
+        any array, and says how large the box is."""
+        start = time.perf_counter()
+        tau = td.PeriodMatrix([[1j, (1 - eps) * 1j], [(1 - eps) * 1j, 1j]])
+        with pytest.raises(td.BudgetExceeded) as info:
+            td.periods.norm_batch(tau, np.zeros((1, 4)))
+        assert time.perf_counter() - start < 1
+        terms = re.search(r"holds ([\d,]+) lattice terms", str(info.value)).group(1)
+        assert int(terms.replace(",", "")) > td.periods._BATCH_TERMS
 
     def test_newton_builds_cell_table_once(self, tau_s4, monkeypatch):
         """The context keeps its last cell table, so Newton in doubles on the

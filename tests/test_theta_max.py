@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import thetadist as td
-from conftest import brute_theta_derivs
-from test_theta import TAU_A113, TAU_G3, TAU_Y21
+from test_theta import TAU_C30, TAU_G3, TAU_Y21
 
 # not Minkowski reduced; its best 16^4 grid points lie on one ridge
 TAU_RIDGE = [[-0.446 + 3.397j, -0.104 - 0.358j], [-0.104 - 0.358j, -0.455 + 1.238j]]
@@ -139,18 +138,15 @@ class TestThetaMaxG2:
 
 
 class TestThetaDerivs:
-    @pytest.mark.parametrize("name", ["i", "s4", "ridge", "g3", "y21", "a113"])
+    @pytest.mark.parametrize("name", ["i", "s4", "ridge", "g3", "y21", "c30"])
     def test_matches_working_precision_kernel(self, name, tau_s4, cfg):
         """_theta_batch(derivs=True) against _theta_reduced(derivs=True) at
         seeded points, taken at the recentred coordinates the double kernel
-        sums at and times its factor exp(-pi m'Ym).  TAU_Y21 (1 x 6 cells)
-        and TAU_A113 (9 x 9 cells) take the derivatives across cells.  On
-        TAU_A113 every term of the gradient lies below 2^-128 |theta|, so
-        the working-precision sum, whose lattice set is {0} there, returns
-        exactly zero; its reference is the independent brute-force sum."""
+        sums at and times its factor exp(-pi m'Ym).  TAU_C30 (4 x 4 cells)
+        takes the derivatives across cells."""
         tau = {"i": td.PeriodMatrix([[1j]]), "s4": tau_s4,
                "ridge": td.PeriodMatrix(TAU_RIDGE), "g3": td.PeriodMatrix(TAU_G3),
-               "y21": td.PeriodMatrix(TAU_Y21), "a113": td.PeriodMatrix(TAU_A113)}[name]
+               "y21": td.PeriodMatrix(TAU_Y21), "c30": td.PeriodMatrix(TAU_C30)}[name]
         g = tau.g
         rng = np.random.default_rng(7)
         for x in rng.random((4, 2 * g)):
@@ -160,11 +156,7 @@ class TestThetaDerivs:
                 z = tuple(
                     x[i] + sum(tau.tau[i, j] * x[g + j] for j in range(g)) for i in range(g)
                 )
-                if name == "a113":
-                    th, d1, d2 = brute_theta_derivs(tau, z, 3)
-                    d1, d2 = mp.matrix(d1), mp.matrix(d2)
-                else:
-                    th, d1, d2 = td.periods._theta_reduced(tau, td.ThetaPoint(z), cfg, derivs=True)
+                th, d1, d2 = td.periods._theta_reduced(tau, td.ThetaPoint(z), cfg, derivs=True)
                 m = x[g:]
                 factor = mp.exp(
                     -mp.pi * sum(m[i] * tau.Y[i, j] * m[j] for i in range(g) for j in range(g))
@@ -255,6 +247,29 @@ class TestConfigAndGuards:
         )
         with pytest.raises(td.BudgetExceeded):
             td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=8), cfg)
+
+    def test_tie_break_ignores_ambient_precision(self, tau_s4, cfg, monkeypatch):
+        """The polishes of the symmetric maxima x and -x tie up to rounding.
+        With the value of the twin of higher coordinates raised by a relative
+        2^-120, far below target_abs_error, the lowest coordinates still win
+        at an ambient precision of 53 bits and of 300 bits."""
+        newton = td.maximize._newton
+
+        def nudged(tau, start, cfg):
+            value, x = newton(tau, start, cfg)
+            if x[0] > 0.5:
+                with mp.workprec(cfg.working_precision_bits):
+                    value *= 1 + mp.mpf(2) ** -120
+            return value, x
+
+        monkeypatch.setattr(td.maximize, "_newton", nudged)
+        ocfg = td.OptimizerConfig(grid_points_per_dim=8)
+        argmaxes = []
+        for ambient in (53, 300):
+            with mp.workprec(ambient):
+                argmaxes.append(td.theta_max(tau_s4, ocfg, cfg).argmax_coords)
+        assert argmaxes[0] == argmaxes[1]
+        assert argmaxes[0][0] < 0.5
 
     def test_deterministic_rerun(self, tau_s4, cfg):
         ocfg = td.OptimizerConfig(grid_points_per_dim=12)
