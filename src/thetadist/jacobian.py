@@ -12,6 +12,11 @@ over Q and ``x % p^j`` over Z/p^j.  The polynomial helpers pass every
 coefficient they return through it, so a zero coefficient is falsy and no
 helper branches on the ring; a new ring needs ``coerce``, ``reduce`` and
 ``inv``.
+
+``add`` returns a zero operand's partner as it is, and composes coprime u1,
+u2 by the Chinese remainder theorem alone (u = u1*u2, no second gcd and no
+division by d); doublings and shared factors take Cantor's general branch.
+``order_of`` walks k*D only up to half the order and meets a stored -j*D.
 """
 
 from __future__ import annotations
@@ -75,6 +80,10 @@ class ResidueRing:
         self.p = p
         self.j = j
         self.modulus = p**j
+        # x % p^j with no Python frame per coefficient.  Every value that
+        # reaches it is an int (``coerce`` converts Fractions first); a
+        # Fraction would get NotImplemented back, not a residue.
+        self.reduce = self.modulus.__rmod__
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -84,9 +93,6 @@ class ResidueRing:
                 )
             return self.reduce(x.numerator * pow(x.denominator, -1, self.modulus))
         return self.reduce(int(x))
-
-    def reduce(self, x):
-        return x % self.modulus
 
     def inv(self, x):
         if gcd(int(x), self.p) != 1:
@@ -115,7 +121,7 @@ QQ = RationalField()
 # ---------------------------------------------------------------------------
 
 def ptrim(R, a):
-    a = [R.reduce(x) for x in a]
+    a = list(map(R.reduce, a))
     while a and not a[-1]:
         a.pop()
     return tuple(a)
@@ -130,7 +136,7 @@ def pneg(R, a):
 
 
 def psub(R, a, b):
-    return padd(R, a, pneg(R, b))
+    return ptrim(R, [x - y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def pmul(R, a, b):
@@ -181,10 +187,12 @@ def pxgcd(R, a, b):
 
 
 def peval(R, a, x):
+    """a(x) in R; Horner in exact ints or Fractions, reduced once at the end
+    (reduction is a ring homomorphism)."""
     acc = 0
     for c in reversed(a):
-        acc = R.reduce(acc * x + c)
-    return acc
+        acc = acc * x + c
+    return R.reduce(acc)
 
 
 def _resultant(a, b):
@@ -219,9 +227,14 @@ class HyperellipticCurve:
         if disc == 0:
             raise InvalidInput("f must be squarefree")
         self.disc_f = int(disc)
+        self._f_in = {}
 
     def f_in(self, R):
-        return tuple(R.coerce(c) for c in self.f)
+        """f's coefficients in R, coerced once per ring."""
+        f = self._f_in.get(R)
+        if f is None:
+            f = self._f_in[R] = tuple(R.coerce(c) for c in self.f)
+        return f
 
     def __repr__(self):
         return f"HyperellipticCurve(f={self.f})"
@@ -280,30 +293,46 @@ def divisor_from_strings(curve: HyperellipticCurve, u_strs, v_strs) -> MumfordDi
 # ---------------------------------------------------------------------------
 
 def add(curve: HyperellipticCurve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
-    """Cantor composition followed by reduction to deg u <= 2."""
+    """Cantor composition followed by reduction to deg u <= 2.
+
+    Operands are reduced Mumford pairs, so a zero operand returns the other
+    one unchanged.  When u1 and u2 are coprime (e1*u1 + e2*u2 = 1) the
+    composition is u = u1*u2, v = v2 + e2*u2*(v1 - v2) mod u, which is
+    v1 mod u1 and v2 mod u2.  Otherwise (a doubling or a shared factor)
+    Cantor's general branch takes d = gcd(u1, u2, v1 + v2) and divides by
+    it; over Z/p^j a division by a non-unit raises RepresentationDegenerate.
+    """
     if D1.ring != D2.ring:
         raise InvalidInput("divisors live over different rings")
+    if D1.is_zero():
+        return D2
+    if D2.is_zero():
+        return D1
     R = D1.ring
     f = curve.f_in(R)
     u1, v1 = D1.u, D1.v
     u2, v2 = D2.u, D2.v
     d1, e1, e2 = pxgcd(R, u1, u2)
-    d, c1, c2 = pxgcd(R, d1, padd(R, v1, v2))
-    s1 = pmul(R, c1, e1)
-    s2 = pmul(R, c1, e2)
-    s3 = c2
-    u, rem = pdivmod(R, pmul(R, u1, u2), pmul(R, d, d))
-    if rem:
-        raise RepresentationDegenerate("composition denominator does not divide")
-    num = padd(
-        R,
-        padd(R, pmul(R, pmul(R, s1, u1), v2), pmul(R, pmul(R, s2, u2), v1)),
-        pmul(R, s3, padd(R, pmul(R, v1, v2), f)),
-    )
-    num_q, rem = pdivmod(R, num, d)
-    if rem:
-        raise RepresentationDegenerate("composition numerator does not divide")
-    v = pmod(R, num_q, u)
+    if len(d1) == 1:  # gcd(u1, u2) = 1
+        u = pmul(R, u1, u2)
+        v = pmod(R, padd(R, v2, pmul(R, pmul(R, e2, u2), psub(R, v1, v2))), u)
+    else:
+        d, c1, c2 = pxgcd(R, d1, padd(R, v1, v2))
+        s1 = pmul(R, c1, e1)
+        s2 = pmul(R, c1, e2)
+        s3 = c2
+        u, rem = pdivmod(R, pmul(R, u1, u2), pmul(R, d, d))
+        if rem:
+            raise RepresentationDegenerate("composition denominator does not divide")
+        num = padd(
+            R,
+            padd(R, pmul(R, pmul(R, s1, u1), v2), pmul(R, pmul(R, s2, u2), v1)),
+            pmul(R, s3, padd(R, pmul(R, v1, v2), f)),
+        )
+        num_q, rem = pdivmod(R, num, d)
+        if rem:
+            raise RepresentationDegenerate("composition numerator does not divide")
+        v = pmod(R, num_q, u)
     # reduction to genus-2 size
     while len(u) - 1 > 2:
         u_new = pdivmod(R, psub(R, f, pmul(R, v, v)), u)[0]
@@ -339,11 +368,25 @@ def scalar_mul(curve: HyperellipticCurve, n: int, D: MumfordDivisor) -> MumfordD
 
 
 def order_of(curve: HyperellipticCurve, D: MumfordDivisor, search_bound: int = 1000):
-    """Smallest n >= 1 with n*D = 0, or the string 'exceeds-bound'."""
+    """Smallest n >= 1 with n*D = 0 and n <= search_bound, or the string
+    'exceeds-bound'.
+
+    A half walk: k*D for k = 1, 2, ..., ceil(search_bound/2), with the key of
+    -j*D kept for every j <= k (j = 0 is the zero class).  The first k with
+    k*D = -j*D for some j <= k gives n = k + j, with the smallest such j.  No
+    smaller order can hide: an order n' shows at k' = ceil(n'/2), and before
+    that 1 <= k + j <= 2k < n'.  That takes ceil(n/2) - 1 additions, not n - 1.
+    """
+    if search_bound < 1:
+        raise InvalidInput("search_bound must be >= 1")
+    negatives = {zero_divisor(D.ring).key(): 0}
     acc = D
-    for n in range(1, search_bound + 1):
-        if acc.is_zero():
-            return n
+    for k in range(1, (search_bound + 1) // 2 + 1):
+        negatives.setdefault(neg(curve, acc).key(), k)
+        j = negatives.get(acc.key())
+        if j is not None:
+            n = k + j
+            return n if n <= search_bound else "exceeds-bound"
         acc = add(curve, acc, D)
     return "exceeds-bound"
 
