@@ -396,13 +396,15 @@ def order_of(curve: HyperellipticCurve, D: MumfordDivisor, search_bound: int = 1
 # ---------------------------------------------------------------------------
 
 def reduce_mod(curve: HyperellipticCurve, D: MumfordDivisor, p: int, j: int) -> MumfordDivisor:
-    """Coefficient-wise reduction of a rational divisor into Z/p^j."""
+    """Coefficient-wise reduction of a rational divisor into Z/p^j.  The
+    homomorphism keeps u monic and u | v^2 - f, so the pair is not
+    re-checked; a coefficient that is not p-integral raises NotPIntegral."""
     if D.ring != QQ:
         raise InvalidInput("reduce_mod expects a divisor over the rationals")
     if curve.disc_f % p == 0:
         raise UnsupportedPrime(f"{p} divides disc(f): bad reduction")
     R = ResidueRing(p, j)
-    return make_divisor(curve, D.u, D.v, R)
+    return MumfordDivisor(u=ptrim(R, map(R.coerce, D.u)), v=ptrim(R, map(R.coerce, D.v)), ring=R)
 
 
 def enumerate_curve_points_mod(curve: HyperellipticCurve, p: int, j: int):

@@ -8,12 +8,14 @@ from the grid's discrete local maxima, one start per cluster of tied
 neighbouring maxima, so neighbouring points of one peak make one start.  Only
 the converged points whose double value ties the best are polished by the
 same Newton iteration at working precision, which from double accuracy takes
-two lattice sums.  The gradient and Hessian come from the same lattice sum as
-theta, in doubles from the scattered-point kernel ``periods._theta_batch``
-behind ``norm_batch`` and at working precision from
-``periods._theta_reduced`` (Deconinck, Heil, Bobenko, van Hoeij, Schmies,
-"Computing Riemann theta functions", Math. Comp. 73 (2004)), and each
-Newton's value is the norm from the theta of its own last sum.  No
+two lattice sums.  Both Newton iterations read the one theta-sum contract of
+``periods``: lattice coordinates x = (n, m) in, s = theta(n + tau m)
+exp(-pi m'Ym) and its z-derivatives times the same factor out, in doubles
+from the scattered-point kernel ``periods._theta_batch`` behind
+``norm_batch`` and at working precision from ``periods._theta_point``
+(Deconinck, Heil, Bobenko, van Hoeij, Schmies, "Computing Riemann theta
+functions", Math. Comp. 73 (2004)).  Each Newton's value is sqrt(<s,s>) =
+|s| (det Y)^(1/4) from the s of its own last sum.  No
 global-optimality certificate is produced; the probe and grid-monotonicity
 properties in the test suite are the practical guard.
 """
@@ -27,13 +29,8 @@ import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigRejected, InvalidInput
-from .periods import (
-    PeriodMatrix,
-    PrecisionConfig,
-    ThetaPoint,
-    sqrt_norm_grid,
-)
-from .periods import _theta_batch, _theta_reduced
+from .periods import PeriodMatrix, PrecisionConfig, sqrt_norm_grid
+from .periods import _theta_batch, _theta_point
 
 # Grid points per scan.  The value array, resident from the scan until the
 # starts are chosen, costs 8 bytes per point; choosing the starts briefly holds
@@ -74,14 +71,6 @@ def default_optimizer_config(g: int) -> OptimizerConfig:
     return OptimizerConfig(grid_points_per_dim=nd)
 
 
-def _lattice_point(tau: PeriodMatrix, x) -> ThetaPoint:
-    """z = n + tau m from lattice coordinates x = (n, m)."""
-    g = tau.g
-    return ThetaPoint(
-        tuple(x[i] + sum(tau.tau[i, j] * x[g + j] for j in range(g)) for i in range(g))
-    )
-
-
 def _newton_double(tau: PeriodMatrix, start):
     """``_newton`` in doubles on ``periods._theta_batch`` at one point, with
     the same gradient and Hessian.  The kernel's derivatives carry its factor
@@ -120,14 +109,16 @@ def _newton(tau: PeriodMatrix, start, cfg: PrecisionConfig):
 
     With J = [I | tau] and a = theta'/theta the gradient in x = (n, m) is
     2 Re(J'a) - 4 pi (0, Ym) and the Hessian 2 Re(J'(theta''/theta - a a')J)
-    - 4 pi diag(0, Y).  The iterate is kept in [-1/2, 1/2)^{2g}, where the
-    sum's lattice set, whose r^2 grows with m'Ym, is smallest.  A step below 2^(-bits/2) in
-    max-norm leaves an error near 2^(-bits) and ends the iteration, so from a
-    start of double accuracy it takes two lattice sums.  Returns ``(value,
-    x)``: x reduced to [0,1)^{2g}, and value = sqrt(<s,s>) from the theta of
-    the last sum, taken one sub-tolerance step from x, where <s,s> differs
-    from its value at x only at second order.  Returns None when the Hessian
-    is not negative definite or the cap is reached.
+    - 4 pi diag(0, Y), read from ``periods._theta_point`` as in
+    ``_newton_double``.  The iterate is kept in [-1/2, 1/2)^{2g}, where the
+    sum's lattice set, whose r^2 grows with m'Ym, is smallest.  A step below
+    2^(-bits/2) in max-norm leaves an error near 2^(-bits) and ends the
+    iteration, so from a start of double accuracy it takes two lattice sums.
+    Returns ``(value, x)``: x reduced to [0,1)^{2g}, and value = sqrt(<s,s>)
+    = |s| (det Y)^(1/4) from the s of the last sum, taken one sub-tolerance
+    step from x, where <s,s> differs from its value at x only at second
+    order.  Returns None when the Hessian is not negative definite or the
+    cap is reached.
     """
     g = tau.g
     bits = cfg.working_precision_bits
@@ -137,10 +128,10 @@ def _newton(tau: PeriodMatrix, start, cfg: PrecisionConfig):
         x = [mp.mpf(c) for c in start]
         for _ in range(_NEWTON_MAX_STEPS):
             x = [c - mp.nint(c) for c in x]
-            th, d1, d2 = _theta_reduced(tau, _lattice_point(tau, x), cfg, derivs=True)
-            a = d1 / th
+            s, d1, d2 = _theta_point(tau, x, bits, derivs=True)
+            a = d1 / s
             grad = (J.T * a).apply(mp.re) * 2
-            hess = (J.T * (d2 / th - a * a.T) * J).apply(mp.re) * 2
+            hess = (J.T * (d2 / s - a * a.T) * J).apply(mp.re) * 2
             for i in range(g):
                 for j in range(g):
                     grad[g + i] -= 4 * mp.pi * tau.Y[i, j] * x[g + j]
@@ -149,12 +140,9 @@ def _newton(tau: PeriodMatrix, start, cfg: PrecisionConfig):
                 step = mp.cholesky_solve(-hess, grad)
             except ValueError:
                 return None
-            m = x[g:]
             x = [x[k] + step[k] for k in range(2 * g)]
             if mp.mnorm(step, mp.inf) < tol:
-                quad = sum(m[i] * tau.Y[i, j] * m[j] for i in range(g) for j in range(g))
-                value = mp.sqrt(mp.sqrt(tau.detY) * mp.exp(-2 * mp.pi * quad)) * abs(th)
-                return value, tuple(c - mp.floor(c) for c in x)
+                return abs(s) * mp.sqrt(mp.sqrt(tau.detY)), tuple(c - mp.floor(c) for c in x)
     return None
 
 

@@ -1,30 +1,29 @@
 """Riemann theta evaluation and the translation-invariant theta norm.
 
-The argument is first reduced to the fundamental cell of the lattice spanned
-by the columns of [Id, tau].  Every theta sum leaves out the terms outside
-an ellipsoid fitted to Y = Im tau, {M : (M+c)'Y(M+c) <= r^2} with c = Y^-1
-Im z, which sum to at most 2^-bits (``_ellipsoid_radius2``).  The mpmath
-paths sum each point's ellipsoid at a configurable bit count.  The two
-double kernels sum a box that holds the 2^-60 ellipsoid of every point: a
-separable evaluator on tensor grids backs the maximizer's grid scan and the
-torus average, and a batch evaluator at scattered points, with optional
-z-derivatives, backs spot checks and the maximizer's Newton steps.
+Every theta sum has one contract: lattice coordinates x = (n, m) in, s =
+theta(n + tau m) exp(-pi m'Ym) out, Y = Im tau, optionally with the
+z-gradient and z-Hessian of theta times the same factor.  A term of s has
+modulus exp(-pi (M+m)'Y(M+m)), so s is bounded for every m, and sqrt(det Y)
+|s|^2 is the theta norm.  Each sum leaves out the terms outside an ellipsoid
+{M : (M+m)'Y(M+m) <= r^2}, which sum to at most 2^-bits
+(``_ellipsoid_radius2``).  ``_theta_point`` sums one point at a given bit
+count for ``theta``, ``theta_norm`` and the maximizer's polish.  Two double
+kernels sum a box that holds the 2^-60 ellipsoid of every m in [-1/2,
+1/2]^g: ``_theta_batch`` at scattered points (spot checks, the maximizer's
+Newton steps) and ``sqrt_norm_grid`` on tensor grids (the grid scan, the
+torus average).
 
-All these sums read one lattice context per ``PeriodMatrix``, built on first
-use (the lattice-sum layout of Deconinck, Heil, Bobenko, van Hoeij, Schmies,
-"Computing Riemann theta functions", Math. Comp. 73 (2004)).  Its double part
-is built once per tau: tau and Y as doubles, the box radii R_k, the box M in
-lexicographic order and M'tau M/2, and the one term layout both double
-kernels sum: a phase table shared by a cell of Im z times per-axis powers,
-centred on the cell so that no factor overflows whatever tau is (see
-``LatticeContext``).  For the working
-precision it holds the factors of Y that enumerate each point's ellipsoid
-axis by axis (Fincke, Pohst, Math. Comp. 44 (1985)), one row of the last
-axis per prefix of the others, and per bit count a table of exp(pi i M'tau
-M) filled for the M the ellipsoids ask for.  A term is the table entry times
-per-axis powers of exp(2 pi i z_k), and each row of the last axis is summed
+All these sums read one lattice context per ``PeriodMatrix`` (the layout of
+Deconinck, Heil, Bobenko, van Hoeij, Schmies, "Computing Riemann theta
+functions", Math. Comp. 73 (2004)).  For the working precision it holds the
+factors of Y that enumerate an ellipsoid axis by axis (Fincke, Pohst, Math.
+Comp. 44 (1985)), one row of the last axis per prefix of the others, and per
+bit count a table of exp(pi i M'tau M) filled on demand.  A term is the
+table entry times per-axis powers of exp(2 pi i z_k), and each row is summed
 before its prefix's powers multiply it once, so a call whose set the table
-already holds makes g exponentials and about one complex product per term.
+already holds makes g + 1 exponentials and about one product per term.  The
+double part, the box and its cell-centred term layout, is built on first
+use by a double kernel (see ``LatticeContext``).
 """
 
 from __future__ import annotations
@@ -68,10 +67,9 @@ _GUARD_BITS = 32
 class PrecisionConfig:
     """Working precision (bits) and the absolute error target for theta sums.
 
-    ``target_abs_error`` is the stated accuracy contract and, through the
-    floor 2^(8 - bits), the check that the precision can meet it.  The
-    mpmath theta sums truncate at 2^-bits, below every admissible target,
-    so the target does not set their lattice sets.
+    ``target_abs_error`` must lie above the floor 2^(8 - bits).  The mpmath
+    sums truncate s at 2^-bits, below every admissible target, so the target
+    does not set their lattice sets; ``theta`` says what it bounds there.
     """
 
     working_precision_bits: int = 128
@@ -112,12 +110,8 @@ class PeriodMatrix:
                         raise InvalidPeriodMatrix("tau is not symmetric")
             # symmetrize so downstream linear algebra sees an exactly symmetric Y
             tau = (tau + tau.T) / 2
-            Y = mp.matrix(g, g)
-            X = mp.matrix(g, g)
-            for i in range(g):
-                for j in range(g):
-                    Y[i, j] = tau[i, j].imag
-                    X[i, j] = tau[i, j].real
+            Y = tau.apply(mp.im)
+            X = tau.apply(mp.re)
             try:
                 mp.cholesky(Y)
             except ValueError as exc:
@@ -180,55 +174,49 @@ def reduce_to_fundamental(tau: PeriodMatrix, z: ThetaPoint):
     """
     g = tau.g
     with mp.workprec(tau.bits):
-        zv = mp.matrix([list(z.z)]).T
-        y = mp.matrix([[w.imag] for w in z.z])
-        x = mp.matrix([[w.real] for w in z.z])
-        # Coordinates within `snap` of an integer are treated as exact.  Any
-        # integer m yields a valid reduction, so a generous tolerance only
-        # affects which cell representative is returned, never correctness;
-        # it must simply exceed the rounding error of double-precision input.
+        # Coordinates within `snap` of an integer count as exact.  Any integer
+        # (n, m) is a valid reduction, so the tolerance only picks the cell's
+        # representative; it must exceed the rounding of double input.
         snap = mp.mpf("1e-9")
+        k = [int(mp.nint(c) if abs(c - mp.nint(c)) < snap else mp.floor(c))
+             for c in _lattice_coords(tau, z)]
+        n, m = k[:g], k[g:]
+        z0 = [z.z[i] - n[i] - sum(tau.tau[i, j] * m[j] for j in range(g)) for i in range(g)]
+        quad = sum(m[i] * tau.tau[i, j] * m[j] for i in range(g) for j in range(g)) / 2
+        log_mult = -2j * mp.pi * (quad + sum(m[i] * z0[i] for i in range(g)))
+    return ThetaPoint(tuple(z0)), tuple(m), tuple(n), log_mult
 
-        def floor_snapped(v):
-            r = mp.nint(v)
-            if abs(v - r) < snap:
-                return int(r)
-            return int(mp.floor(v))
 
-        m_real = tau.Yinv * y
-        m = [floor_snapped(m_real[i]) for i in range(g)]
-        mv = mp.matrix([[mp.mpf(k)] for k in m])
-        n_real = x - tau.X * mv
-        n = [floor_snapped(n_real[i]) for i in range(g)]
-        nv = mp.matrix([[mp.mpf(k)] for k in n])
-        z0v = zv - tau.tau * mv - nv
-        z0 = ThetaPoint(tuple(z0v[i] for i in range(g)))
-        quad = (mv.T * tau.tau * mv)[0] / 2
-        lin = sum(mv[i] * z0v[i] for i in range(g))
-        log_mult = -2j * mp.pi * (quad + lin)
-    return z0, tuple(m), tuple(n), log_mult
+def _lattice_coords(tau: PeriodMatrix, z: ThetaPoint) -> list:
+    """The lattice coordinates x = (n, m) of z = n + tau m at tau's
+    precision: m = Y^-1 Im z and n = Re z - X m."""
+    g = tau.g
+    with mp.workprec(tau.bits):
+        m = tau.Yinv * mp.matrix([[w.imag] for w in z.z])
+        n = mp.matrix([[w.real] for w in z.z]) - tau.X * m
+        return [n[i] for i in range(g)] + [m[i] for i in range(g)]
 
 
 class LatticeContext:
     """Per-tau inputs of the lattice sums (see the module docstring).
 
-    The double part: ``taun`` and ``Y`` (tau and Im tau as doubles),
-    ``scale`` = sqrt(det Y), the radii ``R`` (one per axis), the box ``M``
-    of lattice vectors with |M_k| <= R_k (one per row, lexicographic) and
-    ``quad`` = M'tau M/2.  A double kernel's term at m in [-1/2, 1/2]^g, the
-    range it recentres its coordinates to, has modulus exp(-pi (M+m)'Y(M+m)):
-    the case c = m of ``_ellipsoid_radius2`` without its factor exp(pi
-    c'Yc).  So with r^2 = ``_ellipsoid_radius2``(g, lambda_min, 0,
-    sqrt(g)/2, 60) the terms outside {M : (M+m)'Y(M+m) <= r^2}, with their
-    gradient and Hessian weights, sum to at most 2^-60.  On that set |M_k +
-    m_k| <= r sqrt((Y^-1)_kk), so R_k = floor(r sqrt((Y^-1)_kk) + 1/2) makes
-    the box hold every such point's set.  A box of more than
-    ``_BATCH_TERMS`` terms (a nearly degenerate Y) raises BudgetExceeded
-    before any array is built.  ``phases(bits)`` and ``ellipsoid_rows`` give
-    the working-precision part.
+    Built eagerly, and all the working-precision sums read: ``taun`` and
+    ``Y`` (tau and Im tau as doubles), ``scale`` = sqrt(det Y), the factors
+    of Y that ``ellipsoid_rows`` walks, and ``phases(bits)``.
 
-    It also owns the one term layout of both double kernels.  The term of M
-    at w = n + tau m, times exp(-pi m'Ym), is the product of
+    The double part is built on first use by a double kernel: the radii
+    ``R``, the box ``M`` of the M with |M_k| <= R_k (rows in lexicographic
+    order), ``quad`` = M'tau M/2, ``cells`` and the cell tables.  At m in
+    [-1/2, 1/2]^g, where the double kernels recentre, a term has modulus
+    exp(-pi (M+m)'Y(M+m)), so with r^2 = ``_ellipsoid_radius2``(g,
+    lambda_min, 0, sqrt(g)/2, 60) the terms outside {M : (M+m)'Y(M+m) <=
+    r^2}, with their derivative weights, sum to at most 2^-60.  There |M_k +
+    m_k| <= r sqrt((Y^-1)_kk), so R_k = floor(r sqrt((Y^-1)_kk) + 1/2) makes
+    the box hold every such set.  Reading ``R`` raises BudgetExceeded before
+    any array is built when the box holds more than ``_BATCH_TERMS`` terms
+    (a nearly singular Y); the working-precision sums never read it.
+
+    The term of M at w = n + tau m, times exp(-pi m'Ym), is the product of
 
     - a phase-table entry t_M = exp(2 pi i (M'tau M/2 + M'tau c) - pi c'Yc),
       shared by every m in the cell with centre c (``cell_table``);
@@ -249,26 +237,14 @@ class LatticeContext:
     """
 
     def __init__(self, tau: PeriodMatrix):
-        g = tau.g
-        self.g = g
+        self.g = tau.g
         self._tau = tau.tau.tolist()
+        self._lambda_min = float(tau.lambda_min)
         self._phases = {}
         self.taun = tau.tau_np
         self.Y = self.taun.imag
         self.scale = math.sqrt(float(tau.detY))
-        r = math.sqrt(_ellipsoid_radius2(g, float(tau.lambda_min), 0.0, math.sqrt(g) / 2, 60))
-        self.R = tuple(int(r * math.sqrt(v) + 0.5) for v in np.diag(np.linalg.inv(self.Y)))
-        terms = math.prod(2 * k + 1 for k in self.R)
-        if terms > _BATCH_TERMS:
-            raise BudgetExceeded(
-                f"the double kernels' box of radii {self.R} holds {terms:,} lattice "
-                f"terms, more than {_BATCH_TERMS:,}: Im tau is too close to singular"
-            )
-        self.M = np.array(list(itertools.product(*(range(-k, k + 1) for k in self.R))))
-        self.quad = 0.5 * np.einsum("li,ij,lj->l", self.M, self.taun, self.M)
-        colsum = np.array(self.R) @ np.abs(self.Y)
-        self.cells = np.maximum(1, np.ceil(np.pi * g * colsum / _ROW_LOG_BOUND)).astype(int)
-        # the last table built: a table per cell could hold up to
+        # the last cell table built: a table per cell could hold up to
         # prod(cells) prod_k (2R_k+1) values
         self._table = (None, None)
         # Y = U U' with U upper triangular: the Cholesky factor of Y with its
@@ -277,6 +253,31 @@ class LatticeContext:
         U = np.linalg.cholesky(self.Y[::-1, ::-1])[::-1, ::-1]
         self._d = (np.diag(U) ** 2).tolist()
         self._mu = (U / np.diag(U)).tolist()
+
+    @cached_property
+    def R(self) -> tuple:
+        r = math.sqrt(_ellipsoid_radius2(self.g, self._lambda_min, 0.0, math.sqrt(self.g) / 2, 60))
+        R = tuple(int(r * math.sqrt(v) + 0.5) for v in np.diag(np.linalg.inv(self.Y)))
+        terms = math.prod(2 * k + 1 for k in R)
+        if terms > _BATCH_TERMS:
+            raise BudgetExceeded(
+                f"the double kernels' box of radii {R} holds {terms:,} lattice "
+                f"terms, more than {_BATCH_TERMS:,}: Im tau is too close to singular"
+            )
+        return R
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        return np.array(list(itertools.product(*(range(-k, k + 1) for k in self.R))))
+
+    @cached_property
+    def quad(self) -> np.ndarray:
+        return 0.5 * np.einsum("li,ij,lj->l", self.M, self.taun, self.M)
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        colsum = np.array(self.R) @ np.abs(self.Y)
+        return np.maximum(1, np.ceil(np.pi * self.g * colsum / _ROW_LOG_BOUND)).astype(int)
 
     def cell_groups(self, m: np.ndarray):
         """Yield ``(cell, rows)`` for each occupied cell, in cell order: the
@@ -412,14 +413,12 @@ def _axis_powers(w, lo: int, hi: int) -> list:
     return powers
 
 
-def _lattice_set(tau: PeriodMatrix, z0: ThetaPoint, bits: int) -> list:
+def _lattice_set(tau: PeriodMatrix, m, bits: int) -> list:
     """The rows (``LatticeContext.ellipsoid_rows``) of the lattice set the
-    sum at ``bits`` runs over at z0: {M : (M+c)'Y(M+c) <= r^2}, with c =
-    Y^-1 Im z0 and r^2 from ``_ellipsoid_radius2``."""
+    sum at ``bits`` runs over at lattice coordinates (n, m): {M :
+    (M+c)'Y(M+c) <= r^2}, with c = m and r^2 from ``_ellipsoid_radius2``."""
     ctx = tau.lattice
-    with mp.workprec(bits):
-        cv = tau.Yinv * mp.matrix([[w.imag] for w in z0.z])
-    c = np.array([float(cv[i]) for i in range(tau.g)])
+    c = np.array([float(v) for v in m])
     r2 = _ellipsoid_radius2(
         tau.g, float(tau.lambda_min), float(c @ ctx.Y @ c), float(np.linalg.norm(c)), bits
     )
@@ -435,34 +434,36 @@ def _extent(rows: list) -> tuple:
     return lows, highs
 
 
-def _theta_reduced(tau: PeriodMatrix, z0: ThetaPoint, cfg: PrecisionConfig, derivs: bool = False):
-    """Theta sum at an already-reduced argument, truncated to its ellipsoid.
+def _theta_point(tau: PeriodMatrix, x, bits: int, derivs: bool = False):
+    """s = theta(n + tau m) exp(-pi m'Ym) at lattice coordinates x = (n, m),
+    summed at ``bits``: ``_theta_batch`` at one point, at working precision.
 
-    With c = Y^-1 Im z0, the sum runs over the lattice set {M : (M+c)'Y(M+c)
-    <= r^2} of ``LatticeContext.ellipsoid_rows``, with r^2 from
-    ``_ellipsoid_radius2``: the terms left out, and their derivative
-    weights, sum to at most 2^-bits.  Each term exp(2 pi i (M'tau M/2 +
-    M'z)) is the context's phase for M times the per-axis powers exp(2 pi i
-    z_k)^(M_k), each axis's taken over the set's own extent on it.  The sum
-    is contracted by rows: along a row's range of M_g the phases are dotted
-    with the powers of axis g, and the row sum is multiplied once by the
-    powers of its prefix's g - 1 axes.
+    The sum runs over ``_lattice_set``, whose theta terms left out, with
+    their derivative weights, sum to at most 2^-bits, so those of s to at
+    most 2^-bits exp(-pi m'Ym).  A term exp(2 pi i (M'tau M/2 + M'z)), z = n
+    + tau m, is the context's phase for M times the per-axis powers exp(2 pi
+    i z_k)^(M_k) over the set's extent.  Along a row's range of M_g the
+    phases are dotted with the powers of axis g, and the row sum is
+    multiplied once by the powers of its prefix's g - 1 axes.
 
-    Returns the sum, or with ``derivs`` the triple ``(theta, d1, d2)``: the
-    sum, and the gradient (g x 1) and Hessian (g x g) in z of the same
-    truncated sum, whose terms are weighted by 2*pi*i*M and (2*pi*i)^2 *
-    M M'.  A weight is the prefix's entries, constant on a row, times a
-    power of M_g, which the row sums with the weighted powers of axis g.
-    Theta is summed in the same rows and order either way, so it is
-    bit-identical with and without ``derivs``.
+    Returns s, or with ``derivs`` the triple ``(s, d1, d2)``: s, and the
+    gradient (g x 1) and Hessian (g x g) in z of the same truncated theta
+    sum, whose terms are weighted by 2*pi*i*M and (2*pi*i)^2 * M M', each
+    times exp(-pi m'Ym).  A weight is the prefix's entries, constant on a
+    row, times a power of M_g, which the row sums with the weighted powers
+    of axis g.  Theta is summed in the same rows and order either way, so s
+    is bit-identical with and without ``derivs``.
     """
     g = tau.g
-    bits = cfg.working_precision_bits
     with mp.workprec(bits):
-        rows = _lattice_set(tau, z0, bits)
+        m = x[g:]
+        z = [x[i] + sum(tau.tau[i, j] * m[j] for j in range(g)) for i in range(g)]
+        mv = mp.matrix(m)
+        factor = mp.exp(-mp.pi * (mv.T * tau.Y * mv)[0])
+        rows = _lattice_set(tau, m, bits)
         table = tau.lattice.phases(bits)
         lows, highs = _extent(rows)
-        powers = [_axis_powers(w, lo, hi) for w, lo, hi in zip(z0.z, lows, highs)]
+        powers = [_axis_powers(w, lo, hi) for w, lo, hi in zip(z, lows, highs)]
         # axis g's powers weighted by M_g^q, q = 0, 1, 2: the row sums of the
         # terms weighted by that power of M_g
         last = [powers[-1]]
@@ -476,11 +477,11 @@ def _theta_reduced(tau: PeriodMatrix, z0: ThetaPoint, cfg: PrecisionConfig, deri
             ph = [table[prefix + (j,)] for j in range(lo, hi + 1)]
             for q, row in enumerate(last):
                 sums[q].append(mp.fdot(ph, row[lo - lo_g : hi + 1 - lo_g]))
-            prefs.append(math.prod(powers[k][m - lows[k]] for k, m in enumerate(prefix)))
-        total = mp.fdot(sums[0], prefs)
+            prefs.append(math.prod(powers[k][j - lows[k]] for k, j in enumerate(prefix)))
+        s = factor * mp.fdot(sums[0], prefs)
         if not derivs:
-            return total
-        vals = [[s * p for s, p in zip(sq, prefs)] for sq in sums]
+            return s
+        vals = [[r * p for r, p in zip(sq, prefs)] for sq in sums]
 
         def weighted(axes):
             outer = [math.prod(p[a] for a in axes if a < g - 1) for p, _, _ in rows]
@@ -490,35 +491,42 @@ def _theta_reduced(tau: PeriodMatrix, z0: ThetaPoint, cfg: PrecisionConfig, deri
         d2 = [[weighted((i, j)) for j in range(i + 1)] for i in range(g)]
         two_pi_i = 2j * mp.pi
         hess = [[d2[max(i, j)][min(i, j)] for j in range(g)] for i in range(g)]
-        return total, two_pi_i * mp.matrix(d1), two_pi_i**2 * mp.matrix(hess)
+        return s, factor * two_pi_i * mp.matrix(d1), factor * two_pi_i**2 * mp.matrix(hess)
 
 
 def theta(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None):
-    """Riemann theta function theta(z, tau) with absolute error <= the target.
+    """Riemann theta function theta(z, tau).
 
-    The argument is first reduced to the fundamental cell; the quasi-periodicity
-    multiplier is reapplied to the truncated sum.
+    theta(z) = exp(log_multiplier + pi m0'Y m0) s, with z reduced to z0 in
+    the fundamental cell and s from ``_theta_point`` at the coordinates
+    (n0, m0) of z0.  s is within 2^-bits of its sum (bits =
+    ``cfg.working_precision_bits``), so the error of theta is at most
+    2^-bits exp(pi y'Y^-1 y), y = Im z, plus a relative 2^-bits times the
+    size of the multiplier's exponent, which is rounded at the working
+    precision.  It is absolute, below ``target_abs_error``, only near the
+    fundamental cell.
     """
     cfg = cfg or PrecisionConfig()
-    with mp.workprec(cfg.working_precision_bits):
-        z0, m, n, log_mult = reduce_to_fundamental(tau, z)
-        val = _theta_reduced(tau, z0, cfg)
-        return mp.exp(log_mult) * val
+    bits = cfg.working_precision_bits
+    with mp.workprec(bits):
+        z0, _, _, log_mult = reduce_to_fundamental(tau, z)
+        x0 = _lattice_coords(tau, z0)
+        m0 = mp.matrix(x0[tau.g :])
+        return mp.exp(log_mult + mp.pi * (m0.T * tau.Y * m0)[0]) * _theta_point(tau, x0, bits)
 
 
 def theta_norm(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None):
     """Moret-Bailly norm det(Im tau)^(1/2) exp(-2 pi y' (Im tau)^-1 y) |theta|^2.
 
-    Computed after fundamental-cell reduction; the value is invariant under
-    lattice translation of z.
+    sqrt(det Y) |s|^2 with s from ``_theta_point`` at the lattice
+    coordinates of z recentred to [-1/2, 1/2): the norm is invariant under
+    lattice translation of z, so it needs no multiplier.
     """
     cfg = cfg or PrecisionConfig()
-    with mp.workprec(cfg.working_precision_bits):
-        z0, _, _, _ = reduce_to_fundamental(tau, z)
-        th = _theta_reduced(tau, z0, cfg)
-        y0 = mp.matrix([[w.imag] for w in z0.z])
-        quad = (y0.T * tau.Yinv * y0)[0]
-        return mp.sqrt(tau.detY) * mp.exp(-2 * mp.pi * quad) * abs(th) ** 2
+    bits = cfg.working_precision_bits
+    with mp.workprec(bits):
+        x = [c - mp.nint(c) for c in _lattice_coords(tau, z)]
+        return mp.sqrt(tau.detY) * abs(_theta_point(tau, x, bits)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +564,7 @@ def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
     context's last, instead of N L_1...L_g.  Since dP_k/dz_k = 2 pi i j P_k,
     the derivatives are the same contraction with axis k's rows weighted by
     2 pi i j for d/dz_k, and axes k and l weighted for d^2/dz_k dz_l (as in
-    ``_theta_reduced``): with ``derivs`` each point contributes K = 1 + g +
+    ``_theta_point``): with ``derivs`` each point contributes K = 1 + g +
     g(g+1)/2 weighted copies of its rows.
     Points are summed in chunks so that no temporary holds more than
     ``_BATCH_TERMS`` complex values.

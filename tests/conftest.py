@@ -57,6 +57,15 @@ def rational_subgroup(curve):
     ]
 
 
+def lattice_point(tau: td.PeriodMatrix, x, bits: int = 128) -> td.ThetaPoint:
+    """z = n + tau m from lattice coordinates x = (n, m), at ``bits``."""
+    g = tau.g
+    with mp.workprec(bits):
+        return td.ThetaPoint(
+            tuple(x[i] + sum(tau.tau[i, j] * x[g + j] for j in range(g)) for i in range(g))
+        )
+
+
 def _box(g: int, R):
     """The lattice vectors with |m_k| <= R_k, for R an int or one per axis."""
     import itertools

@@ -268,6 +268,15 @@ class TestReductionHomomorphism:
             n = td.order_of(curve, Dp)
             assert n_jac % n == 0
 
+    def test_reduction_matches_checked_pair(self, curve, rational_subgroup):
+        """reduce_mod skips make_divisor's u | v^2 - f check, which the
+        homomorphism makes hold; the pairs equal the checked ones."""
+        for p in [p for p in (3, 7, 11, 13, 17, 19, 23) if curve.disc_f % p]:
+            for j in (1, 2, 3):
+                R = ResidueRing(p, j)
+                for D in rational_subgroup:
+                    assert td.reduce_mod(curve, D, p, j) == td.make_divisor(curve, D.u, D.v, R)
+
     def test_bad_prime_rejected(self, curve):
         with pytest.raises(td.UnsupportedPrime):
             td.reduce_mod(curve, D1(curve), 5, 1)
@@ -483,12 +492,23 @@ class TestVerifyBound:
         assert rows[0].inequality_holds is None
         assert "divisible by p" in rows[0].rejected_reason
 
-    def test_order_exceeding_search_bound_row(self, curve, preset_data):
-        R = ResidueRing(11, 1)
-        pts = td.enumerate_curve_points_mod(curve, 11, 1)
-        # a mod-11 class is outside the rational-divisor contract; instead use
-        # a rational class and a tiny search bound through order_of directly
-        assert td.order_of(curve, D1(curve), search_bound=2) == "exceeds-bound"
+    def test_order_exceeding_search_bound_row(self, curve, preset_data, monkeypatch):
+        """verify_bound searches orders up to 1000; a class whose order
+        order_of does not find there gets a rejected row, with no v_p."""
+        bounds = []
+
+        def no_order(curve, D, search_bound):
+            bounds.append(search_bound)
+            return "exceeds-bound"
+
+        monkeypatch.setattr(td.jacobian, "order_of", no_order)
+        rows = td.verify_bound(curve, preset_data, [td.scalar_mul(curve, 2, D1(curve))], 3, 2)
+        assert bounds == [1000]
+        assert len(rows) == 1
+        assert rows[0].order == "exceeds-bound"
+        assert rows[0].v_p is None and rows[0].d_p is None
+        assert rows[0].inequality_holds is None
+        assert rows[0].rejected_reason == "order exceeds search bound"
 
     def test_order_walks_half_way(self, curve, preset_data, rational_subgroup, monkeypatch):
         """The ten rational classes, of orders 1, 2, 5 (4 classes) and 10

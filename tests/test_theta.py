@@ -9,18 +9,18 @@ import numpy as np
 import pytest
 
 import thetadist as td
-from conftest import brute_theta
+from conftest import brute_theta, lattice_point
 
 # frozen from the naive double-loop oracle (R = 30 at 250 bits)
 S4_THETA0_RE = "1.0502862579537883794134248631481479"
 S4_THETA0_IM = "-0.16634900114656232797813445567977354"
 
 
-def set_radii(tau, z0, cfg, shells):
+def set_radii(tau, m, cfg, shells):
     """Per-axis box radii around the lattice set the working-precision sum
-    runs over at a reduced point z0: its extent on each axis plus
+    runs over at lattice coordinates (n, m): its extent on each axis plus
     ``shells``."""
-    rows = td.periods._lattice_set(tau, z0, cfg.working_precision_bits)
+    rows = td.periods._lattice_set(tau, m, cfg.working_precision_bits)
     lows, highs = td.periods._extent(rows)
     return [max(-lo, hi) + shells for lo, hi in zip(lows, highs)]
 
@@ -130,42 +130,51 @@ class TestTheta:
             assert abs(a - b) <= 2 * cfg.target_abs_error * max(1, abs(a))
 
     def test_truncation_soundness(self, tau_s4, cfg):
-        """The sum over the lattice set at a reduced point against the
-        independent oracle summed over the set's per-axis extent plus two
-        shells, on tau = i, the preset and each matrix of SET_TAUS."""
+        """s over the lattice set at x in [-1/2, 1/2)^{2g}, where theta_norm
+        and Newton sum, against the independent oracle summed over the
+        set's per-axis extent plus two shells, times exp(-pi m'Ym), on tau =
+        i, the preset and each matrix of SET_TAUS."""
         rng = random.Random(5)
+        bits = cfg.working_precision_bits
         for name in ["i", "s4"] + list(SET_TAUS):
             tau = set_tau(name, tau_s4)
-            for _ in range(5 if tau.g < 3 else 3):
-                x = [rng.random() for _ in range(2 * tau.g)]
-                z0 = td.reduce_to_fundamental(tau, td.maximize._lattice_point(tau, x))[0]
-                a = td.periods._theta_reduced(tau, z0, cfg)
-                b = brute_theta(tau, z0.z, set_radii(tau, z0, cfg, 2))
+            g = tau.g
+            for _ in range(5 if g < 3 else 3):
+                x = [rng.random() - 0.5 for _ in range(2 * g)]
+                a = td.periods._theta_point(tau, x, bits)
+                m = x[g:]
+                with mp.workprec(200):
+                    q = sum(m[i] * tau.Y[i, j] * m[j] for i in range(g) for j in range(g))
+                    b = brute_theta(tau, lattice_point(tau, x, 200).z, set_radii(tau, m, cfg, 2))
+                    b *= mp.exp(-mp.pi * q)
                 assert abs(a - b) < 1e-35 * max(1, abs(a)), name
 
     @pytest.mark.parametrize("name", ["s4"] + list(SET_TAUS))
     def test_lattice_set_is_tight(self, name, tau_s4, cfg, monkeypatch):
         """At ten seeded points theta_norm's sum runs over at most twice the
-        M whose term has modulus >= 2^-128 at the reduced point z0: exp(pi
-        c'Yc - pi (M+c)'Y(M+c)) with c = Y^-1 Im z0, counted over a box
-        around the set."""
+        M whose term has modulus >= 2^-128 where the sum runs, at the
+        coordinates (n, c) of z recentred to [-1/2, 1/2): exp(pi c'Yc - pi
+        (M+c)'Y(M+c)), counted over a box around the set."""
         tau = set_tau(name, tau_s4)
         g = tau.g
         sets = []
         rows_of = tau.lattice.ellipsoid_rows
         monkeypatch.setattr(
-            tau.lattice, "ellipsoid_rows", lambda *a: sets.append(rows_of(*a)) or sets[-1]
+            tau.lattice,
+            "ellipsoid_rows",
+            lambda c, r2: sets.append((c, rows_of(c, r2))) or sets[-1][1],
         )
         rng = np.random.default_rng(1)
-        Y, Yinv = tau.lattice.Y, np.linalg.inv(tau.lattice.Y)
+        Y = tau.lattice.Y
         for x in rng.random((10, 2 * g)):
-            point = td.maximize._lattice_point(tau, x)
-            td.theta_norm(tau, point, cfg)
-            z0 = td.reduce_to_fundamental(tau, point)[0]
-            summed = sum(hi - lo + 1 for _, lo, hi in sets[-1])
-            c = Yinv @ np.array([float(w.imag) for w in z0.z])
+            sets.clear()
+            td.theta_norm(tau, lattice_point(tau, x), cfg)
+            [(c, rows)] = sets
+            c = np.array(c)
+            assert np.abs(c - (x[g:] - np.round(x[g:]))).max() < 1e-12
+            summed = sum(hi - lo + 1 for _, lo, hi in rows)
             box = np.array(list(itertools.product(
-                *(range(-r, r + 1) for r in set_radii(tau, z0, cfg, 2))
+                *(range(-r, r + 1) for r in set_radii(tau, c, cfg, 2))
             )))
             q = np.einsum("li,ij,lj->l", box + c, Y, box + c)
             needed = int((q <= c @ Y @ c + 128 * np.log(2) / np.pi).sum())
@@ -173,21 +182,20 @@ class TestTheta:
 
     @pytest.mark.parametrize("name", ["s4", "g3"])
     def test_derivatives_match_oracle(self, name, tau_s4, cfg):
-        """Newton's gradient and Hessian against mp.diff of the oracle summed
-        over the lattice set's extent plus one shell: first derivatives
-        along each axis, and second derivatives along e_i + e_j, which are
-        v'Hv.  brute_theta is exact to 2^-200, so
+        """The ratios Newton reads, theta'/theta and theta''/theta, against
+        mp.diff of the oracle summed over the lattice set's extent plus one
+        shell: first derivatives along each axis, and second derivatives
+        along e_i + e_j, which are v'Hv.  brute_theta is exact to 2^-200, so
         a step of 2^-50 leaves finite-difference errors near 1e-30."""
         tau = tau_s4 if name == "s4" else td.PeriodMatrix(TAU_G3)
         g = tau.g
-        with mp.workprec(cfg.working_precision_bits):
-            z = [0.3 + 0.1 * i + sum(tau.tau[i, j] * (0.3 - 0.05 * j) for j in range(g))
-                 for i in range(g)]
-        z0 = td.ThetaPoint(tuple(z))
-        _, d1, d2 = td.periods._theta_reduced(tau, z0, cfg, derivs=True)
-        R = set_radii(tau, z0, cfg, 1)
+        x = [0.3 + 0.1 * i for i in range(g)] + [0.3 - 0.05 * j for j in range(g)]
+        s, d1, d2 = td.periods._theta_point(tau, x, cfg.working_precision_bits, derivs=True)
+        z0 = lattice_point(tau, x)
+        R = set_radii(tau, x[g:], cfg, 1)
         unit = [[int(i == k) for k in range(g)] for i in range(g)]
         with mp.workprec(200):
+            d1, d2 = d1 / s, d2 / s
             h = mp.mpf(2) ** -50
             center = brute_theta(tau, z0.z, R)
 
@@ -200,13 +208,26 @@ class TestTheta:
                 return mp.diff(f, 0, order, h=h)
 
             for i in range(g):
-                ref = along(unit[i], 1)
+                ref = along(unit[i], 1) / center
                 assert abs(d1[i] - ref) <= 1e-20 * max(1, abs(ref))
                 for j in range(i + 1):
                     v = [a + b for a, b in zip(unit[i], unit[j])]
-                    ref = along(v, 2)
+                    ref = along(v, 2) / center
                     got = sum(v[k] * v[l] * d2[k, l] for k in range(g) for l in range(g))
                     assert abs(got - ref) <= 1e-20 * max(1, abs(ref))
+
+    def test_relative_error_away_from_fundamental_cell(self, tau_s4, cfg):
+        """theta's error is relative to exp(pi y'Y^-1 y), not absolute: at
+        x = (0.2, 0.4, 3.3, 2.7), |theta| = 1.24e40, and at seeded points up
+        to 4 cells from the fundamental cell, theta agrees with the oracle
+        to a relative 1e-35.  The oracle's box |M_k| <= 14 holds every term
+        above exp(-pi lambda_min 100) of the largest."""
+        rng = np.random.default_rng(3)
+        for x in [[0.2, 0.4, 3.3, 2.7]] + (rng.random((5, 4)) * 8 - 4).tolist():
+            z = lattice_point(tau_s4, x, 300)
+            a = td.theta(tau_s4, z, cfg)
+            b = brute_theta(tau_s4, z.z, 14, bits=300)
+            assert abs(a - b) <= 1e-35 * abs(b), x
 
     def test_oracle_agreement_random_points(self, tau_s4, cfg):
         rng = random.Random(7)
@@ -240,9 +261,9 @@ class TestTheta:
             assert abs(th - mp.mpc(re, im)) <= 1e-35 * abs(th)
             nv = td.theta_norm(tau, point, cfg)
             assert abs(nv - mp.mpf(norm)) <= 1e-35 * nv
-            z0 = td.reduce_to_fundamental(tau, point)[0]
-            th = td.periods._theta_reduced(tau, z0, cfg)
-            assert td.periods._theta_reduced(tau, z0, cfg, derivs=True)[0] == th
+            x = td.periods._lattice_coords(tau, point)
+            s = td.periods._theta_point(tau, x, cfg.working_precision_bits)
+            assert td.periods._theta_point(tau, x, cfg.working_precision_bits, derivs=True)[0] == s
 
     def test_precision_floor_rejected(self):
         with pytest.raises(td.PrecisionTooLow):
@@ -271,6 +292,19 @@ class TestReduceToFundamental:
         z0, m, n, _ = td.reduce_to_fundamental(tau_s4, td.ThetaPoint(z))
         assert m == (1, 1)
         assert max(abs(w) for w in z0.z) < 1e-30
+
+    def test_z0_coordinates_in_unit_cell(self, tau_s4):
+        """The lattice coordinates (n0, m0) of z0 lie in [0, 1)^{2g}, n0
+        included, where Re tau is not 0."""
+        rng = random.Random(13)
+        Y, X = tau_s4.lattice.Y, tau_s4.lattice.taun.real
+        for _ in range(20):
+            z = tuple(complex(rng.uniform(-5, 5), rng.uniform(-3, 3)) for _ in range(2))
+            z0 = td.reduce_to_fundamental(tau_s4, td.ThetaPoint(z))[0]
+            w = np.array([complex(v) for v in z0.z])
+            m0 = np.linalg.solve(Y, w.imag)
+            x0 = np.concatenate([w.real - X @ m0, m0])
+            assert ((x0 > -1e-9) & (x0 < 1 + 1e-9)).all(), z
 
 
 class TestThetaNorm:
@@ -410,9 +444,7 @@ class TestNormBatch:
             # m, where it is a Gaussian of width about 1/sqrt(4 pi Y_22)
             coords[:, tau.g :] /= 20
         fast = td.periods.norm_batch(tau, coords)
-        with mp.workprec(cfg.working_precision_bits):
-            zs = [td.maximize._lattice_point(tau, [float(v) for v in x]) for x in coords]
-        ref = np.array([float(td.theta_norm(tau, z, cfg)) for z in zs])
+        ref = np.array([float(td.theta_norm(tau, lattice_point(tau, x), cfg)) for x in coords])
         big = ref > 1e-6 * ref.max()
         assert big.sum() >= 2
         assert np.abs(fast - ref).max() <= 1e-12 * ref.max()
@@ -512,6 +544,38 @@ class TestLatticeContext:
             for prefix, lo, hi in rows:
                 assert all(abs(k) <= r for k, r in zip(prefix, ctx.R)), (name, m)
                 assert -ctx.R[-1] <= lo and hi <= ctx.R[-1], (name, m)
+
+    @pytest.mark.parametrize(
+        "eps, bits, target, rtol, box_fits",
+        [(1e-3, 128, 1e-25, 1e-35, True), (5e-6, 64, 1e-16, 1e-16, False)],
+    )
+    def test_theta_on_near_singular_y(self, eps, bits, target, rtol, box_fits):
+        """Y = [[1, 1 - eps], [1 - eps, 1]] at a diagonal point z_1 = z_2,
+        against the Jacobi inversion theta(z, iY) = det Y^(-1/2) exp(-pi
+        z'Y^-1 z) theta(-i Y^-1 z, i Y^-1): there the dual sum over |M_k| <=
+        9 converges fast.  At eps = 5e-6 the double box holds more than
+        _BATCH_TERMS terms, but theta sums its own ellipsoid and never
+        builds the double part; norm_batch still raises."""
+        a = 1 - eps
+        tau = td.PeriodMatrix([[1j, a * 1j], [a * 1j, 1j]])
+        w = 0.3 + 0.2j
+        v = td.theta(tau, td.ThetaPoint((w, w)), td.PrecisionConfig(bits, target))
+        assert "R" not in vars(tau.lattice)
+        with mp.workprec(300):
+            det = 1 - mp.mpf(a) ** 2
+            yinv = [[1 / det, -a / det], [-a / det, 1 / det]]
+            dual = td.PeriodMatrix([[1j * c for c in row] for row in yinv], bits=300)
+            u = [sum(row) * w for row in yinv]
+            ref = (
+                mp.exp(-mp.pi * w * sum(u)) / mp.sqrt(det)
+                * brute_theta(dual, [-1j * c for c in u], 9, bits=300)
+            )
+            assert abs(v - ref) <= rtol * abs(ref)
+        if not box_fits:
+            start = time.perf_counter()
+            with pytest.raises(td.BudgetExceeded, match="holds [\\d,]+ lattice terms"):
+                td.periods.norm_batch(tau, np.zeros((1, 4)))
+            assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-10])
     def test_near_singular_y_fails_fast(self, eps):

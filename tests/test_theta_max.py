@@ -110,25 +110,21 @@ class TestThetaMaxG2:
         doubles; only the two symmetric maxima are polished, at two
         derivative sums each, and the value comes from the last of them."""
         calls = []
-        kernel = td.periods._theta_reduced
+        kernel = td.periods._theta_point
 
-        def counted(tau, z0, cfg, derivs=False):
-            calls.append(z0)
-            return kernel(tau, z0, cfg, derivs)
+        def counted(tau, x, bits, derivs=False):
+            calls.append(np.array([float(c) for c in x]))
+            return kernel(tau, x, bits, derivs)
 
-        monkeypatch.setattr(td.periods, "_theta_reduced", counted)
-        monkeypatch.setattr(td.maximize, "_theta_reduced", counted)
+        monkeypatch.setattr(td.periods, "_theta_point", counted)
+        monkeypatch.setattr(td.maximize, "_theta_point", counted)
         res = td.theta_max(tau_s4, td.OptimizerConfig(grid_points_per_dim=32), cfg)
 
         half_periods = {528: (0, 0, 0.5, 0.5), 16384: (0, 0.5, 0, 0), 524288: (0.5, 0, 0, 0)}
         starts = td.maximize._grid_starts(td.periods.sqrt_norm_grid(tau_s4, 32))
         assert set(half_periods) <= set(starts)
         assert len(calls) <= 4
-        Yinv = np.linalg.inv(tau_s4.lattice.Y)
-        for z0 in calls:
-            z = np.array([complex(w) for w in z0.z])
-            m = Yinv @ z.imag
-            x = np.concatenate([z.real - tau_s4.lattice.taun.real @ m, m])
+        for x in calls:
             for h in half_periods.values():
                 d = (x - np.array(h)) % 1
                 assert np.minimum(d, 1 - d).max() > 1e-3
@@ -140,10 +136,11 @@ class TestThetaMaxG2:
 class TestThetaDerivs:
     @pytest.mark.parametrize("name", ["i", "s4", "ridge", "g3", "y21", "c30"])
     def test_matches_working_precision_kernel(self, name, tau_s4, cfg):
-        """_theta_batch(derivs=True) against _theta_reduced(derivs=True) at
+        """_theta_batch(derivs=True) against _theta_point(derivs=True) at
         seeded points, taken at the recentred coordinates the double kernel
-        sums at and times its factor exp(-pi m'Ym).  TAU_C30 (4 x 4 cells)
-        takes the derivatives across cells."""
+        sums at: both return s and its derivatives with the same factor
+        exp(-pi m'Ym).  TAU_C30 (4 x 4 cells) takes the derivatives across
+        cells."""
         tau = {"i": td.PeriodMatrix([[1j]]), "s4": tau_s4,
                "ridge": td.PeriodMatrix(TAU_RIDGE), "g3": td.PeriodMatrix(TAU_G3),
                "y21": td.PeriodMatrix(TAU_Y21), "c30": td.PeriodMatrix(TAU_C30)}[name]
@@ -152,16 +149,7 @@ class TestThetaDerivs:
         for x in rng.random((4, 2 * g)):
             fast = [v[0] for v in td.periods._theta_batch(tau, x[None], derivs=True)]
             x = x - np.round(x)
-            with mp.workprec(cfg.working_precision_bits):
-                z = tuple(
-                    x[i] + sum(tau.tau[i, j] * x[g + j] for j in range(g)) for i in range(g)
-                )
-                th, d1, d2 = td.periods._theta_reduced(tau, td.ThetaPoint(z), cfg, derivs=True)
-                m = x[g:]
-                factor = mp.exp(
-                    -mp.pi * sum(m[i] * tau.Y[i, j] * m[j] for i in range(g) for j in range(g))
-                )
-                th, d1, d2 = factor * th, factor * d1, factor * d2
+            th, d1, d2 = td.periods._theta_point(tau, x, cfg.working_precision_bits, derivs=True)
             slow = (
                 np.array(complex(th)),
                 np.array([complex(d1[i]) for i in range(g)]),
