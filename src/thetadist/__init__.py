@@ -64,7 +64,6 @@ from .jacobian import (
     MumfordDivisor,
     PadicDistanceResult,
     add,
-    divisor_from_strings,
     enumerate_curve_points_mod,
     jacobian_order_mod_p,
     make_divisor,

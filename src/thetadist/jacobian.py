@@ -281,13 +281,6 @@ def zero_divisor(ring=QQ) -> MumfordDivisor:
     return MumfordDivisor(u=(ring.coerce(1),), v=(), ring=ring)
 
 
-def divisor_from_strings(curve: HyperellipticCurve, u_strs, v_strs) -> MumfordDivisor:
-    """Build a rational divisor from 'num/den' coefficient strings (low to high)."""
-    u = [Fraction(s) for s in u_strs]
-    v = [Fraction(s) for s in v_strs]
-    return make_divisor(curve, u, v, QQ)
-
-
 # ---------------------------------------------------------------------------
 # Group law (Cantor)
 # ---------------------------------------------------------------------------
@@ -333,23 +326,18 @@ def add(curve: HyperellipticCurve, D1: MumfordDivisor, D2: MumfordDivisor) -> Mu
         if rem:
             raise RepresentationDegenerate("composition numerator does not divide")
         v = pmod(R, num_q, u)
-    # reduction to genus-2 size
+    # reduction to genus-2 size; u1 u2 / d^2 is monic, and so is each u_new
     while len(u) - 1 > 2:
         u_new = pdivmod(R, psub(R, f, pmul(R, v, v)), u)[0]
         u_new = pscale(R, R.inv(u_new[-1]), u_new)
         v = pmod(R, pneg(R, v), u_new)
         u = u_new
-    if not u:
-        u = (R.coerce(1),)
-    elif u[-1] != 1:
-        u = pscale(R, R.inv(u[-1]), u)
     return MumfordDivisor(u=u, v=v, ring=R)
 
 
 def neg(curve: HyperellipticCurve, D: MumfordDivisor) -> MumfordDivisor:
-    """Hyperelliptic involution: (u, -v mod u)."""
-    R = D.ring
-    return MumfordDivisor(u=D.u, v=pmod(R, pneg(R, D.v), D.u), ring=R)
+    """Hyperelliptic involution: (u, -v); deg v < deg u, so -v is reduced."""
+    return MumfordDivisor(u=D.u, v=pneg(D.ring, D.v), ring=D.ring)
 
 
 def scalar_mul(curve: HyperellipticCurve, n: int, D: MumfordDivisor) -> MumfordDivisor:

@@ -3,26 +3,26 @@
 Deterministic three-stage search.  A full tensor grid in lattice coordinates
 is scanned in double precision by ``periods.sqrt_norm_grid``, which evaluates
 the theta sum on each m-slice as a trigonometric polynomial in n (one small
-matrix product per axis).  Newton's method on log<s,s> then runs in doubles
-from the grid's discrete local maxima, one start per cluster of tied
-neighbouring maxima, so neighbouring points of one peak make one start.  Only
-the converged points whose double value ties the best are polished by the
-same Newton iteration at working precision, which from double accuracy takes
-two lattice sums.  Both Newton iterations read the one theta-sum contract of
-``periods``: lattice coordinates x = (n, m) in, s = theta(n + tau m)
-exp(-pi m'Ym) and its z-derivatives times the same factor out, in doubles
-from the scattered-point kernel ``periods._theta_batch`` behind
-``norm_batch`` and at working precision from ``periods._theta_point``
-(Deconinck, Heil, Bobenko, van Hoeij, Schmies, "Computing Riemann theta
-functions", Math. Comp. 73 (2004)).  Each Newton's value is sqrt(<s,s>) =
-|s| (det Y)^(1/4) from the s of its own last sum.  No
+matrix product per axis).  One Newton iteration on log<s,s>, ``_newton``,
+then runs twice: in doubles from the grid's discrete local maxima, one start
+per cluster of tied neighbouring maxima, and at working precision from the
+converged points whose double value ties the best, which from double
+accuracy takes two lattice sums.  Both read the one theta-sum contract of
+``periods`` (lattice coordinates x = (n, m) in, s = theta(n + tau m)
+exp(-pi m'Ym) and its z-derivatives times the same factor out), from
+``periods._theta_batch`` in doubles and from ``periods._theta_point`` at
+working precision (Deconinck, Heil, Bobenko, van Hoeij, Schmies, "Computing
+Riemann theta functions", Math. Comp. 73 (2004)).  Both drop a start by one
+rule, a pivot of -H that is not positive (``_solve_definite``).  No
 global-optimality certificate is produced; the probe and grid-monotonicity
 properties in the test suite are the practical guard.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -71,78 +71,77 @@ def default_optimizer_config(g: int) -> OptimizerConfig:
     return OptimizerConfig(grid_points_per_dim=nd)
 
 
-def _newton_double(tau: PeriodMatrix, start):
-    """``_newton`` in doubles on ``periods._theta_batch`` at one point, with
-    the same gradient and Hessian.  The kernel's derivatives carry its factor
-    exp(-pi m'Ym), which cancels in the ratios theta'/theta and theta''/theta.
-    The iterate is kept in [-1/2, 1/2)^{2g}, where the lattice context's box
-    holds the point's lattice set, and a step below 2^(-26) ends the
-    iteration.  Returns ``(value, x)`` with value the square-root norm from
-    the s of the last sum, or None when -H has no Cholesky factor or the cap
-    is reached.
+def _solve_definite(A, b):
+    """The solution of A x = b for a symmetric positive definite A, or None.
+
+    Gaussian elimination without pivoting, on floats or on mpmath numbers at
+    the ambient precision.  A symmetric matrix is positive definite exactly
+    when all its pivots are positive (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., SIAM 2002, ch. 10), so the first pivot
+    that is not positive, NaN included, returns None.
     """
-    g = tau.g
-    ctx = tau.lattice
-    J = np.hstack([np.eye(g), ctx.taun])
-    x = np.asarray(start, dtype=float)
-    for _ in range(_NEWTON_MAX_STEPS):
-        x = x - np.round(x)
-        th, d1, d2 = (v[0] for v in _theta_batch(tau, x[None], derivs=True))
-        a = d1 / th
-        grad = 2 * (J.T @ a).real
-        hess = 2 * (J.T @ (d2 / th - np.outer(a, a)) @ J).real
-        grad[g:] -= 4 * np.pi * ctx.Y @ x[g:]
-        hess[g:, g:] -= 4 * np.pi * ctx.Y
-        try:
-            L = np.linalg.cholesky(-hess)
-        except np.linalg.LinAlgError:
+    n, A, x = len(b), np.asarray(A).tolist(), np.asarray(b).tolist()
+    for k in range(n):
+        if not A[k][k] > 0:
             return None
-        step = np.linalg.solve(L.T, np.linalg.solve(L, grad))
-        x = x + step
-        if np.abs(step).max() < 2.0**-26:
-            return abs(th) * np.sqrt(ctx.scale), x
-    return None
+        for i in range(k + 1, n):
+            f = A[i][k] / A[k][k]
+            for j in range(k + 1, n):
+                A[i][j] -= f * A[k][j]
+            x[i] -= f * x[k]
+    for k in reversed(range(n)):
+        x[k] = (x[k] - sum(A[k][j] * x[j] for j in range(k + 1, n))) / A[k][k]
+    return np.array(x)
 
 
-def _newton(tau: PeriodMatrix, start, cfg: PrecisionConfig):
+def _newton(tau: PeriodMatrix, start, bits: int | None = None):
     """Newton ascent on log<s,s> = const - 2 pi m'Ym + 2 Re log theta(n + tau m).
 
     With J = [I | tau] and a = theta'/theta the gradient in x = (n, m) is
-    2 Re(J'a) - 4 pi (0, Ym) and the Hessian 2 Re(J'(theta''/theta - a a')J)
-    - 4 pi diag(0, Y), read from ``periods._theta_point`` as in
-    ``_newton_double``.  The iterate is kept in [-1/2, 1/2)^{2g}, where the
-    sum's lattice set, whose r^2 grows with m'Ym, is smallest.  A step below
-    2^(-bits/2) in max-norm leaves an error near 2^(-bits) and ends the
-    iteration, so from a start of double accuracy it takes two lattice sums.
-    Returns ``(value, x)``: x reduced to [0,1)^{2g}, and value = sqrt(<s,s>)
-    = |s| (det Y)^(1/4) from the s of the last sum, taken one sub-tolerance
-    step from x, where <s,s> differs from its value at x only at second
-    order.  Returns None when the Hessian is not negative definite or the
-    cap is reached.
+    2 Re(J'a) - 4 pi (0, Ym) and the Hessian H = 2 Re(J'(theta''/theta -
+    a a')J) - 4 pi diag(0, Y); the kernel's factor exp(-pi m'Ym) cancels in the
+    ratios.  With ``bits`` None the sum is ``_theta_batch`` at one point, the
+    algebra runs in doubles, and a step below 2^(-26) ends the iteration.
+    With ``bits`` the sum is ``_theta_point`` and the algebra runs on mpmath
+    numbers, both at ``bits``, and a step below 2^(-bits/2), which leaves an
+    error near 2^(-bits), ends it.  The iterate is kept in [-1/2, 1/2)^{2g},
+    where the sum's lattice set is smallest.  Returns ``(value, x)``: x
+    reduced to [0,1)^{2g}, and value = sqrt(<s,s>) = |s| (det Y)^(1/4) from
+    the s of the last sum, one sub-tolerance step from x, where <s,s> differs
+    from its value at x only at second order.  Returns None when
+    ``_solve_definite`` rejects -H or the cap is reached.
     """
     g = tau.g
-    bits = cfg.working_precision_bits
-    with mp.workprec(bits):
-        J = mp.matrix([[int(i == j) for j in range(g)] + tau.tau.tolist()[i] for i in range(g)])
-        tol = mp.mpf(2) ** (-mp.mpf(bits) / 2)
-        x = [mp.mpf(c) for c in start]
+    with contextlib.nullcontext() if bits is None else mp.workprec(bits):
+        if bits is None:
+            ctx = tau.lattice
+            x = np.asarray(start, dtype=float)
+            J, Y4pi = np.hstack([np.eye(g), ctx.taun]), 4 * np.pi * ctx.Y
+            root4, tol = math.sqrt(ctx.scale), 2.0**-26
+        else:
+            x = np.array([mp.mpf(c) for c in start])
+            J = np.hstack([np.eye(g), np.array(tau.tau.tolist())])
+            Y4pi = np.array(tau.Y.tolist()) * (4 * mp.pi)  # array first, as in _theta_point
+            root4, tol = mp.sqrt(mp.sqrt(tau.detY)), mp.mpf(2) ** (-mp.mpf(bits) / 2)
         for _ in range(_NEWTON_MAX_STEPS):
-            x = [c - mp.nint(c) for c in x]
-            s, d1, d2 = _theta_point(tau, x, bits, derivs=True)
+            x = np.array([c - round(c) for c in x])
+            if bits is None:
+                s, d1, d2 = (v[0] for v in _theta_batch(tau, x[None], derivs=True))
+            else:
+                s, d1, d2 = _theta_point(tau, x, bits, derivs=True)
             a = d1 / s
-            grad = (J.T * a).apply(mp.re) * 2
-            hess = (J.T * (d2 / s - a * a.T) * J).apply(mp.re) * 2
-            for i in range(g):
-                for j in range(g):
-                    grad[g + i] -= 4 * mp.pi * tau.Y[i, j] * x[g + j]
-                    hess[g + i, g + j] -= 4 * mp.pi * tau.Y[i, j]
-            try:
-                step = mp.cholesky_solve(-hess, grad)
-            except ValueError:
+            H = J.T @ (d2 / s - np.outer(a, a)) @ J
+            # real parts one by one: ndarray.real keeps object arrays as they are
+            grad = 2 * np.array([c.real for c in J.T @ a])
+            hess = 2 * np.array([[c.real for c in row] for row in H])
+            grad[g:] -= Y4pi @ x[g:]
+            hess[g:, g:] -= Y4pi
+            step = _solve_definite(-hess, grad)
+            if step is None:
                 return None
-            x = [x[k] + step[k] for k in range(2 * g)]
-            if mp.mnorm(step, mp.inf) < tol:
-                return abs(s) * mp.sqrt(mp.sqrt(tau.detY)), tuple(c - mp.floor(c) for c in x)
+            x = x + step
+            if np.abs(step).max() < tol:
+                return abs(s) * root4, tuple(c - math.floor(c) for c in x)
     return None
 
 
@@ -188,8 +187,8 @@ def theta_max(
     Scans the grid {k/Nd}^{2g} with ``sqrt_norm_grid``, then runs Newton's
     method in doubles from the grid's discrete local maxima (wrap-around
     neighbours, values compared at a relative 1e-13), one start per cluster
-    of tied neighbouring maxima; a start whose Hessian is not negative
-    definite, or that does not converge within the step cap, is dropped
+    of tied neighbouring maxima; a start where -H has a pivot that is not
+    positive, or that does not converge within the step cap, is dropped
     without a working-precision sum.  The converged points whose double value
     is within a relative 1e-13 of the best are polished by Newton at the
     working precision, and the value is the one the best polish took from its
@@ -211,7 +210,7 @@ def theta_max(
     grid_best = float(vals.max())
     starts = np.stack(np.unravel_index(_grid_starts(vals), vals.shape), axis=1) / nd
 
-    converged = [r for r in (_newton_double(tau, x) for x in starts) if r is not None]
+    converged = [r for r in (_newton(tau, x) for x in starts) if r is not None]
     if not converged:
         raise BudgetExceeded("Newton in doubles converged from no grid start")
     best = max(v for v, _ in converged)
@@ -219,7 +218,7 @@ def theta_max(
     candidates = []
     for v, x in converged:
         if v >= best * (1 - _GRID_RTOL):
-            polished = _newton(tau, x, cfg)
+            polished = _newton(tau, x, cfg.working_precision_bits)
             if polished is not None:
                 candidates.append(polished)
     if not candidates:

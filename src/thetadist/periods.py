@@ -92,8 +92,7 @@ class PeriodMatrix:
     """A g x g symmetric complex matrix with positive-definite imaginary part.
 
     Validation happens at construction: symmetry up to a relative tolerance of
-    1e-10 and positive definiteness of Im(tau) via a Cholesky factorization,
-    with the smallest eigenvalue additionally required to exceed 1e-20.
+    1e-10, and a smallest eigenvalue of Im(tau) above 1e-20.
     """
 
     def __init__(self, entries, bits: int = 128):
@@ -112,12 +111,9 @@ class PeriodMatrix:
             tau = (tau + tau.T) / 2
             Y = tau.apply(mp.im)
             X = tau.apply(mp.re)
-            try:
-                mp.cholesky(Y)
-            except ValueError as exc:
-                raise InvalidPeriodMatrix("Im(tau) is not positive definite") from exc
-            eigs = mp.eigsy(Y, eigvals_only=True)
-            lam_min = min(eigs)
+            lam_min = min(mp.eigsy(Y, eigvals_only=True))
+            if lam_min <= 0:
+                raise InvalidPeriodMatrix("Im(tau) is not positive definite")
             if lam_min <= _LAMBDA_MIN_TOL:
                 raise InvalidPeriodMatrix(
                     f"smallest eigenvalue of Im(tau) is {lam_min}, below tolerance"
@@ -447,11 +443,12 @@ def _theta_point(tau: PeriodMatrix, x, bits: int, derivs: bool = False):
     multiplied once by the powers of its prefix's g - 1 axes.
 
     Returns s, or with ``derivs`` the triple ``(s, d1, d2)``: s, and the
-    gradient (g x 1) and Hessian (g x g) in z of the same truncated theta
-    sum, whose terms are weighted by 2*pi*i*M and (2*pi*i)^2 * M M', each
-    times exp(-pi m'Ym).  A weight is the prefix's entries, constant on a
-    row, times a power of M_g, which the row sums with the weighted powers
-    of axis g.  Theta is summed in the same rows and order either way, so s
+    gradient and Hessian in z of the same truncated theta sum, as numpy
+    arrays of mpmath numbers of the per-point shapes of ``_theta_batch``,
+    (g,) and (g, g).  Their terms are weighted by 2*pi*i*M and (2*pi*i)^2 *
+    M M', each times exp(-pi m'Ym).  A weight is the prefix's entries,
+    constant on a row, times a power of M_g, which the row sums with the
+    weighted powers of axis g.  Theta is summed in the same rows and order either way, so s
     is bit-identical with and without ``derivs``.
     """
     g = tau.g
@@ -491,7 +488,9 @@ def _theta_point(tau: PeriodMatrix, x, bits: int, derivs: bool = False):
         d2 = [[weighted((i, j)) for j in range(i + 1)] for i in range(g)]
         two_pi_i = 2j * mp.pi
         hess = [[d2[max(i, j)][min(i, j)] for j in range(g)] for i in range(g)]
-        return s, factor * two_pi_i * mp.matrix(d1), factor * two_pi_i**2 * mp.matrix(hess)
+        # the arrays on the left: an mpmath number on the left first tries,
+        # and fails, to convert the array, at the cost of its repr
+        return s, np.array(d1) * (factor * two_pi_i), np.array(hess) * (factor * two_pi_i**2)
 
 
 def theta(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None):

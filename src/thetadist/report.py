@@ -33,7 +33,6 @@ from .errors import ConfigRejected, HypothesisViolated
 from .jacobian import (
     QQ,
     HyperellipticCurve,
-    divisor_from_strings,
     make_divisor,
     verify_bound,
 )
@@ -158,7 +157,6 @@ def run(config: RunConfig) -> BoundReport:
         p,
         torsion_order=None,
         neutral_component=True if config.preset else None,
-        good_at_p=admissible_prime(p, data) if data.good_reduction_everywhere else None,
         unramified_at_p=(data.disc % p != 0),
     )
     violated = hyp.violated_conditions()
@@ -198,10 +196,7 @@ def run(config: RunConfig) -> BoundReport:
         if curve is None:
             raise ConfigRejected("p-adic verification needs a curve equation (preset only)")
         if config.torsion_list:
-            tlist = [
-                divisor_from_strings(curve, u_strs, v_strs)
-                for u_strs, v_strs in config.torsion_list
-            ]
+            tlist = [make_divisor(curve, u, v) for u, v in config.torsion_list]
         else:
             tlist = _default_torsion_list(curve)
         rows = verify_bound(curve, data, tlist, p, config.jmax)

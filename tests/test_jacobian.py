@@ -81,7 +81,7 @@ class TestMakeDivisor:
             td.make_divisor(curve, (1, 1), (1,))  # u does not divide v^2 - f
 
     def test_divisor_from_strings(self, curve):
-        D = td.divisor_from_strings(curve, ("0/1", "1"), ("1",))
+        D = td.make_divisor(curve, ("0/1", "1"), ("1",))
         assert D == D1(curve)
 
     def test_zero_divisor(self):
@@ -282,7 +282,7 @@ class TestReductionHomomorphism:
             td.reduce_mod(curve, D1(curve), 5, 1)
 
     def test_non_integral_coefficients_rejected(self, curve):
-        D = td.divisor_from_strings(curve, ("0", "1"), ("1",))
+        D = td.make_divisor(curve, ("0", "1"), ("1",))
         third = td.MumfordDivisor(
             u=(Fraction(1, 3), Fraction(1)), v=(), ring=QQ
         )

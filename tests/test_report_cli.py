@@ -18,20 +18,22 @@ GENUS_MISMATCH_INLINE = {
 }
 
 
+CLI_ARGS = [
+    "--preset", "bost-mestre",
+    "--p", "3",
+    "--f", "40",
+    "--grid", "12",
+    "--jmax", "3",
+    "--verify",
+]
+
+
 @pytest.fixture(scope="module")
 def cli_reports(tmp_path_factory):
     """Two identical CLI invocations against the preset, kept for reuse."""
     root = tmp_path_factory.mktemp("cli")
     paths = [root / "a.json", root / "b.json"]
-    args = [
-        "--preset", "bost-mestre",
-        "--p", "3",
-        "--f", "40",
-        "--grid", "12",
-        "--jmax", "3",
-        "--verify",
-    ]
-    codes = [cli.main(args + ["--out", str(p)]) for p in paths]
+    codes = [cli.main(CLI_ARGS + ["--out", str(p)]) for p in paths]
     return codes, [p.read_bytes() for p in paths]
 
 
@@ -66,10 +68,32 @@ class TestCliExitCodes:
         assert cli.main(["--preset", "bost-mestre", "--p", "4"]) == 2
 
     def test_even_prime_violates_hypotheses(self, capsys):
+        """The preset has good reduction everywhere: 2 violates (2) and (4),
+        not (3)."""
         assert cli.main(["--preset", "bost-mestre", "--p", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "(4) p unramified" in err
+        assert "(3)" not in err
 
     def test_ramified_prime_violates_hypotheses(self, capsys):
         assert cli.main(["--preset", "bost-mestre", "--p", "5"]) == 3
+        err = capsys.readouterr().err
+        assert "(4) p unramified" in err
+        assert "(3)" not in err
+
+    def test_singular_box_exceeds_budget(self, tmp_path, capsys):
+        """Im tau = [[1, 0.999999], [0.999999, 1]] is valid, but the double
+        kernels' box would hold too many terms: exit 4, nothing on stdout."""
+        inline = {"g": 2, "deg_K0": 1, "h_fal": 0.0, "period_matrix": [
+            [{"re": "0", "im": "1"}, {"re": "0", "im": "0.999999"}],
+            [{"re": "0", "im": "0.999999"}, {"re": "0", "im": "1"}],
+        ]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"inline": inline, "p": 3}))
+        assert cli.main(["--config", str(path), "--out", "-"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "budget exceeded" in err and "lattice terms" in err
 
     def test_grid_budget_rejected(self, capsys):
         assert cli.main(["--preset", "bost-mestre", "--grid", "200"]) == 2
@@ -129,6 +153,33 @@ class TestReportContent:
             assert row["v_p"] == 0
             assert row["inequality_holds"] is True
             assert row["d_p"] == [3, "0"]
+
+    def test_stdout_matches_file(self, cli_reports, capsys):
+        """``--out -`` writes the bytes ``--out FILE`` writes."""
+        _, blobs = cli_reports
+        capsys.readouterr()
+        assert cli.main(CLI_ARGS + ["--out", "-"]) == 0
+        assert capsys.readouterr().out.encode() == blobs[0]
+
+    def test_torsion_list_strings(self, cli_reports, tmp_path):
+        """A config's torsion list of 'a/b' strings, the default list
+        spelled out, gives the default report."""
+        _, blobs = cli_reports
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"torsion_list": [
+            [["0/1", "0", "1"], ["1"]], [["0", "0", "2/2"], ["-1/1"]],
+        ]}))
+        out = tmp_path / "r.json"
+        assert cli.main(["--config", str(path)] + CLI_ARGS + ["--out", str(out)]) == 0
+        assert out.read_bytes() == blobs[0]
+
+    def test_torsion_list_off_curve_rejected(self, tmp_path, capsys):
+        """u = t^2 does not divide v^2 - f for v = 2: exit 2."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"torsion_list": [[["0", "0", "1"], ["2"]]]}))
+        args = ["--config", str(path), "--preset", "bost-mestre", "--grid", "8", "--verify"]
+        assert cli.main(args + ["--out", str(tmp_path / "r.json")]) == 2
+        assert "u does not divide" in capsys.readouterr().err
 
     def test_round_trip(self, cli_reports):
         _, blobs = cli_reports

@@ -243,8 +243,10 @@ class TestTheta:
     def test_invalid_period_matrix(self):
         with pytest.raises(td.InvalidPeriodMatrix):
             td.PeriodMatrix([[1j, 0.5], [0.2, 1j]])  # not symmetric
-        with pytest.raises(td.InvalidPeriodMatrix):
-            td.PeriodMatrix([[-1j]])  # Im not positive definite
+        with pytest.raises(td.InvalidPeriodMatrix, match="not positive definite"):
+            td.PeriodMatrix([[-1j]])
+        with pytest.raises(td.InvalidPeriodMatrix, match="below tolerance"):
+            td.PeriodMatrix([[1e-25j]])
 
     @pytest.mark.parametrize("case", FROZEN_128, ids=lambda c: f"{c[0]}-{c[1]}")
     def test_values_bit_identical(self, case, tau_s4, cfg):
@@ -601,7 +603,7 @@ class TestLatticeContext:
         monkeypatch.setattr(
             td.maximize, "_theta_batch", lambda *a, **k: steps.append(a) or batch(*a, **k)
         )
-        assert td.maximize._newton_double(tau, np.array([3, 29, 26, 3]) / 32) is not None
+        assert td.maximize._newton(tau, np.array([3, 29, 26, 3]) / 32) is not None
         assert len(steps) >= 3
         assert len(builds) == 1
 

@@ -132,6 +132,23 @@ class TestThetaMaxG2:
             assert abs(res.value - mp.mpf(S4_THETA_MAX)) < mp.mpf("1e-35")
             assert max(abs(c - mp.mpf(a)) for c, a in zip(res.argmax_coords, S4_ARGMAX)) < 1e-30
 
+    def test_polish_quadratic_at_512_bits(self, monkeypatch):
+        """The polish converges quadratically at 512 bits as well: from
+        double accuracy the two maxima take at most 8 derivative sums."""
+        cfg = td.PrecisionConfig(working_precision_bits=512, target_abs_error=1e-25)
+        tau = td.bost_mestre_preset(cfg).tau
+        calls = []
+        kernel = td.periods._theta_point
+
+        def counted(tau, x, bits, derivs=False):
+            calls.append(bits)
+            return kernel(tau, x, bits, derivs)
+
+        monkeypatch.setattr(td.maximize, "_theta_point", counted)
+        td.theta_max(tau, td.OptimizerConfig(grid_points_per_dim=32), cfg)
+        assert calls and set(calls) == {512}
+        assert len(calls) <= 8
+
 
 class TestThetaDerivs:
     @pytest.mark.parametrize("name", ["i", "s4", "ridge", "g3", "y21", "c30"])
@@ -157,6 +174,40 @@ class TestThetaDerivs:
             )
             for f, s in zip(fast, slow):
                 assert np.abs(f - s).max() <= 1e-12 * np.abs(s).max()
+
+
+class TestSolveDefinite:
+    """The one definiteness rule of both Newton stages."""
+
+    @staticmethod
+    def system(seed, n, to):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((n, n))
+        A = B @ B.T + n * np.eye(n)
+        b = rng.standard_normal(n)
+        return np.array([[to(v) for v in row] for row in A]), np.array([to(v) for v in b])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solves_spd_in_doubles(self, seed):
+        A, b = self.system(seed, 4 + seed, float)
+        x = td.maximize._solve_definite(A, b)
+        assert x.dtype == float
+        assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-13 * np.abs(x).max()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solves_spd_at_128_bits(self, seed):
+        with mp.workprec(128):
+            A, b = self.system(seed, 4 + seed, mp.mpf)
+            x = td.maximize._solve_definite(A, b)
+            residual = max(abs(r) for r in A @ x - b)
+            assert residual <= mp.mpf(2) ** -120 * max(abs(v) for v in b)
+
+    @pytest.mark.parametrize("to", [float, mp.mpf])
+    def test_rejects_indefinite_and_zero_pivot(self, to):
+        for A in ([[1, 0], [0, -1]], [[1, 2], [2, 1]], [[0, 0], [0, 1]], [[1, 1], [1, 1]]):
+            with mp.workprec(128):
+                A = np.array([[to(v) for v in row] for row in A])
+                assert td.maximize._solve_definite(A, np.array([to(1), to(1)])) is None
 
 
 class TestGridStarts:
@@ -214,25 +265,34 @@ class TestConfigAndGuards:
         assert td.default_optimizer_config(4).grid_points_per_dim == 8
 
     def test_no_converged_start_raises(self, tau_g1, cfg, monkeypatch):
-        monkeypatch.setattr(td.maximize, "_newton", lambda tau, start, cfg: None)
+        newton = td.maximize._newton
+
+        def no_polish(tau, start, bits=None):
+            return newton(tau, start) if bits is None else None
+
+        monkeypatch.setattr(td.maximize, "_newton", no_polish)
         with pytest.raises(td.BudgetExceeded):
             td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=8), cfg)
 
     def test_no_double_converged_start_raises(self, tau_g1, cfg, monkeypatch):
         """When Newton in doubles drops every start, no start is polished at
         working precision."""
-        def polish(tau, start, cfg):
-            raise AssertionError("polished a start Newton in doubles dropped")
+        def newton(tau, start, bits=None):
+            if bits is not None:
+                raise AssertionError("polished a start Newton in doubles dropped")
+            return None
 
-        monkeypatch.setattr(td.maximize, "_newton_double", lambda tau, start: None)
-        monkeypatch.setattr(td.maximize, "_newton", polish)
+        monkeypatch.setattr(td.maximize, "_newton", newton)
         with pytest.raises(td.BudgetExceeded):
             td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=8), cfg)
 
     def test_refined_below_grid_raises(self, tau_g1, cfg, monkeypatch):
-        monkeypatch.setattr(
-            td.maximize, "_newton", lambda tau, start, cfg: (mp.mpf("0.5"), (mp.mpf(0),) * 2)
-        )
+        newton = td.maximize._newton
+
+        def low_polish(tau, start, bits=None):
+            return newton(tau, start) if bits is None else (mp.mpf("0.5"), (mp.mpf(0),) * 2)
+
+        monkeypatch.setattr(td.maximize, "_newton", low_polish)
         with pytest.raises(td.BudgetExceeded):
             td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=8), cfg)
 
@@ -243,10 +303,13 @@ class TestConfigAndGuards:
         at an ambient precision of 53 bits and of 300 bits."""
         newton = td.maximize._newton
 
-        def nudged(tau, start, cfg):
-            value, x = newton(tau, start, cfg)
+        def nudged(tau, start, bits=None):
+            result = newton(tau, start, bits)
+            if bits is None or result is None:
+                return result
+            value, x = result
             if x[0] > 0.5:
-                with mp.workprec(cfg.working_precision_bits):
+                with mp.workprec(bits):
                     value *= 1 + mp.mpf(2) ** -120
             return value, x
 
