@@ -16,7 +16,12 @@ helper branches on the ring; a new ring needs ``coerce``, ``reduce`` and
 ``add`` returns a zero operand's partner as it is, and composes coprime u1,
 u2 by the Chinese remainder theorem alone (u = u1*u2, no second gcd and no
 division by d); doublings and shared factors take Cantor's general branch.
+When u1 == u2 (every doubling, and every D + iota D) it reads the first gcd
+off its operands, (d1, e1, e2) = (u1, 0, 1), instead of running ``pxgcd``;
+``pdivmod`` takes no inverse of a monic divisor's leading coefficient.
 ``order_of`` walks k*D only up to half the order and meets a stored -j*D.
+The order of a class depends on the curve alone, not on any prime, so each
+curve keeps the orders it has found and walks a class at most once.
 """
 
 from __future__ import annotations
@@ -152,13 +157,16 @@ def pscale(R, c, a):
 
 
 def pdivmod(R, a, b):
-    """Euclidean division; requires the leading coefficient of b to be a unit."""
+    """Euclidean division; requires the leading coefficient of b to be a unit.
+    A monic b, as every divisor of ``add`` outside ``pxgcd`` is, takes no
+    inverse."""
     if not b:
         raise RepresentationDegenerate("polynomial division by zero")
-    inv_lc = R.inv(b[-1])
+    inv_lc = None if b[-1] == 1 else R.inv(b[-1])
     a, q = list(a), []
     while len(a) >= len(b):
-        c = R.reduce(a.pop() * inv_lc)
+        c = a.pop()
+        c = R.reduce(c if inv_lc is None else c * inv_lc)
         d = len(a) + 1 - len(b)
         for i in range(len(b) - 1):
             a[d + i] = R.reduce(a[d + i] - c * b[i])
@@ -228,6 +236,7 @@ class HyperellipticCurve:
             raise InvalidInput("f must be squarefree")
         self.disc_f = int(disc)
         self._f_in = {}
+        self._orders = {}  # class -> its order, filled by order_of
 
     def f_in(self, R):
         """f's coefficients in R, coerced once per ring."""
@@ -294,6 +303,8 @@ def add(curve: HyperellipticCurve, D1: MumfordDivisor, D2: MumfordDivisor) -> Mu
     v1 mod u1 and v2 mod u2.  Otherwise (a doubling or a shared factor)
     Cantor's general branch takes d = gcd(u1, u2, v1 + v2) and divides by
     it; over Z/p^j a division by a non-unit raises RepresentationDegenerate.
+    For u1 == u2 the first gcd is read off: (u1, 0, 1) is what ``pxgcd``
+    returns for a monic u1 and itself.
     """
     if D1.ring != D2.ring:
         raise InvalidInput("divisors live over different rings")
@@ -305,7 +316,10 @@ def add(curve: HyperellipticCurve, D1: MumfordDivisor, D2: MumfordDivisor) -> Mu
     f = curve.f_in(R)
     u1, v1 = D1.u, D1.v
     u2, v2 = D2.u, D2.v
-    d1, e1, e2 = pxgcd(R, u1, u2)
+    if u1 == u2:
+        d1, e1, e2 = u1, (), (R.coerce(1),)
+    else:
+        d1, e1, e2 = pxgcd(R, u1, u2)
     if len(d1) == 1:  # gcd(u1, u2) = 1
         u = pmul(R, u1, u2)
         v = pmod(R, padd(R, v2, pmul(R, pmul(R, e2, u2), psub(R, v1, v2))), u)
@@ -314,18 +328,20 @@ def add(curve: HyperellipticCurve, D1: MumfordDivisor, D2: MumfordDivisor) -> Mu
         s1 = pmul(R, c1, e1)
         s2 = pmul(R, c1, e2)
         s3 = c2
-        u, rem = pdivmod(R, pmul(R, u1, u2), pmul(R, d, d))
-        if rem:
-            raise RepresentationDegenerate("composition denominator does not divide")
+        u = pmul(R, u1, u2)
         num = padd(
             R,
             padd(R, pmul(R, pmul(R, s1, u1), v2), pmul(R, pmul(R, s2, u2), v1)),
             pmul(R, s3, padd(R, pmul(R, v1, v2), f)),
         )
-        num_q, rem = pdivmod(R, num, d)
-        if rem:
-            raise RepresentationDegenerate("composition numerator does not divide")
-        v = pmod(R, num_q, u)
+        if len(d) > 1:  # d = 1, as in most doublings, divides nothing
+            u, rem = pdivmod(R, u, pmul(R, d, d))
+            if rem:
+                raise RepresentationDegenerate("composition denominator does not divide")
+            num, rem = pdivmod(R, num, d)
+            if rem:
+                raise RepresentationDegenerate("composition numerator does not divide")
+        v = pmod(R, num, u)
     # reduction to genus-2 size; u1 u2 / d^2 is monic, and so is each u_new
     while len(u) - 1 > 2:
         u_new = pdivmod(R, psub(R, f, pmul(R, v, v)), u)[0]
@@ -364,19 +380,28 @@ def order_of(curve: HyperellipticCurve, D: MumfordDivisor, search_bound: int = 1
     k*D = -j*D for some j <= k gives n = k + j, with the smallest such j.  No
     smaller order can hide: an order n' shows at k' = ceil(n'/2), and before
     that 1 <= k + j <= 2k < n'.  That takes ceil(n/2) - 1 additions, not n - 1.
+
+    The k + j found is a multiple of the order n' and at most
+    2*ceil(n'/2) <= n' + 1, so it is n' even when it exceeds search_bound.
+    The curve keeps it, keyed by the class with its ring, and answers every
+    later call on that class from it at any bound, as the walk would.
     """
     if search_bound < 1:
         raise InvalidInput("search_bound must be >= 1")
-    negatives = {zero_divisor(D.ring).key(): 0}
-    acc = D
-    for k in range(1, (search_bound + 1) // 2 + 1):
-        negatives.setdefault(neg(curve, acc).key(), k)
-        j = negatives.get(acc.key())
-        if j is not None:
-            n = k + j
-            return n if n <= search_bound else "exceeds-bound"
-        acc = add(curve, acc, D)
-    return "exceeds-bound"
+    n = curve._orders.get(D)
+    if n is None:
+        negatives = {zero_divisor(D.ring).key(): 0}
+        acc = D
+        for k in range(1, (search_bound + 1) // 2 + 1):
+            negatives.setdefault(neg(curve, acc).key(), k)
+            j = negatives.get(acc.key())
+            if j is not None:
+                n = curve._orders[D] = k + j
+                break
+            acc = add(curve, acc, D)
+        else:
+            return "exceeds-bound"
+    return n if n <= search_bound else "exceeds-bound"
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,15 @@ def _grid_starts(vals: np.ndarray) -> np.ndarray:
     return flat[label == flat]
 
 
+def _tie_key(x, bits: int):
+    """x's coordinates mod 1, as integers in units of 2^(-floor(bits/2)), the
+    Newton stop tolerance at ``bits``: a coordinate that is 0 mod 1 reads 0
+    whether the last step left it at eps or at 1 - eps."""
+    scale = 2 ** (bits // 2)
+    with mp.workprec(bits):
+        return tuple(int(mp.nint(c * scale)) % scale for c in x)
+
+
 def theta_max(
     tau: PeriodMatrix,
     ocfg: OptimizerConfig | None = None,
@@ -195,8 +204,9 @@ def theta_max(
     own last lattice sum.  Deterministic for fixed configs at any ambient
     mpmath precision: a tie cluster starts from its lowest flat grid index,
     and of the refined values within ``target_abs_error`` of the best,
-    compared at the working precision, the lowest lexicographic coordinates
-    win.  Raises BudgetExceeded when no start converges or the best value
+    compared at the working precision, the lowest coordinates win, compared
+    lexicographically mod 1 at the Newton stop tolerance (``_tie_key``).
+    Raises BudgetExceeded when no start converges or the best value
     falls below the grid's best by more than double rounding.
     """
     ocfg = ocfg or default_optimizer_config(tau.g)
@@ -226,7 +236,7 @@ def theta_max(
     with mp.workprec(cfg.working_precision_bits):
         top = max(v for v, _ in candidates)
         ties = [t for t in candidates if top - t[0] <= cfg.target_abs_error]
-    value, argmax = min(ties, key=lambda t: t[1])
+    value, argmax = min(ties, key=lambda t: _tie_key(t[1], cfg.working_precision_bits))
     if value < grid_best * (1 - _GRID_RTOL):
         raise BudgetExceeded(
             f"refined maximum {mp.nstr(value, 17)} is below the grid value {grid_best!r}"

@@ -30,6 +30,11 @@ def W(curve):
     return td.make_divisor(curve, (1, 1), ())
 
 
+def fresh(curve):
+    """The same curve with an empty order memo, so order_of walks."""
+    return td.HyperellipticCurve(curve.f)
+
+
 def all_divisors_mod(curve, p):
     """Every valid reduced Mumford pair over F_p, by exhaustion."""
     R = ResidueRing(p, 1)
@@ -144,7 +149,7 @@ class TestGroupLaw:
             td.add(curve, Dq, Dp)
 
     def test_order_exceeds_bound(self, curve):
-        assert td.order_of(curve, D1(curve), search_bound=3) == "exceeds-bound"
+        assert td.order_of(fresh(curve), D1(curve), search_bound=3) == "exceeds-bound"
 
     def test_order_rejects_bound_below_one(self, curve):
         for bound in (0, -1):
@@ -162,8 +167,28 @@ class TestGroupLaw:
             orders.add(n)
             for b in {1, 2, n - 1, n, n + 1} - {0}:
                 expected = n if n <= b else "exceeds-bound"
-                assert td.order_of(curve, D, search_bound=b) == expected, (D, b)
+                assert td.order_of(fresh(curve), D, search_bound=b) == expected, (D, b)
         assert {1, 2, 5, 10} <= orders
+
+    def test_memo_answers_every_bound_as_the_walk(self, curve, rational_subgroup):
+        """A curve that kept each order answers every bound as the walk on a
+        fresh curve does: filled at bound 1000, and filled at n - 1, where
+        the walk of an even order n finds n above the bound."""
+        classes = all_divisors_mod(curve, 7) + rational_subgroup
+        for first in ("1000", "n - 1"):
+            memo, above = fresh(curve), 0
+            for D in classes:
+                n = td.order_of(fresh(curve), D)
+                bound = 1000 if first == "1000" else max(n - 1, 1)
+                td.order_of(memo, D, search_bound=bound)
+                assert memo._orders.get(D) in (n, None)
+                above += memo._orders.get(D, 0) > bound
+                for b in {1, 2, n - 1, n, n + 1} - {0}:
+                    walked = td.order_of(fresh(curve), D, search_bound=b)
+                    assert td.order_of(memo, D, search_bound=b) == walked, (D, b, first)
+                assert memo._orders[D] == n
+            assert len(memo._orders) == 60
+            assert above > 0 if first == "n - 1" else above == 0
 
 
 def _add_case(A, B):
@@ -196,7 +221,74 @@ def classes_over_fp(draw):
     return curve, classes
 
 
+def _cantor_general(curve, D1, D2):
+    """Cantor's composition by its general branch alone, as ``add`` took it
+    for every u1 == u2: both gcds by ``pxgcd`` and both divisions by d, then
+    the reduction to deg u <= 2."""
+    R = D1.ring
+    f = curve.f_in(R)
+    (u1, v1), (u2, v2) = (D1.u, D1.v), (D2.u, D2.v)
+    d1, e1, e2 = pxgcd(R, u1, u2)
+    d, c1, c2 = pxgcd(R, d1, padd(R, v1, v2))
+    u, rem = pdivmod(R, pmul(R, u1, u2), pmul(R, d, d))
+    if rem:
+        raise td.RepresentationDegenerate("composition denominator does not divide")
+    num = padd(
+        R,
+        padd(R, pmul(R, pmul(R, c1, e1), pmul(R, u1, v2)), pmul(R, pmul(R, c1, e2), pmul(R, u2, v1))),
+        pmul(R, c2, padd(R, pmul(R, v1, v2), f)),
+    )
+    num, rem = pdivmod(R, num, d)
+    if rem:
+        raise td.RepresentationDegenerate("composition numerator does not divide")
+    v = pmod(R, num, u)
+    while len(u) > 3:
+        u = pdivmod(R, psub(R, f, pmul(R, v, v)), u)[0]
+        u = pscale(R, R.inv(u[-1]), u)
+        v = pmod(R, pneg(R, v), u)
+    return td.MumfordDivisor(u=u, v=v, ring=R)
+
+
+def _outcome(compose, curve, A, B):
+    """The sum with each coefficient's type, or the refusal's message."""
+    try:
+        S = compose(curve, A, B)
+    except td.RepresentationDegenerate as e:
+        return "refused", str(e)
+    return S, [type(c) for c in S.u + S.v]
+
+
 class TestAddProperties:
+    def test_shared_u_matches_general_branch(self, curve, rational_subgroup):
+        """With u1 == u2, ``add`` reads the first gcd off its operands and
+        skips the divisions by d = 1.  Over QQ, Z/3^2 and Z/7^2 every
+        doubling, D + iota D and other shared-u pair of the rational classes
+        and of the sums of two points gives the general branch's sum, with
+        the same coefficient types, or the same refusal."""
+        pools = {"QQ": rational_subgroup}
+        for p in (3, 7):
+            pts = td.enumerate_curve_points_mod(curve, p, 2)
+            sums = set()
+            for P in pts:
+                for Q in pts:
+                    try:
+                        sums.add(td.add(curve, P, Q))
+                    except td.RepresentationDegenerate:
+                        pass
+            pools[p] = sorted(sums, key=lambda D: D.key())
+        for name, pool in pools.items():
+            seen, refused = set(), 0
+            for A in pool:
+                for B in pool:
+                    if A.u != B.u or A.is_zero():
+                        continue
+                    seen.add("double" if A == B else "inverse" if B == td.neg(curve, A) else "shared")
+                    got = _outcome(td.add, curve, A, B)
+                    assert got == _outcome(_cantor_general, curve, A, B), (A, B)
+                    refused += got[0] == "refused"
+            assert seen == ({"double", "inverse"} if name == "QQ" else {"double", "inverse", "shared"})
+            assert name == "QQ" or refused > 0
+
     def test_group_law_over_random_curves(self):
         """Commutativity, identity, inverse and associativity over F_p on
         random curves, with every branch of ``add`` taken at least once."""
@@ -512,8 +604,9 @@ class TestVerifyBound:
 
     def test_order_walks_half_way(self, curve, preset_data, rational_subgroup, monkeypatch):
         """The ten rational classes, of orders 1, 2, 5 (4 classes) and 10
-        (4 classes), take ceil(n/2) - 1 additions each: 24 per prime, against
-        53 for a walk to n.  Rows skip the four curve points."""
+        (4 classes), take ceil(n/2) - 1 additions each: 24 at the first
+        prime, against 53 for a walk to n, and none at a second prime, whose
+        orders the curve kept.  Rows skip the four curve points."""
         calls = []
         add = td.jacobian.add
 
@@ -522,9 +615,12 @@ class TestVerifyBound:
             return add(*args)
 
         monkeypatch.setattr(td.jacobian, "add", counting_add)
-        rows = td.verify_bound(curve, preset_data, rational_subgroup, 7, 2)
-        assert sorted(r.order for r in rows) == [5, 5, 10, 10, 10, 10]
-        assert len(calls) == 24
+        C = fresh(curve)
+        for p, expected_calls in ((7, 24), (11, 0)):
+            calls.clear()
+            rows = td.verify_bound(C, preset_data, rational_subgroup, p, 2)
+            assert sorted(r.order for r in rows) == [5, 5, 10, 10, 10, 10]
+            assert len(calls) == expected_calls, p
 
     def test_empty_torsion_list(self, curve, preset_data):
         assert td.verify_bound(curve, preset_data, [], 3, 2) == []

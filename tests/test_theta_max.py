@@ -322,6 +322,31 @@ class TestConfigAndGuards:
         assert argmaxes[0] == argmaxes[1]
         assert argmaxes[0][0] < 0.5
 
+    def test_tie_break_reads_coordinates_mod_one(self, tau_s4, cfg, monkeypatch):
+        """Twin maxima whose first coordinate is 0 mod 1, one polish leaving
+        it at 1 - 1e-30 and the other at 1e-30, with equal values: the
+        tie-break takes both as 0, and the second coordinate picks the 0.2
+        twin, whichever polish comes first."""
+        newton = td.maximize._newton
+        with mp.workprec(cfg.working_precision_bits):
+            eps = mp.mpf("1e-30")
+            twins = [(1 - eps, mp.mpf("0.2"), 0.5, 0.5), (eps, mp.mpf("0.3"), 0.5, 0.5)]
+        for first in (0, 1):
+            values = []
+
+            def twinned(tau, start, bits=None):
+                result = newton(tau, start, bits)
+                if bits is None or result is None:
+                    return result
+                values.append(result[0])
+                # the first polish returns one twin, every later one the other
+                return values[0], twins[first if len(values) == 1 else 1 - first]
+
+            monkeypatch.setattr(td.maximize, "_newton", twinned)
+            ocfg = td.OptimizerConfig(grid_points_per_dim=8)
+            assert td.theta_max(tau_s4, ocfg, cfg).argmax_coords == twins[0]
+            assert len(values) >= 2
+
     def test_deterministic_rerun(self, tau_s4, cfg):
         ocfg = td.OptimizerConfig(grid_points_per_dim=12)
         a = td.theta_max(tau_s4, ocfg, cfg)
