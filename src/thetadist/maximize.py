@@ -33,9 +33,12 @@ from .periods import PeriodMatrix, PrecisionConfig, sqrt_norm_grid
 from .periods import _theta_batch, _theta_point
 
 # Grid points per scan.  The value array, resident from the scan until the
-# starts are chosen, costs 8 bytes per point; choosing the starts briefly holds
-# four more arrays of that size.
+# starts are chosen, costs 8 bytes per point; choosing the starts adds six
+# buffers of one block of slabs each (``_BLOCK_POINTS``, or one slab if larger).
 _GRID_BUDGET = 10**8
+# Grid points that _grid_starts filters at once: a block of first-axis slabs
+# this large amortises numpy's per-call cost and stays in cache.
+_BLOCK_POINTS = 2**15
 _NEWTON_MAX_STEPS = 20  # starts in a maximum's basin converge in about six
 # Grid values carry a relative error of about 1e-15: values closer than this
 # are ties, a double Newton value further below the best than this is not
@@ -145,6 +148,23 @@ def _newton(tau: PeriodMatrix, start, bits: int | None = None):
     return None
 
 
+def _max3(src: np.ndarray, dst: np.ndarray, ax: int, before, after) -> None:
+    """dst = the maximum of src and its two neighbours along axis ``ax``.
+
+    The neighbour of src's first row is the last row of ``before``, and that
+    of its last row the first row of ``after``; src for both wraps the axis
+    around.
+    """
+
+    def part(lo, hi):
+        return (slice(None),) * ax + (slice(lo, hi),)
+
+    np.maximum(src[part(None, -1)], src[part(1, None)], out=dst[part(1, None)])
+    np.maximum(before[part(-1, None)], src[part(0, 1)], out=dst[part(0, 1)])
+    np.maximum(dst[part(None, -1)], src[part(1, None)], out=dst[part(None, -1)])
+    np.maximum(dst[part(-1, None)], after[part(0, 1)], out=dst[part(-1, None)])
+
+
 def _grid_starts(vals: np.ndarray) -> np.ndarray:
     """Flat indices of the local maxima of a periodic grid, one per tie cluster.
 
@@ -152,12 +172,49 @@ def _grid_starts(vals: np.ndarray) -> np.ndarray:
     neighbours exceeds it by more than ``_GRID_RTOL``.  Neighbouring local
     maxima form one cluster, represented by its lowest flat index, so a
     plateau of ties makes one start.  Returned in flat-index order.
+
+    The maxima are found one block of first-axis slabs vals[i] at a time, in
+    the order of i; a block holds one slab, or as many as fit in
+    ``_BLOCK_POINTS``.  Each block's neighbourhood maximum over the other axes
+    is taken once, into a ring of three block buffers, with those of the
+    first and last blocks kept apart for the wrap-around; the maximum over
+    the first axis then reads the rows on either side of the block from its
+    neighbours.  No buffer is larger than a block.
     """
-    shape = vals.shape
-    top = vals.copy()
-    for ax in range(vals.ndim):
-        np.maximum(top, np.maximum(np.roll(top, 1, ax), np.roll(top, -1, ax)), out=top)
-    flat = np.flatnonzero(top <= vals * (1 + _GRID_RTOL))
+    shape, n, slab = vals.shape, vals.shape[0], vals[0].size
+    b = max(1, min(n, _BLOCK_POINTS // slab))
+    nb = -(-n // b)
+    first, last, tmp, *ring = (np.empty_like(vals[:b]) for _ in range(6))
+
+    def inner(k, out):
+        """Block k's maximum over the wrap-around neighbourhoods in every
+        axis but the first, into ``out``."""
+        rows = vals[k * b:(k + 1) * b]
+        out, scratch = out[:len(rows)], tmp[:len(rows)]
+        if vals.ndim == 1:
+            out[...] = rows
+        for ax in range(1, vals.ndim):
+            into = out if (vals.ndim - ax) % 2 else scratch  # the last axis lands in out
+            _max3(rows, into, ax, rows, rows)
+            rows = into
+        return out
+
+    first, last = inner(0, first), inner(nb - 1, last)
+
+    def filtered(k):
+        k %= nb
+        return first if k == 0 else last if k == nb - 1 else ring[k % 3]
+
+    parts = []
+    for k in range(nb):
+        if 0 < k + 1 < nb - 1:
+            inner(k + 1, ring[(k + 1) % 3])
+        cur = filtered(k)
+        top = tmp[:len(cur)]
+        _max3(cur, top, 0, filtered(k - 1), filtered(k + 1))
+        scaled = vals[k * b:(k + 1) * b] * (1 + _GRID_RTOL)
+        parts.append(np.flatnonzero(top <= scaled) + k * b * slab)
+    flat = np.concatenate(parts)
     coords = np.array(np.unravel_index(flat, shape))
     src, dst = [], []
     for step in itertools.product((-1, 0, 1), repeat=vals.ndim):

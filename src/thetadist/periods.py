@@ -305,8 +305,9 @@ class LatticeContext:
         """exp(pi i M'tau M) at ``bits``, keyed by the tuple M.
 
         One table per bit count.  An entry is computed the first time a
-        lattice set asks for its M and kept, so the table holds the union of
-        the sets summed so far at that bit count.
+        lattice set asks for its M, and kept under M and -M, whose M'tau M
+        is the same sum of the same products; so the table holds the union of
+        the sets summed so far at that bit count and their negatives.
         """
         if bits not in self._phases:
             self._phases[bits] = _PhaseTable(self._tau, bits)
@@ -343,7 +344,7 @@ class LatticeContext:
 
 
 class _PhaseTable(dict):
-    """exp(pi i M'tau M) at one bit count, computed on first lookup of M."""
+    """exp(pi i M'tau M) at one bit count, computed on first lookup of M or -M."""
 
     def __init__(self, tau: list, bits: int):
         super().__init__()
@@ -355,7 +356,7 @@ class _PhaseTable(dict):
         with mp.workprec(self._bits + _GUARD_BITS):
             arg = 1j * mp.pi * sum(m[i] * m[j] * self._tau[i][j] for i in nz for j in nz)
         with mp.workprec(self._bits):
-            value = self[m] = mp.exp(arg)
+            value = self[m] = self[tuple(-c for c in m)] = mp.exp(arg)
         return value
 
 

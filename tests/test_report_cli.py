@@ -1,13 +1,17 @@
 import json
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 import thetadist as td
 from thetadist import cli
-from test_logscale import ln_l_bound
+from test_bound_magnitudes import ln_l_bound
 from test_theta import TAU_G3
 
+
+# the default-grid `--preset bost-mestre --p 3 --f 2 --verify` report
+GOLDEN_P3_F2 = Path(__file__).parent / "data" / "preset_p3_f2.json"
 
 # declares g = 2 but carries the 1x1 period matrix [[i]]
 GENUS_MISMATCH_INLINE = {
@@ -185,6 +189,17 @@ class TestReportContent:
         _, blobs = cli_reports
         report = td.parse_report(blobs[0].decode())
         assert td.serialize_report(report).encode() == blobs[0]
+
+
+class TestGoldenReport:
+    def test_preset_p3_f2_byte_for_byte(self, tmp_path):
+        """The CLI writes the committed report: a change to the maximization,
+        the constants or the verification table that moves any printed digit
+        shows here."""
+        out = tmp_path / "report.json"
+        args = ["--preset", "bost-mestre", "--p", "3", "--f", "2", "--verify"]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_P3_F2.read_bytes()
 
 
 class TestThetaMaxFields:

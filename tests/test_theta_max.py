@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -245,6 +246,66 @@ class TestGridStarts:
         vals[0, 7] = vals[7, 0] = 2.0
         vals[4, 4] = 3.0
         assert list(td.maximize._grid_starts(vals)) == [0, 36]
+
+    def test_matches_whole_grid_filter(self):
+        """The slab-by-slab filter picks the whole-grid filter's starts on
+        continuous values, on values rounded to one decimal (plateaus), and on
+        a periodic cosine peaked on slab 0, 1, nd - 2 or nd - 1 of the first
+        axis.  A peak one slab in from an end leaves the far end's slab a
+        maximum if the wrap between slabs nd - 1 and 0 is lost.  nd = 300 at
+        d = 2 splits into blocks of several slabs; d = 6 stops at nd = 9,
+        whose 9^6 points already take one block per slab."""
+        rng = np.random.default_rng(19)
+        sizes = [(d, nd) for d in (2, 4, 6) for nd in (8, 9, 13) if nd**d < 10**6]
+        for d, nd in sizes + [(2, 300)]:
+            shape = (nd,) * d
+            noise = rng.standard_normal(shape)
+            grids = [noise, np.round(noise, 1)]
+            for peak in (0, 1, nd - 2, nd - 1):
+                centre = np.array([peak] + list(rng.integers(0, nd, d - 1)))
+                x = np.indices(shape) - centre.reshape((d,) + (1,) * d)
+                grids.append(np.cos(2 * np.pi * x / nd).sum(axis=0))
+            for vals in grids:
+                expected = whole_grid_starts(vals)
+                assert np.array_equal(td.maximize._grid_starts(vals), expected), (d, nd)
+
+    def test_allocates_no_grid_sized_array(self, tau_s4):
+        vals = td.periods.sqrt_norm_grid(tau_s4, 32)
+        tracemalloc.start()
+        try:
+            td.maximize._grid_starts(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vals.nbytes / 2
+
+
+def whole_grid_starts(vals):
+    """The start selection of _grid_starts as one whole-grid filter: the 3^d
+    neighbourhood maximum by np.roll over every axis, then the clustering of
+    neighbouring maxima to their lowest flat index."""
+    shape = vals.shape
+    top = vals.copy()
+    for ax in range(vals.ndim):
+        np.maximum(top, np.maximum(np.roll(top, 1, ax), np.roll(top, -1, ax)), out=top)
+    flat = np.flatnonzero(top <= vals * (1 + td.maximize._GRID_RTOL))
+    coords = np.array(np.unravel_index(flat, shape))
+    src, dst = [], []
+    for step in itertools.product((-1, 0, 1), repeat=vals.ndim):
+        nbr = np.ravel_multi_index(coords + np.array(step)[:, None], shape, mode="wrap")
+        pos = np.minimum(np.searchsorted(flat, nbr), len(flat) - 1)
+        hit = flat[pos] == nbr
+        src.append(np.flatnonzero(hit))
+        dst.append(pos[hit])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    label = flat.copy()
+    while True:
+        new = label.copy()
+        np.minimum.at(new, src, label[dst])
+        if np.array_equal(new, label):
+            break
+        label = new
+    return flat[label == flat]
 
 
 class TestConfigAndGuards:
