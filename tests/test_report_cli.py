@@ -6,7 +6,7 @@ import pytest
 
 import thetadist as td
 from thetadist import cli
-from test_bound_magnitudes import ln_l_bound
+from test_logscale import ln_l_bound
 from test_theta import TAU_G3
 
 
