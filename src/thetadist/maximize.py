@@ -1,21 +1,26 @@
 """Global maximization of the square-root theta norm over the Jacobian torus.
 
-Deterministic three-stage search.  A full tensor grid in lattice coordinates
-is scanned in double precision by ``periods.sqrt_norm_grid``, which evaluates
-the theta sum on each m-slice as a trigonometric polynomial in n (one small
-matrix product per axis).  One Newton iteration on log<s,s>, ``_newton``,
-then runs twice: in doubles from the grid's discrete local maxima, one start
-per cluster of tied neighbouring maxima, and at working precision from the
-converged points whose double value ties the best, which from double
-accuracy takes two lattice sums.  Both read the one theta-sum contract of
-``periods`` (lattice coordinates x = (n, m) in, s = theta(n + tau m)
-exp(-pi m'Ym) and its z-derivatives times the same factor out), from
-``periods._theta_batch`` in doubles and from ``periods._theta_point`` at
-working precision (Deconinck, Heil, Bobenko, van Hoeij, Schmies, "Computing
-Riemann theta functions", Math. Comp. 73 (2004)).  Both drop a start by one
-rule, a pivot of -H that is not positive (``_solve_definite``).  No
-global-optimality certificate is produced; the probe and grid-monotonicity
-properties in the test suite are the practical guard.
+Deterministic three-stage search.  theta is even, so the norm is invariant
+under x -> -x mod Z^{2g}, and each stage works on half the torus.  A full
+tensor grid in lattice coordinates is scanned in double precision by
+``periods.sqrt_norm_grid``, which evaluates the theta sum on each m-slice as
+a trigonometric polynomial in n (one small matrix product per axis), sums
+the slices of half the m_1-slabs and copies the rest from their mirrors.
+One Newton iteration on log<s,s>, ``_newton``, then runs twice: in doubles
+from the grid's discrete local maxima in the first-axis slabs 0, ..., nd //
+2, one start per cluster of tied neighbouring maxima, and at working
+precision from the converged points whose double value ties the best, one
+per pair {x, -x}, which from double accuracy takes two lattice sums.  Both
+read the one theta-sum contract of ``periods`` (lattice coordinates x = (n,
+m) in, s = theta(n + tau m) exp(-pi m'Ym) and its z-derivatives times the
+same factor out), from ``periods._theta_batch`` in doubles and from
+``periods._theta_point`` at working precision (Deconinck, Heil, Bobenko, van
+Hoeij, Schmies, "Computing Riemann theta functions", Math. Comp. 73 (2004);
+Birkenhake, Lange, "Complex Abelian Varieties", 2004, for the evenness of
+theta).  Both drop a start by one rule, a pivot of -H that is not positive
+(``_solve_definite``).  No global-optimality certificate is produced; the
+probe and grid-monotonicity properties in the test suite are the practical
+guard.
 """
 
 from __future__ import annotations
@@ -165,13 +170,21 @@ def _max3(src: np.ndarray, dst: np.ndarray, ax: int, before, after) -> None:
     np.maximum(dst[part(-1, None)], after[part(0, 1)], out=dst[part(-1, None)])
 
 
-def _grid_starts(vals: np.ndarray) -> np.ndarray:
+def _grid_starts(vals: np.ndarray, symmetric: bool = False) -> np.ndarray:
     """Flat indices of the local maxima of a periodic grid, one per tie cluster.
 
     A point is a local maximum when none of its 3^d - 1 wrap-around
     neighbours exceeds it by more than ``_GRID_RTOL``.  Neighbouring local
     maxima form one cluster, represented by its lowest flat index, so a
     plateau of ties makes one start.  Returned in flat-index order.
+
+    With ``symmetric``, vals must be invariant under x -> -x (index k of
+    every axis read at -k mod nd), so the local maxima of slab vals[i] are
+    the mirrors of those of slab vals[-i], and only the slabs i = 0, ...,
+    nd // 2, a fundamental domain of -1 on the first axis, are filtered; their
+    neighbours still come from the whole grid.  The clusters are formed
+    over the maxima found and their mirrors, and the starts returned are
+    those of the whole grid that lie in these slabs.
 
     The maxima are found one block of first-axis slabs vals[i] at a time, in
     the order of i; a block holds one slab, or as many as fit in
@@ -205,8 +218,9 @@ def _grid_starts(vals: np.ndarray) -> np.ndarray:
         k %= nb
         return first if k == 0 else last if k == nb - 1 else ring[k % 3]
 
+    stop = n // 2 + 1 if symmetric else n
     parts = []
-    for k in range(nb):
+    for k in range(-(-stop // b)):
         if 0 < k + 1 < nb - 1:
             inner(k + 1, ring[(k + 1) % 3])
         cur = filtered(k)
@@ -215,6 +229,14 @@ def _grid_starts(vals: np.ndarray) -> np.ndarray:
         scaled = vals[k * b:(k + 1) * b] * (1 + _GRID_RTOL)
         parts.append(np.flatnonzero(top <= scaled) + k * b * slab)
     flat = np.concatenate(parts)
+    if symmetric:
+        # the maxima of the other slabs are the mirrors of these, and a
+        # cluster may reach slabs on both sides through them (np.union1d
+        # would import numpy.ma, a megabyte of modules)
+        flat = flat[flat < stop * slab]
+        mirrors = np.ravel_multi_index(-np.array(np.unravel_index(flat, shape)), shape, mode="wrap")
+        flat = np.sort(np.concatenate([flat, mirrors]))
+        flat = flat[np.diff(flat, prepend=-1) != 0]
     coords = np.array(np.unravel_index(flat, shape))
     src, dst = [], []
     for step in itertools.product((-1, 0, 1), repeat=vals.ndim):
@@ -231,7 +253,8 @@ def _grid_starts(vals: np.ndarray) -> np.ndarray:
         if np.array_equal(new, label):
             break
         label = new
-    return flat[label == flat]
+    starts = flat[label == flat]
+    return starts[starts < stop * slab]
 
 
 def _tie_key(x, bits: int):
@@ -253,16 +276,21 @@ def theta_max(
     Scans the grid {k/Nd}^{2g} with ``sqrt_norm_grid``, then runs Newton's
     method in doubles from the grid's discrete local maxima (wrap-around
     neighbours, values compared at a relative 1e-13), one start per cluster
-    of tied neighbouring maxima; a start where -H has a pivot that is not
-    positive, or that does not converge within the step cap, is dropped
-    without a working-precision sum.  The converged points whose double value
-    is within a relative 1e-13 of the best are polished by Newton at the
-    working precision, and the value is the one the best polish took from its
-    own last lattice sum.  Deterministic for fixed configs at any ambient
-    mpmath precision: a tie cluster starts from its lowest flat grid index,
-    and of the refined values within ``target_abs_error`` of the best,
-    compared at the working precision, the lowest coordinates win, compared
-    lexicographically mod 1 at the Newton stop tolerance (``_tie_key``).
+    of tied neighbouring maxima, taken in the first-axis slabs 0, ..., Nd //
+    2: the norm is even, so the maxima of the other slabs are their mirrors.
+    A start where -H has a pivot that is not positive, or that does not
+    converge within the step cap, is dropped without a working-precision
+    sum.  The converged points whose double value is within a relative 1e-13
+    of the best are polished by Newton at the working precision, one per
+    pair {x, -x}: of x and -x mod 1, the one of lower ``_tie_key`` read at
+    the double Newton's tolerance 2^-26, and once per key, so a pair whose
+    two keys straddle a rounding step is polished twice.  The value is the
+    one the best polish took from its own last lattice sum.  Deterministic
+    for fixed configs at any ambient mpmath precision: a tie cluster starts
+    from its lowest flat grid index, and of the refined values within
+    ``target_abs_error`` of the best, compared at the working precision, the
+    lowest coordinates win, compared lexicographically mod 1 at the Newton
+    stop tolerance (``_tie_key``).
     Raises BudgetExceeded when no start converges or the best value
     falls below the grid's best by more than double rounding.
     """
@@ -275,19 +303,26 @@ def theta_max(
 
     vals = sqrt_norm_grid(tau, nd)
     grid_best = float(vals.max())
-    starts = np.stack(np.unravel_index(_grid_starts(vals), vals.shape), axis=1) / nd
+    starts = _grid_starts(vals, symmetric=True)
+    starts = np.stack(np.unravel_index(starts, vals.shape), axis=1) / nd
 
     converged = [r for r in (_newton(tau, x) for x in starts) if r is not None]
     if not converged:
         raise BudgetExceeded("Newton in doubles converged from no grid start")
     best = max(v for v, _ in converged)
 
-    candidates = []
+    candidates, polished_keys = [], set()
     for v, x in converged:
-        if v >= best * (1 - _GRID_RTOL):
-            polished = _newton(tau, x, cfg.working_precision_bits)
-            if polished is not None:
-                candidates.append(polished)
+        if v < best * (1 - _GRID_RTOL):
+            continue
+        # 2^-26, the double Newton's tolerance, is _tie_key's unit at 53 bits
+        key, x = min((_tie_key(y, 53), y) for y in (x, tuple(-c % 1 for c in x)))
+        if key in polished_keys:
+            continue
+        polished_keys.add(key)
+        polished = _newton(tau, x, cfg.working_precision_bits)
+        if polished is not None:
+            candidates.append(polished)
     if not candidates:
         raise BudgetExceeded("Newton refinement converged from no grid start")
     with mp.workprec(cfg.working_precision_bits):

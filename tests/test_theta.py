@@ -498,6 +498,51 @@ class TestSqrtNormGrid:
             ref = np.sqrt(per_term_norm_batch(tau, coords))
             assert np.abs(grid.ravel() - ref).max() <= 1e-14 * grid.max()
 
+    @pytest.mark.parametrize(
+        "name, nd, offset",
+        [
+            ("s4", 32, 0.0), ("s4", 31, 0.5), ("i", 256, 0.0), ("i", 255, 0.5),
+            ("g3", 7, 0.0), ("c30", 12, 0.5),
+        ],
+    )
+    def test_reflection_invariant(self, name, nd, offset, tau_s4):
+        """<s,s>(-x) = <s,s>(x), and the scan copies half the grid from the
+        other half: the grid equals itself read at index (-k - 2 offset) mod
+        nd on every axis, bit for bit.  31^4 and 255^2 have one
+        self-mirrored slab per axis at offset 1/2, 32^4 and 7^6 two and one
+        at offset 0; TAU_C30's 4 x 4 cells make its chunks non-consecutive."""
+        tau = {
+            "s4": tau_s4,
+            "i": td.PeriodMatrix([[1j]]),
+            "g3": td.PeriodMatrix(TAU_G3),
+            "c30": td.PeriodMatrix(TAU_C30),
+        }[name]
+        grid = td.periods.sqrt_norm_grid(tau, nd, offset)
+        mirror = np.roll(np.flip(grid), 1 - int(2 * offset), tuple(range(grid.ndim)))
+        assert np.array_equal(grid, mirror)
+
+    def test_mirror_copy_buffers_no_half_grid(self, tau_s4):
+        """The mirrored half of the 32^4 grid is copied without a buffer of
+        half the grid: the scan holds its 8 MB result and little else."""
+        td.periods.sqrt_norm_grid(tau_s4, 32)
+        tracemalloc.start()
+        try:
+            grid = td.periods.sqrt_norm_grid(tau_s4, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * grid.nbytes
+
+    def test_half_integer_offsets(self, tau_s4):
+        """Any offset with 2 offset an integer keeps the mirror on the grid:
+        offset 3/2 is offset 1/2 with every index moved by one.  Others raise."""
+        half = td.periods.sqrt_norm_grid(tau_s4, 9, 0.5)
+        assert np.array_equal(td.periods.sqrt_norm_grid(tau_s4, 9, 1.5),
+                              np.roll(half, -1, tuple(range(4))))
+        for offset in (0.25, 1 / 3, float("nan"), float("inf")):
+            with pytest.raises(td.InvalidInput):
+                td.periods.sqrt_norm_grid(tau_s4, 8, offset)
+
 
 class TestLatticeContext:
     @pytest.mark.parametrize("name", ["s4", "g3"])

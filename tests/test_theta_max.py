@@ -108,8 +108,8 @@ class TestThetaMaxG2:
 
     def test_preset_cost_and_value(self, tau_s4, cfg, monkeypatch):
         """At 32^4 the three half-period starts (value 0.99694) are dropped in
-        doubles; only the two symmetric maxima are polished, at two
-        derivative sums each, and the value comes from the last of them."""
+        doubles; of the two symmetric maxima x* and -x* only x* is polished,
+        at two derivative sums, and the value comes from the last of them."""
         calls = []
         kernel = td.periods._theta_point
 
@@ -124,7 +124,7 @@ class TestThetaMaxG2:
         half_periods = {528: (0, 0, 0.5, 0.5), 16384: (0, 0.5, 0, 0), 524288: (0.5, 0, 0, 0)}
         starts = td.maximize._grid_starts(td.periods.sqrt_norm_grid(tau_s4, 32))
         assert set(half_periods) <= set(starts)
-        assert len(calls) <= 4
+        assert len(calls) <= 2
         for x in calls:
             for h in half_periods.values():
                 d = (x - np.array(h)) % 1
@@ -135,7 +135,8 @@ class TestThetaMaxG2:
 
     def test_polish_quadratic_at_512_bits(self, monkeypatch):
         """The polish converges quadratically at 512 bits as well: from
-        double accuracy the two maxima take at most 8 derivative sums."""
+        double accuracy the one polished maximum takes at most 4 derivative
+        sums."""
         cfg = td.PrecisionConfig(working_precision_bits=512, target_abs_error=1e-25)
         tau = td.bost_mestre_preset(cfg).tau
         calls = []
@@ -148,7 +149,7 @@ class TestThetaMaxG2:
         monkeypatch.setattr(td.maximize, "_theta_point", counted)
         td.theta_max(tau, td.OptimizerConfig(grid_points_per_dim=32), cfg)
         assert calls and set(calls) == {512}
-        assert len(calls) <= 8
+        assert len(calls) <= 4
 
 
 class TestThetaDerivs:
@@ -269,6 +270,29 @@ class TestGridStarts:
                 expected = whole_grid_starts(vals)
                 assert np.array_equal(td.maximize._grid_starts(vals), expected), (d, nd)
 
+    def test_half_torus_matches_whole_grid_cut(self):
+        """On a grid invariant under x -> -x, the half-torus filter picks the
+        whole-grid filter's starts in first-axis slabs 0, ..., nd // 2, with
+        neighbours read across the wrap.  Seeded symmetric grids: noise,
+        the same rounded to one decimal (plateaus), and a pair of mirrored
+        cosine peaks, at odd and even nd; nd = 300 and 301 at d = 2 take
+        several blocks of slabs."""
+        rng = np.random.default_rng(20)
+        for d, nd in [(2, 8), (2, 9), (4, 8), (4, 9), (6, 8), (6, 9), (2, 300), (2, 301)]:
+            shape = (nd,) * d
+
+            def symmetric(a):
+                return a + np.roll(np.flip(a), 1, tuple(range(d)))
+
+            noise = symmetric(rng.standard_normal(shape))
+            centre = rng.integers(0, nd, d).reshape((d,) + (1,) * d)
+            peaks = symmetric(np.cos(2 * np.pi * (np.indices(shape) - centre) / nd).sum(axis=0))
+            for vals in (noise, np.round(noise, 1), peaks):
+                expected = whole_grid_starts(vals)
+                expected = expected[expected < (nd // 2 + 1) * nd ** (d - 1)]
+                half = td.maximize._grid_starts(vals, symmetric=True)
+                assert np.array_equal(half, expected), (d, nd)
+
     def test_allocates_no_grid_sized_array(self, tau_s4):
         vals = td.periods.sqrt_norm_grid(tau_s4, 32)
         tracemalloc.start()
@@ -306,6 +330,25 @@ def whole_grid_starts(vals):
             break
         label = new
     return flat[label == flat]
+
+
+def two_polishes(monkeypatch, polish):
+    """Make theta_max polish twice.  Newton in doubles converges from the
+    first two starts only, to two points of one value that are not each
+    other's mirror, so both are polished; the k-th polish returns ``polish(tau,
+    k, bits)``.  Returns the list of polished starts."""
+    points = [(0.0, 0.2, 0.5, 0.5), (0.0, 0.3, 0.5, 0.5)]
+    doubles, polished = [], []
+
+    def stub(tau, start, bits=None):
+        if bits is None:
+            doubles.append(start)
+            return (1.07, points[len(doubles) - 1]) if len(doubles) <= 2 else None
+        polished.append(start)
+        return polish(tau, len(polished) - 1, bits)
+
+    monkeypatch.setattr(td.maximize, "_newton", stub)
+    return polished
 
 
 class TestConfigAndGuards:
@@ -358,28 +401,27 @@ class TestConfigAndGuards:
             td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=8), cfg)
 
     def test_tie_break_ignores_ambient_precision(self, tau_s4, cfg, monkeypatch):
-        """The polishes of the symmetric maxima x and -x tie up to rounding.
+        """Polishes of the symmetric maxima x* and -x* tie up to rounding.
         With the value of the twin of higher coordinates raised by a relative
         2^-120, far below target_abs_error, the lowest coordinates still win
         at an ambient precision of 53 bits and of 300 bits."""
         newton = td.maximize._newton
+        maxima = [tuple(float(c) for c in S4_ARGMAX), tuple(1 - float(c) for c in S4_ARGMAX)]
 
-        def nudged(tau, start, bits=None):
-            result = newton(tau, start, bits)
-            if bits is None or result is None:
-                return result
-            value, x = result
+        def polish(tau, k, bits):
+            value, x = newton(tau, maxima[k], bits)
             if x[0] > 0.5:
                 with mp.workprec(bits):
                     value *= 1 + mp.mpf(2) ** -120
             return value, x
 
-        monkeypatch.setattr(td.maximize, "_newton", nudged)
         ocfg = td.OptimizerConfig(grid_points_per_dim=8)
         argmaxes = []
         for ambient in (53, 300):
+            calls = two_polishes(monkeypatch, polish)
             with mp.workprec(ambient):
                 argmaxes.append(td.theta_max(tau_s4, ocfg, cfg).argmax_coords)
+            assert len(calls) == 2
         assert argmaxes[0] == argmaxes[1]
         assert argmaxes[0][0] < 0.5
 
@@ -388,25 +430,43 @@ class TestConfigAndGuards:
         it at 1 - 1e-30 and the other at 1e-30, with equal values: the
         tie-break takes both as 0, and the second coordinate picks the 0.2
         twin, whichever polish comes first."""
-        newton = td.maximize._newton
         with mp.workprec(cfg.working_precision_bits):
             eps = mp.mpf("1e-30")
             twins = [(1 - eps, mp.mpf("0.2"), 0.5, 0.5), (eps, mp.mpf("0.3"), 0.5, 0.5)]
         for first in (0, 1):
-            values = []
 
-            def twinned(tau, start, bits=None):
-                result = newton(tau, start, bits)
-                if bits is None or result is None:
-                    return result
-                values.append(result[0])
+            def polish(tau, k, bits):
                 # the first polish returns one twin, every later one the other
-                return values[0], twins[first if len(values) == 1 else 1 - first]
+                with mp.workprec(bits):
+                    return mp.mpf(S4_THETA_MAX), twins[first if k == 0 else 1 - first]
 
-            monkeypatch.setattr(td.maximize, "_newton", twinned)
+            polished = two_polishes(monkeypatch, polish)
             ocfg = td.OptimizerConfig(grid_points_per_dim=8)
             assert td.theta_max(tau_s4, ocfg, cfg).argmax_coords == twins[0]
-            assert len(values) >= 2
+            assert len(polished) >= 2
+
+    @pytest.mark.parametrize("twins", [(0,), (1,), (0, 1), (1, 0)])
+    def test_polishes_one_member_per_pair(self, tau_s4, cfg, monkeypatch, twins):
+        """theta is even, so x* and -x* are one maximum: whichever of them
+        Newton in doubles reaches, and in either order, one polish runs, from
+        x*, the member of lower coordinates, and x* is the argmax."""
+        newton = td.maximize._newton
+        maxima = [tuple(float(c) for c in S4_ARGMAX), tuple(1 - float(c) for c in S4_ARGMAX)]
+        doubles, starts = iter(twins), []
+
+        def stub(tau, start, bits=None):
+            if bits is None:
+                k = next(doubles, None)
+                return None if k is None else newton(tau, maxima[k])
+            starts.append(np.array([float(c) for c in start]))
+            return newton(tau, start, bits)
+
+        monkeypatch.setattr(td.maximize, "_newton", stub)
+        res = td.theta_max(tau_s4, td.OptimizerConfig(grid_points_per_dim=8), cfg)
+        assert len(starts) == 1
+        assert np.abs(starts[0] - np.array(maxima[0])).max() < 1e-12
+        with mp.workprec(cfg.working_precision_bits):
+            assert max(abs(c - mp.mpf(a)) for c, a in zip(res.argmax_coords, S4_ARGMAX)) < 1e-30
 
     def test_deterministic_rerun(self, tau_s4, cfg):
         ocfg = td.OptimizerConfig(grid_points_per_dim=12)
