@@ -3,22 +3,18 @@
 Curves are odd-degree models z^2 = f(t) with f monic quintic and squarefree,
 embedded in the Jacobian via the single point at infinity.  Divisor classes
 are carried in Mumford form (u, v) with u monic of degree <= 2 and u | v^2 - f,
-over the rationals or over a residue ring Z/p^j.  The group law is Cantor
-composition-and-reduction; divisions by non-units over Z/p^j raise
-RepresentationDegenerate rather than guessing a representative.
+over the rationals or over a residue ring Z/p^j.  The group law is Cantor's
+composition and reduction, written out in closed form on the coefficients:
+no polynomial gcd and no polynomial division.  A resultant or pivot that is
+not a unit of Z/p^j raises RepresentationDegenerate rather than guessing a
+representative.
 
 Each coefficient ring owns its normal form: ``R.reduce`` is the identity
 over Q and ``x % p^j`` over Z/p^j.  The polynomial helpers pass every
 coefficient they return through it, so a zero coefficient is falsy and no
 helper branches on the ring; a new ring needs ``coerce``, ``reduce`` and
-``inv``.
+``inv``, and every scalar inverse of ``add`` goes through ``inv``.
 
-``add`` returns a zero operand's partner as it is, and composes coprime u1,
-u2 by the Chinese remainder theorem alone (u = u1*u2, no second gcd and no
-division by d); doublings and shared factors take Cantor's general branch.
-When u1 == u2 (every doubling, and every D + iota D) it reads the first gcd
-off its operands, (d1, e1, e2) = (u1, 0, 1), instead of running ``pxgcd``;
-``pdivmod`` takes no inverse of a monic divisor's leading coefficient.
 ``order_of`` walks k*D only up to half the order and meets a stored -j*D.
 The order of a class depends on the curve alone, not on any prime, so each
 curve keeps the orders it has found and walks a class at most once.
@@ -132,10 +128,6 @@ def ptrim(R, a):
     return tuple(a)
 
 
-def padd(R, a, b):
-    return ptrim(R, [x + y for x, y in zip_longest(a, b, fillvalue=0)])
-
-
 def pneg(R, a):
     return ptrim(R, [-x for x in a])
 
@@ -152,14 +144,9 @@ def pmul(R, a, b):
     return ptrim(R, out)
 
 
-def pscale(R, c, a):
-    return ptrim(R, [c * x for x in a])
-
-
 def pdivmod(R, a, b):
     """Euclidean division; requires the leading coefficient of b to be a unit.
-    A monic b, as every divisor of ``add`` outside ``pxgcd`` is, takes no
-    inverse."""
+    A monic b takes no inverse."""
     if not b:
         raise RepresentationDegenerate("polynomial division by zero")
     inv_lc = None if b[-1] == 1 else R.inv(b[-1])
@@ -176,22 +163,6 @@ def pdivmod(R, a, b):
 
 def pmod(R, a, b):
     return pdivmod(R, a, b)[1]
-
-
-def pxgcd(R, a, b):
-    """Monic extended gcd: returns (d, s, t) with s*a + t*b = d."""
-    r0, r1 = ptrim(R, a), ptrim(R, b)
-    s0, s1 = (R.coerce(1),), ()
-    t0, t1 = (), (R.coerce(1),)
-    while r1:
-        q, r = pdivmod(R, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(R, s0, pmul(R, q, s1))
-        t0, t1 = t1, psub(R, t0, pmul(R, q, t1))
-    if r0:
-        inv = R.inv(r0[-1])
-        r0, s0, t0 = pscale(R, inv, r0), pscale(R, inv, s0), pscale(R, inv, t0)
-    return r0, s0, t0
 
 
 def peval(R, a, x):
@@ -291,20 +262,168 @@ def zero_divisor(ring=QQ) -> MumfordDivisor:
 
 
 # ---------------------------------------------------------------------------
-# Group law (Cantor)
+# Group law: Cantor's composition and reduction in closed form
+#
+# Pairs are tuples of reduced coefficients, low degree first, with u monic;
+# f[-1] is the ring's 1.  A composition is (u1 u2, v1 + u1 k) for one k mod
+# u2, found in the residues mod u2 (one scalar for deg u2 = 1, a linear
+# polynomial for deg u2 = 2), with one scalar inverse through R.inv.
 # ---------------------------------------------------------------------------
 
-def add(curve: HyperellipticCurve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
-    """Cantor composition followed by reduction to deg u <= 2.
+def _residue(R, a, u):
+    """a mod u for a monic u of degree 1 or 2: deg u reduced coefficients."""
+    if len(u) == 2:
+        return (peval(R, a, -u[0]),)
+    u0, u1 = u[0], u[1]
+    c0 = c1 = 0
+    for x in reversed(a):  # (c1 t + c0) t + x, with t^2 = -u1 t - u0
+        c0, c1 = x - u0 * c1, c0 - u1 * c1
+    return R.reduce(c0), R.reduce(c1)
 
-    Operands are reduced Mumford pairs, so a zero operand returns the other
-    one unchanged.  When u1 and u2 are coprime (e1*u1 + e2*u2 = 1) the
-    composition is u = u1*u2, v = v2 + e2*u2*(v1 - v2) mod u, which is
-    v1 mod u1 and v2 mod u2.  Otherwise (a doubling or a shared factor)
-    Cantor's general branch takes d = gcd(u1, u2, v1 + v2) and divides by
-    it; over Z/p^j a division by a non-unit raises RepresentationDegenerate.
-    For u1 == u2 the first gcd is read off: (u1, 0, 1) is what ``pxgcd``
-    returns for a monic u1 and itself.
+
+def _divide_mod(R, num, den, u):
+    """num / den for residues mod a monic u of degree 1 or 2; None when
+    res(u, den), the one scalar inverted, is not a unit."""
+    red = R.reduce
+    if len(u) == 2:
+        res = den[0]
+    else:
+        b0, b1 = u[0], u[1]
+        d0, d1 = den
+        res = d0 * d0 - b1 * d0 * d1 + b0 * d1 * d1
+    try:
+        inv = R.inv(red(res))
+    except RepresentationDegenerate:
+        return None
+    if len(u) == 2:
+        return (red(num[0] * inv),)
+    # 1 / (d1 t + d0) = (d0 - b1 d1 - d1 t) / res, times n1 t + n0 mod u
+    i0, i1 = (d0 - b1 * d1) * inv, -d1 * inv
+    n0, n1 = num
+    h = n1 * i1
+    return red(n0 * i0 - b0 * h), red(n0 * i1 + n1 * i0 - b1 * h)
+
+
+def _quotient(f, u, v):
+    """(f - v^2) / u, exact for u | v^2 - f with u monic, unreduced."""
+    if len(u) == 3:  # t^3 + q2 t^2 + q1 t + q0, with deg v <= 1
+        a0, a1 = u[0], u[1]
+        x1 = v[1] if len(v) == 2 else 0
+        q2 = f[4] - a1
+        q1 = f[3] - a0 - a1 * q2
+        return (f[2] - x1 * x1 - a0 * q2 - a1 * q1, q1, q2, f[5])
+    c = f[5]  # u = t - s, and v^2, a constant, only moves the remainder
+    q = [c]
+    s = -u[0]
+    for x in f[4:0:-1]:
+        c = x + s * c
+        q.append(c)
+    return q[::-1]
+
+
+def _glue(R, u1, v1, u2, k):
+    """The composed pair (u1 u2, v1 + u1 k)."""
+    u = [0] * (len(u1) + len(u2) - 1)
+    for i, x in enumerate(u1):
+        for j, y in enumerate(u2):
+            u[i + j] += x * y
+    v = list(v1) + [0] * (len(u) - 1 - len(v1))
+    for i, x in enumerate(u1):
+        for j, y in enumerate(k):
+            v[i + j] += x * y
+    return tuple(map(R.reduce, u)), tuple(map(R.reduce, v))
+
+
+def _remove_root(R, u, v, r):
+    """The class (w, v mod w) with w = u / (t - r): a pair less its point at r."""
+    one = u[-1]
+    if len(u) == 2:
+        return (one,), ()
+    s = R.reduce(-u[1] - r)  # u = (t - r)(t - s)
+    c = peval(R, v, s)
+    return (R.reduce(-s), one), ((c,) if c else ())
+
+
+def _compose(R, f, u1, v1, u2, v2):
+    """A pair (u, v) of the sum, deg u <= 4, not yet reduced; the cases
+    are those of ``add``.  The same-branch k gives u1 u2 | v^2 - f, and
+    v = v2 mod u2 also where u1 and u2 share roots: u1 k (v1 + v2) is
+    f - v1^2 = v2^2 - v1^2 mod u2, and v1 + v2 is invertible mod u2, so
+    u1 k = v2 - v1 mod u2."""
+    if len(u1) == 1:
+        return u2, v2
+    if len(u2) == 1:
+        return u1, v1
+    if u1 == u2 and v2 == pneg(R, v1):
+        return (f[-1],), ()
+    x, y = _residue(R, v1, u2), _residue(R, v2, u2)
+    if u1 != u2:
+        k = _divide_mod(R, [b - a for a, b in zip(x, y)], _residue(R, u1, u2), u2)
+        if k is not None:
+            return _glue(R, u1, v1, u2, k)
+    k = _divide_mod(R, _residue(R, _quotient(f, u1, v1), u2), [a + b for a, b in zip(x, y)], u2)
+    if k is not None:
+        return _glue(R, u1, v1, u2, k)
+    vsum = tuple(a + b for a, b in zip_longest(v1, v2, fillvalue=0))
+    if u1 != u2:
+        k = _divide_mod(R, _residue(R, _quotient(f, u2, v2), u1), _residue(R, vsum, u1), u1)
+        if k is not None:
+            return _glue(R, u2, v2, u1, k)
+    # r: the root of v1 + v2 for u1 == u2, else a common root of u1 and u2
+    line = vsum if u1 == u2 else u1 if len(u1) == 2 else u2 if len(u2) == 2 else (
+        u1[0] - u2[0], u1[1] - u2[1])
+    line = (line + (0, 0))[:2]
+    r = R.reduce(-line[0] * R.inv(R.reduce(line[1])))
+    if peval(R, u1, r) or peval(R, u2, r) or peval(R, vsum, r):
+        raise RepresentationDegenerate("the operands share no opposite points in the ring")
+    return _compose(R, f, *_remove_root(R, u1, v1, r), *_remove_root(R, u2, v2, r))
+
+
+def _reduce_step(R, f, u, v):
+    """One Cantor reduction of a pair with deg u = 3 or 4: u' = (f - v^2)/u
+    made monic and v' = -v mod u', in closed form.  deg u' <= 2."""
+    red = R.reduce
+    one = u[-1]
+    if len(u) == 4:  # (f - v^2)/u = t^2 + q1 t + q0
+        v0, v1, v2 = (v + (0, 0, 0))[:3]
+        q1 = red(f[4] - v2 * v2 - u[2])
+        q0 = red(f[3] - 2 * v1 * v2 - u[1] - u[2] * q1)
+        return (q0, q1, one), ptrim(R, (v2 * q0 - v0, v2 * q1 - v1))
+    v0, v1, v2, v3 = (v + (0, 0, 0, 0))[:4]
+    if not v3:  # (f - v^2)/u = t + q0 = t - s
+        s = red(u[3] + v2 * v2 - f[4])
+        return (red(-s), one), ptrim(R, (-peval(R, v, s),))
+    # (f - v^2)/u = q2 t^2 + q1 t + q0 with q2 = -v3^2, a unit unless v3 is
+    # a nonzero non-unit: then the reduced u has no unit leading coefficient
+    q2 = red(-v3 * v3)
+    q1 = red(1 - 2 * v2 * v3 - u[3] * q2)
+    q0 = red(f[4] - v2 * v2 - 2 * v1 * v3 - u[3] * q1 - u[2] * q2)
+    inv = R.inv(q2)
+    w0, w1 = red(q0 * inv), red(q1 * inv)
+    # v mod u', from t^2 = -w1 t - w0 and t^3 = (w1^2 - w0) t + w1 w0
+    return (w0, w1, one), ptrim(R, (v2 * w0 - v0 - v3 * w1 * w0, v2 * w1 - v1 - v3 * (w1 * w1 - w0)))
+
+
+def add(curve: HyperellipticCurve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
+    """D1 + D2 by Cantor's composition and one reduction step, in closed form.
+
+    A zero operand returns the other one unchanged, and u1 == u2 with
+    v1 + v2 = 0 mod u1 gives the zero class.  Otherwise the composition is
+    (u1 u2, v1 + u1 k) for one k mod u2, read off in the residues mod u2:
+
+    - coprime: res(u1, u2) is a unit, and k = (v2 - v1) / u1 mod u2 (CRT);
+    - same branch: res(u2, v1 + v2) is a unit, for one order of the
+      operands, and k = ((f - v1^2) / u1) / (v1 + v2) mod u2.  This is a
+      doubling's Hensel step (k = ((f - v^2) / u) / 2v), and it composes
+      operands whose points agree at a shared or double root;
+    - opposite at a shared root r: the point (t - r, v1(r)) and its
+      opposite, a Weierstrass point (v(r) = 0) being its own, are split off
+      and cancel, and the rest, of degree <= 1 on each side, composes.
+
+    One closed-form reduction step then takes deg u from 3 or 4 to <= 2.
+    Every scalar inverse goes through ``R.inv``.  Over Z/p^j a resultant
+    that is not a unit with no shared root in the ring, or a non-unit
+    pivot, raises RepresentationDegenerate.
     """
     if D1.ring != D2.ring:
         raise InvalidInput("divisors live over different rings")
@@ -314,40 +433,11 @@ def add(curve: HyperellipticCurve, D1: MumfordDivisor, D2: MumfordDivisor) -> Mu
         return D1
     R = D1.ring
     f = curve.f_in(R)
-    u1, v1 = D1.u, D1.v
-    u2, v2 = D2.u, D2.v
-    if u1 == u2:
-        d1, e1, e2 = u1, (), (R.coerce(1),)
+    u, v = _compose(R, f, D1.u, D1.v, D2.u, D2.v)
+    if len(u) > 3:
+        u, v = _reduce_step(R, f, u, v)
     else:
-        d1, e1, e2 = pxgcd(R, u1, u2)
-    if len(d1) == 1:  # gcd(u1, u2) = 1
-        u = pmul(R, u1, u2)
-        v = pmod(R, padd(R, v2, pmul(R, pmul(R, e2, u2), psub(R, v1, v2))), u)
-    else:
-        d, c1, c2 = pxgcd(R, d1, padd(R, v1, v2))
-        s1 = pmul(R, c1, e1)
-        s2 = pmul(R, c1, e2)
-        s3 = c2
-        u = pmul(R, u1, u2)
-        num = padd(
-            R,
-            padd(R, pmul(R, pmul(R, s1, u1), v2), pmul(R, pmul(R, s2, u2), v1)),
-            pmul(R, s3, padd(R, pmul(R, v1, v2), f)),
-        )
-        if len(d) > 1:  # d = 1, as in most doublings, divides nothing
-            u, rem = pdivmod(R, u, pmul(R, d, d))
-            if rem:
-                raise RepresentationDegenerate("composition denominator does not divide")
-            num, rem = pdivmod(R, num, d)
-            if rem:
-                raise RepresentationDegenerate("composition numerator does not divide")
-        v = pmod(R, num, u)
-    # reduction to genus-2 size; u1 u2 / d^2 is monic, and so is each u_new
-    while len(u) - 1 > 2:
-        u_new = pdivmod(R, psub(R, f, pmul(R, v, v)), u)[0]
-        u_new = pscale(R, R.inv(u_new[-1]), u_new)
-        v = pmod(R, pneg(R, v), u_new)
-        u = u_new
+        v = ptrim(R, v)
     return MumfordDivisor(u=u, v=v, ring=R)
 
 

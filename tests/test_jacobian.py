@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,16 +10,13 @@ import thetadist as td
 from thetadist.jacobian import (
     QQ,
     ResidueRing,
-    padd,
     pdivmod,
     peval,
     pmod,
     pmul,
     pneg,
-    pscale,
     psub,
     ptrim,
-    pxgcd,
 )
 
 
@@ -191,17 +189,6 @@ class TestGroupLaw:
             assert above > 0 if first == "n - 1" else above == 0
 
 
-def _add_case(A, B):
-    """Which branch of ``add`` composes A and B."""
-    if A.is_zero() or B.is_zero():
-        return "zero"
-    if A == B:
-        return "doubling"
-    if pxgcd(A.ring, A.u, B.u)[0] == (1,):
-        return "coprime"
-    return "shared factor"
-
-
 @st.composite
 def classes_over_fp(draw):
     """A squarefree monic quintic, a prime of good reduction p in {3, 5, 7, 11}
@@ -221,10 +208,40 @@ def classes_over_fp(draw):
     return curve, classes
 
 
+# ---------------------------------------------------------------------------
+# Euclidean oracle: Cantor's composition by the extended gcd, kept here so that
+# it stays independent of the closed forms in ``add``.
+# ---------------------------------------------------------------------------
+
+def padd(R, a, b):
+    return ptrim(R, [x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def pscale(R, c, a):
+    return ptrim(R, [c * x for x in a])
+
+
+def pxgcd(R, a, b):
+    """Monic extended gcd: returns (d, s, t) with s*a + t*b = d."""
+    r0, r1 = ptrim(R, a), ptrim(R, b)
+    s0, s1 = (R.coerce(1),), ()
+    t0, t1 = (), (R.coerce(1),)
+    while r1:
+        q, r = pdivmod(R, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, psub(R, s0, pmul(R, q, s1))
+        t0, t1 = t1, psub(R, t0, pmul(R, q, t1))
+    if r0:
+        inv = R.inv(r0[-1])
+        r0, s0, t0 = pscale(R, inv, r0), pscale(R, inv, s0), pscale(R, inv, t0)
+    return r0, s0, t0
+
+
 def _cantor_general(curve, D1, D2):
-    """Cantor's composition by its general branch alone, as ``add`` took it
-    for every u1 == u2: both gcds by ``pxgcd`` and both divisions by d, then
-    the reduction to deg u <= 2."""
+    """Cantor's composition by its general branch alone: both gcds by
+    ``pxgcd`` and both divisions by d, then the reduction to deg u <= 2,
+    which refuses a reduction whose pivot, the leading coefficient -v_3^2
+    of f - v^2, is a non-unit."""
     R = D1.ring
     f = curve.f_in(R)
     (u1, v1), (u2, v2) = (D1.u, D1.v), (D2.u, D2.v)
@@ -243,10 +260,45 @@ def _cantor_general(curve, D1, D2):
         raise td.RepresentationDegenerate("composition numerator does not divide")
     v = pmod(R, num, u)
     while len(u) > 3:
-        u = pdivmod(R, psub(R, f, pmul(R, v, v)), u)[0]
+        w = psub(R, f, pmul(R, v, v))
+        if len(w) < 2 * len(v) - 1:
+            # v's leading coefficient squares to 0 mod p^j: the quotient's
+            # leading coefficient is a non-unit, not 0
+            raise td.RepresentationDegenerate("leading coefficient of v^2 vanishes")
+        u = pdivmod(R, w, u)[0]
         u = pscale(R, R.inv(u[-1]), u)
         v = pmod(R, pneg(R, v), u)
     return td.MumfordDivisor(u=u, v=v, ring=R)
+
+
+ADD_CASES = {"zero", "opposite", "coprime", "doubling", "shared root", "double root", "2-torsion"}
+
+
+def _add_case(curve, A, B):
+    """Which case of ``add`` composes A and B, read off over the residue
+    field (over Q for rational classes) with the oracle's gcd."""
+    if A.is_zero() or B.is_zero():
+        return "zero"
+    if A.u == B.u and B == td.neg(curve, A):
+        return "opposite"
+    F = A.ring if A.ring == QQ else ResidueRing(A.ring.p, 1)
+    u1, v1, u2, v2 = (ptrim(F, a) for a in (A.u, A.v, B.u, B.v))
+    if A == B:
+        g = pxgcd(F, u1, v1)[0]
+        if g == (1,):
+            return "doubling"
+    else:
+        g = pxgcd(F, u1, u2)[0]
+        if g == (1,):
+            return "coprime"
+        if u1 == u2:  # the root where the operands' points agree
+            g = pxgcd(F, u1, psub(F, v1, v2))[0]
+    r = F.reduce(-g[0])  # g = t - r
+    if not peval(F, v1, r):
+        return "2-torsion"
+    if any(len(u) == 3 and not peval(F, (u[1], 2), r) for u in (u1, u2)):
+        return "double root"  # u = (t - r)^2: u'(r) = 0 as well
+    return "shared root"
 
 
 def _outcome(compose, curve, A, B):
@@ -258,24 +310,30 @@ def _outcome(compose, curve, A, B):
     return S, [type(c) for c in S.u + S.v]
 
 
+def _two_point_sums(curve, p, compose):
+    """The sums of two points mod p^2 that ``compose`` returns, sorted."""
+    pts = td.enumerate_curve_points_mod(curve, p, 2)
+    sums = set()
+    for P in pts:
+        for Q in pts:
+            try:
+                sums.add(compose(curve, P, Q))
+            except td.RepresentationDegenerate:
+                pass
+    return sorted(sums, key=lambda D: D.key())
+
+
 class TestAddProperties:
     def test_shared_u_matches_general_branch(self, curve, rational_subgroup):
-        """With u1 == u2, ``add`` reads the first gcd off its operands and
-        skips the divisions by d = 1.  Over QQ, Z/3^2 and Z/7^2 every
-        doubling, D + iota D and other shared-u pair of the rational classes
-        and of the sums of two points gives the general branch's sum, with
-        the same coefficient types, or the same refusal."""
+        """Over QQ, Z/3^2 and Z/7^2 every doubling, D + iota D and other
+        shared-u pair of the rational classes and of the sums of two points
+        gives the general branch's sum, with the same coefficient types,
+        wherever that branch returns one.  Where its gcd meets a non-unit,
+        ``add`` refuses too, or returns a reduced pair S with u | v^2 - f
+        and S + (-B) = A."""
         pools = {"QQ": rational_subgroup}
         for p in (3, 7):
-            pts = td.enumerate_curve_points_mod(curve, p, 2)
-            sums = set()
-            for P in pts:
-                for Q in pts:
-                    try:
-                        sums.add(td.add(curve, P, Q))
-                    except td.RepresentationDegenerate:
-                        pass
-            pools[p] = sorted(sums, key=lambda D: D.key())
+            pools[p] = _two_point_sums(curve, p, td.add)
         for name, pool in pools.items():
             seen, refused = set(), 0
             for A in pool:
@@ -284,14 +342,79 @@ class TestAddProperties:
                         continue
                     seen.add("double" if A == B else "inverse" if B == td.neg(curve, A) else "shared")
                     got = _outcome(td.add, curve, A, B)
-                    assert got == _outcome(_cantor_general, curve, A, B), (A, B)
-                    refused += got[0] == "refused"
+                    want = _outcome(_cantor_general, curve, A, B)
+                    if want[0] != "refused":
+                        assert got == want, (A, B)
+                        continue
+                    refused += 1
+                    S = got[0]
+                    if S != "refused":
+                        assert td.make_divisor(curve, S.u, S.v, S.ring) == S
+                        assert td.add(curve, S, td.neg(curve, B)) == A, (A, B)
             assert seen == ({"double", "inverse"} if name == "QQ" else {"double", "inverse", "shared"})
             assert name == "QQ" or refused > 0
 
+    def test_unit_resultant_with_non_unit_difference_mod_9(self, curve):
+        """(t^2 + t, t + 1) + (t^2 - 2t + 2, 2t - 3) mod 3^2: u1 - u2 = 3t - 2
+        has a non-unit leading coefficient, on which the Euclidean gcd
+        stops, but res(u1, u2) = 10 is a unit.  The sum is the reduction of
+        the rational sum (t^2, -1)."""
+        A = td.make_divisor(curve, (0, 1, 1), (1, 1))
+        B = td.make_divisor(curve, (2, -2, 1), (-3, 2))
+        S = td.add(curve, A, B)
+        assert S == td.make_divisor(curve, (0, 0, 1), (-1,))
+        Ap, Bp = (td.reduce_mod(curve, D, 3, 2) for D in (A, B))
+        with pytest.raises(td.RepresentationDegenerate, match="3 is not a unit modulo 3"):
+            _cantor_general(curve, Ap, Bp)
+        assert td.add(curve, Ap, Bp) == td.reduce_mod(curve, S, 3, 2)
+
+    def test_closed_forms_match_euclid(self, curve):
+        """``add`` against the Euclidean oracle on every pair of classes of
+        J(F_p) for p = 3, 5, 7, where both always return a sum, and on pairs
+        from the sums of two points mod 3^2 (all 34^2) and mod 7^2 (3,000
+        seeded of 974^2).  The sums are equal wherever the oracle returns
+        one.  Where it refuses and ``add`` returns S, S + (-B) = A and
+        S + (-A) = B wherever ``add`` computes them, and it computes at least
+        one: the other can meet a point of S and a distinct point of -A or
+        -B that agree mod p, whose difference has no pair over Z/p^2.  Every
+        case of ``add`` is taken.  The preset curve has bad reduction at 5,
+        so z^2 = t^5 + t^2 + 1 serves there, and at 3 and 7 as well."""
+        other = td.HyperellipticCurve((1, 0, 1, 0, 0, 1))
+        pairs = []
+        for C, p in ((curve, 3), (curve, 7), (other, 3), (other, 5), (other, 7)):
+            classes = all_divisors_mod(C, p)
+            assert len(classes) == td.jacobian_order_mod_p(C, p)
+            pairs += [(C, A, B) for A in classes for B in classes]
+        n_field = len(pairs)
+        rng = random.Random(31)
+        for p in (3, 7):
+            pool = _two_point_sums(curve, p, _cantor_general)
+            every = [(curve, A, B) for A in pool for B in pool]
+            pairs += every if len(every) <= 3000 else rng.sample(every, 3000)
+        seen, beyond = set(), 0
+        for i, (C, A, B) in enumerate(pairs):
+            want = _outcome(_cantor_general, C, A, B)
+            got = _outcome(td.add, C, A, B)
+            if i < n_field:
+                assert want[0] != "refused" and got[0] != "refused", (C, A, B)
+            if got[0] == "refused":
+                continue
+            seen.add(_add_case(C, A, B))
+            if want[0] != "refused":
+                assert got == want, (C, A, B)
+                continue
+            beyond += 1
+            S = got[0]
+            assert td.make_divisor(C, S.u, S.v, S.ring) == S
+            back = [_outcome(td.add, C, S, td.neg(C, Y))[0] for Y in (B, A)]
+            assert back[0] in (A, "refused") and back[1] in (B, "refused"), (A, B)
+            assert back != ["refused", "refused"], (A, B)
+        assert seen == ADD_CASES
+        assert beyond > 0
+
     def test_group_law_over_random_curves(self):
         """Commutativity, identity, inverse and associativity over F_p on
-        random curves, with every branch of ``add`` taken at least once."""
+        random curves, with every case of ``add`` taken at least once."""
         seen = set()
 
         @settings(derandomize=True, max_examples=60, deadline=None)
@@ -300,7 +423,7 @@ class TestAddProperties:
             curve, (A, B, C) = drawn
 
             def plus(X, Y):
-                seen.add(_add_case(X, Y))
+                seen.add(_add_case(curve, X, Y))
                 S = td.add(curve, X, Y)
                 # the sum is a valid reduced pair: u monic, u | v^2 - f
                 assert td.make_divisor(curve, S.u, S.v, S.ring) == S
@@ -315,7 +438,7 @@ class TestAddProperties:
             assert plus(plus(A, B), C) == plus(A, plus(B, C))
 
         check()
-        assert seen == {"zero", "doubling", "coprime", "shared factor"}
+        assert seen == ADD_CASES
 
     def test_zero_operand_over_z_mod_p_squared(self, curve):
         """0 + P is P at every point mod 3^2 and 7^2, also where v is a
@@ -407,9 +530,9 @@ class TestResidueRings:
         ids=lambda R: "QQ" if R == QQ else f"p{R.p}j{R.j}",
     )
     def test_results_in_normal_form(self, curve, rational_subgroup, ring):
-        """Sums and multiples of the ten rational classes, and the helpers
-        applied to their (u, v), carry reduced coefficients (in range(p^j)
-        over Z/p^j) and no trailing zero."""
+        """Sums and multiples of the ten rational classes, and the package's
+        polynomial helpers applied to their (u, v), carry reduced
+        coefficients (in range(p^j) over Z/p^j) and no trailing zero."""
 
         def assert_normal(a):
             assert not a or a[-1] != 0, a
@@ -437,13 +560,7 @@ class TestResidueRings:
             assert_normal(D.v)
             assert D.u[-1] == 1
             v2f = psub(ring, pmul(ring, D.v, D.v), f)
-            for a in (
-                padd(ring, D.u, D.v),
-                pneg(ring, D.v),
-                v2f,
-                pscale(ring, -3, D.u),
-                *pdivmod(ring, v2f, D.u),
-            ):
+            for a in (pneg(ring, D.v), v2f, *pdivmod(ring, v2f, D.u)):
                 assert_normal(a)
             assert not pmod(ring, v2f, D.u)
 

@@ -137,7 +137,7 @@ class TestQueries:
     def test_ordering(self):
         Hs = [td.h_bound(p, 2, 40) for p in (3, 7, 131, 199)]
         assert Hs == sorted(Hs)
-        assert Hs[0] > 2 ** (10**6)
+        assert Hs[0] > mp.mpf(2) ** (10**6)
         params = td.BoundParams(g=2, deg_K0=40, p=199, q=199)
         assert td.tate_voloch_exponent_sharp(params, 0.6) < td.tate_voloch_exponent_main(
             2 * 40 * 0.6, Hs[-1]
