@@ -15,6 +15,15 @@ coefficient they return through it, so a zero coefficient is falsy and no
 helper branches on the ring; a new ring needs ``coerce``, ``reduce`` and
 ``inv``, and every scalar inverse of ``add`` goes through ``inv``.
 
+There is one ring object per (p, j): ``residue_ring`` is cached, and
+``reduce_mod`` and ``enumerate_curve_points_mod`` build their divisors on
+it, so ``add``'s ring check is an identity test and each curve keys its
+coerced f by the ring's modulus.  Rings built directly as ResidueRing(p, j)
+still compare equal.  A MumfordDivisor is a named tuple, immutable and
+cheap to build.  ``enumerate_curve_points_mod`` is one loop over the
+abscissae that lie over a mod-p abscissa with points, with an inline Horner
+and a table of square roots mod p^j.
+
 ``order_of`` walks k*D only up to half the order and meets a stored -j*D.
 The order of a class depends on the curve alone, not on any prime, so each
 curve keeps the orders it has found and walks a class at most once.
@@ -24,8 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product, zip_longest
 from math import gcd
+from operator import index
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -71,11 +83,30 @@ class RationalField:
         return "QQ"
 
 
+def _integer(x) -> int:
+    """x as an int: an int, a numpy integer or a Fraction with denominator 1.
+    Anything else, a float included, raises InvalidInput instead of being
+    truncated."""
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return x.numerator
+    else:
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise InvalidInput(f"{x!r} is not an integer")
+
+
 class ResidueRing:
     """Z/m with m = p^j, values reduced into range(m); units are residues
-    coprime to p."""
+    coprime to p.  Rings compare equal by their modulus; ``residue_ring``
+    hands out one shared object per (p, j)."""
 
     def __init__(self, p: int, j: int):
+        p, j = _integer(p), _integer(j)
+        if p < 2:
+            raise InvalidInput("p must be >= 2")
         if j < 1:
             raise InvalidInput("exponent j must be >= 1")
         self.p = p
@@ -87,13 +118,16 @@ class ResidueRing:
         self.reduce = self.modulus.__rmod__
 
     def coerce(self, x):
+        """An integer, or a Fraction whose denominator is prime to p, as a
+        residue; anything else raises InvalidInput."""
         if isinstance(x, Fraction):
-            if gcd(x.denominator, self.p) != 1:
-                raise NotPIntegral(
-                    f"denominator {x.denominator} not coprime to {self.p}"
-                )
-            return self.reduce(x.numerator * pow(x.denominator, -1, self.modulus))
-        return self.reduce(int(x))
+            d = x.denominator
+            if d == 1:
+                return x.numerator % self.modulus
+            if gcd(d, self.p) != 1:
+                raise NotPIntegral(f"denominator {d} not coprime to {self.p}")
+            return x.numerator * pow(d, -1, self.modulus) % self.modulus
+        return _integer(x) % self.modulus
 
     def inv(self, x):
         if gcd(int(x), self.p) != 1:
@@ -113,6 +147,13 @@ class ResidueRing:
 
 
 QQ = RationalField()
+
+
+@cache
+def residue_ring(p: int, j: int) -> ResidueRing:
+    """The one ResidueRing object for Z/p^j, so that every divisor at a
+    level shares its ring and ring checks are identity tests."""
+    return ResidueRing(p, j)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +237,7 @@ class HyperellipticCurve:
     """z^2 = f(t) with f monic quintic over Z, squarefree."""
 
     def __init__(self, f_coeffs):
-        f = tuple(int(c) for c in f_coeffs)
+        f = tuple(map(_integer, f_coeffs))
         if len(f) != 6 or f[-1] != 1:
             raise InvalidInput("f must be monic of degree exactly 5")
         self.f = f
@@ -210,19 +251,23 @@ class HyperellipticCurve:
         self._orders = {}  # class -> its order, filled by order_of
 
     def f_in(self, R):
-        """f's coefficients in R, coerced once per ring."""
-        f = self._f_in.get(R)
+        """f's coefficients in R, coerced once per ring and keyed by its
+        modulus (None for QQ), an int that hashes in C."""
+        f = self._f_in.get(R.modulus)
         if f is None:
-            f = self._f_in[R] = tuple(R.coerce(c) for c in self.f)
+            f = self._f_in[R.modulus] = tuple(map(R.coerce, self.f))
         return f
 
     def __repr__(self):
         return f"HyperellipticCurve(f={self.f})"
 
 
-@dataclass(frozen=True)
-class MumfordDivisor:
-    """Reduced Mumford pair (u, v): u monic, deg u <= 2, u | v^2 - f."""
+class MumfordDivisor(NamedTuple):
+    """Reduced Mumford pair (u, v): u monic, deg u <= 2, u | v^2 - f.
+
+    A named tuple: immutable, compared and hashed on (u, v, ring), and
+    cheap to build, since every sum, reduction and enumerated point builds
+    one."""
 
     u: tuple
     v: tuple
@@ -254,11 +299,11 @@ def make_divisor(curve: HyperellipticCurve, u, v, ring=QQ) -> MumfordDivisor:
     rem = pmod(R, psub(R, pmul(R, v, v), curve.f_in(R)), u)
     if rem:
         raise InvalidInput("u does not divide v^2 - f")
-    return MumfordDivisor(u=u, v=v, ring=R)
+    return MumfordDivisor(u, v, R)
 
 
 def zero_divisor(ring=QQ) -> MumfordDivisor:
-    return MumfordDivisor(u=(ring.coerce(1),), v=(), ring=ring)
+    return MumfordDivisor((ring.coerce(1),), (), ring)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +367,27 @@ def _quotient(f, u, v):
 
 
 def _glue(R, u1, v1, u2, k):
-    """The composed pair (u1 u2, v1 + u1 k)."""
-    u = [0] * (len(u1) + len(u2) - 1)
-    for i, x in enumerate(u1):
-        for j, y in enumerate(u2):
-            u[i + j] += x * y
-    v = list(v1) + [0] * (len(u) - 1 - len(v1))
-    for i, x in enumerate(u1):
-        for j, y in enumerate(k):
-            v[i + j] += x * y
-    return tuple(map(R.reduce, u)), tuple(map(R.reduce, v))
+    """The composed pair (u1 u2, v1 + u1 k), written out for u1 and u2 monic
+    of degree 1 or 2, deg v1 < deg u1 and k of deg u2 coefficients."""
+    red = R.reduce
+    one, a0, b0 = u1[-1], u1[0], u2[0]
+    x0 = v1[0] if v1 else 0
+    if len(u1) == 2:
+        if len(u2) == 2:
+            (k0,) = k
+            return (red(a0 * b0), red(a0 + b0), one), (red(x0 + a0 * k0), k0)
+        b1, (k0, k1) = u2[1], k
+        return ((red(a0 * b0), red(a0 * b1 + b0), red(a0 + b1), one),
+                (red(x0 + a0 * k0), red(a0 * k1 + k0), k1))
+    a1 = u1[1]
+    x1 = v1[1] if len(v1) == 2 else 0
+    if len(u2) == 2:
+        (k0,) = k
+        return ((red(a0 * b0), red(a0 + a1 * b0), red(a1 + b0), one),
+                (red(x0 + a0 * k0), red(x1 + a1 * k0), k0))
+    b1, (k0, k1) = u2[1], k
+    return ((red(a0 * b0), red(a0 * b1 + a1 * b0), red(a0 + a1 * b1 + b0), red(a1 + b1), one),
+            (red(x0 + a0 * k0), red(x1 + a0 * k1 + a1 * k0), red(a1 * k1 + k0), k1))
 
 
 def _remove_root(R, u, v, r):
@@ -425,25 +481,25 @@ def add(curve: HyperellipticCurve, D1: MumfordDivisor, D2: MumfordDivisor) -> Mu
     that is not a unit with no shared root in the ring, or a non-unit
     pivot, raises RepresentationDegenerate.
     """
-    if D1.ring != D2.ring:
+    R = D1.ring
+    if R is not D2.ring and R != D2.ring:
         raise InvalidInput("divisors live over different rings")
     if D1.is_zero():
         return D2
     if D2.is_zero():
         return D1
-    R = D1.ring
     f = curve.f_in(R)
     u, v = _compose(R, f, D1.u, D1.v, D2.u, D2.v)
     if len(u) > 3:
         u, v = _reduce_step(R, f, u, v)
     else:
         v = ptrim(R, v)
-    return MumfordDivisor(u=u, v=v, ring=R)
+    return MumfordDivisor(u, v, R)
 
 
 def neg(curve: HyperellipticCurve, D: MumfordDivisor) -> MumfordDivisor:
     """Hyperelliptic involution: (u, -v); deg v < deg u, so -v is reduced."""
-    return MumfordDivisor(u=D.u, v=pneg(D.ring, D.v), ring=D.ring)
+    return MumfordDivisor(D.u, pneg(D.ring, D.v), D.ring)
 
 
 def scalar_mul(curve: HyperellipticCurve, n: int, D: MumfordDivisor) -> MumfordDivisor:
@@ -506,26 +562,40 @@ def reduce_mod(curve: HyperellipticCurve, D: MumfordDivisor, p: int, j: int) -> 
         raise InvalidInput("reduce_mod expects a divisor over the rationals")
     if curve.disc_f % p == 0:
         raise UnsupportedPrime(f"{p} divides disc(f): bad reduction")
-    R = ResidueRing(p, j)
-    return MumfordDivisor(u=ptrim(R, map(R.coerce, D.u)), v=ptrim(R, map(R.coerce, D.v)), ring=R)
+    R = residue_ring(p, j)
+    # coerce returns residues, and a monic u has no trailing zero to trim
+    return MumfordDivisor(tuple(map(R.coerce, D.u)), ptrim(R, map(R.coerce, D.v)), R)
 
 
 def enumerate_curve_points_mod(curve: HyperellipticCurve, p: int, j: int):
-    """All embedded curve points over Z/p^j: zero plus every (t - a, b) with
-    b^2 = f(a).  Solutions found by a full square table over the ring."""
+    """All embedded curve points over Z/p^j: zero, then every (t - a, b)
+    with b^2 = f(a), in ascending a and then ascending b.
+
+    A point mod p^j reduces to a point mod p, so one loop scans only the
+    abscissae a over a mod-p abscissa with points, in ascending order:
+    f(a) by an inline Horner with one % p^j, and its roots b read from a
+    table of the squares mod p^j that holds each v = (b,) once.  The points
+    over one a share their u."""
     mod = p**j
     if mod > _ENUM_BUDGET:
         raise BudgetExceeded(f"p^j = {mod} exceeds the enumeration budget")
-    R = ResidueRing(p, j)
+    R = residue_ring(p, j)
+    f = curve.f_in(R)
+    f0, f1, f2, f3, f4, _ = f  # f is monic
     squares: dict[int, list] = {}
     for b in range(mod):
-        squares.setdefault(b * b % mod, []).append(b)
+        squares.setdefault(b * b % mod, []).append((b,) if b else ())
+    squares_p = {b * b % p for b in range(p)}
+    base = [a for a in range(p) if peval(R, f, a) % p in squares_p]
     out = [zero_divisor(R)]
-    f = curve.f_in(R)
-    for a in range(mod):
-        c = peval(R, f, a)
-        for b in squares.get(c, ()):
-            out.append(MumfordDivisor(u=((-a) % mod, 1), v=(b,) if b else (), ring=R))
+    for high in range(0, mod, p):
+        for a0 in base:
+            a = high + a0
+            vs = squares.get((((((a + f4) * a + f3) * a + f2) * a + f1) * a + f0) % mod)
+            if vs:
+                u = (-a % mod, 1)
+                for v in vs:
+                    out.append(MumfordDivisor(u, v, R))
     return out
 
 
@@ -595,7 +665,7 @@ def jacobian_order_mod_p(curve: HyperellipticCurve, p: int) -> int:
     """#Jac(F_p) by brute enumeration of reduced Mumford pairs (p small)."""
     if p > 7:
         raise BudgetExceeded("brute-force Jacobian count restricted to p <= 7")
-    R = ResidueRing(p, 1)
+    R = residue_ring(p, 1)
     f = curve.f_in(R)
     count = len(enumerate_curve_points_mod(curve, p, 1))  # zero and deg u = 1
     for u0, u1, v0, v1 in product(range(p), repeat=4):

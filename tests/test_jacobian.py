@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import zip_longest
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from thetadist.jacobian import (
     pneg,
     psub,
     ptrim,
+    residue_ring,
 )
 
 
@@ -64,6 +66,17 @@ class TestCurveConstruction:
         with pytest.raises(td.InvalidInput):
             td.HyperellipticCurve((1, 0, 0, 0, 1))
 
+    def test_rejects_non_integer_coefficients(self):
+        """A float is refused, not truncated (0.9 used to become 0)."""
+        for bad in (0.9, 2.0, "1", Fraction(1, 2)):
+            with pytest.raises(td.InvalidInput):
+                td.HyperellipticCurve([1, 0, 0, 0, bad, 1])
+
+    def test_accepts_integral_types(self):
+        C = td.HyperellipticCurve([Fraction(1), np.int64(0), 0, 0, 0, np.uint8(1)])
+        assert C.f == (1, 0, 0, 0, 0, 1)
+        assert all(type(c) is int for c in C.f)
+
     def test_rejects_non_squarefree(self):
         # f = t^3(t+1)^2 * ... pick t^5 which has a quintuple root
         with pytest.raises(td.InvalidInput):
@@ -82,6 +95,13 @@ class TestMakeDivisor:
             td.make_divisor(curve, (1,), (1,))  # zero class with v != 0
         with pytest.raises(td.InvalidInput):
             td.make_divisor(curve, (1, 1), (1,))  # u does not divide v^2 - f
+
+    def test_float_coefficients_rejected_over_z_mod_p_j(self, curve):
+        """Over Z/3^2 the float 0.4 used to truncate to 0, giving (t, 1)."""
+        with pytest.raises(td.InvalidInput):
+            td.make_divisor(curve, (0.4, 1), (1,), ResidueRing(3, 2))
+        with pytest.raises(td.InvalidInput):
+            td.make_divisor(curve, (0.4, 1), (1,))
 
     def test_divisor_from_strings(self, curve):
         D = td.make_divisor(curve, ("0/1", "1"), ("1",))
@@ -524,6 +544,32 @@ class TestResidueRings:
         with pytest.raises(td.InvalidInput):
             ResidueRing(3, 0)
 
+    @pytest.mark.parametrize("make", [ResidueRing, residue_ring])
+    def test_bad_prime(self, make):
+        for p in (0, 1, -3):
+            with pytest.raises(td.InvalidInput):
+                make(p, 1)
+
+    def test_coerce_integers_only(self):
+        """Integers of every kind reduce to an int residue; a float or a
+        string raises instead of being truncated."""
+        R = ResidueRing(3, 2)
+        for x in (-7, Fraction(-7), np.int64(-7), Fraction(-14, 2)):
+            got = R.coerce(x)
+            assert got == 2 and type(got) is int
+        for bad in (2.5, 2.0, np.float64(2.0), "2"):
+            with pytest.raises(td.InvalidInput):
+                R.coerce(bad)
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_coerce_non_p_integral(self, p):
+        R = residue_ring(p, 2)
+        with pytest.raises(td.NotPIntegral):
+            R.coerce(Fraction(1, p))
+        with pytest.raises(td.NotPIntegral):
+            R.coerce(Fraction(5, 3 * p))
+        assert R.coerce(Fraction(1, p + 1)) * (p + 1) % R.modulus == 1
+
     @pytest.mark.parametrize(
         "ring",
         [QQ] + [ResidueRing(p, j) for p in (3, 7) for j in (1, 2, 3)],
@@ -595,6 +641,94 @@ class TestEnumeration:
             td.enumerate_curve_points_mod(curve, 13, 4)
         with pytest.raises(td.BudgetExceeded):
             td.jacobian_order_mod_p(curve, 11)
+
+
+class TestRingAndDivisorInvariants:
+    @pytest.mark.parametrize("p, j", [(3, 1), (3, 2), (7, 3), (11, 2)])
+    def test_one_ring_object_per_level(self, curve, rational_subgroup, p, j):
+        R = residue_ring(p, j)
+        assert residue_ring(p, j) is R
+        red = [td.reduce_mod(curve, D, p, j) for D in rational_subgroup]
+        out = red + td.enumerate_curve_points_mod(curve, p, j)
+        for A in red:
+            out.append(td.scalar_mul(curve, 3, A))
+            for B in red:
+                try:
+                    out.append(td.add(curve, A, B))
+                except td.RepresentationDegenerate:
+                    assert j >= 2
+        assert all(D.ring is R for D in out)
+
+    def test_separate_ring_object_compares_equal(self, curve, rational_subgroup):
+        for D in rational_subgroup:
+            Dp = td.reduce_mod(curve, D, 7, 2)
+            other = td.MumfordDivisor(Dp.u, Dp.v, ResidueRing(7, 2))
+            assert other.ring is not Dp.ring
+            assert other == Dp and hash(other) == hash(Dp)
+            assert td.add(curve, other, Dp) == td.add(curve, Dp, Dp)
+        with pytest.raises(td.InvalidInput):
+            td.add(curve, td.reduce_mod(curve, D1(curve), 7, 2),
+                   td.reduce_mod(curve, D1(curve), 7, 1))
+
+    def test_immutable(self, curve):
+        D = D1(curve)
+        with pytest.raises(AttributeError):
+            D.u = (Fraction(1),)
+        with pytest.raises(AttributeError):
+            D.extra = 1
+        assert D == D1(curve)
+
+    def test_constructors_and_repr(self, curve):
+        two = td.scalar_mul(curve, 2, D1(curve))
+        assert repr(two) == (
+            "MumfordDivisor(u=(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)), "
+            "v=(Fraction(1, 1),), ring=QQ)"
+        )
+        assert repr(td.reduce_mod(curve, two, 3, 2)) == (
+            "MumfordDivisor(u=(0, 0, 1), v=(1,), ring=Z/3^2)"
+        )
+        assert repr(td.zero_divisor(ResidueRing(7, 1))) == "MumfordDivisor(u=(1,), v=(), ring=Z/7^1)"
+        R = residue_ring(3, 2)
+        by_name = td.MumfordDivisor(u=(0, 0, 1), v=(1,), ring=R)
+        assert by_name == td.MumfordDivisor((0, 0, 1), (1,), R) == td.reduce_mod(curve, two, 3, 2)
+        assert by_name.key() == ((0, 0, 1), (1,))
+
+
+def _enumerate_full_table(curve, p, j):
+    """The full-square-table enumeration that the fused loop replaced:
+    f evaluated at every residue a, roots from a table of all squares."""
+    mod = p**j
+    R = ResidueRing(p, j)
+    squares = {}
+    for b in range(mod):
+        squares.setdefault(b * b % mod, []).append(b)
+    out = [td.zero_divisor(R)]
+    f = curve.f_in(R)
+    for a in range(mod):
+        c = peval(R, f, a)
+        for b in squares.get(c, ()):
+            out.append(td.MumfordDivisor(u=((-a) % mod, 1), v=(b,) if b else (), ring=R))
+    return out
+
+
+class TestEnumerationOracle:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_full_table(self, curve, p):
+        """Same points, same order (ascending a, then b), same coefficient
+        types, at every level p^j within the budget; p = 5 divides the
+        preset's discriminant."""
+        curves = (curve, td.HyperellipticCurve((1, 0, 1, 0, 0, 1)))  # t^5 + t^2 + 1
+        j = 1
+        while p**j <= 10**4:
+            for C in curves:
+                got = td.enumerate_curve_points_mod(C, p, j)
+                want = _enumerate_full_table(C, p, j)
+                assert got == want, (C, p, j)
+                assert [tuple(map(type, D.u + D.v)) for D in got] == [
+                    tuple(map(type, D.u + D.v)) for D in want
+                ]
+            j += 1
+        assert j > 3
 
 
 class TestOnCurveMod:
