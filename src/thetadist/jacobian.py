@@ -113,8 +113,8 @@ class ResidueRing:
         self.j = j
         self.modulus = p**j
         # x % p^j with no Python frame per coefficient.  Every value that
-        # reaches it is an int (``coerce`` converts Fractions first); a
-        # Fraction would get NotImplemented back, not a residue.
+        # reaches it is an int (``coerce`` turns Fractions into residues
+        # itself); a Fraction would get NotImplemented back, not a residue.
         self.reduce = self.modulus.__rmod__
 
     def coerce(self, x):
