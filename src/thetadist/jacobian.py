@@ -31,6 +31,7 @@ curve keeps the orders it has found and walks a class at most once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -63,6 +64,11 @@ class RationalField:
     modulus = None
 
     def coerce(self, x):
+        """x as a Fraction: an int, a numpy integer, a Fraction or an exact
+        string such as "-3/4".  A float, which would be taken at its binary
+        value, raises InvalidInput."""
+        if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
+            raise InvalidInput(f"{x!r} is not exact: give an int, a Fraction or a string")
         return Fraction(x)
 
     def reduce(self, x):
@@ -650,6 +656,8 @@ def vp_distance(curve: HyperellipticCurve, D: MumfordDivisor, p: int, j_max: int
     convention); 'infinite' when D is the class of a curve point over Q."""
     if D.ring != QQ:
         raise InvalidInput("vp_distance expects a divisor over the rationals")
+    if j_max < 1:
+        raise InvalidInput(f"j_max = {j_max} checks no level p^j; it must be >= 1")
     if len(D.u) - 1 <= 1:
         return PadicDistanceResult(p=p, v_p=0, infinite=True)
     v = 0

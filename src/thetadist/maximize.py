@@ -35,15 +35,13 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigRejected, InvalidInput
 from .periods import PeriodMatrix, PrecisionConfig, sqrt_norm_grid
-from .periods import _theta_batch, _theta_point
+from .periods import _SCAN_CHUNK, _theta_batch, _theta_point
 
 # Grid points per scan.  The value array, resident from the scan until the
 # starts are chosen, costs 8 bytes per point; choosing the starts adds six
-# buffers of one block of slabs each (``_BLOCK_POINTS``, or one slab if larger).
+# buffers of one block of slabs each (``periods._SCAN_CHUNK`` points, or one
+# slab if larger).
 _GRID_BUDGET = 10**8
-# Grid points that _grid_starts filters at once: a block of first-axis slabs
-# this large amortises numpy's per-call cost and stays in cache.
-_BLOCK_POINTS = 2**15
 _NEWTON_MAX_STEPS = 20  # starts in a maximum's basin converge in about six
 # Grid values carry a relative error of about 1e-15: values closer than this
 # are ties, a double Newton value further below the best than this is not
@@ -188,14 +186,14 @@ def _grid_starts(vals: np.ndarray, symmetric: bool = False) -> np.ndarray:
 
     The maxima are found one block of first-axis slabs vals[i] at a time, in
     the order of i; a block holds one slab, or as many as fit in
-    ``_BLOCK_POINTS``.  Each block's neighbourhood maximum over the other axes
-    is taken once, into a ring of three block buffers, with those of the
-    first and last blocks kept apart for the wrap-around; the maximum over
-    the first axis then reads the rows on either side of the block from its
-    neighbours.  No buffer is larger than a block.
+    ``periods._SCAN_CHUNK``.  Each block's neighbourhood maximum over the
+    other axes is taken once, into a ring of three block buffers, with those
+    of the first and last blocks kept apart for the wrap-around; the maximum
+    over the first axis then reads the rows on either side of the block from
+    its neighbours.  No buffer is larger than a block.
     """
     shape, n, slab = vals.shape, vals.shape[0], vals[0].size
-    b = max(1, min(n, _BLOCK_POINTS // slab))
+    b = max(1, min(n, _SCAN_CHUNK // slab))
     nb = -(-n // b)
     first, last, tmp, *ring = (np.empty_like(vals[:b]) for _ in range(6))
 

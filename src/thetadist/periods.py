@@ -45,9 +45,11 @@ _LAMBDA_MIN_TOL = 1e-20
 # each point, for each of its weighted copies), 92 MB, and the most terms a
 # context's box may hold.
 _BATCH_TERMS = 20_000 * 289
-# Complex values that one chunk of sqrt_norm_grid's m-slices may hold in a
-# temporary when a slab of slices holds fewer: enough to amortise numpy's
-# per-call cost at g = 1, small enough to stay in cache.
+# Values that one chunk of sqrt_norm_grid's m-slices may hold in a complex
+# temporary when a slab of slices holds fewer, and that one block of grid slabs
+# holds when sqrt_norm_grid mirrors it or maximize._grid_starts filters it:
+# enough to amortise numpy's per-call cost at g = 1, small enough to stay in
+# cache.
 _SCAN_CHUNK = 2**15
 # Bound on the log of the product of the g per-axis row moduli of a term in
 # LatticeContext's layout.  Its phase-table entries have modulus <= 1, so every
@@ -630,27 +632,24 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.n
     not alias when 2R_k+1 > nd.
 
     theta and exp(-pi m'Ym) are even, so <s,s>(-x) = <s,s>(x), and -x is a
-    grid point: index k of an axis goes to (-k - 2 grid_offset) mod nd, so
-    2 grid_offset must be an integer (InvalidInput otherwise).  The grid of
-    offset q + s/2, s in {0, 1}, is that of offset s/2 with every index
-    moved by q.  At offset s/2 only the slices of m_1-slabs 0, ...,
-    floor((nd - s)/2), a fundamental domain of -1 on that axis, are summed;
-    the other slabs are copied from their mirrors, and a slab that is its
-    own mirror (0 and nd/2 at offset 0, (nd - 1)/2 at offset 1/2) is
-    averaged with its reflection, so the grid is exactly invariant under x
-    -> -x.  The slices are summed in chunks of at least nd^(g-1) and of up
-    to ``_SCAN_CHUNK`` complex values per temporary (64 slices at g = 1, nd
-    = 512), and a chunk of consecutive slices is stored through a slice.
-    Memory beyond the returned array is a few temporaries of
-    max(``_SCAN_CHUNK``, nd^(g-1) max(nd^g, prod_k (2R_k+1))) complex values,
-    16/nd bytes per grid point on the preset, and one slab's reflection.
+    grid point: index k of an axis goes to (-k - 2 grid_offset) mod nd
+    (``_mirror``), so grid_offset must be 0 or 1/2 (InvalidInput otherwise).
+    Only the slices of m_1-slabs 0, ..., floor((nd - 2 grid_offset)/2), a
+    fundamental domain of -1 on that axis, are summed; the other slabs are
+    copied from their mirrors, and a slab that is its own mirror (0 and nd/2
+    at offset 0, (nd - 1)/2 at offset 1/2) is averaged with its mirror, so
+    the grid is exactly invariant under x -> -x.  The slices are summed in
+    chunks of at least nd^(g-1) and of up to ``_SCAN_CHUNK`` complex values
+    per temporary (64 slices at g = 1, nd = 512), and a chunk of consecutive
+    slices is stored through a slice.  Memory beyond the returned array is a
+    few temporaries of max(``_SCAN_CHUNK``, nd^(g-1) max(nd^g, prod_k
+    (2R_k+1))) complex values, 16/nd bytes per grid point on the preset, and
+    one block's mirror: the mirrored slabs are copied a block of at most
+    ``_SCAN_CHUNK`` values, or one slab, at a time.
     """
-    if not math.isfinite(grid_offset) or not float(2 * grid_offset).is_integer():
-        raise InvalidInput(f"2 grid_offset must be an integer, not {2 * grid_offset!r}")
-    # index k at grid_offset is index k + q at grid_offset - q
-    q, shift = divmod(int(2 * grid_offset), 2)
-    if q % nd:
-        return np.roll(sqrt_norm_grid(tau, nd, shift / 2), -q, tuple(range(2 * tau.g)))
+    if grid_offset not in (0, 0.5):
+        raise InvalidInput(f"grid_offset must be 0 or 1/2, not {grid_offset!r}")
+    shift = int(2 * grid_offset)
     g = tau.g
     ctx = tau.lattice
     js = [2j * np.pi * np.arange(-r, r + 1) for r in ctx.R]
@@ -684,49 +683,25 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.n
     np.sqrt(summed, out=summed)
     out = out.reshape((nd,) * (2 * g))
     n_axes = (slice(None),) * g
-    # slab k >= half mirrors slab nd - k - shift, in 1 - shift, ..., nd - half - shift
-    _reflect(out[n_axes + (slice(nd - half - shift, None if shift else 0, -1),)],
-             out[n_axes + (slice(half, None),)], shift, skip=g)
+    others = tuple(ax for ax in range(2 * g) if ax != g)
+    # slabs k, ..., stop - 1 mirror slabs nd - k - shift, ..., nd - stop + 1 - shift
+    block = max(1, _SCAN_CHUNK // nd ** (2 * g - 1))
+    for k in range(half, nd, block):
+        stop = min(k + block, nd)
+        src = out[n_axes + (slice(nd - stop + 1 - shift, nd - k + 1 - shift),)]
+        out[n_axes + (slice(k, stop),)] = np.flip(_mirror(src, shift, others), g)
     for k in range(half):
         if (-k - shift) % nd == k:
             slab = out[n_axes + (k,)]
-            mirror = np.empty_like(slab)
-            _reflect(slab, mirror, shift)
-            slab += mirror
+            slab += _mirror(slab, shift, tuple(range(2 * g - 1)))
             slab *= 0.5
     return out
 
 
-def _reflect(src: np.ndarray, dst: np.ndarray, shift: int, skip: int | None = None) -> None:
-    """dst = src at x -> -x on a grid of offset shift/2: along every axis but
-    ``skip``, index k of dst reads src at (-k - shift) mod n; the ``skip``
-    axis is copied as it is.  The first axis is copied in runs of rows that
-    lie all below or all above their mirrors, so that when src and dst are
-    views of one array numpy buffers no more than a self-mirrored row."""
-    axes = [
-        [(slice(None), slice(None))] if ax == skip else _mirror_runs(n, shift, apart=ax == 0)
-        for ax, n in enumerate(src.shape)
-    ]
-    for parts in itertools.product(*axes):
-        d, s = zip(*parts)
-        dst[d] = src[s]
-
-
-def _mirror_runs(n: int, shift: int, apart: bool = False) -> list:
-    """(dst, src) slice pairs covering an axis of n points of a grid of
-    offset shift/2, dst index k reading src index (-k - shift) mod n.  With
-    ``apart`` the runs also break where k passes its mirror, so a pair's two
-    slices share no index unless both are one self-mirrored index."""
-    k = np.arange(n)
-    j = (-k - shift) % n
-    cut = np.diff(j) != -1
-    if apart:
-        cut |= np.diff(np.sign(j - k)) != 0
-    edges = [0, *(np.flatnonzero(cut) + 1).tolist(), n]
-    return [
-        (slice(a, b), slice(int(j[a]), int(j[b - 1]) - 1 if j[b - 1] else None, -1))
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
+def _mirror(a: np.ndarray, shift: int, axes: tuple) -> np.ndarray:
+    """A copy of a at x -> -x on a grid of offset shift/2: along each of
+    ``axes``, index k reads a at (-k - shift) mod n."""
+    return np.roll(np.flip(a, axes), 1 - shift, axes)
 
 
 def _alias_sum(Q: np.ndarray, nd: int) -> float:

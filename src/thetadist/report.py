@@ -58,6 +58,17 @@ class RunConfig:
     def __post_init__(self):
         if (self.preset is None) == (self.inline is None):
             raise ConfigRejected("exactly one of preset/inline must be given")
+        if self.inline is not None and not isinstance(self.inline, dict):
+            raise ConfigRejected("inline must be an object of curve data")
+        optional = ("grid_points_per_dim", "residue_degree")
+        for name in ("p", "jmax", "precision_bits") + optional:
+            value = getattr(self, name)
+            if value is None and name in optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigRejected(f"{name} must be an integer, not {value!r}")
+        if self.jmax < 1:
+            raise ConfigRejected(f"jmax = {self.jmax} checks no level p^j; it must be >= 1")
         if self.p < 2 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):
             raise ConfigRejected(f"p = {self.p} is not prime")
         if self.preset is not None and self.preset not in _PRESET_ALIASES:
@@ -95,6 +106,11 @@ def _parse_complex(entry, bits: int):
 
 
 def _inline_curve(inline: dict, cfg: PrecisionConfig):
+    missing = [k for k in ("g", "period_matrix", "deg_K0") if k not in inline]
+    if "h_fal" not in inline and not {"gamma_terms", "gamma_constant"} <= inline.keys():
+        missing.append("h_fal (or gamma_terms and gamma_constant)")
+    if missing:
+        raise ConfigRejected(f"inline curve lacks required keys: {', '.join(missing)}")
     g = int(inline["g"])
     if g < 2:
         raise ConfigRejected("genus must be >= 2")

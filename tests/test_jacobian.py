@@ -107,6 +107,18 @@ class TestMakeDivisor:
         D = td.make_divisor(curve, ("0/1", "1"), ("1",))
         assert D == D1(curve)
 
+    @pytest.mark.parametrize("x", [0.0, np.float64(0.0), np.float32(0.0), 0.4])
+    def test_float_coefficients_rejected_over_qq(self, curve, x):
+        """Over Q a float used to be taken at its binary value: 0.0 gave the
+        divisor (t, 1), and 0.4 failed as "u does not divide v^2 - f"."""
+        with pytest.raises(td.InvalidInput, match="not exact") as err:
+            td.make_divisor(curve, (x, 1), (1,))
+        assert repr(x) in str(err.value)
+
+    @pytest.mark.parametrize("x", [0, np.int64(0), Fraction(0), "0", "-0/7"])
+    def test_exact_coefficients_accepted_over_qq(self, curve, x):
+        assert td.make_divisor(curve, (x, 1), (1,)) == D1(curve)
+
     def test_zero_divisor(self):
         z = td.zero_divisor()
         assert z.is_zero()
@@ -796,6 +808,12 @@ class TestVpDistance:
         Dp = td.reduce_mod(curve, td.scalar_mul(curve, 2, D1(curve)), 3, 1)
         with pytest.raises(td.InvalidInput):
             td.vp_distance(curve, Dp, 3, 2)
+
+    @pytest.mark.parametrize("j_max", [0, -1])
+    def test_requires_a_level(self, curve, j_max):
+        """j_max < 1 checks no level p^j: it used to report v_p = 0."""
+        with pytest.raises(td.InvalidInput, match="j_max"):
+            td.vp_distance(curve, td.scalar_mul(curve, 2, D1(curve)), 3, j_max)
 
 
 class TestVerifyBound:

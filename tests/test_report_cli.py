@@ -62,6 +62,12 @@ class TestRunConfig:
         td.RunConfig(preset="bost-mestre")
         td.RunConfig(preset="bost-mestre-y2+y=x5")
 
+    @pytest.mark.parametrize("jmax", [0, -2])
+    def test_jmax_below_one_rejected(self, jmax):
+        """jmax < 1 checks no level p^j, yet used to verify with v_p = 0."""
+        with pytest.raises(td.ConfigRejected, match="jmax"):
+            td.RunConfig(preset="bost-mestre", jmax=jmax, verify=True)
+
 
 class TestCliExitCodes:
     def test_success(self, cli_reports):
@@ -122,6 +128,29 @@ class TestCliExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"inline": GENUS_MISMATCH_INLINE}))
         assert cli.main(["--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("drop", ["g", "period_matrix", "deg_K0", "h_fal"])
+    def test_inline_missing_key_rejected(self, tmp_path, capsys, drop):
+        """A missing required key is named, not raised as a KeyError; without
+        h_fal the Faltings height needs gamma_terms."""
+        inline = {k: v for k, v in GENUS_MISMATCH_INLINE.items() if k != drop}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"inline": inline}))
+        assert cli.main(["--config", str(path)]) == 2
+        assert ("gamma_terms" if drop == "h_fal" else drop) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("p", "7"), ("jmax", 2.0), ("precision_bits", "128"),
+            ("grid_points_per_dim", 12.5), ("residue_degree", True), ("p", None),
+        ],
+    )
+    def test_non_integer_field_rejected(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "bost-mestre", key: value}))
+        assert cli.main(["--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
 
 
 class TestReportContent:

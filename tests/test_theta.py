@@ -230,6 +230,9 @@ class TestTheta:
             assert abs(a - b) <= 1e-35 * abs(b), x
 
     def test_oracle_agreement_random_points(self, tau_s4, cfg):
+        """theta at 100 seeded points against the oracle summed over the
+        lattice set at z's coordinates plus two shells, radii (9, 8) to
+        (10, 9), instead of the box of radius 12."""
         rng = random.Random(7)
         for _ in range(100):
             z = tuple(
@@ -237,7 +240,8 @@ class TestTheta:
                 for _ in range(2)
             )
             a = td.theta(tau_s4, td.ThetaPoint(z), cfg)
-            b = brute_theta(tau_s4, z, R=12, bits=160)
+            m = td.periods._lattice_coords(tau_s4, td.ThetaPoint(z))[2:]
+            b = brute_theta(tau_s4, z, set_radii(tau_s4, m, cfg, 2), bits=160)
             assert abs(a - b) <= 2 * cfg.target_abs_error
 
     def test_invalid_period_matrix(self):
@@ -533,13 +537,23 @@ class TestSqrtNormGrid:
             tracemalloc.stop()
         assert peak < 1.25 * grid.nbytes
 
+    def test_midpoint_mirror_copy_buffers_no_half_grid(self, tau_s4):
+        """The same at offset 1/2 on the normalization check's 31^4 grid,
+        whose one self-mirrored slab per axis is averaged with its mirror."""
+        td.periods.sqrt_norm_grid(tau_s4, 31, 0.5)
+        tracemalloc.start()
+        try:
+            grid = td.periods.sqrt_norm_grid(tau_s4, 31, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * grid.nbytes
+
     def test_half_integer_offsets(self, tau_s4):
-        """Any offset with 2 offset an integer keeps the mirror on the grid:
-        offset 3/2 is offset 1/2 with every index moved by one.  Others raise."""
-        half = td.periods.sqrt_norm_grid(tau_s4, 9, 0.5)
-        assert np.array_equal(td.periods.sqrt_norm_grid(tau_s4, 9, 1.5),
-                              np.roll(half, -1, tuple(range(4))))
-        for offset in (0.25, 1 / 3, float("nan"), float("inf")):
+        """Only offsets 0 and 1/2, the grids the package scans, are taken:
+        3/2, whose grid also holds every point's mirror, raises like the
+        offsets whose grids do not."""
+        for offset in (1.5, 0.25, 1 / 3, float("nan"), float("inf")):
             with pytest.raises(td.InvalidInput):
                 td.periods.sqrt_norm_grid(tau_s4, 8, offset)
 
