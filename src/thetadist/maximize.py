@@ -127,7 +127,9 @@ def _newton(tau: PeriodMatrix, start, bits: int | None = None):
         else:
             x = np.array([mp.mpf(c) for c in start])
             J = np.hstack([np.eye(g), np.array(tau.tau.tolist())])
-            Y4pi = np.array(tau.Y.tolist()) * (4 * mp.pi)  # array first, as in _theta_point
+            # the array on the left: an mpmath number on the left first
+            # tries, and fails, to convert the array, at the cost of its repr
+            Y4pi = np.array(tau.Y.tolist()) * (4 * mp.pi)
             root4, tol = mp.sqrt(mp.sqrt(tau.detY)), mp.mpf(2) ** (-mp.mpf(bits) / 2)
         for _ in range(_NEWTON_MAX_STEPS):
             x = np.array([c - round(c) for c in x])

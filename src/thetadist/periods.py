@@ -20,10 +20,15 @@ factors of Y that enumerate an ellipsoid axis by axis (Fincke, Pohst, Math.
 Comp. 44 (1985)), one row of the last axis per prefix of the others, and per
 bit count a table of exp(pi i M'tau M) filled on demand.  A term is the
 table entry times per-axis powers of exp(2 pi i z_k), and each row is summed
-before its prefix's powers multiply it once, so a call whose set the table
-already holds makes g + 1 exponentials and about one product per term.  The
-double part, the box and its cell-centred term layout, is built on first
-use by a double kernel (see ``LatticeContext``).
+before its prefix's powers multiply it once.  ``_theta_point`` does this
+arithmetic on Python integers: table entries and powers are fixed-point
+complexes of bits + 32 bits, every row is summed at one exponent set by the
+bound exp(pi m'Ym) on its terms, and each output is rounded once, so the
+computed s is within N c 2^-(bits + 32) of the sum over its N terms, c a
+small multiple of the largest |M|_1, plus a rounding of s.  A call whose set
+the table already holds makes g + 1 exponentials.  The double part, the box
+and its cell-centred term layout, is built on first use by a double kernel
+(see ``LatticeContext``).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from functools import cached_property
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_man_exp, fzero, to_fixed
 
 from .errors import BudgetExceeded, InvalidInput, InvalidPeriodMatrix, PrecisionTooLow
 
@@ -62,10 +68,10 @@ _ALIAS_TOL = 1e-12
 # enumerated in doubles.  The rounding error of each partial form is about
 # g^2 eps sqrt(cond Y) r^2, far below this for any Y the theta sums can use.
 _ELLIPSOID_SLACK = 2.0**-20
-# Extra bits for the exponents of the phases and of the per-axis powers.  A
-# term near 1 can be the product of factors like exp(-400 pi) and exp(400 pi)
-# (diag(i, 400i)), whose exponents rounded at the working precision would
-# carry their magnitude times 2^-bits into its relative error.
+# Extra bits of _theta_point's integer arithmetic over the working precision,
+# in its fixed-point values and again in the arguments of its exps: its
+# error bound N c 2^-(bits + 32) for N terms stays below the 2^-bits tail
+# while N c <= 2^32 (see _theta_point).
 _GUARD_BITS = 32
 
 
@@ -192,19 +198,20 @@ def reduce_to_fundamental(tau: PeriodMatrix, z: ThetaPoint):
 def _lattice_coords(tau: PeriodMatrix, z: ThetaPoint) -> list:
     """The lattice coordinates x = (n, m) of z = n + tau m at tau's
     precision: m = Y^-1 Im z and n = Re z - X m."""
-    g = tau.g
+    ctx = tau.lattice
     with mp.workprec(tau.bits):
-        m = tau.Yinv * mp.matrix([[w.imag] for w in z.z])
-        n = mp.matrix([[w.real] for w in z.z]) - tau.X * m
-        return [n[i] for i in range(g)] + [m[i] for i in range(g)]
+        m = [mp.fdot(row, [w.imag for w in z.z]) for row in ctx.Yinv_rows]
+        return [w.real - mp.fdot(row, m) for w, row in zip(z.z, ctx.X_rows)] + m
 
 
 class LatticeContext:
     """Per-tau inputs of the lattice sums (see the module docstring).
 
     Built eagerly, and all the working-precision sums read: ``taun`` and
-    ``Y`` (tau and Im tau as doubles), ``scale`` = sqrt(det Y), the factors
-    of Y that ``ellipsoid_rows`` walks, and ``phases(bits)``.
+    ``Y`` (tau and Im tau as doubles), ``tau_rows``, ``X_rows``, ``Y_rows``
+    and ``Yinv_rows`` (tau, Re tau, Im tau and its inverse as lists of rows
+    of mpmath numbers), ``scale`` = sqrt(det Y), the factors of Y that
+    ``ellipsoid_rows`` walks, and ``phases(bits)``.
 
     The double part is built on first use by a double kernel: the radii
     ``R``, the box ``M`` of the M with |M_k| <= R_k (rows in lexicographic
@@ -240,7 +247,10 @@ class LatticeContext:
 
     def __init__(self, tau: PeriodMatrix):
         self.g = tau.g
-        self._tau = tau.tau.tolist()
+        self.tau_rows = tau.tau.tolist()
+        self.X_rows = tau.X.tolist()
+        self.Y_rows = tau.Y.tolist()
+        self.Yinv_rows = tau.Yinv.tolist()
         self._lambda_min = float(tau.lambda_min)
         self._phases = {}
         self.taun = tau.tau_np
@@ -308,7 +318,8 @@ class LatticeContext:
         return centre, qc, table.reshape([2 * k + 1 for k in self.R])
 
     def phases(self, bits: int) -> dict:
-        """exp(pi i M'tau M) at ``bits``, keyed by the tuple M.
+        """exp(pi i M'tau M) at ``bits`` as fixed-point complexes
+        (``_PhaseTable``), keyed by the tuple M.
 
         One table per bit count.  An entry is computed the first time a
         lattice set asks for its M, and kept under M and -M, whose M'tau M
@@ -316,7 +327,7 @@ class LatticeContext:
         the sets summed so far at that bit count and their negatives.
         """
         if bits not in self._phases:
-            self._phases[bits] = _PhaseTable(self._tau, bits)
+            self._phases[bits] = _PhaseTable(self.tau_rows, bits)
         return self._phases[bits]
 
     def ellipsoid_rows(self, c, r2: float) -> list:
@@ -350,19 +361,48 @@ class LatticeContext:
 
 
 class _PhaseTable(dict):
-    """exp(pi i M'tau M) at one bit count, computed on first lookup of M or -M."""
+    """exp(pi i M'tau M) at one bit count as a fixed-point complex of bits +
+    ``_GUARD_BITS`` bits (``_fixed``), computed on first lookup of M or -M.
+
+    ``pi_tau`` (pairs of the real and imaginary parts) and ``two_pi`` are
+    held as integers times 2^-``frac``, frac = bits + 2 ``_GUARD_BITS``: the
+    exps' arguments are integer combinations of them, exact for the held
+    values.  An entry costs the form M'(pi tau)M in one pass over the pairs
+    k <= l and one exp; ``_theta_point`` forms its arguments from the same
+    integers.
+    """
 
     def __init__(self, tau: list, bits: int):
         super().__init__()
-        self._tau = tau
-        self._bits = bits
+        self.width = bits + _GUARD_BITS
+        self.frac = self.width + _GUARD_BITS
+        g = len(tau)
+        # |pi tau_kl| < 2^64, so each floor to frac fractional bits is off by
+        # at most 2^-frac
+        with mp.workprec(self.frac + 64):
+            self.pi_tau = [
+                [tuple(to_fixed(part._mpf_, self.frac) for part in (v.real, v.imag))
+                 for v in (mp.pi * t for t in row)]
+                for row in tau
+            ]
+            self.two_pi = to_fixed((2 * mp.pi)._mpf_, self.frac)
+        # the off-diagonal pairs count twice in M'tau M
+        self.form = [
+            (k, l, *(c * (1 + (k != l)) for c in self.pi_tau[k][l]))
+            for k in range(g)
+            for l in range(k, g)
+        ]
 
     def __missing__(self, m: tuple):
-        nz = [i for i in range(len(m)) if m[i]]
-        with mp.workprec(self._bits + _GUARD_BITS):
-            arg = 1j * mp.pi * sum(m[i] * m[j] * self._tau[i][j] for i in nz for j in nz)
-        with mp.workprec(self._bits):
-            value = self[m] = self[tuple(-c for c in m)] = mp.exp(arg)
+        re = im = 0
+        for k, l, a, b in self.form:
+            c = m[k] * m[l]
+            if c:
+                re += c * a
+                im += c * b
+        arg = mp.make_mpc((from_man_exp(-im, -self.frac), from_man_exp(re, -self.frac)))
+        with mp.workprec(self.width):
+            value = self[m] = self[tuple(-c for c in m)] = _fixed(mp.exp(arg), self.width)
         return value
 
 
@@ -404,16 +444,39 @@ def _ellipsoid_radius2(g: int, lam: float, cyc: float, cnorm: float, bits: int) 
     return best
 
 
-def _axis_powers(w, lo: int, hi: int) -> list:
-    """exp(2 pi i w)^j for j in [lo, hi], in a list read at index j - lo, by
-    repeated multiplication after one exp."""
-    with mp.extraprec(_GUARD_BITS):
-        arg = 2j * mp.pi * w
-    e = mp.exp(arg)
-    powers = [e**lo]
-    for _ in range(hi - lo):
-        powers.append(powers[-1] * e)
-    return powers
+def _fixed(v, width: int) -> tuple:
+    """An mpf or mpc v as a fixed-point complex ``(re, im, e)``: Python ints
+    with v = (re + i im) 2^e to within 2^e per part, each part floored, and
+    the larger part of ``width`` bits."""
+    parts = v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, fzero)
+    e = max(exp + bc for _, man, exp, bc in parts if man) - width
+    return to_fixed(parts[0], -e), to_fixed(parts[1], -e), e
+
+
+def _mul(p: tuple, q: tuple, width: int) -> tuple:
+    """The product of two fixed-point complexes, floored back to ``width``
+    bits."""
+    a, b, e = p
+    c, d, f = q
+    re, im = a * c - b * d, a * d + b * c
+    shift = max(abs(re), abs(im)).bit_length() - width
+    return re >> shift, im >> shift, e + f + shift
+
+
+def _axis_powers(w: tuple, lo: int, hi: int, width: int) -> list:
+    """w^j for j in [lo, hi], w a fixed-point complex of ``width`` bits, in a
+    list read at index j - lo.  The powers are built outward from w^0 = 1 by
+    repeated ``_mul`` with w and with 1/w, the inverse taken by integer
+    division, so w^j carries |j| + 1 roundings."""
+    a, b, e = w
+    norm = a * a + b * b
+    inv = ((a << 2 * width) // norm, (-b << 2 * width) // norm, -e - 2 * width)
+    up, down = [(1 << width, 0, -width)], [(1 << width, 0, -width)]
+    for _ in range(hi):
+        up.append(_mul(up[-1], w, width))
+    for _ in range(-lo):
+        down.append(_mul(down[-1], inv, width))
+    return (down[:0:-1] + up)[lo + len(down) - 1 : hi + len(down)]
 
 
 def _lattice_set(tau: PeriodMatrix, m, bits: int) -> list:
@@ -446,58 +509,124 @@ def _theta_point(tau: PeriodMatrix, x, bits: int, derivs: bool = False):
     most 2^-bits exp(-pi m'Ym).  A term exp(2 pi i (M'tau M/2 + M'z)), z = n
     + tau m, is the context's phase for M times the per-axis powers exp(2 pi
     i z_k)^(M_k) over the set's extent.  Along a row's range of M_g the
-    phases are dotted with the powers of axis g, and the row sum is
-    multiplied once by the powers of its prefix's g - 1 axes.
+    phases times the powers of axis g are summed, and the row sum is
+    multiplied once by the product of its prefix's g - 1 powers.
+
+    The arithmetic is on Python integers.  Phases and powers are fixed-point
+    complexes of W = bits + ``_GUARD_BITS`` bits (``_fixed``), the powers
+    built from one exp per axis (``_axis_powers``).  The exps' arguments, 2
+    pi i z_k and -pi m'Ym, are integer combinations of x floored to W +
+    ``_GUARD_BITS`` fractional bits and of the phase table's pi tau and 2 pi,
+    held likewise (``_PhaseTable``).  A term times its prefix product has
+    modulus exp(pi m'Ym - pi (M+m)'Y(M+m)) <= B = exp(pi m'Ym), so every row
+    is summed at the exponent that puts its product with the prefix at 2^(E
+    - W), E = floor(log2 B) - W: each term is floored there, the row sum
+    times the prefix product is exact, and the rows add exactly.  The
+    derivative weights, M_g and M_g^2 along a row and the prefix's M_k on
+    it, are exact integer factors.  Each output is rounded once, to
+    ``bits``, as its integer sum times exp(-pi m'Ym) (times 2 pi i or (2 pi
+    i)^2 for the derivatives) held in W bits.
+
+    Error bound.  Let u = 2^-W.  A value from an exp, floored to W bits, is
+    off by a relative 4u at most; a ``_mul`` adds 3u, and so does the
+    division that inverts exp(2 pi i z_k), so the power of exponent j is
+    within 10 |j| u.  The arguments are exact combinations of values each
+    off by at most 2^-(W + _GUARD_BITS), so the phase of M is off by at most
+    (sum_k |M_k|)^2 2^-(W + _GUARD_BITS) more, below u for |M|_1 < 2^16, and
+    exp(2 pi i z_k), for |x| <= 1, by (2 pi + 2 sum_l |pi tau_kl| + 2g)
+    2^-(W + _GUARD_BITS), below u for |tau| < 2^20.  So large exponents,
+    such as exp(-400 pi) and exp(400 pi) multiplying to a term near 1
+    (diag(i, 400i)), add no error of their size.  A term's relative error is
+    then at most (3g + 10 |M|_1) u, its floor at the row exponent adds 2u of
+    B, and the factor exp(-pi m'Ym) = 1/B, held in W bits, adds 5u of each
+    term's share of s.  So for a set of N terms the computed s is within
+
+        N (c + 10 max |M|_1) 2^-W  +  |s| 2^-bits,    c = 7 + 3g,
+
+    of the exact sum over the set, the last part the final rounding, and the
+    derivatives within the same bound with each term weighted by its |2 pi
+    M_k| or |4 pi^2 M_k M_l|.  ``_GUARD_BITS`` = 32 keeps the first part
+    below the tail bound 2^-bits while N (c + 10 max |M|_1) <= 2^32: on the
+    preset a 128-bit set has about 120 terms with |M|_1 <= 12, so the
+    arithmetic adds at most 2^-(bits + 18).
 
     Returns s, or with ``derivs`` the triple ``(s, d1, d2)``: s, and the
     gradient and Hessian in z of the same truncated theta sum, as numpy
     arrays of mpmath numbers of the per-point shapes of ``_theta_batch``,
     (g,) and (g, g).  Their terms are weighted by 2*pi*i*M and (2*pi*i)^2 *
-    M M', each times exp(-pi m'Ym).  A weight is the prefix's entries,
-    constant on a row, times a power of M_g, which the row sums with the
-    weighted powers of axis g.  Theta is summed in the same rows and order either way, so s
-    is bit-identical with and without ``derivs``.
+    M M', each times exp(-pi m'Ym).  Theta is summed in the same rows and
+    order either way, so s is bit-identical with and without ``derivs``.
     """
     g = tau.g
+    table = tau.lattice.phases(bits)
+    width, frac = table.width, table.frac
+    n, m = [[to_fixed(mp.convert(c)._mpf_, frac) for c in half] for half in (x[:g], x[g:])]
+    # 2 pi i z_k at 2 frac fractional bits, and pi m'Ym at 3 frac
+    args = []
+    for k, row in enumerate(table.pi_tau):
+        re = -2 * sum(t[1] * c for t, c in zip(row, m))
+        im = table.two_pi * n[k] + 2 * sum(t[0] * c for t, c in zip(row, m))
+        args.append(mp.make_mpc((from_man_exp(re, -2 * frac), from_man_exp(im, -2 * frac))))
+    quad = sum(b * m[k] * m[l] for k, l, _, b in table.form)
+    args.append(mp.make_mpf(from_man_exp(-quad, -3 * frac)))
+    with mp.workprec(width):
+        exps = [mp.exp(a) for a in args]
+        factor = exps.pop()
+        scales = (1, 2 * mp.pi, 4 * mp.pi**2) if derivs else (1,)
+        factors = [_fixed(c * factor, width) for c in scales]
+    # E - W, the exponent of every row's product with its prefix
+    e_sum = math.floor(quad / (1 << 3 * frac) / math.log(2)) - 2 * width
+    rows = _lattice_set(tau, x[g:], bits)
+    lows, highs = _extent(rows)
+    powers = [_axis_powers(_fixed(w, width), lo, hi, width) for w, lo, hi in zip(exps, lows, highs)]
+    last, lo_g = powers[-1], lows[-1]
+    one = (1 << width, 0, -width)
+    # the row sums times their prefix products, weighted by M_g^q for q = 0
+    # (theta), and q = 1, 2 with derivs
+    sums = [[] for _ in range(3 if derivs else 1)]
+    for prefix, lo, hi in rows:
+        pre = one
+        for k, j in enumerate(prefix):
+            pre = _mul(pre, powers[k][j - lows[k]], width) if k else powers[k][j - lows[k]]
+        pa, pb, ep = pre
+        e_row = e_sum - ep
+        re, im = [], []
+        for j in range(lo, hi + 1):
+            a, b, e = table[prefix + (j,)]
+            c, d, f = last[j - lo_g]
+            shift = e_row - e - f
+            re.append((a * c - b * d) >> shift)
+            im.append((a * d + b * c) >> shift)
+        for q, out in enumerate(sums):
+            sr = sum(j**q * r for j, r in zip(range(lo, hi + 1), re)) if q else sum(re)
+            si = sum(j**q * i for j, i in zip(range(lo, hi + 1), im)) if q else sum(im)
+            out.append((sr * pa - si * pb, sr * pb + si * pa))
+
+    def rounded(sr, si, order):
+        # (sr + i si) 2^(E - W) exp(-pi m'Ym) (2 pi i)^order, at bits
+        f, _, ef = factors[order]
+        for _ in range(order):
+            sr, si = -si, sr
+        return mp.mpc(mp.mpf((sr * f, e_sum + ef)), mp.mpf((si * f, e_sum + ef)))
+
     with mp.workprec(bits):
-        m = x[g:]
-        z = [x[i] + sum(tau.tau[i, j] * m[j] for j in range(g)) for i in range(g)]
-        mv = mp.matrix(m)
-        factor = mp.exp(-mp.pi * (mv.T * tau.Y * mv)[0])
-        rows = _lattice_set(tau, m, bits)
-        table = tau.lattice.phases(bits)
-        lows, highs = _extent(rows)
-        powers = [_axis_powers(w, lo, hi) for w, lo, hi in zip(z, lows, highs)]
-        # axis g's powers weighted by M_g^q, q = 0, 1, 2: the row sums of the
-        # terms weighted by that power of M_g
-        last = [powers[-1]]
-        if derivs:
-            js = range(lows[-1], highs[-1] + 1)
-            last += [[j * p for j, p in zip(js, last[0])], [j * j * p for j, p in zip(js, last[0])]]
-        lo_g = lows[-1]
-        sums = [[] for _ in last]
-        prefs = []
-        for prefix, lo, hi in rows:
-            ph = [table[prefix + (j,)] for j in range(lo, hi + 1)]
-            for q, row in enumerate(last):
-                sums[q].append(mp.fdot(ph, row[lo - lo_g : hi + 1 - lo_g]))
-            prefs.append(math.prod(powers[k][j - lows[k]] for k, j in enumerate(prefix)))
-        s = factor * mp.fdot(sums[0], prefs)
+        s = rounded(sum(v[0] for v in sums[0]), sum(v[1] for v in sums[0]), 0)
         if not derivs:
             return s
-        vals = [[r * p for r, p in zip(sq, prefs)] for sq in sums]
 
         def weighted(axes):
+            # the sum weighted by M_a for each axis a in axes
+            vals = sums[axes.count(g - 1)]
             outer = [math.prod(p[a] for a in axes if a < g - 1) for p, _, _ in rows]
-            return mp.fdot(outer, vals[axes.count(g - 1)])
+            return (sum(w * v[0] for w, v in zip(outer, vals)),
+                    sum(w * v[1] for w, v in zip(outer, vals)))
 
-        d1 = [weighted((i,)) for i in range(g)]
-        d2 = [[weighted((i, j)) for j in range(i + 1)] for i in range(g)]
-        two_pi_i = 2j * mp.pi
-        hess = [[d2[max(i, j)][min(i, j)] for j in range(g)] for i in range(g)]
-        # the arrays on the left: an mpmath number on the left first tries,
-        # and fails, to convert the array, at the cost of its repr
-        return s, np.array(d1) * (factor * two_pi_i), np.array(hess) * (factor * two_pi_i**2)
+        d1 = [rounded(*weighted((i,)), 1) for i in range(g)]
+        d2 = [[None] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i + 1):
+                d2[i][j] = d2[j][i] = rounded(*weighted((i, j)), 2)
+        return s, np.array(d1), np.array(d2)
 
 
 def theta(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None):
@@ -517,8 +646,9 @@ def theta(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None):
     with mp.workprec(bits):
         z0, _, _, log_mult = reduce_to_fundamental(tau, z)
         x0 = _lattice_coords(tau, z0)
-        m0 = mp.matrix(x0[tau.g :])
-        return mp.exp(log_mult + mp.pi * (m0.T * tau.Y * m0)[0]) * _theta_point(tau, x0, bits)
+        m0 = x0[tau.g :]
+        quad = mp.fdot(m0, [mp.fdot(row, m0) for row in tau.lattice.Y_rows])
+        return mp.exp(log_mult + mp.pi * quad) * _theta_point(tau, x0, bits)
 
 
 def theta_norm(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None):

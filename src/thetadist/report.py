@@ -65,14 +65,25 @@ class RunConfig:
             value = getattr(self, name)
             if value is None and name in optional:
                 continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigRejected(f"{name} must be an integer, not {value!r}")
+            _require_int(name, value)
         if self.jmax < 1:
             raise ConfigRejected(f"jmax = {self.jmax} checks no level p^j; it must be >= 1")
         if self.p < 2 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):
             raise ConfigRejected(f"p = {self.p} is not prime")
         if self.preset is not None and self.preset not in _PRESET_ALIASES:
             raise ConfigRejected(f"unknown preset {self.preset!r}")
+        if self.torsion_list is not None and not (
+            isinstance(self.torsion_list, (list, tuple))
+            and all(isinstance(t, (list, tuple)) and len(t) == 2 for t in self.torsion_list)
+        ):
+            raise ConfigRejected(
+                f"torsion_list must be a list of [u, v] pairs, not {self.torsion_list!r}"
+            )
+
+
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigRejected(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass
@@ -101,8 +112,15 @@ def _coord(c, bits: int) -> str:
 
 
 def _parse_complex(entry, bits: int):
+    if not isinstance(entry, dict) or not {"re", "im"} <= entry.keys():
+        raise ConfigRejected(
+            f"period_matrix entry {entry!r} must be an object with keys 're' and 'im'"
+        )
     with mp.workprec(bits):
-        return mp.mpc(mp.mpf(entry["re"]), mp.mpf(entry["im"]))
+        try:
+            return mp.mpc(mp.mpf(entry["re"]), mp.mpf(entry["im"]))
+        except (TypeError, ValueError):
+            raise ConfigRejected(f"period_matrix entry {entry!r} is not a complex number") from None
 
 
 def _inline_curve(inline: dict, cfg: PrecisionConfig):
@@ -111,7 +129,9 @@ def _inline_curve(inline: dict, cfg: PrecisionConfig):
         missing.append("h_fal (or gamma_terms and gamma_constant)")
     if missing:
         raise ConfigRejected(f"inline curve lacks required keys: {', '.join(missing)}")
-    g = int(inline["g"])
+    g = inline["g"]
+    _require_int("g", g)
+    _require_int("deg_K0", inline["deg_K0"])
     if g < 2:
         raise ConfigRejected("genus must be >= 2")
     bits = cfg.working_precision_bits
@@ -131,7 +151,7 @@ def _inline_curve(inline: dict, cfg: PrecisionConfig):
             h_fal = faltings_height_gamma(terms, mp.mpf(inline["gamma_constant"]), cfg)
     data = CurveArithData(
         g=g,
-        deg_K0=int(inline["deg_K0"]),
+        deg_K0=inline["deg_K0"],
         nt_omega=float(inline.get("nt_omega", 0.0)),
         h_fal=h_fal,
         bad_primes=frozenset(int(x) for x in inline.get("bad_primes", [])),

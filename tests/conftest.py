@@ -74,22 +74,47 @@ def _box(g: int, R):
     return itertools.product(*(range(-r, r + 1) for r in radii))
 
 
+def _brute_terms(tau: td.PeriodMatrix, z, R):
+    """(m, exp(2 pi i (m'tau m/2 + m'z))) for each m of the box |m_k| <= R,
+    the exponent formed by a naive double loop at the caller's precision."""
+    g = tau.g
+    zt = [mp.mpc(w) for w in z]
+    for m in _box(g, R):
+        quad = mp.mpc(0)
+        lin = mp.mpc(0)
+        for i in range(g):
+            if m[i]:
+                lin += m[i] * zt[i]
+                for j in range(g):
+                    if m[j]:
+                        quad += m[i] * m[j] * tau.tau[i, j]
+        yield m, mp.exp(2j * mp.pi * (quad / 2 + lin))
+
+
 def brute_theta(tau: td.PeriodMatrix, z, R, bits: int = 200):
     """Independent naive double-loop theta sum over |m_k| <= R (an int, or
     one radius per axis)."""
-    g = tau.g
     with mp.workprec(bits):
-        zt = [mp.mpc(w) for w in z]
         total = mp.mpc(0)
-        for m in _box(g, R):
-            quad = mp.mpc(0)
-            lin = mp.mpc(0)
-            for i in range(g):
-                if m[i]:
-                    lin += m[i] * zt[i]
-                    for j in range(g):
-                        if m[j]:
-                            quad += m[i] * m[j] * tau.tau[i, j]
-            total += mp.exp(2j * mp.pi * (quad / 2 + lin))
+        for _, term in _brute_terms(tau, z, R):
+            total += term
         return total
 
+
+def brute_theta_derivs(tau: td.PeriodMatrix, z, R, bits: int = 200):
+    """``(theta, gradient, Hessian)`` in z from the naive loop of
+    ``brute_theta``: the same terms, weighted by 2 pi i m_k for the gradient
+    and by (2 pi i)^2 m_k m_l for the Hessian, as lists of mpmath numbers."""
+    g = tau.g
+    with mp.workprec(bits):
+        w = 2j * mp.pi
+        total = mp.mpc(0)
+        grad = [mp.mpc(0)] * g
+        hess = [[mp.mpc(0)] * g for _ in range(g)]
+        for m, term in _brute_terms(tau, z, R):
+            total += term
+            for i in range(g):
+                grad[i] += w * m[i] * term
+                for j in range(g):
+                    hess[i][j] += w * w * m[i] * m[j] * term
+        return total, grad, hess

@@ -152,6 +152,24 @@ class TestCliExitCodes:
         assert cli.main(["--config", str(path)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"inline": {**GENUS_MISMATCH_INLINE, "period_matrix": [[{"re": "0"}]]}},
+             "period_matrix"),
+            ({"inline": {**GENUS_MISMATCH_INLINE, "g": "two"}}, "g"),
+            ({"preset": "bost-mestre", "torsion_list": 5}, "torsion_list"),
+        ],
+        ids=["entry-without-im", "genus-string", "torsion-list-int"],
+    )
+    def test_malformed_value_rejected(self, tmp_path, capsys, doc, field):
+        """A malformed value inside the document exits 2 and names its
+        field, instead of ending in a traceback."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
 
 class TestReportContent:
     def test_byte_determinism(self, cli_reports):

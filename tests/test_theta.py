@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import thetadist as td
-from conftest import brute_theta, lattice_point
+from conftest import brute_theta, brute_theta_derivs, lattice_point
 
 # frozen from the naive double-loop oracle (R = 30 at 250 bits)
 S4_THETA0_RE = "1.0502862579537883794134248631481479"
@@ -149,6 +149,47 @@ class TestTheta:
                     b *= mp.exp(-mp.pi * q)
                 assert abs(a - b) < 1e-35 * max(1, abs(a)), name
 
+    @pytest.mark.parametrize("name", ["y60", "r10", "coupled"])
+    def test_integer_kernel_dynamic_range(self, name):
+        """s and its derivatives from the integer kernel at 128, 192 and 256
+        bits against the oracle, within the error bound ``_theta_point``
+        documents: N (7 + 3g + 10 max |M|_1) 2^-(bits + 32) for the N terms of
+        the set, times the derivative weight (2 pi max |M_k|)^order, plus
+        2^-bits for the tail and 2^-bits of the value for the final rounding.
+        The points are the corners m = +-1/2, where the per-axis powers are
+        largest (up to exp(600 pi) per step on TAU_COUPLED), and seeded
+        unrecentred coordinates in [0, 1), where ``theta`` sums.  One oracle
+        sum at 320 bits over the 256-bit set's extent plus two shells serves
+        all three bit counts."""
+        tau = td.PeriodMatrix({"y60": TAU_Y60, "r10": TAU_R10, "coupled": TAU_COUPLED}[name])
+        g = tau.g
+        corners = [[0.3, -0.2] + list(m) for m in itertools.product((-0.5, 0.5), repeat=g)]
+        points = corners + np.random.default_rng(4).random((2, 2 * g)).tolist()
+        cfg256 = td.PrecisionConfig(working_precision_bits=256)
+        for x in points:
+            m = x[g:]
+            with mp.workprec(320):
+                q = mp.fsum(m[i] * tau.Y[i, j] * m[j] for i in range(g) for j in range(g))
+                z = lattice_point(tau, x, 320).z
+                th, grad, hess = brute_theta_derivs(tau, z, set_radii(tau, m, cfg256, 2), bits=320)
+                factor = mp.exp(-mp.pi * q)
+                refs = [[th * factor], [v * factor for v in grad],
+                        [v * factor for row in hess for v in row]]
+            for bits in (128, 192, 256):
+                rows = td.periods._lattice_set(tau, m, bits)
+                terms = sum(hi - lo + 1 for _, lo, hi in rows)
+                l1 = max(sum(map(abs, p)) + max(-lo, hi) for p, lo, hi in rows)
+                big = max(max(map(abs, p + (lo, hi))) for p, lo, hi in rows)
+                arith = terms * (7 + 3 * g + 10 * l1) * mp.mpf(2) ** -(bits + 32)
+                s = td.periods._theta_point(tau, x, bits)
+                got = td.periods._theta_point(tau, x, bits, derivs=True)
+                assert got[0] == s
+                for order, (value, ref) in enumerate(zip(got, refs)):
+                    weight = (2 * mp.pi * max(big, 1)) ** order
+                    for v, r in zip(np.ravel(value), ref):
+                        tol = weight * (arith + mp.mpf(2) ** -bits) + abs(r) * mp.mpf(2) ** -bits
+                        assert abs(v - r) <= tol, (name, x, bits, order)
+
     @pytest.mark.parametrize("name", ["s4"] + list(SET_TAUS))
     def test_lattice_set_is_tight(self, name, tau_s4, cfg, monkeypatch):
         """At ten seeded points theta_norm's sum runs over at most twice the
@@ -183,38 +224,23 @@ class TestTheta:
     @pytest.mark.parametrize("name", ["s4", "g3"])
     def test_derivatives_match_oracle(self, name, tau_s4, cfg):
         """The ratios Newton reads, theta'/theta and theta''/theta, against
-        mp.diff of the oracle summed over the lattice set's extent plus one
-        shell: first derivatives along each axis, and second derivatives
-        along e_i + e_j, which are v'Hv.  brute_theta is exact to 2^-200, so
-        a step of 2^-50 leaves finite-difference errors near 1e-30."""
+        the oracle's analytic derivatives (``brute_theta_derivs``, each term
+        weighted by 2 pi i M_k and (2 pi i)^2 M_k M_l) summed over the
+        lattice set's extent plus one shell, to 1e-30."""
         tau = tau_s4 if name == "s4" else td.PeriodMatrix(TAU_G3)
         g = tau.g
         x = [0.3 + 0.1 * i for i in range(g)] + [0.3 - 0.05 * j for j in range(g)]
         s, d1, d2 = td.periods._theta_point(tau, x, cfg.working_precision_bits, derivs=True)
         z0 = lattice_point(tau, x)
         R = set_radii(tau, x[g:], cfg, 1)
-        unit = [[int(i == k) for k in range(g)] for i in range(g)]
         with mp.workprec(200):
-            d1, d2 = d1 / s, d2 / s
-            h = mp.mpf(2) ** -50
-            center = brute_theta(tau, z0.z, R)
-
-            def along(v, order):
-                def f(t):
-                    if t == 0:
-                        return center
-                    return brute_theta(tau, [w + t * c for w, c in zip(z0.z, v)], R)
-
-                return mp.diff(f, 0, order, h=h)
-
+            th, grad, hess = brute_theta_derivs(tau, z0.z, R)
             for i in range(g):
-                ref = along(unit[i], 1) / center
-                assert abs(d1[i] - ref) <= 1e-20 * max(1, abs(ref))
-                for j in range(i + 1):
-                    v = [a + b for a, b in zip(unit[i], unit[j])]
-                    ref = along(v, 2) / center
-                    got = sum(v[k] * v[l] * d2[k, l] for k in range(g) for l in range(g))
-                    assert abs(got - ref) <= 1e-20 * max(1, abs(ref))
+                ref = grad[i] / th
+                assert abs(d1[i] / s - ref) <= 1e-30 * max(1, abs(ref))
+                for j in range(g):
+                    ref = hess[i][j] / th
+                    assert abs(d2[i, j] / s - ref) <= 1e-30 * max(1, abs(ref))
 
     def test_relative_error_away_from_fundamental_cell(self, tau_s4, cfg):
         """theta's error is relative to exp(pi y'Y^-1 y), not absolute: at
