@@ -38,7 +38,7 @@ from .periods import PeriodMatrix, PrecisionConfig, sqrt_norm_grid
 from .periods import _SCAN_CHUNK, _theta_batch, _theta_point
 
 # Grid points per scan.  The value array, resident from the scan until the
-# starts are chosen, costs 8 bytes per point; choosing the starts adds six
+# starts are chosen, costs 8 bytes per point; choosing the starts adds two
 # buffers of one block of slabs each (``periods._SCAN_CHUNK`` points, or one
 # slab if larger).
 _GRID_BUDGET = 10**8
@@ -188,46 +188,27 @@ def _grid_starts(vals: np.ndarray, symmetric: bool = False) -> np.ndarray:
 
     The maxima are found one block of first-axis slabs vals[i] at a time, in
     the order of i; a block holds one slab, or as many as fit in
-    ``periods._SCAN_CHUNK``.  Each block's neighbourhood maximum over the
-    other axes is taken once, into a ring of three block buffers, with those
-    of the first and last blocks kept apart for the wrap-around; the maximum
-    over the first axis then reads the rows on either side of the block from
-    its neighbours.  No buffer is larger than a block.
+    ``periods._SCAN_CHUNK``.  The neighbourhood maximum is a maximum over a
+    product of per-axis windows, so it is taken one axis at a time, the
+    first axis first: straight from vals, with the slabs on either side of
+    the block (wrapping around) as its neighbours, then each other axis
+    within the block, alternating between two block-sized buffers.  No
+    buffer is larger than a block.
     """
     shape, n, slab = vals.shape, vals.shape[0], vals[0].size
     b = max(1, min(n, _SCAN_CHUNK // slab))
-    nb = -(-n // b)
-    first, last, tmp, *ring = (np.empty_like(vals[:b]) for _ in range(6))
-
-    def inner(k, out):
-        """Block k's maximum over the wrap-around neighbourhoods in every
-        axis but the first, into ``out``."""
-        rows = vals[k * b:(k + 1) * b]
-        out, scratch = out[:len(rows)], tmp[:len(rows)]
-        if vals.ndim == 1:
-            out[...] = rows
-        for ax in range(1, vals.ndim):
-            into = out if (vals.ndim - ax) % 2 else scratch  # the last axis lands in out
-            _max3(rows, into, ax, rows, rows)
-            rows = into
-        return out
-
-    first, last = inner(0, first), inner(nb - 1, last)
-
-    def filtered(k):
-        k %= nb
-        return first if k == 0 else last if k == nb - 1 else ring[k % 3]
-
+    bufs = [np.empty_like(vals[:b]) for _ in range(2)]
     stop = n // 2 + 1 if symmetric else n
     parts = []
-    for k in range(-(-stop // b)):
-        if 0 < k + 1 < nb - 1:
-            inner(k + 1, ring[(k + 1) % 3])
-        cur = filtered(k)
-        top = tmp[:len(cur)]
-        _max3(cur, top, 0, filtered(k - 1), filtered(k + 1))
-        scaled = vals[k * b:(k + 1) * b] * (1 + _GRID_RTOL)
-        parts.append(np.flatnonzero(top <= scaled) + k * b * slab)
+    for lo in range(0, stop, b):
+        hi = min(lo + b, n)
+        top, spare = (a[: hi - lo] for a in bufs)
+        _max3(vals[lo:hi], top, 0, vals[lo - 1, None], vals[hi % n, None])
+        for ax in range(1, vals.ndim):
+            _max3(top, spare, ax, top, top)
+            top, spare = spare, top
+        scaled = np.multiply(vals[lo:hi], 1 + _GRID_RTOL, out=spare)
+        parts.append(np.flatnonzero(top <= scaled) + lo * slab)
     flat = np.concatenate(parts)
     if symmetric:
         # the maxima of the other slabs are the mirrors of these, and a

@@ -228,7 +228,7 @@ class LatticeContext:
     The term of M at w = n + tau m, times exp(-pi m'Ym), is the product of
 
     - a phase-table entry t_M = exp(2 pi i (M'tau M/2 + M'tau c) - pi c'Yc),
-      shared by every m in the cell with centre c (``cell_table``);
+      shared by every m in the cell with centre c (``cell_chunks``);
     - per-axis rows P_k(j) = exp(2 pi i u_k j) at j = M_k, u = n + tau (m - c);
     - exp(-pi (m'Ym - c'Yc)).
 
@@ -291,25 +291,30 @@ class LatticeContext:
         colsum = np.array(self.R) @ np.abs(self.Y)
         return np.maximum(1, np.ceil(np.pi * self.g * colsum / _ROW_LOG_BOUND)).astype(int)
 
-    def cell_groups(self, m: np.ndarray):
-        """Yield ``(cell, rows)`` for each occupied cell, in cell order: the
-        flat cell index and the indices of the rows of ``m`` (N x g, in
-        [-1/2, 1/2)) that lie in it, in their original order."""
+    def cell_chunks(self, m: np.ndarray, chunk: int):
+        """Yield ``(rows, u, q, t)`` for the rows of ``m`` (N x g, in [-1/2,
+        1/2)) grouped by cell, cells in order and rows in their original
+        order, at most ``chunk`` rows at a time: the rows' indices (a slice
+        when they are consecutive), u = (m - c) tau' and q = m'Ym - c'Yc for
+        the cell's centre c, and the cell's phase table t_M of shape (2R_1+1,
+        ..., 2R_g+1).  The last table built is kept, so consecutive calls on
+        one cell build it once."""
         index = np.minimum(((m + 0.5) * self.cells).astype(int), self.cells - 1)
         key = np.ravel_multi_index(index.T, self.cells)
         order = np.argsort(key, kind="stable")
         edges = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
         for start, stop in zip(edges[:-1], edges[1:]):
-            yield key[order[start]], order[start:stop]
-
-    def cell_table(self, cell) -> tuple:
-        """``(c, c'Yc, t)`` for a flat cell index: the centre, its quadratic
-        form and the phase table t_M of shape (2R_1+1, ..., 2R_g+1).  The
-        last table built is kept, so consecutive calls on one cell build it
-        once."""
-        if self._table[0] != cell:
-            self._table = (cell, self._build_cell_table(cell))
-        return self._table[1]
+            cell = key[order[start]]
+            if self._table[0] != cell:
+                self._table = (cell, self._build_cell_table(cell))
+            centre, qc, table = self._table[1]
+            for i in range(start, stop, chunk):
+                rows = order[i : min(i + chunk, stop)]
+                mm = m[rows]
+                q = np.einsum("ni,ij,nj->n", mm, self.Y, mm) - qc
+                if rows[-1] - rows[0] == len(rows) - 1:
+                    rows = slice(rows[0], rows[-1] + 1)
+                yield rows, (mm - centre) @ self.taun.T, q, table
 
     def _build_cell_table(self, cell) -> tuple:
         centre = (np.array(np.unravel_index(cell, self.cells)) + 0.5) / self.cells - 0.5
@@ -724,19 +729,13 @@ def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
     mc = coords[:, g:] - np.round(coords[:, g:])
     chunk = max(1, _BATCH_TERMS // (K * max(sum(L), math.prod(L[1:]))))
     out = np.empty((len(coords), K), dtype=complex)
-    for cell, members in ctx.cell_groups(mc):
-        centre, qc, table = ctx.cell_table(cell)
-        table = table.reshape(L[0], -1)
-        for i in range(0, len(members), chunk):
-            pts = members[i : i + chunk]
-            mm = mc[pts]
-            u = nc[pts] + (mm - centre) @ ctx.taun.T
-            rows = [np.exp(u[:, k, None, None] * j) * w for k, (j, w) in enumerate(zip(js, W))]
-            th = rows[0].reshape(-1, L[0]) @ table
-            for k in range(1, g):
-                th = (rows[k].reshape(-1, 1, L[k]) @ th.reshape(len(th), L[k], -1))[:, 0]
-            qm = np.einsum("ni,ij,nj->n", mm, ctx.Y, mm)
-            out[pts] = np.exp(-np.pi * (qm - qc))[:, None] * th.reshape(len(pts), K)
+    for pts, u, q, table in ctx.cell_chunks(mc, chunk):
+        u = nc[pts] + u
+        rows = [np.exp(u[:, k, None, None] * j) * w for k, (j, w) in enumerate(zip(js, W))]
+        th = rows[0].reshape(-1, L[0]) @ table.reshape(L[0], -1)
+        for k in range(1, g):
+            th = (rows[k].reshape(-1, 1, L[k]) @ th.reshape(len(th), L[k], -1))[:, 0]
+        out[pts] = np.exp(-np.pi * q)[:, None] * th.reshape(len(u), K)
     if not derivs:
         return out[:, 0]
     d2 = np.empty((len(coords), g, g), dtype=complex)
@@ -791,24 +790,16 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.n
     ms = np.array(list(itertools.product(axis[:half], *[axis] * (g - 1))))
     out = np.empty((nd**g, nd**g))
     chunk = max(nd ** (g - 1), _SCAN_CHUNK // max(nd**g, math.prod(map(len, js))))
-    for cell, members in ctx.cell_groups(ms):
-        centre, qc, table = ctx.cell_table(cell)
-        for i in range(0, len(members), chunk):
-            cols = members[i : i + chunk]
-            m = ms[cols]
-            u = (m - centre) @ ctx.taun.T
-            C = np.exp(u[:, 0, None] * js[0])
-            for k in range(1, g):
-                row = np.exp(u[:, k, None] * js[k])
-                C = C[..., None] * row.reshape((len(m),) + (1,) * k + (-1,))
-            C *= table
-            for e in E:
-                C = np.tensordot(C, e, axes=(1, 1))
-            qm = np.einsum("ni,ij,nj->n", m, ctx.Y, m)
-            gauss = ctx.scale * np.exp(-2 * np.pi * (qm - qc))
-            if cols[-1] - cols[0] == len(cols) - 1:
-                cols = slice(cols[0], cols[-1] + 1)
-            out[:, cols] = (np.abs(C.reshape(len(m), -1)) ** 2 * gauss[:, None]).T
+    for cols, u, q, table in ctx.cell_chunks(ms, chunk):
+        C = np.exp(u[:, 0, None] * js[0])
+        for k in range(1, g):
+            row = np.exp(u[:, k, None] * js[k])
+            C = C[..., None] * row.reshape((len(u),) + (1,) * k + (-1,))
+        C *= table
+        for e in E:
+            C = np.tensordot(C, e, axes=(1, 1))
+        gauss = ctx.scale * np.exp(-2 * np.pi * q)
+        out[:, cols] = (np.abs(C.reshape(len(u), -1)) ** 2 * gauss[:, None]).T
     summed = out[:, : len(ms)]
     np.sqrt(summed, out=summed)
     out = out.reshape((nd,) * (2 * g))

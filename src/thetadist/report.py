@@ -86,6 +86,20 @@ def _require_int(name: str, value) -> None:
         raise ConfigRejected(f"{name} must be an integer, not {value!r}")
 
 
+def _parse_number(name: str, value, parse):
+    """parse(value) for a field that takes a number or its decimal string;
+    ConfigRejected naming the field when value is a bool, does not parse or
+    is not finite."""
+    try:
+        if not isinstance(value, bool):
+            x = parse(value)
+            if mp.isfinite(x):
+                return x
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise ConfigRejected(f"{name} must be a finite number, not {value!r}")
+
+
 @dataclass
 class BoundReport:
     payload: dict
@@ -143,25 +157,48 @@ def _inline_curve(inline: dict, cfg: PrecisionConfig):
         raise ConfigRejected(f"period matrix is {tau.g}x{tau.g} but g = {g}")
     with mp.workprec(bits):
         if "h_fal" in inline:
-            h_fal = mp.mpf(inline["h_fal"])
+            h_fal = _parse_number("h_fal", inline["h_fal"], mp.mpf)
         else:
             from .arakelov import faltings_height_gamma
 
-            terms = [(Fraction(a), int(e)) for a, e in inline["gamma_terms"]]
-            h_fal = faltings_height_gamma(terms, mp.mpf(inline["gamma_constant"]), cfg)
+            terms = inline["gamma_terms"]
+            if not isinstance(terms, (list, tuple)) or not all(
+                isinstance(t, (list, tuple)) and len(t) == 2 for t in terms
+            ):
+                raise ConfigRejected(f"gamma_terms must be a list of [a, e] pairs, not {terms!r}")
+            for _, e in terms:
+                _require_int("gamma_terms exponent", e)
+            terms = [(_parse_number("gamma_terms", a, Fraction), e) for a, e in terms]
+            constant = _parse_number("gamma_constant", inline["gamma_constant"], mp.mpf)
+            h_fal = faltings_height_gamma(terms, constant, cfg)
+    flags = {
+        name: inline.get(name, default)
+        for name, default in (
+            ("good_reduction_everywhere", True),
+            ("semistable", True),
+            ("base_point_hyperelliptic_fixed", False),
+        )
+    }
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise ConfigRejected(f"{name} must be true or false, not {value!r}")
+    bad_primes = inline.get("bad_primes", [])
+    if not isinstance(bad_primes, (list, tuple)):
+        raise ConfigRejected(f"bad_primes must be a list of integers, not {bad_primes!r}")
+    for x in bad_primes:
+        _require_int("bad_primes", x)
+    disc, component_lcm = inline.get("disc", 1), inline.get("component_lcm", 1)
+    _require_int("disc", disc)
+    _require_int("component_lcm", component_lcm)
     data = CurveArithData(
         g=g,
         deg_K0=inline["deg_K0"],
-        nt_omega=float(inline.get("nt_omega", 0.0)),
+        nt_omega=_parse_number("nt_omega", inline.get("nt_omega", 0.0), float),
         h_fal=h_fal,
-        bad_primes=frozenset(int(x) for x in inline.get("bad_primes", [])),
-        disc=int(inline.get("disc", 1)),
-        component_lcm=int(inline.get("component_lcm", 1)),
-        good_reduction_everywhere=bool(inline.get("good_reduction_everywhere", True)),
-        semistable=bool(inline.get("semistable", True)),
-        base_point_hyperelliptic_fixed=bool(
-            inline.get("base_point_hyperelliptic_fixed", False)
-        ),
+        bad_primes=frozenset(bad_primes),
+        disc=disc,
+        component_lcm=component_lcm,
+        **flags,
     )
     return data, tau, None
 

@@ -13,6 +13,23 @@ from test_theta import TAU_G3
 # the default-grid `--preset bost-mestre --p 3 --f 2 --verify` report
 GOLDEN_P3_F2 = Path(__file__).parent / "data" / "preset_p3_f2.json"
 
+# a valid genus-2 inline curve, for the field checks below
+VALID_INLINE = {
+    "g": 2,
+    "deg_K0": 1,
+    "h_fal": 0.0,
+    "period_matrix": [
+        [{"re": "0", "im": "1"}, {"re": "0.5", "im": "0.5"}],
+        [{"re": "0.5", "im": "0.5"}, {"re": "0", "im": "1"}],
+    ],
+}
+# VALID_INLINE with its Faltings height given by the gamma product instead
+GAMMA_INLINE = {
+    **{k: v for k, v in VALID_INLINE.items() if k != "h_fal"},
+    "gamma_terms": [["1/5", 5]],
+    "gamma_constant": "0",
+}
+
 # declares g = 2 but carries the 1x1 period matrix [[i]]
 GENUS_MISMATCH_INLINE = {
     "g": 2,
@@ -159,12 +176,30 @@ class TestCliExitCodes:
              "period_matrix"),
             ({"inline": {**GENUS_MISMATCH_INLINE, "g": "two"}}, "g"),
             ({"preset": "bost-mestre", "torsion_list": 5}, "torsion_list"),
+            ({"inline": {**VALID_INLINE, "semistable": "false"}}, "semistable"),
+            ({"inline": {**VALID_INLINE, "good_reduction_everywhere": 0}},
+             "good_reduction_everywhere"),
+            ({"inline": {**VALID_INLINE, "base_point_hyperelliptic_fixed": "yes"}},
+             "base_point_hyperelliptic_fixed"),
+            ({"inline": {**VALID_INLINE, "disc": 10.7}}, "disc"),
+            ({"inline": {**VALID_INLINE, "disc": "ten"}}, "disc"),
+            ({"inline": {**VALID_INLINE, "component_lcm": "x"}}, "component_lcm"),
+            ({"inline": {**VALID_INLINE, "bad_primes": ["x"]}}, "bad_primes"),
+            ({"inline": {**VALID_INLINE, "nt_omega": "abc"}}, "nt_omega"),
+            ({"inline": {**VALID_INLINE, "nt_omega": "nan"}}, "nt_omega"),
+            ({"inline": {**VALID_INLINE, "h_fal": "abc"}}, "h_fal"),
+            ({"inline": {**GAMMA_INLINE, "gamma_terms": [["1/5", "x"]]}}, "gamma_terms"),
         ],
-        ids=["entry-without-im", "genus-string", "torsion-list-int"],
+        ids=["entry-without-im", "genus-string", "torsion-list-int", "semistable-string",
+             "good-reduction-int", "base-point-string", "disc-float", "disc-string",
+             "component-lcm-string", "bad-prime-string", "nt-omega-string", "nt-omega-nan",
+             "h-fal-string", "gamma-exponent-string"],
     )
     def test_malformed_value_rejected(self, tmp_path, capsys, doc, field):
         """A malformed value inside the document exits 2 and names its
-        field, instead of ending in a traceback."""
+        field, instead of ending in a traceback or being coerced: a boolean
+        is JSON true or false, not any value Python reads as one, and an
+        integer is not truncated."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["--config", str(path)]) == 2

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -691,6 +692,37 @@ class TestLatticeContext:
         assert td.maximize._newton(tau, np.array([3, 29, 26, 3]) / 32) is not None
         assert len(steps) >= 3
         assert len(builds) == 1
+
+    def test_chunks_split_cells(self, monkeypatch):
+        """Both double kernels give the same values, to 1e-13 of their
+        maximum, when TAU_C30's 16 cells of m span several chunks each.
+        The box is read first: _BATCH_TERMS also caps it."""
+        tau = td.PeriodMatrix(TAU_C30)
+        ctx = tau.lattice
+        L = [2 * r + 1 for r in ctx.R]
+        coords = np.random.default_rng(31).random((2000, 4))
+
+        def kernels():
+            s, d1, d2 = td.periods._theta_batch(tau, coords, derivs=True)
+            grids = [td.periods.sqrt_norm_grid(tau, nd, off) for nd, off in ((24, 0.0), (23, 0.5))]
+            return [td.periods._theta_batch(tau, coords), s, d1, d2] + grids
+
+        ref = kernels()
+        # 42 points a chunk without derivatives, 7 with them, and one m-slab
+        # of 24 or 23 slices in the scan, so that most cells span several chunks
+        monkeypatch.setattr(td.periods, "_BATCH_TERMS", 42 * max(sum(L), math.prod(L[1:])))
+        monkeypatch.setattr(td.periods, "_SCAN_CHUNK", 1)
+        tables, chunks = [], ctx.cell_chunks
+
+        def spy(m, chunk):
+            for item in chunks(m, chunk):
+                tables.append(item[3])
+                yield item
+
+        monkeypatch.setattr(ctx, "cell_chunks", spy)
+        for got, want in zip(kernels(), ref):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert len(tables) > 2 * len({id(t) for t in tables})
 
     def test_tables_keyed_by_precision(self, tau_s4, cfg):
         """A 192-bit sum after a 128-bit one on the same tau uses its own

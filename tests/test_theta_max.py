@@ -303,6 +303,18 @@ class TestGridStarts:
             tracemalloc.stop()
         assert peak < vals.nbytes / 2
 
+    def test_two_block_buffers(self, tau_s4):
+        """Start selection on the preset's half grid holds two block buffers
+        and the block's ties, at most four blocks of 256 KB in all."""
+        vals = td.periods.sqrt_norm_grid(tau_s4, 32)
+        tracemalloc.start()
+        try:
+            td.maximize._grid_starts(vals, symmetric=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * td.periods._SCAN_CHUNK * vals.itemsize
+
 
 def whole_grid_starts(vals):
     """The start selection of _grid_starts as one whole-grid filter: the 3^d
