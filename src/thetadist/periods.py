@@ -10,8 +10,10 @@ modulus exp(-pi (M+m)'Y(M+m)), so s is bounded for every m, and sqrt(det Y)
 count for ``theta``, ``theta_norm`` and the maximizer's polish.  Two double
 kernels sum a box that holds the 2^-60 ellipsoid of every m in [-1/2,
 1/2]^g: ``_theta_batch`` at scattered points (spot checks, the maximizer's
-Newton steps) and ``sqrt_norm_grid`` on tensor grids (the grid scan, the
-torus average).
+Newton steps) and ``sqrt_norm_grid`` on the grid scan's tensor grids.  The
+torus average, ``theta_norm_normalization_check``, reads the grid scan's
+m-slice coefficients (``_slice_coefficients``) and integrates over n exactly
+by Parseval, with a midpoint rule in m alone.
 
 All these sums read one lattice context per ``PeriodMatrix`` (the layout of
 Deconinck, Heil, Bobenko, van Hoeij, Schmies, "Computing Riemann theta
@@ -744,85 +746,95 @@ def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
     return out[:, 0], out[:, 1 : 1 + g], d2
 
 
-def sqrt_norm_grid(tau: PeriodMatrix, nd: int, grid_offset: float = 0.0) -> np.ndarray:
-    """sqrt(<s,s>) on the tensor grid {(k + grid_offset)/nd}^{2g}, doubles.
+def _slice_coefficients(ctx: LatticeContext, ms: np.ndarray, chunk: int):
+    """Yield ``(rows, D, w)`` for the m-slices ``ms`` (N x g, in [-1/2,
+    1/2)) in the chunks of ``ctx.cell_chunks``: the rows' indices, the
+    coefficients D of shape (N', 2R_1+1, ..., 2R_g+1) and the weights w of
+    shape (N',), so that w |sum_M D_M exp(2 pi i M'n)|^2 is <s,s>(n, m).
+
+    For fixed m the theta sum is a trigonometric polynomial in n,
+    theta(n + tau m) = sum_M C_M(m) exp(2 pi i M'n), C_M(m) = exp(pi i
+    M'tau M + 2 pi i M'tau m), and the context's terms at n = 0 (see
+    ``LatticeContext``) give it: in a cell with centre c, D_M = C_M(m)
+    exp(-pi c'Yc) is the cell's phase table times the slice's per-axis
+    powers exp(2 pi i j (tau (m - c))_k), |j| <= R_k, and w = sqrt(det Y)
+    exp(-2 pi (m'Ym - c'Yc)).  A slice costs (2R_1+1) + ... + (2R_g+1)
+    exponentials.
+    """
+    g = ctx.g
+    js = [2j * np.pi * np.arange(-r, r + 1) for r in ctx.R]
+    for rows, u, q, table in ctx.cell_chunks(ms, chunk):
+        D = np.exp(u[:, 0, None] * js[0])
+        for k in range(1, g):
+            power = np.exp(u[:, k, None] * js[k])
+            D = D[..., None] * power.reshape((len(u),) + (1,) * k + (-1,))
+        D *= table
+        yield rows, D, ctx.scale * np.exp(-2 * np.pi * q)
+
+
+def sqrt_norm_grid(tau: PeriodMatrix, nd: int) -> np.ndarray:
+    """sqrt(<s,s>) on the tensor grid {k/nd}^{2g}, doubles.
 
     Returns an array of shape (nd,)*2g indexed by the lattice coordinates
     (n, m), with the values ``norm_batch`` gives at those points to within
-    rounding.  For fixed m the theta sum is a trigonometric polynomial in n,
-    theta(n + tau m) = sum_M C_M(m) exp(2 pi i M'n).  The coefficients are
-    the context's terms at n = 0 (``LatticeContext``): the m-slices are
-    grouped by its cells, and in a cell with centre c, C_M(m) exp(-pi m'Ym)
-    is the cell's phase table times the slice's per-axis powers exp(2 pi i
-    j (tau (m - c))_k), |j| <= R_k, times exp(-pi (m'Ym - c'Yc)), so a slice
-    costs (2R_1+1) + ... + (2R_g+1) exponentials.  Each slice's C is
+    rounding.  Each m-slice's coefficients D (``_slice_coefficients``) are
     contracted with the nd x (2R_k+1) table exp(2 pi i n_k M_k) along each
-    axis k (E_1 C E_2' for g = 2).  A matrix product, unlike an FFT, does
+    axis k (E_1 D E_2' for g = 2).  A matrix product, unlike an FFT, does
     not alias when 2R_k+1 > nd.
 
     theta and exp(-pi m'Ym) are even, so <s,s>(-x) = <s,s>(x), and -x is a
-    grid point: index k of an axis goes to (-k - 2 grid_offset) mod nd
-    (``_mirror``), so grid_offset must be 0 or 1/2 (InvalidInput otherwise).
-    Only the slices of m_1-slabs 0, ..., floor((nd - 2 grid_offset)/2), a
-    fundamental domain of -1 on that axis, are summed; the other slabs are
-    copied from their mirrors, and a slab that is its own mirror (0 and nd/2
-    at offset 0, (nd - 1)/2 at offset 1/2) is averaged with its mirror, so
-    the grid is exactly invariant under x -> -x.  The slices are summed in
-    chunks of at least nd^(g-1) and of up to ``_SCAN_CHUNK`` complex values
-    per temporary (64 slices at g = 1, nd = 512), and a chunk of consecutive
-    slices is stored through a slice.  Memory beyond the returned array is a
-    few temporaries of max(``_SCAN_CHUNK``, nd^(g-1) max(nd^g, prod_k
-    (2R_k+1))) complex values, 16/nd bytes per grid point on the preset, and
-    one block's mirror: the mirrored slabs are copied a block of at most
+    grid point: index k of an axis goes to -k mod nd (``_mirror``).  Only
+    the slices of m_1-slabs 0, ..., floor(nd/2), a fundamental domain of -1
+    on that axis, are summed; the other slabs are copied from their
+    mirrors, and a slab that is its own mirror (0, and nd/2 for even nd) is
+    averaged with its mirror, so the grid is exactly invariant under x ->
+    -x.  The slices are summed in chunks of at least nd^(g-1) and of up to
+    ``_SCAN_CHUNK`` complex values per temporary (64 slices at g = 1, nd =
+    512), and a chunk of consecutive slices is stored through a slice.
+    Memory beyond the returned array is a few temporaries of
+    max(``_SCAN_CHUNK``, nd^(g-1) max(nd^g, prod_k (2R_k+1))) complex
+    values, 16/nd bytes per grid point on the preset, and one block's
+    mirror: the mirrored slabs are copied a block of at most
     ``_SCAN_CHUNK`` values, or one slab, at a time.
     """
-    if grid_offset not in (0, 0.5):
-        raise InvalidInput(f"grid_offset must be 0 or 1/2, not {grid_offset!r}")
-    shift = int(2 * grid_offset)
     g = tau.g
     ctx = tau.lattice
     js = [2j * np.pi * np.arange(-r, r + 1) for r in ctx.R]
     # recentred to [-1/2, 1/2) as in norm_batch, where the box holds
-    axis = (np.arange(nd) + shift / 2) / nd
+    axis = np.arange(nd) / nd
     axis -= np.round(axis)
     E = [np.exp(np.outer(axis, j)) for j in js]
-    half = (nd - shift) // 2 + 1
+    half = nd // 2 + 1
     ms = np.array(list(itertools.product(axis[:half], *[axis] * (g - 1))))
     out = np.empty((nd**g, nd**g))
     chunk = max(nd ** (g - 1), _SCAN_CHUNK // max(nd**g, math.prod(map(len, js))))
-    for cols, u, q, table in ctx.cell_chunks(ms, chunk):
-        C = np.exp(u[:, 0, None] * js[0])
-        for k in range(1, g):
-            row = np.exp(u[:, k, None] * js[k])
-            C = C[..., None] * row.reshape((len(u),) + (1,) * k + (-1,))
-        C *= table
+    for cols, D, w in _slice_coefficients(ctx, ms, chunk):
         for e in E:
-            C = np.tensordot(C, e, axes=(1, 1))
-        gauss = ctx.scale * np.exp(-2 * np.pi * q)
-        out[:, cols] = (np.abs(C.reshape(len(u), -1)) ** 2 * gauss[:, None]).T
+            D = np.tensordot(D, e, axes=(1, 1))
+        out[:, cols] = (np.abs(D.reshape(len(w), -1)) ** 2 * w[:, None]).T
     summed = out[:, : len(ms)]
     np.sqrt(summed, out=summed)
     out = out.reshape((nd,) * (2 * g))
     n_axes = (slice(None),) * g
     others = tuple(ax for ax in range(2 * g) if ax != g)
-    # slabs k, ..., stop - 1 mirror slabs nd - k - shift, ..., nd - stop + 1 - shift
+    # slabs k, ..., stop - 1 mirror slabs nd - k, ..., nd - stop + 1
     block = max(1, _SCAN_CHUNK // nd ** (2 * g - 1))
     for k in range(half, nd, block):
         stop = min(k + block, nd)
-        src = out[n_axes + (slice(nd - stop + 1 - shift, nd - k + 1 - shift),)]
-        out[n_axes + (slice(k, stop),)] = np.flip(_mirror(src, shift, others), g)
+        src = out[n_axes + (slice(nd - stop + 1, nd - k + 1),)]
+        out[n_axes + (slice(k, stop),)] = np.flip(_mirror(src, others), g)
     for k in range(half):
-        if (-k - shift) % nd == k:
+        if -k % nd == k:
             slab = out[n_axes + (k,)]
-            slab += _mirror(slab, shift, tuple(range(2 * g - 1)))
+            slab += _mirror(slab, tuple(range(2 * g - 1)))
             slab *= 0.5
     return out
 
 
-def _mirror(a: np.ndarray, shift: int, axes: tuple) -> np.ndarray:
-    """A copy of a at x -> -x on a grid of offset shift/2: along each of
-    ``axes``, index k reads a at (-k - shift) mod n."""
-    return np.roll(np.flip(a, axes), 1 - shift, axes)
+def _mirror(a: np.ndarray, axes: tuple) -> np.ndarray:
+    """A copy of a at x -> -x on a grid {k/n}: along each of ``axes``,
+    index k reads a at -k mod n."""
+    return np.roll(np.flip(a, axes), 1, axes)
 
 
 def _alias_sum(Q: np.ndarray, nd: int) -> float:
@@ -849,19 +861,32 @@ def _alias_sum(Q: np.ndarray, nd: int) -> float:
 def theta_norm_normalization_check(tau: PeriodMatrix, sample_budget: int):
     """Average of the theta norm over the torus against the reference 2^(-g/2).
 
-    The average is the mean of <s,s> on the midpoint grid {(k + 1/2)/nd}^{2g}
-    from ``sqrt_norm_grid``, with nd the largest integer such that nd^(2g) <=
-    ``sample_budget``.  <s,s> has the Fourier coefficient 2^(-g/2) exp(-pi
-    k'Yk/2 - pi (l - Xk)'Y^-1 (l - Xk)/2) at the frequency (k, l) in (n, m):
-    k comes from the cross terms C_M conj(C_M') of |sum_M C_M(m) exp(2 pi i
-    M'n)|^2 with M - M' = k, l from the periodized Gaussian in m.  The grid
-    mean is the sum of the coefficients with k and l in nd Z^g, (0, 0)
-    giving 2^(-g/2).  With A(Q) = sum_{j != 0} exp(-pi nd^2 j'Qj/2), the
-    l-sum at a fixed k is at most 1 + A(Y^-1) (a Gaussian lattice sum is
-    largest unshifted, by Poisson summation), so the error is at most
-    2^(-g/2) (A(Y^-1) + A(Y) (1 + A(Y^-1))).  Raises BudgetExceeded when
-    that bound exceeds ``_ALIAS_TOL``, before any grid is summed: a large
-    Im tau_kk narrows the Gaussian in m below what the grid resolves.
+    The integral over n is exact.  For fixed m, theta(n + tau m) = sum_M
+    C_M(m) exp(2 pi i M'n) with C_M(m) = exp(pi i M'tau M + 2 pi i M'tau m),
+    so by Parseval the integral of <s,s> = sqrt(det Y) exp(-2 pi m'Ym)
+    |theta|^2 over n in [0, 1]^g is
+
+        F(m) = sqrt(det Y) exp(-2 pi m'Ym) sum_M |C_M(m)|^2
+             = sqrt(det Y) sum_M exp(-2 pi (M+m)'Y(M+m)),
+
+    which is sum_M w |D_M|^2 over each slice's coefficients from
+    ``_slice_coefficients``, the terms ``sqrt_norm_grid`` sums, over the
+    context's box (its omitted terms sum below 2^-60).  X cancels in
+    |C_M|^2, so F depends on Y alone: the check tests the moduli of the
+    kernel's terms and the quadrature in m, not the terms' phases, which
+    the tests compare against ``norm_batch``.
+
+    The average of F over m is the midpoint rule on {(k + 1/2)/nd}^g, with
+    nd the largest integer such that nd^(2g) <= ``sample_budget``.  By
+    Poisson summation F has the Fourier coefficient 2^(-g/2) exp(-pi
+    b'Y^-1 b/2) at the frequency b in Z^g (the a = 0 coefficients of
+    <s,s>), 2^(-g/2) at b = 0.  The midpoint rule averages exp(2 pi i b'm)
+    to its integral, 0, for every b != 0 outside nd Z^g; at b = nd j it
+    gives (-1)^(j_1 + ... + j_g).  So with A(Q) = sum_{j != 0} exp(-pi nd^2
+    j'Qj/2) the error is at most 2^(-g/2) A(Y^-1), and equals it when every
+    aliased term has one sign.  Raises BudgetExceeded when that bound
+    exceeds ``_ALIAS_TOL``, before any slice is summed: a large Im tau_kk
+    narrows the Gaussian in m below what the grid resolves.
     """
     if sample_budget < 10**3:
         raise InvalidInput("sample_budget must be at least 10^3")
@@ -869,13 +894,20 @@ def theta_norm_normalization_check(tau: PeriodMatrix, sample_budget: int):
     nd = 1
     while (nd + 1) ** (2 * g) <= sample_budget:
         nd += 1
-    Y = tau.lattice.Y
-    a_inv = _alias_sum(np.linalg.inv(Y), nd)
-    bound = 2.0 ** (-g / 2) * (a_inv + _alias_sum(Y, nd) * (1 + a_inv))
+    ctx = tau.lattice
+    bound = 2.0 ** (-g / 2) * _alias_sum(np.linalg.inv(ctx.Y), nd)
     if bound > _ALIAS_TOL:
         raise BudgetExceeded(
-            f"the midpoint rule on {nd}^{2 * g} points has aliasing bound "
+            f"the midpoint rule on {nd}^{g} slices has aliasing bound "
             f"{bound:.1e} > {_ALIAS_TOL:.0e}; this Im tau needs a larger sample_budget"
         )
-    estimate = float(np.mean(sqrt_norm_grid(tau, nd, 0.5) ** 2))
-    return estimate, 2.0 ** (-g / 2)
+    # recentred to [-1/2, 1/2) as in sqrt_norm_grid
+    axis = (np.arange(nd) + 0.5) / nd
+    axis -= np.round(axis)
+    ms = np.array(list(itertools.product(axis, repeat=g)))
+    chunk = max(1, _SCAN_CHUNK // math.prod(2 * r + 1 for r in ctx.R))
+    total = sum(
+        w @ (np.abs(D.reshape(len(w), -1)) ** 2).sum(axis=1)
+        for _, D, w in _slice_coefficients(ctx, ms, chunk)
+    )
+    return float(total) / nd**g, 2.0 ** (-g / 2)

@@ -40,6 +40,13 @@ from .maximize import OptimizerConfig, default_optimizer_config, theta_max
 from .periods import PeriodMatrix, PrecisionConfig
 
 _PRESET_ALIASES = {"bost-mestre", "bost-mestre-y2+y=x5"}
+# the keys _inline_curve reads; any other key is refused, so that a misspelt
+# optional field is not silently replaced by its default
+_INLINE_KEYS = frozenset({
+    "g", "period_matrix", "deg_K0", "h_fal", "gamma_terms", "gamma_constant",
+    "good_reduction_everywhere", "semistable", "base_point_hyperelliptic_fixed",
+    "bad_primes", "disc", "component_lcm", "nt_omega",
+})
 
 
 @dataclass
@@ -138,6 +145,10 @@ def _parse_complex(entry, bits: int):
 
 
 def _inline_curve(inline: dict, cfg: PrecisionConfig):
+    unknown = inline.keys() - _INLINE_KEYS
+    if unknown:
+        names = ", ".join(sorted(map(repr, unknown)))
+        raise ConfigRejected(f"inline curve has unknown keys: {names}")
     missing = [k for k in ("g", "period_matrix", "deg_K0") if k not in inline]
     if "h_fal" not in inline and not {"gamma_terms", "gamma_constant"} <= inline.keys():
         missing.append("h_fal (or gamma_terms and gamma_constant)")

@@ -156,6 +156,14 @@ class TestCliExitCodes:
         assert cli.main(["--config", str(path)]) == 2
         assert ("gamma_terms" if drop == "h_fal" else drop) in capsys.readouterr().err
 
+    def test_inline_unknown_key_rejected(self, tmp_path, capsys):
+        """A misspelt optional key exits 2 and is named, instead of running
+        with the field's default (here hypothesis (1) reported satisfied)."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"inline": {**VALID_INLINE, "semistabel": False}}))
+        assert cli.main(["--config", str(path)]) == 2
+        assert "'semistabel'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -405,9 +405,10 @@ class TestNormalization:
 
     def test_raises_when_grid_cannot_resolve_m(self):
         """A large Im tau_kk makes the norm's Gaussian in m narrower than the
-        31^4 grid of budget 10^6 resolves: the aliasing bound is 2.3e-2 on
-        diag(i, 400i), whose average came out 0.4770, and 2.0e-2 on
-        TAU_COUPLED.  The check raises instead of returning a wrong value."""
+        31 points per axis of budget 10^6 resolve: the aliasing bound is
+        2.3e-2 on diag(i, 400i), whose average came out 0.4770, and 2.0e-2
+        on TAU_COUPLED.  The check raises instead of returning a wrong
+        value."""
         for entries in ([[1j, 0], [0, 400j]], TAU_COUPLED):
             with pytest.raises(td.BudgetExceeded, match="aliasing bound"):
                 td.theta_norm_normalization_check(td.PeriodMatrix(entries), 10**6)
@@ -415,6 +416,65 @@ class TestNormalization:
     def test_budget_guard(self, tau_g1):
         with pytest.raises(td.InvalidInput):
             td.theta_norm_normalization_check(tau_g1, 100)
+
+    @pytest.mark.parametrize("name, budget, nd", [("i", 512 * 512, 512), ("s4", 10**5, 17)])
+    def test_matches_midpoint_mean_of_norm_batch(self, name, budget, nd, tau_s4):
+        """The n-integral taken exactly equals the mean of norm_batch, which
+        shares no code with it, over the 2g-dimensional midpoint grid of the
+        same nd: 512 on tau = i, and 17 on the preset, more than its box's
+        2R_k+1 = 11, so the grid in n does not alias."""
+        tau = tau_s4 if name == "s4" else td.PeriodMatrix([[1j]])
+        axis = (np.arange(nd) + 0.5) / nd
+        coords = np.array(list(itertools.product(axis, repeat=2 * tau.g)))
+        est, _ = td.theta_norm_normalization_check(tau, budget)
+        assert abs(est - np.mean(td.periods.norm_batch(tau, coords))) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["c30", "y21", "y60"])
+    def test_error_is_the_aliased_terms(self, name, monkeypatch):
+        """With the tolerance lifted, the error is the aliased Fourier terms
+        of the midpoint rule in m, 2^(-g/2) sum_{j != 0} (-1)^(j_1 + ... +
+        j_g) exp(-pi nd^2 j'Y^-1 j/2), summed here over |j_k| <= 20, and so
+        within 2^(-g/2) A(Y^-1), up to the estimate's rounding.  The bound
+        is reached where the aliased terms share a sign (TAU_C30 at 10^5:
+        both 2.4844e-7).  Without the midpoint offset the signs would all
+        be +1, and without the Gaussian in m the error would be of order 1."""
+        monkeypatch.setattr(td.periods, "_ALIAS_TOL", 1.0)
+        tau = td.PeriodMatrix({"c30": TAU_C30, "y21": TAU_Y21, "y60": TAU_Y60}[name])
+        yinv = np.linalg.inv(tau.lattice.Y)
+        js = np.array(list(itertools.product(range(-20, 21), repeat=tau.g)))
+        js = js[js.any(axis=1)]
+        signs = (-1.0) ** js.sum(axis=1)
+        for budget, nd in ((10**3, 5), (10**4, 10), (10**5, 17)):
+            est, ref = td.theta_norm_normalization_check(tau, budget)
+            aliased = signs @ np.exp(-np.pi * nd * nd / 2 * np.einsum("li,ij,lj->l", js, yinv, js))
+            assert abs(est - ref - ref * aliased) <= 4e-15
+            assert abs(est - ref) <= ref * td.periods._alias_sum(yinv, nd) + 4e-15
+
+    def test_sums_no_grid(self, tau_s4, monkeypatch):
+        """The check integrates over n without the grid scan: no nd^(2g)
+        array, a peak of a few chunk temporaries at 10^6."""
+
+        def refuse(*args):
+            raise AssertionError("sqrt_norm_grid called")
+
+        monkeypatch.setattr(td.periods, "sqrt_norm_grid", refuse)
+        td.theta_norm_normalization_check(tau_s4, 10**6)
+        tracemalloc.start()
+        try:
+            est, ref = td.theta_norm_normalization_check(tau_s4, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(est - ref) < 1e-14
+        assert peak < 2e6
+
+    def test_cells_across_chunks(self, monkeypatch):
+        """TAU_C30's 16 cells of m give the same average when each slice is
+        its own chunk."""
+        tau = td.PeriodMatrix(TAU_C30)
+        est, _ = td.theta_norm_normalization_check(tau, 10**6)
+        monkeypatch.setattr(td.periods, "_SCAN_CHUNK", 1)
+        assert abs(td.theta_norm_normalization_check(tau, 10**6)[0] - est) <= 1e-15
 
 
 class TestNormBatch:
@@ -497,13 +557,10 @@ class TestNormBatch:
 
 class TestSqrtNormGrid:
     @pytest.mark.parametrize(
-        "name, nd, offset",
-        [
-            ("s4", 8, 0.0), ("s4", 16, 0.5), ("i", 256, 0.0), ("g3", 6, 0.0),
-            ("coupled", 8, 0.5), ("r10", 12, 0.0), ("c30", 12, 0.5),
-        ],
+        "name, nd",
+        [("s4", 8), ("s4", 16), ("i", 256), ("g3", 6), ("coupled", 8), ("r10", 12), ("c30", 12)],
     )
-    def test_matches_norm_batch(self, name, nd, offset, tau_s4):
+    def test_matches_norm_batch(self, name, nd, tau_s4):
         """The separable scan against norm_batch at every grid point.  The
         preset's box has 2R_k+1 = 11 > 8 and the g = 3 box 7 > 6, where an FFT
         of length nd would alias.  TAU_C30 has 4 x 4 cells of m.  Both
@@ -518,10 +575,10 @@ class TestSqrtNormGrid:
             "r10": td.PeriodMatrix(TAU_R10),
             "c30": td.PeriodMatrix(TAU_C30),
         }[name]
-        grid = td.periods.sqrt_norm_grid(tau, nd, offset)
+        grid = td.periods.sqrt_norm_grid(tau, nd)
         assert grid.shape == (nd,) * (2 * tau.g)
         assert np.isfinite(grid).all()
-        axis = (np.arange(nd) + offset) / nd
+        axis = np.arange(nd) / nd
         coords = np.array(list(itertools.product(axis, repeat=2 * tau.g)))
         ref = np.sqrt(td.periods.norm_batch(tau, coords))
         assert np.abs(grid.ravel() - ref).max() <= 1e-14 * grid.max()
@@ -530,26 +587,23 @@ class TestSqrtNormGrid:
             assert np.abs(grid.ravel() - ref).max() <= 1e-14 * grid.max()
 
     @pytest.mark.parametrize(
-        "name, nd, offset",
-        [
-            ("s4", 32, 0.0), ("s4", 31, 0.5), ("i", 256, 0.0), ("i", 255, 0.5),
-            ("g3", 7, 0.0), ("c30", 12, 0.5),
-        ],
+        "name, nd",
+        [("s4", 32), ("s4", 31), ("i", 256), ("i", 255), ("g3", 7), ("c30", 12)],
     )
-    def test_reflection_invariant(self, name, nd, offset, tau_s4):
+    def test_reflection_invariant(self, name, nd, tau_s4):
         """<s,s>(-x) = <s,s>(x), and the scan copies half the grid from the
-        other half: the grid equals itself read at index (-k - 2 offset) mod
-        nd on every axis, bit for bit.  31^4 and 255^2 have one
-        self-mirrored slab per axis at offset 1/2, 32^4 and 7^6 two and one
-        at offset 0; TAU_C30's 4 x 4 cells make its chunks non-consecutive."""
+        other half: the grid equals itself read at index -k mod nd on every
+        axis, bit for bit.  An even nd has two self-mirrored slabs per axis,
+        0 and nd/2, an odd nd one; TAU_C30's 4 x 4 cells make its chunks
+        non-consecutive."""
         tau = {
             "s4": tau_s4,
             "i": td.PeriodMatrix([[1j]]),
             "g3": td.PeriodMatrix(TAU_G3),
             "c30": td.PeriodMatrix(TAU_C30),
         }[name]
-        grid = td.periods.sqrt_norm_grid(tau, nd, offset)
-        mirror = np.roll(np.flip(grid), 1 - int(2 * offset), tuple(range(grid.ndim)))
+        grid = td.periods.sqrt_norm_grid(tau, nd)
+        mirror = np.roll(np.flip(grid), 1, tuple(range(grid.ndim)))
         assert np.array_equal(grid, mirror)
 
     def test_mirror_copy_buffers_no_half_grid(self, tau_s4):
@@ -565,24 +619,16 @@ class TestSqrtNormGrid:
         assert peak < 1.25 * grid.nbytes
 
     def test_midpoint_mirror_copy_buffers_no_half_grid(self, tau_s4):
-        """The same at offset 1/2 on the normalization check's 31^4 grid,
-        whose one self-mirrored slab per axis is averaged with its mirror."""
-        td.periods.sqrt_norm_grid(tau_s4, 31, 0.5)
+        """The same on the odd 31^4 grid, whose one self-mirrored slab per
+        axis is averaged with its mirror."""
+        td.periods.sqrt_norm_grid(tau_s4, 31)
         tracemalloc.start()
         try:
-            grid = td.periods.sqrt_norm_grid(tau_s4, 31, 0.5)
+            grid = td.periods.sqrt_norm_grid(tau_s4, 31)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * grid.nbytes
-
-    def test_half_integer_offsets(self, tau_s4):
-        """Only offsets 0 and 1/2, the grids the package scans, are taken:
-        3/2, whose grid also holds every point's mirror, raises like the
-        offsets whose grids do not."""
-        for offset in (1.5, 0.25, 1 / 3, float("nan"), float("inf")):
-            with pytest.raises(td.InvalidInput):
-                td.periods.sqrt_norm_grid(tau_s4, 8, offset)
 
 
 class TestLatticeContext:
@@ -704,7 +750,7 @@ class TestLatticeContext:
 
         def kernels():
             s, d1, d2 = td.periods._theta_batch(tau, coords, derivs=True)
-            grids = [td.periods.sqrt_norm_grid(tau, nd, off) for nd, off in ((24, 0.0), (23, 0.5))]
+            grids = [td.periods.sqrt_norm_grid(tau, nd) for nd in (24, 23)]
             return [td.periods._theta_batch(tau, coords), s, d1, d2] + grids
 
         ref = kernels()
