@@ -555,10 +555,18 @@ class TestNormBatch:
         assert np.abs(td.periods.norm_batch(tau, coords) - ref).max() <= 1e-13 * ref.max()
 
 
+def grid_cases(*cases):
+    """sqrt_norm_grid cases (name, nd) with IDs name-nd-0.0: the last field
+    is the grid's first coordinate, 0 on every axis."""
+    return [pytest.param(name, nd, id=f"{name}-{nd}-0.0") for name, nd in cases]
+
+
 class TestSqrtNormGrid:
     @pytest.mark.parametrize(
         "name, nd",
-        [("s4", 8), ("s4", 16), ("i", 256), ("g3", 6), ("coupled", 8), ("r10", 12), ("c30", 12)],
+        grid_cases(
+            ("s4", 8), ("s4", 16), ("i", 256), ("g3", 6), ("coupled", 8), ("r10", 12), ("c30", 12)
+        ),
     )
     def test_matches_norm_batch(self, name, nd, tau_s4):
         """The separable scan against norm_batch at every grid point.  The
@@ -588,7 +596,7 @@ class TestSqrtNormGrid:
 
     @pytest.mark.parametrize(
         "name, nd",
-        [("s4", 32), ("s4", 31), ("i", 256), ("i", 255), ("g3", 7), ("c30", 12)],
+        grid_cases(("s4", 32), ("s4", 31), ("i", 256), ("i", 255), ("g3", 7), ("c30", 12)),
     )
     def test_reflection_invariant(self, name, nd, tau_s4):
         """<s,s>(-x) = <s,s>(x), and the scan copies half the grid from the
