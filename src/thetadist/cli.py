@@ -54,11 +54,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     """RunConfig from the config document's fields, overlaid with the flags
-    that were given; document keys that are not fields are ignored."""
+    that were given; document keys that are not fields are ignored.  A
+    document that cannot be read, is not JSON or is not a JSON object
+    raises ConfigRejected naming its path."""
     doc = {}
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigRejected(f"config {args.config}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigRejected(
+                f"config {args.config}: the document must be a JSON object, not {type(doc).__name__}"
+            )
     names = {f.name for f in fields(RunConfig)}
     kwargs = {k: v for k, v in doc.items() if k in names}
     flags = {k: v for k, v in vars(args).items() if k in names and v is not None}

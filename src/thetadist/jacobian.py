@@ -20,9 +20,15 @@ There is one ring object per (p, j): ``residue_ring`` is cached, and
 it, so ``add``'s ring check is an identity test and each curve keys its
 coerced f by the ring's modulus.  Rings built directly as ResidueRing(p, j)
 still compare equal.  A MumfordDivisor is a named tuple, immutable and
-cheap to build.  ``enumerate_curve_points_mod`` is one loop over the
-abscissae that lie over a mod-p abscissa with points, with an inline Horner
-and a table of square roots mod p^j.
+cheap to build.
+
+``enumerate_curve_points_mod`` is a numpy sieve: f by a vectorised Horner
+at the abscissae that lie over a mod-p abscissa with points, and the roots
+of each value from one stable argsort of the squares mod p^j.  It returns
+a read-only sequence that builds each point's MumfordDivisor as it is read.
+CPython never untracks a named tuple, so up to 10^4 kept pairs would reach
+the cyclic garbage collector's oldest generation and set off its full
+collections; the sequence keeps exact tuples of ints, which it untracks.
 
 ``order_of`` walks k*D only up to half the order and meets a stored -j*D.
 The order of a class depends on the curve alone, not on any prime, so each
@@ -32,15 +38,17 @@ curve keeps the orders it has found and walks a class at most once.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import product, zip_longest
+from functools import cache, partial
+from itertools import chain, product, repeat, zip_longest
 from math import gcd
 from operator import index
 from typing import NamedTuple
 
 import mpmath as mp
+import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -573,36 +581,75 @@ def reduce_mod(curve: HyperellipticCurve, D: MumfordDivisor, p: int, j: int) -> 
     return MumfordDivisor(tuple(map(R.coerce, D.u)), ptrim(R, map(R.coerce, D.v)), R)
 
 
-def enumerate_curve_points_mod(curve: HyperellipticCurve, p: int, j: int):
-    """All embedded curve points over Z/p^j: zero, then every (t - a, b)
-    with b^2 = f(a), in ascending a and then ascending b.
+class CurvePoints(Sequence):
+    """The points of ``enumerate_curve_points_mod``: a read-only sequence
+    that builds each MumfordDivisor as it is read and keeps none.  It holds
+    the ring and, per point, u and v as exact tuples of ints, which the
+    garbage collector stops tracking; points over one abscissa share u."""
 
-    A point mod p^j reduces to a point mod p, so one loop scans only the
-    abscissae a over a mod-p abscissa with points, in ascending order:
-    f(a) by an inline Horner with one % p^j, and its roots b read from a
-    table of the squares mod p^j that holds each v = (b,) once.  The points
-    over one a share their u."""
+    __slots__ = ("ring", "_u", "_v")
+
+    def __init__(self, ring, u: tuple, v: tuple):
+        self.ring, self._u, self._v = ring, u, v
+
+    def __len__(self):
+        return len(self._u)
+
+    def __getitem__(self, i):
+        i = index(i)  # a slice or a float raises TypeError
+        return MumfordDivisor(self._u[i], self._v[i], self.ring)
+
+    def __iter__(self):
+        return map(_as_divisor, zip(self._u, self._v, repeat(self.ring)))
+
+
+# MumfordDivisor from a (u, v, ring) tuple with no Python frame per point
+_as_divisor = partial(tuple.__new__, MumfordDivisor)
+
+
+def _horner_mod(f, a, mod):
+    """f(a) mod p^j for a monic quintic f and an int64 array a of residues.
+    Each step multiplies two residues below p^j <= _ENUM_BUDGET = 10^4, so
+    every product stays below 10^8, far inside int64."""
+    acc = (a + f[4]) % mod
+    for c in f[3::-1]:
+        acc = (acc * a + c) % mod
+    return acc
+
+
+def enumerate_curve_points_mod(curve: HyperellipticCurve, p: int, j: int) -> CurvePoints:
+    """All embedded curve points over Z/p^j: zero, then every (t - a, b)
+    with b^2 = f(a), in ascending a and then ascending b, as a CurvePoints
+    sequence over ``residue_ring(p, j)``.
+
+    A numpy sieve: a point mod p^j reduces to a point mod p, so f is
+    evaluated, by one vectorised Horner, only at the a over a mod-p
+    abscissa with points.  One stable argsort of b^2 mod p^j lists the
+    residues b by their square and then in ascending order, and the roots
+    of each f(a) are the run that ``searchsorted`` finds there."""
     mod = p**j
     if mod > _ENUM_BUDGET:
         raise BudgetExceeded(f"p^j = {mod} exceeds the enumeration budget")
     R = residue_ring(p, j)
     f = curve.f_in(R)
-    f0, f1, f2, f3, f4, _ = f  # f is monic
-    squares: dict[int, list] = {}
-    for b in range(mod):
-        squares.setdefault(b * b % mod, []).append((b,) if b else ())
-    squares_p = {b * b % p for b in range(p)}
-    base = [a for a in range(p) if peval(R, f, a) % p in squares_p]
-    out = [zero_divisor(R)]
-    for high in range(0, mod, p):
-        for a0 in base:
-            a = high + a0
-            vs = squares.get((((((a + f4) * a + f3) * a + f2) * a + f1) * a + f0) % mod)
-            if vs:
-                u = (-a % mod, 1)
-                for v in vs:
-                    out.append(MumfordDivisor(u, v, R))
-    return out
+    residues = np.arange(mod, dtype=np.int64)
+    squares = residues * residues % mod
+    roots = np.argsort(squares, kind="stable")
+    squares = squares[roots]
+    low = residues[:p]
+    base = np.isin(_horner_mod(f, low, p), low * low % p)
+    a = residues[base[residues % p]]
+    fa = _horner_mod(f, a, mod)
+    lo = np.searchsorted(squares, fa, "left")
+    count = np.searchsorted(squares, fa, "right") - lo
+    # point k is root k - (points before its a) of its a's run from lo
+    start = np.repeat(lo - np.cumsum(count) + count, count)
+    b = roots[start + np.arange(len(start))]
+    u = chain.from_iterable(map(repeat, zip((-a % mod).tolist(), repeat(1)), count.tolist()))
+    v = list(zip(b.tolist()))  # (b,) per point, and () where b = 0
+    for i in np.flatnonzero(b == 0).tolist():
+        v[i] = ()
+    return CurvePoints(R, ((1,), *u), ((), *v))
 
 
 def on_curve_mod(curve: HyperellipticCurve, Dmod: MumfordDivisor, p: int, j: int) -> bool:

@@ -73,6 +73,10 @@ class RunConfig:
             if value is None and name in optional:
                 continue
             _require_int(name, value)
+        if not isinstance(self.verify, bool):
+            raise ConfigRejected(f"verify must be true or false, not {self.verify!r}")
+        if not isinstance(self.output_path, str):
+            raise ConfigRejected(f"output_path must be a string, not {self.output_path!r}")
         if self.jmax < 1:
             raise ConfigRejected(f"jmax = {self.jmax} checks no level p^j; it must be >= 1")
         if self.p < 2 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import zip_longest
@@ -661,7 +662,7 @@ class TestRingAndDivisorInvariants:
         R = residue_ring(p, j)
         assert residue_ring(p, j) is R
         red = [td.reduce_mod(curve, D, p, j) for D in rational_subgroup]
-        out = red + td.enumerate_curve_points_mod(curve, p, j)
+        out = red + list(td.enumerate_curve_points_mod(curve, p, j))
         for A in red:
             out.append(td.scalar_mul(curve, 3, A))
             for B in red:
@@ -733,7 +734,7 @@ class TestEnumerationOracle:
         j = 1
         while p**j <= 10**4:
             for C in curves:
-                got = td.enumerate_curve_points_mod(C, p, j)
+                got = list(td.enumerate_curve_points_mod(C, p, j))
                 want = _enumerate_full_table(C, p, j)
                 assert got == want, (C, p, j)
                 assert [tuple(map(type, D.u + D.v)) for D in got] == [
@@ -741,6 +742,22 @@ class TestEnumerationOracle:
                 ]
             j += 1
         assert j > 3
+
+    def test_points_kept_untracked(self, curve):
+        """The 9,410 points mod 97^2 are read off the sequence, not kept as
+        named tuples the garbage collector tracks; indexing and iteration
+        agree, negative indices included."""
+        td.enumerate_curve_points_mod(curve, 97, 2)  # the ring and its f, once
+        gc.collect()
+        before = len(gc.get_objects())
+        pts = td.enumerate_curve_points_mod(curve, 97, 2)
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 5
+        assert len(pts) == 9410
+        *_, last = pts
+        assert pts[-1] == last == pts[len(pts) - 1]
+        with pytest.raises(IndexError):
+            pts[len(pts)]
 
 
 class TestOnCurveMod:

@@ -85,6 +85,18 @@ class TestRunConfig:
         with pytest.raises(td.ConfigRejected, match="jmax"):
             td.RunConfig(preset="bost-mestre", jmax=jmax, verify=True)
 
+    @pytest.mark.parametrize("verify", ["false", "true", 0, 1, None])
+    def test_verify_must_be_bool(self, verify):
+        """The string "false" is truthy, so it used to run the verification."""
+        with pytest.raises(td.ConfigRejected, match="verify"):
+            td.RunConfig(preset="bost-mestre", verify=verify)
+
+    @pytest.mark.parametrize("output_path", [1, None, ["r.json"]])
+    def test_output_path_must_be_str(self, output_path):
+        """An int used to reach open() as a file descriptor."""
+        with pytest.raises(td.ConfigRejected, match="output_path"):
+            td.RunConfig(preset="bost-mestre", output_path=output_path)
+
 
 class TestCliExitCodes:
     def test_success(self, cli_reports):
@@ -482,6 +494,29 @@ class TestFlagOverrides:
         config = cli.config_from_args(args)
         assert config.verify is True
         assert config.p == 7
+
+    @pytest.mark.parametrize("text, fault", [
+        ("[1, 2]", "JSON object"),
+        ('{"preset": ', "Expecting value"),
+        (None, "No such file"),
+    ])
+    def test_unreadable_document_exits_2(self, tmp_path, capsys, text, fault):
+        """A document that is not a JSON object, not JSON, or not there
+        used to end in a traceback with exit 1."""
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and fault in err
+
+    def test_string_verify_exits_2(self, tmp_path, capsys):
+        """"false" used to run the verification and print its table."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "bost-mestre", "p": 3, "verify": "false"}))
+        assert cli.main(["--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "verify" in err
 
     def test_preset_only_document_gives_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
