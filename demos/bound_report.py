@@ -62,8 +62,7 @@ print("sharp exponent (residue degree 40):  log10 =", mp.nstr(mp.log10(sharp), 1
 
 # --- hypotheses ------------------------------------------------------------
 print("\nhypothesis checklist at p = 3:")
-hyp = td.check_hypotheses(preset.data, p, torsion_order=5,
-                          neutral_component=True, unramified_at_p=True)
+hyp = td.check_hypotheses(preset.data, p, torsion_order=5)
 for name in ("semistable", "p_odd", "good_reduction_at_p", "unramified_at_p",
              "order_coprime_to_p", "neutral_component", "p_admissible"):
     print(f"  {name}: {getattr(hyp, name)}")

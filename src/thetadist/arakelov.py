@@ -28,8 +28,8 @@ class CurveArithData:
 
     g: int
     deg_K0: int
-    nt_omega: float
     h_fal: float
+    nt_omega: float = 0.0
     theta_max: float | None = None
     bad_primes: frozenset = frozenset()
     disc: int = 1
@@ -126,34 +126,30 @@ def faltings_height_gamma(terms, constant_part, cfg: PrecisionConfig | None = No
 
 
 def check_hypotheses(
-    data: CurveArithData,
-    p: int,
-    torsion_order: int | None = None,
-    neutral_component: bool | None = None,
-    good_at_p: bool | None = None,
-    unramified_at_p: bool | None = None,
+    data: CurveArithData, p: int, torsion_order: int | None = None
 ) -> HypothesisReport:
-    """Map the available data onto the six bound hypotheses; absent optional
-    inputs yield 'unknown'."""
+    """Map the curve data onto the six bound hypotheses.  (3) holds under good
+    reduction everywhere, (4) when p does not divide disc, and (6) when the
+    component group is trivial, which puts every class in the neutral
+    component; (3) and (6) are 'unknown' otherwise, as is (5) without an order."""
     from .bounds import admissible_prime
     from math import gcd
 
     def tri(flag):
-        if flag is None:
-            return UNKNOWN
         return SATISFIED if flag else VIOLATED
 
-    if good_at_p is None and data.good_reduction_everywhere:
-        good_at_p = True
+    def known(flag):
+        return SATISFIED if flag else UNKNOWN
+
     return HypothesisReport(
         semistable=tri(data.semistable),
-        p_odd=SATISFIED if p > 2 else VIOLATED,
-        good_reduction_at_p=tri(good_at_p),
-        unramified_at_p=tri(unramified_at_p),
+        p_odd=tri(p > 2),
+        good_reduction_at_p=known(data.good_reduction_everywhere),
+        unramified_at_p=tri(data.disc % p != 0),
         order_coprime_to_p=(
             UNKNOWN if torsion_order is None else tri(gcd(torsion_order, p) == 1)
         ),
-        neutral_component=tri(neutral_component),
+        neutral_component=known(data.component_lcm == 1),
         p_admissible=tri(admissible_prime(p, data)),
     )
 
@@ -182,6 +178,7 @@ class PresetBundle:
     gamma_terms: tuple
     gamma_constant: object
     curve_coeffs: tuple  # z^2 = f(t), coefficients of f low-to-high
+    torsion: tuple  # (u, v) pairs of the classes --verify checks by default
 
 
 def preset_period_matrix(bits: int = 128) -> PeriodMatrix:
@@ -220,4 +217,6 @@ def bost_mestre_preset(cfg: PrecisionConfig | None = None) -> PresetBundle:
         gamma_terms=FALTINGS_GAMMA_TERMS,
         gamma_constant=gamma_constant,
         curve_coeffs=(1, 0, 0, 0, 0, 1),
+        # the off-curve multiples of the 5-torsion class [(0,1) - infinity]
+        torsion=(((0, 0, 1), (1,)), ((0, 0, 1), (-1,))),
     )

@@ -21,6 +21,11 @@ from .errors import InvalidInput
 BOUND_BITS = 192  # every bound value, whatever mpmath's ambient precision
 
 
+def is_prime(n: int) -> bool:
+    """True iff n >= 2 has no divisor d with 2 <= d <= isqrt(n) (trial division)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Arithmetic inputs of the bound chain: genus, degree, prime, residue size."""
@@ -35,7 +40,7 @@ class BoundParams:
             raise InvalidInput("genus must be >= 2")
         if self.deg_K0 < 1:
             raise InvalidInput("[K0:Q] must be >= 1")
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(math.isqrt(self.p)) + 1)):
+        if not is_prime(self.p):
             raise InvalidInput("p must be prime")
         q, f = self.q, 0
         while q % self.p == 0 and q > 1:

@@ -5,10 +5,6 @@ class ThetadistError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidPeriodMatrix(ThetadistError):
-    """Period matrix is not symmetric or Im(tau) is not positive definite."""
-
-
 class PrecisionTooLow(ThetadistError):
     """Requested absolute error is below the working-precision floor."""
 
@@ -27,6 +23,10 @@ class BudgetExceeded(ThetadistError):
 
 class InvalidInput(ThetadistError):
     """An argument is outside the domain of the operation."""
+
+
+class InvalidPeriodMatrix(InvalidInput):
+    """Period matrix is not symmetric or Im(tau) is not positive definite."""
 
 
 class NotPIntegral(ThetadistError):

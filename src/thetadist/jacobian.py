@@ -74,10 +74,13 @@ class RationalField:
     def coerce(self, x):
         """x as a Fraction: an int, a numpy integer, a Fraction or an exact
         string such as "-3/4".  A float, which would be taken at its binary
-        value, raises InvalidInput."""
+        value, and anything Fraction cannot parse raise InvalidInput."""
         if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
             raise InvalidInput(f"{x!r} is not exact: give an int, a Fraction or a string")
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InvalidInput(f"{x!r} is not a rational number") from None
 
     def reduce(self, x):
         return x

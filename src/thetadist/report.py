@@ -8,9 +8,9 @@ report dictionary whose serialization is byte-stable for a fixed config.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import partial
 
 import mpmath as mp
 
@@ -20,33 +20,23 @@ from .arakelov import (
     bost_mestre_preset,
     check_hypotheses,
     constant_D,
+    faltings_height_gamma,
     zar_degree,
 )
 from .bounds import (
     BoundParams,
     admissible_prime,
     h_bound,
+    is_prime,
     tate_voloch_exponent_main,
     tate_voloch_exponent_sharp,
 )
 from .errors import ConfigRejected, HypothesisViolated
-from .jacobian import (
-    QQ,
-    HyperellipticCurve,
-    make_divisor,
-    verify_bound,
-)
+from .jacobian import HyperellipticCurve, make_divisor, verify_bound
 from .maximize import OptimizerConfig, default_optimizer_config, theta_max
 from .periods import PeriodMatrix, PrecisionConfig
 
 _PRESET_ALIASES = {"bost-mestre", "bost-mestre-y2+y=x5"}
-# the keys _inline_curve reads; any other key is refused, so that a misspelt
-# optional field is not silently replaced by its default
-_INLINE_KEYS = frozenset({
-    "g", "period_matrix", "deg_K0", "h_fal", "gamma_terms", "gamma_constant",
-    "good_reduction_everywhere", "semistable", "base_point_hyperelliptic_fixed",
-    "bad_primes", "disc", "component_lcm", "nt_omega",
-})
 
 
 @dataclass
@@ -73,31 +63,43 @@ class RunConfig:
             if value is None and name in optional:
                 continue
             _require_int(name, value)
-        if not isinstance(self.verify, bool):
-            raise ConfigRejected(f"verify must be true or false, not {self.verify!r}")
+        _require_bool("verify", self.verify)
         if not isinstance(self.output_path, str):
             raise ConfigRejected(f"output_path must be a string, not {self.output_path!r}")
         if self.jmax < 1:
             raise ConfigRejected(f"jmax = {self.jmax} checks no level p^j; it must be >= 1")
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):
+        if not is_prime(self.p):
             raise ConfigRejected(f"p = {self.p} is not prime")
         if self.preset is not None and self.preset not in _PRESET_ALIASES:
             raise ConfigRejected(f"unknown preset {self.preset!r}")
         if self.torsion_list is not None and not (
             isinstance(self.torsion_list, (list, tuple))
-            and all(isinstance(t, (list, tuple)) and len(t) == 2 for t in self.torsion_list)
+            and all(
+                isinstance(t, (list, tuple))
+                and len(t) == 2
+                and all(isinstance(w, (list, tuple)) for w in t)
+                for t in self.torsion_list
+            )
         ):
             raise ConfigRejected(
-                f"torsion_list must be a list of [u, v] pairs, not {self.torsion_list!r}"
+                "torsion_list must be a list of [u, v] pairs of coefficient lists, "
+                f"not {self.torsion_list!r}"
             )
 
 
-def _require_int(name: str, value) -> None:
+def _require_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigRejected(f"{name} must be an integer, not {value!r}")
+    return value
 
 
-def _parse_number(name: str, value, parse):
+def _require_bool(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigRejected(f"{name} must be true or false, not {value!r}")
+    return value
+
+
+def _parse_number(name: str, value, parse=mp.mpf):
     """parse(value) for a field that takes a number or its decimal string;
     ConfigRejected naming the field when value is a bool, does not parse or
     is not finite."""
@@ -136,20 +138,66 @@ def _coord(c, bits: int) -> str:
         return mp.nstr(r - mp.floor(r), 20)
 
 
-def _parse_complex(entry, bits: int):
+def _parse_complex(entry):
+    """An {"re", "im"} entry as an mpc at mpmath's current precision."""
     if not isinstance(entry, dict) or not {"re", "im"} <= entry.keys():
         raise ConfigRejected(
             f"period_matrix entry {entry!r} must be an object with keys 're' and 'im'"
         )
-    with mp.workprec(bits):
-        try:
-            return mp.mpc(mp.mpf(entry["re"]), mp.mpf(entry["im"]))
-        except (TypeError, ValueError):
-            raise ConfigRejected(f"period_matrix entry {entry!r} is not a complex number") from None
+    try:
+        return mp.mpc(mp.mpf(entry["re"]), mp.mpf(entry["im"]))
+    except (TypeError, ValueError):
+        raise ConfigRejected(f"period_matrix entry {entry!r} is not a complex number") from None
+
+
+def _parse_rows(name: str, rows):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ConfigRejected(f"{name} must be a list of rows of entries, not {rows!r}")
+    return [[_parse_complex(e) for e in row] for row in rows]
+
+
+def _parse_gamma_terms(name: str, terms):
+    if not isinstance(terms, (list, tuple)) or not all(
+        isinstance(t, (list, tuple)) and len(t) == 2 for t in terms
+    ):
+        raise ConfigRejected(f"{name} must be a list of [a, e] pairs, not {terms!r}")
+    return [
+        (_parse_number(name, a, Fraction), _require_int(f"{name} exponent", e))
+        for a, e in terms
+    ]
+
+
+def _parse_primes(name: str, primes):
+    if not isinstance(primes, (list, tuple)):
+        raise ConfigRejected(f"{name} must be a list of integers, not {primes!r}")
+    return frozenset(_require_int(name, x) for x in primes)
+
+
+# Each inline key and the parser of its value, called as parse(key, value) at
+# the working precision.  Any other key is refused, so that a misspelt
+# optional field is not silently replaced by its default; an optional key
+# that is left out takes CurveArithData's default.
+_INLINE_FIELDS = {
+    "g": _require_int,
+    "deg_K0": _require_int,
+    "period_matrix": _parse_rows,
+    "h_fal": _parse_number,
+    "gamma_terms": _parse_gamma_terms,
+    "gamma_constant": _parse_number,
+    "nt_omega": partial(_parse_number, parse=float),
+    "bad_primes": _parse_primes,
+    "disc": _require_int,
+    "component_lcm": _require_int,
+    "good_reduction_everywhere": _require_bool,
+    "semistable": _require_bool,
+    "base_point_hyperelliptic_fixed": _require_bool,
+}
 
 
 def _inline_curve(inline: dict, cfg: PrecisionConfig):
-    unknown = inline.keys() - _INLINE_KEYS
+    """(data, tau, curve) of an inline curve document.  The document holds no
+    curve equation, so curve is None."""
+    unknown = inline.keys() - _INLINE_FIELDS.keys()
     if unknown:
         names = ", ".join(sorted(map(repr, unknown)))
         raise ConfigRejected(f"inline curve has unknown keys: {names}")
@@ -158,95 +206,43 @@ def _inline_curve(inline: dict, cfg: PrecisionConfig):
         missing.append("h_fal (or gamma_terms and gamma_constant)")
     if missing:
         raise ConfigRejected(f"inline curve lacks required keys: {', '.join(missing)}")
-    g = inline["g"]
-    _require_int("g", g)
-    _require_int("deg_K0", inline["deg_K0"])
-    if g < 2:
-        raise ConfigRejected("genus must be >= 2")
     bits = cfg.working_precision_bits
-    tau_entries = [
-        [_parse_complex(e, bits) for e in row] for row in inline["period_matrix"]
-    ]
-    tau = PeriodMatrix(tau_entries, bits=bits)
-    if tau.g != g:
-        raise ConfigRejected(f"period matrix is {tau.g}x{tau.g} but g = {g}")
     with mp.workprec(bits):
-        if "h_fal" in inline:
-            h_fal = _parse_number("h_fal", inline["h_fal"], mp.mpf)
-        else:
-            from .arakelov import faltings_height_gamma
-
-            terms = inline["gamma_terms"]
-            if not isinstance(terms, (list, tuple)) or not all(
-                isinstance(t, (list, tuple)) and len(t) == 2 for t in terms
-            ):
-                raise ConfigRejected(f"gamma_terms must be a list of [a, e] pairs, not {terms!r}")
-            for _, e in terms:
-                _require_int("gamma_terms exponent", e)
-            terms = [(_parse_number("gamma_terms", a, Fraction), e) for a, e in terms]
-            constant = _parse_number("gamma_constant", inline["gamma_constant"], mp.mpf)
-            h_fal = faltings_height_gamma(terms, constant, cfg)
-    flags = {
-        name: inline.get(name, default)
-        for name, default in (
-            ("good_reduction_everywhere", True),
-            ("semistable", True),
-            ("base_point_hyperelliptic_fixed", False),
-        )
-    }
-    for name, value in flags.items():
-        if not isinstance(value, bool):
-            raise ConfigRejected(f"{name} must be true or false, not {value!r}")
-    bad_primes = inline.get("bad_primes", [])
-    if not isinstance(bad_primes, (list, tuple)):
-        raise ConfigRejected(f"bad_primes must be a list of integers, not {bad_primes!r}")
-    for x in bad_primes:
-        _require_int("bad_primes", x)
-    disc, component_lcm = inline.get("disc", 1), inline.get("component_lcm", 1)
-    _require_int("disc", disc)
-    _require_int("component_lcm", component_lcm)
-    data = CurveArithData(
-        g=g,
-        deg_K0=inline["deg_K0"],
-        nt_omega=_parse_number("nt_omega", inline.get("nt_omega", 0.0), float),
-        h_fal=h_fal,
-        bad_primes=frozenset(bad_primes),
-        disc=disc,
-        component_lcm=component_lcm,
-        **flags,
-    )
-    return data, tau, None
+        values = {
+            key: parse(key, inline[key]) for key, parse in _INLINE_FIELDS.items() if key in inline
+        }
+        terms, constant = values.pop("gamma_terms", None), values.pop("gamma_constant", None)
+        if "h_fal" not in values:
+            values["h_fal"] = faltings_height_gamma(terms, constant, cfg)
+    tau = PeriodMatrix(values.pop("period_matrix"), bits=bits)
+    if tau.g != values["g"]:
+        raise ConfigRejected(f"period matrix is {tau.g}x{tau.g} but g = {values['g']}")
+    return CurveArithData(**values), tau, None
 
 
-def _default_torsion_list(curve: HyperellipticCurve):
-    # the off-curve multiples of the 5-torsion class [(0,1) - infinity]
-    return [
-        make_divisor(curve, (0, 0, 1), (1,), QQ),
-        make_divisor(curve, (0, 0, 1), (-1,), QQ),
-    ]
+def _curve_record(config: RunConfig, cfg: PrecisionConfig):
+    """(data, tau, curve, torsion pairs, echo) of the config's curve: the
+    preset's, or an inline document's, which has no torsion pairs."""
+    if config.preset is not None:
+        bundle = bost_mestre_preset(cfg)
+        curve = HyperellipticCurve(bundle.curve_coeffs)
+        return bundle.data, bundle.tau, curve, bundle.torsion, {"preset": bundle.name}
+    data, tau, curve = _inline_curve(config.inline, cfg)
+    return data, tau, curve, (), {"inline": config.inline}
 
 
 def run(config: RunConfig) -> BoundReport:
     cfg = PrecisionConfig(working_precision_bits=config.precision_bits)
     bits = cfg.working_precision_bits
-
-    if config.preset is not None:
-        bundle = bost_mestre_preset(cfg)
-        data, tau = bundle.data, bundle.tau
-        curve = HyperellipticCurve(bundle.curve_coeffs)
-        echo_curve = {"preset": bundle.name}
-    else:
-        data, tau, curve = _inline_curve(config.inline, cfg)
-        echo_curve = {"inline": config.inline}
-
+    data, tau, curve, torsion, echo_curve = _curve_record(config, cfg)
     p = config.p
-    hyp = check_hypotheses(
-        data,
-        p,
-        torsion_order=None,
-        neutral_component=True if config.preset else None,
-        unramified_at_p=(data.disc % p != 0),
-    )
+
+    if config.verify:
+        if curve is None:
+            raise ConfigRejected("p-adic verification needs a curve equation (preset only)")
+        classes = [make_divisor(curve, u, v) for u, v in config.torsion_list or torsion]
+
+    hyp = check_hypotheses(data, p)
     violated = hyp.violated_conditions()
     if violated:
         raise HypothesisViolated("; ".join(violated))
@@ -279,25 +275,17 @@ def run(config: RunConfig) -> BoundReport:
             )
             log10_sharp = mp.log10(tate_voloch_exponent_sharp(params, abs(combined)))
 
-    verification = []
-    if config.verify:
-        if curve is None:
-            raise ConfigRejected("p-adic verification needs a curve equation (preset only)")
-        if config.torsion_list:
-            tlist = [make_divisor(curve, u, v) for u, v in config.torsion_list]
-        else:
-            tlist = _default_torsion_list(curve)
-        rows = verify_bound(curve, data, tlist, p, config.jmax)
-        for r in rows:
-            verification.append(
-                {
-                    "order": r.order,
-                    "v_p": r.v_p,
-                    "d_p": None if r.d_p is None else [r.d_p[0], str(r.d_p[1])],
-                    "inequality_holds": r.inequality_holds,
-                    "rejected_reason": r.rejected_reason,
-                }
-            )
+    rows = verify_bound(curve, data, classes, p, config.jmax) if config.verify else []
+    verification = [
+        {
+            "order": r.order,
+            "v_p": r.v_p,
+            "d_p": None if r.d_p is None else [r.d_p[0], str(r.d_p[1])],
+            "inequality_holds": r.inequality_holds,
+            "rejected_reason": r.rejected_reason,
+        }
+        for r in rows
+    ]
 
     payload = {
         "tool_version": __version__,

@@ -109,10 +109,7 @@ class TestCurveArithData:
 
 class TestCheckHypotheses:
     def test_all_satisfied_for_preset(self, preset):
-        hyp = td.check_hypotheses(
-            preset.data, 3, torsion_order=5, neutral_component=True,
-            unramified_at_p=True,
-        )
+        hyp = td.check_hypotheses(preset.data, 3, torsion_order=5)
         assert hyp.all_satisfied()
         assert hyp.violated_conditions() == []
 
@@ -129,8 +126,13 @@ class TestCheckHypotheses:
     def test_unknown_fields_stay_unknown(self, preset):
         hyp = td.check_hypotheses(preset.data, 3)
         assert hyp.order_coprime_to_p == td.arakelov.UNKNOWN
-        assert hyp.neutral_component == td.arakelov.UNKNOWN
         assert not hyp.all_satisfied()
+        data = td.CurveArithData(
+            g=2, deg_K0=1, h_fal=0.0, good_reduction_everywhere=False, component_lcm=6
+        )
+        hyp = td.check_hypotheses(data, 3)
+        assert hyp.good_reduction_at_p == td.arakelov.UNKNOWN
+        assert hyp.neutral_component == td.arakelov.UNKNOWN
 
     def test_good_everywhere_implies_good_at_p(self, preset):
         hyp = td.check_hypotheses(preset.data, 3)

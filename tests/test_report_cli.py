@@ -30,6 +30,19 @@ GAMMA_INLINE = {
     "gamma_constant": "0",
 }
 
+# period matrices that are not symmetric, and whose Im tau is indefinite
+NON_SYMMETRIC = [
+    [{"re": "0", "im": "1"}, {"re": "0.5", "im": "0.5"}],
+    [{"re": "0.5", "im": "0.4"}, {"re": "0", "im": "1"}],
+]
+INDEFINITE = [
+    [{"re": "0", "im": "1"}, {"re": "0", "im": "2"}],
+    [{"re": "0", "im": "2"}, {"re": "0", "im": "1"}],
+]
+
+# the preset with --verify on a coarse grid, for the torsion_list checks below
+PRESET_VERIFY = {"preset": "bost-mestre", "p": 3, "grid_points_per_dim": 8, "verify": True}
+
 # declares g = 2 but carries the 1x1 period matrix [[i]]
 GENUS_MISMATCH_INLINE = {
     "g": 2,
@@ -209,11 +222,22 @@ class TestCliExitCodes:
             ({"inline": {**VALID_INLINE, "nt_omega": "nan"}}, "nt_omega"),
             ({"inline": {**VALID_INLINE, "h_fal": "abc"}}, "h_fal"),
             ({"inline": {**GAMMA_INLINE, "gamma_terms": [["1/5", "x"]]}}, "gamma_terms"),
+            ({"inline": {**VALID_INLINE, "period_matrix": NON_SYMMETRIC}}, "symmetric"),
+            ({"inline": {**VALID_INLINE, "period_matrix": INDEFINITE}}, "positive definite"),
+            ({"inline": {**VALID_INLINE, "period_matrix": []}}, "square"),
+            ({"inline": {**VALID_INLINE, "period_matrix": 5}}, "period_matrix"),
+            ({"inline": {**VALID_INLINE, "period_matrix": [5, 6]}}, "period_matrix"),
+            ({**PRESET_VERIFY, "torsion_list": [["x", "1"]]}, "torsion_list"),
+            ({**PRESET_VERIFY, "torsion_list": [[5, 1]]}, "torsion_list"),
+            ({**PRESET_VERIFY, "torsion_list": [[[0, 0, "1/0"], [1]]]}, "'1/0'"),
+            ({**PRESET_VERIFY, "torsion_list": [[[0, 0, "x"], [1]]]}, "'x'"),
         ],
         ids=["entry-without-im", "genus-string", "torsion-list-int", "semistable-string",
              "good-reduction-int", "base-point-string", "disc-float", "disc-string",
              "component-lcm-string", "bad-prime-string", "nt-omega-string", "nt-omega-nan",
-             "h-fal-string", "gamma-exponent-string"],
+             "h-fal-string", "gamma-exponent-string", "tau-non-symmetric", "tau-indefinite",
+             "tau-empty", "tau-int", "tau-flat-list", "torsion-strings", "torsion-ints",
+             "torsion-zero-denominator", "torsion-non-number"],
     )
     def test_malformed_value_rejected(self, tmp_path, capsys, doc, field):
         """A malformed value inside the document exits 2 and names its
@@ -362,6 +386,33 @@ class TestRunInline:
         report = td.run(config)
         tm = float(report.payload["theta_max"]["value"]["dec"])
         assert abs(tm - 1.06639277369136) < 1e-6
+
+    def test_inline_copy_matches_preset(self, preset):
+        """The preset's data typed inline gets the preset's hypotheses, Theta_Max
+        and D: (6) is read off component_lcm, not off the curve's source."""
+        payloads = [
+            td.run(td.RunConfig(grid_points_per_dim=12, p=3, **source)).payload
+            for source in ({"preset": "bost-mestre"}, {"inline": preset_inline(preset, 45)})
+        ]
+        for key in ("hypotheses", "D"):
+            assert payloads[0][key] == payloads[1][key], key
+        assert payloads[0]["theta_max"]["value"] == payloads[1]["theta_max"]["value"]
+        assert payloads[1]["hypotheses"]["neutral_component"] == "satisfied"
+
+    @pytest.mark.parametrize("source", [
+        {"inline": VALID_INLINE},
+        {"preset": "bost-mestre", "torsion_list": [[[0, 0, 1], [2]]]},
+    ], ids=["inline-verify", "off-curve-class"])
+    def test_verify_refused_before_theta_max(self, monkeypatch, source):
+        """--verify on an inline curve, and a class off the curve, are refused
+        before the maximization runs."""
+
+        def refuse(*args):
+            raise AssertionError("theta_max ran")
+
+        monkeypatch.setattr(td.report, "theta_max", refuse)
+        with pytest.raises((td.ConfigRejected, td.InvalidInput)):
+            td.run(td.RunConfig(p=3, verify=True, **source))
 
     def test_inline_verify_needs_curve_equation(self, preset):
         inline = {
