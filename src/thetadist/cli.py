@@ -54,9 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     """RunConfig from the config document's fields, overlaid with the flags
-    that were given; document keys that are not fields are ignored.  A
-    document that cannot be read, is not JSON or is not a JSON object
-    raises ConfigRejected naming its path."""
+    that were given.  A document that cannot be read, is not JSON or is not
+    a JSON object raises ConfigRejected naming its path, and so does one
+    with a key that is not a RunConfig field, naming every such key, so
+    that a misspelt key does not run with the field's default."""
     doc = {}
     if args.config:
         try:
@@ -69,7 +70,11 @@ def config_from_args(args) -> RunConfig:
                 f"config {args.config}: the document must be a JSON object, not {type(doc).__name__}"
             )
     names = {f.name for f in fields(RunConfig)}
-    kwargs = {k: v for k, v in doc.items() if k in names}
+    unknown = doc.keys() - names
+    if unknown:
+        keys = ", ".join(sorted(map(repr, unknown)))
+        raise ConfigRejected(f"config {args.config}: unknown keys: {keys}")
+    kwargs = dict(doc)
     flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
     if "preset" in flags:
         kwargs.pop("inline", None)

@@ -85,6 +85,10 @@ class RationalField:
     def reduce(self, x):
         return x
 
+    def unit_inverse(self, x):
+        """1 / x, or None for x = 0."""
+        return Fraction(1, 1) / x if x else None
+
     def inv(self, x):
         if not x:
             raise RepresentationDegenerate("division by zero over Q")
@@ -145,6 +149,10 @@ class ResidueRing:
                 raise NotPIntegral(f"denominator {d} not coprime to {self.p}")
             return x.numerator * pow(d, -1, self.modulus) % self.modulus
         return _integer(x) % self.modulus
+
+    def unit_inverse(self, x):
+        """The inverse of the residue x, or None when x is not a unit."""
+        return pow(x, -1, self.modulus) if gcd(x, self.p) == 1 else None
 
     def inv(self, x):
         if gcd(int(x), self.p) != 1:
@@ -300,6 +308,10 @@ class MumfordDivisor(NamedTuple):
         return f"MumfordDivisor(u={self.u}, v={self.v}, ring={self.ring})"
 
 
+# MumfordDivisor from a (u, v, ring) tuple, with no Python frame
+_as_divisor = partial(tuple.__new__, MumfordDivisor)
+
+
 def make_divisor(curve: HyperellipticCurve, u, v, ring=QQ) -> MumfordDivisor:
     """Validate and build a reduced Mumford divisor over the given ring."""
     R = ring
@@ -324,87 +336,121 @@ def zero_divisor(ring=QQ) -> MumfordDivisor:
 
 
 # ---------------------------------------------------------------------------
-# Group law: Cantor's composition and reduction in closed form
+# Group law: Cantor's composition and reduction in one pass
 #
 # Pairs are tuples of reduced coefficients, low degree first, with u monic;
-# f[-1] is the ring's 1.  A composition is (u1 u2, v1 + u1 k) for one k mod
-# u2, found in the residues mod u2 (one scalar for deg u2 = 1, a linear
-# polynomial for deg u2 = 2), with one scalar inverse through R.inv.
+# f[-1] is the ring's 1.  Below, u1 = t^2 + a1 t + a0 (or t + a0), v1 =
+# x1 t + x0, u2 = t^2 + b1 t + b0 (or t + b0) and v2 = y1 t + y0.  The sum
+# is the reduction of (u1 u2, v1 + u1 k) for one k mod u2: a scalar k0 read
+# off at the root s = -b0 when deg u2 = 1, a linear k1 t + k0 mod u2 when
+# deg u2 = 2.  k is a quotient n / d of residues mod u2, and each case first
+# takes its d's resultant with u2 and asks ``R.unit_inverse`` for its
+# inverse; None moves on to the next case before any n is computed.
 # ---------------------------------------------------------------------------
 
-def _residue(R, a, u):
-    """a mod u for a monic u of degree 1 or 2: deg u reduced coefficients."""
-    if len(u) == 2:
-        return (peval(R, a, -u[0]),)
-    u0, u1 = u[0], u[1]
-    c0 = c1 = 0
-    for x in reversed(a):  # (c1 t + c0) t + x, with t^2 = -u1 t - u0
-        c0, c1 = x - u0 * c1, c0 - u1 * c1
-    return R.reduce(c0), R.reduce(c1)
-
-
-def _divide_mod(R, num, den, u):
-    """num / den for residues mod a monic u of degree 1 or 2; None when
-    res(u, den), the one scalar inverted, is not a unit."""
+def _glue_reduce(R, f, u1, v1, u2, k0, k1):
+    """The reduced class of (u1 u2, v1 + u1 k) for k = k1 t + k0 (k1 unused
+    when deg u2 = 1), with k0, k1 reduced.  A degree-3 or degree-4 product
+    goes through one Cantor step, u' = (f - v^2) / (u1 u2) made monic and
+    v' = -v mod u', written out on the coefficients, v = w3 t^3 + ... + w0."""
     red = R.reduce
-    if len(u) == 2:
-        res = den[0]
-    else:
-        b0, b1 = u[0], u[1]
-        d0, d1 = den
-        res = d0 * d0 - b1 * d0 * d1 + b0 * d1 * d1
-    try:
-        inv = R.inv(red(res))
-    except RepresentationDegenerate:
-        return None
-    if len(u) == 2:
-        return (red(num[0] * inv),)
-    # 1 / (d1 t + d0) = (d0 - b1 d1 - d1 t) / res, times n1 t + n0 mod u
-    i0, i1 = (d0 - b1 * d1) * inv, -d1 * inv
-    n0, n1 = num
-    h = n1 * i1
-    return red(n0 * i0 - b0 * h), red(n0 * i1 + n1 * i0 - b1 * h)
-
-
-def _quotient(f, u, v):
-    """(f - v^2) / u, exact for u | v^2 - f with u monic, unreduced."""
-    if len(u) == 3:  # t^3 + q2 t^2 + q1 t + q0, with deg v <= 1
-        a0, a1 = u[0], u[1]
-        x1 = v[1] if len(v) == 2 else 0
-        q2 = f[4] - a1
-        q1 = f[3] - a0 - a1 * q2
-        return (f[2] - x1 * x1 - a0 * q2 - a1 * q1, q1, q2, f[5])
-    c = f[5]  # u = t - s, and v^2, a constant, only moves the remainder
-    q = [c]
-    s = -u[0]
-    for x in f[4:0:-1]:
-        c = x + s * c
-        q.append(c)
-    return q[::-1]
-
-
-def _glue(R, u1, v1, u2, k):
-    """The composed pair (u1 u2, v1 + u1 k), written out for u1 and u2 monic
-    of degree 1 or 2, deg v1 < deg u1 and k of deg u2 coefficients."""
-    red = R.reduce
-    one, a0, b0 = u1[-1], u1[0], u2[0]
+    one = f[5]
+    a0 = u1[0]
     x0 = v1[0] if v1 else 0
     if len(u1) == 2:
+        if len(u2) == 2:  # (u1 u2, v1 + u1 k0) is already reduced
+            b0 = u2[0]
+            w0 = red(x0 + a0 * k0)
+            return (red(a0 * b0), red(a0 + b0), one), ((w0, k0) if k0 else (w0,) if w0 else ())
+        b0, b1 = u2[0], u2[1]
+        w2, w1, w0 = k1, k0 + a0 * k1, x0 + a0 * k0
+        c2, c1 = a0 + b1, a0 * b1 + b0  # u1 u2 = t^3 + c2 t^2 + c1 t + a0 b0
+    else:
+        a1 = u1[1]
+        x1 = v1[1] if len(v1) == 2 else 0
         if len(u2) == 2:
-            (k0,) = k
-            return (red(a0 * b0), red(a0 + b0), one), (red(x0 + a0 * k0), k0)
-        b1, (k0, k1) = u2[1], k
-        return ((red(a0 * b0), red(a0 * b1 + b0), red(a0 + b1), one),
-                (red(x0 + a0 * k0), red(a0 * k1 + k0), k1))
-    a1 = u1[1]
+            b0 = u2[0]
+            w2, w1, w0 = k0, x1 + a1 * k0, x0 + a0 * k0
+            c2, c1 = a1 + b0, a0 + a1 * b0
+        else:
+            b0, b1 = u2[0], u2[1]
+            w1, w2 = red(x1 + a0 * k1 + a1 * k0), red(a1 * k1 + k0)
+            c3 = a1 + b1  # u1 u2 = t^4 + c3 t^3 + (a0 + a1 b1 + b0) t^2 + ...
+            if not k1:  # (f - v^2) / (u1 u2) = t - s
+                s = red(c3 + w2 * w2 - f[4])
+                w0 = red(x0 + a0 * k0 + (w1 + w2 * s) * s)
+                return (red(-s), one), ((red(-w0),) if w0 else ())
+            # (f - v^2) / (u1 u2) = q2 t^2 + q1 t + q0 with q2 = -k1^2, a
+            # unit unless k1 is a nonzero non-unit: then u' has no unit
+            # leading coefficient
+            q2 = red(-k1 * k1)
+            inv = R.unit_inverse(q2)
+            if inv is None:
+                raise RepresentationDegenerate(f"the reduced u's leading coefficient {q2} is not a unit in {R}")
+            w0 = x0 + a0 * k0
+            q1 = one - 2 * w2 * k1 - c3 * q2
+            q0 = f[4] - w2 * w2 - 2 * w1 * k1 - c3 * q1 - (a0 + a1 * b1 + b0) * q2
+            e0, e1 = red(q0 * inv), red(q1 * inv)
+            # -v mod u' = t^2 + e1 t + e0, from t^2 = -e1 t - e0 and
+            # t^3 = (e1^2 - e0) t + e1 e0
+            r0 = red(w2 * e0 - w0 - k1 * e1 * e0)
+            r1 = red(w2 * e1 - w1 - k1 * (e1 * e1 - e0))
+            return (e0, e1, one), ((r0, r1) if r1 else (r0,) if r0 else ())
+    # deg u1 u2 = 3: (f - v^2) / (u1 u2) = t^2 + q1 t + q0
+    q1 = red(f[4] - w2 * w2 - c2)
+    q0 = red(f[3] - 2 * w1 * w2 - c1 - c2 * q1)
+    r0, r1 = red(w2 * q0 - w0), red(w2 * q1 - w1)
+    return (q0, q1, one), ((r0, r1) if r1 else (r0,) if r0 else ())
+
+
+def _same_branch(R, f, u1, v1, u2, v2):
+    """The reduced sum by k = ((f - v1^2) / u1) / (v1 + v2) mod u2, or None
+    when res(u2, v1 + v2) is not a unit.  The quotient (f - v1^2) / u1 is
+    read off mod u2 on the coefficients: t^4 + c3 t^3 + ... + c0, f divided
+    at t = -a0, for deg u1 = 1, and t^3 + q2 t^2 + q1 t + q0 for deg u1 = 2."""
+    red = R.reduce
+    a0 = u1[0]
+    x0 = v1[0] if v1 else 0
     x1 = v1[1] if len(v1) == 2 else 0
-    if len(u2) == 2:
-        (k0,) = k
-        return ((red(a0 * b0), red(a0 + a1 * b0), red(a1 + b0), one),
-                (red(x0 + a0 * k0), red(x1 + a1 * k0), k0))
-    b1, (k0, k1) = u2[1], k
-    return ((red(a0 * b0), red(a0 * b1 + a1 * b0), red(a0 + a1 * b1 + b0), red(a1 + b1), one),
-            (red(x0 + a0 * k0), red(x1 + a0 * k1 + a1 * k0), red(a1 * k1 + k0), k1))
+    y0 = v2[0] if v2 else 0
+    if len(u2) == 2:  # the values at the root s of u2
+        s = -u2[0]
+        inv = R.unit_inverse(red(x0 + x1 * s + y0))
+        if inv is None:
+            return None
+        if len(u1) == 2:
+            c3 = f[4] - a0
+            c2 = f[3] - a0 * c3
+            c1 = red(f[2] - a0 * c2)
+            n = (((s + c3) * s + c2) * s + c1) * s + f[1] - a0 * c1
+        else:
+            a1 = u1[1]
+            q2 = f[4] - a1
+            q1 = f[3] - a0 - a1 * q2
+            n = ((s + q2) * s + q1) * s + f[2] - x1 * x1 - a0 * q2 - a1 * q1
+        return _glue_reduce(R, f, u1, v1, u2, red(n * inv), 0)
+    b0, b1 = u2[0], u2[1]
+    d0, d1 = red(x0 + y0), red(x1 + (v2[1] if len(v2) == 2 else 0))
+    inv = R.unit_inverse(red(d0 * d0 - b1 * d0 * d1 + b0 * d1 * d1))
+    if inv is None:
+        return None
+    if len(u1) == 2:  # Horner mod u2, from t^2 + c3 t + c2 = (c3 - b1) t + c2 - b0
+        c3 = f[4] - a0
+        c2 = f[3] - a0 * c3
+        c1 = red(f[2] - a0 * c2)
+        h1, h0 = c3 - b1, c2 - b0
+        h1, h0 = h0 - b1 * h1, c1 - b0 * h1
+        n1, n0 = h0 - b1 * h1, f[1] - a0 * c1 - b0 * h1
+    else:  # t^3 = (b1^2 - b0) t + b1 b0 mod u2
+        a1 = u1[1]
+        q2 = f[4] - a1
+        q1 = f[3] - a0 - a1 * q2
+        e = b1 - q2
+        n1, n0 = q1 - b0 + b1 * e, f[2] - x1 * x1 - a0 * q2 - a1 * q1 + b0 * e
+    # n / d, with 1 / d = (d0 - b1 d1 - d1 t) / res(u2, d) mod u2
+    i0, i1 = (d0 - b1 * d1) * inv, -d1 * inv
+    h = n1 * i1
+    return _glue_reduce(R, f, u1, v1, u2, red(n0 * i0 - b0 * h), red(n0 * i1 + n1 * i0 - b1 * h))
 
 
 def _remove_root(R, u, v, r):
@@ -417,101 +463,94 @@ def _remove_root(R, u, v, r):
     return (R.reduce(-s), one), ((c,) if c else ())
 
 
-def _compose(R, f, u1, v1, u2, v2):
-    """A pair (u, v) of the sum, deg u <= 4, not yet reduced; the cases
-    are those of ``add``.  The same-branch k gives u1 u2 | v^2 - f, and
-    v = v2 mod u2 also where u1 and u2 share roots: u1 k (v1 + v2) is
-    f - v1^2 = v2^2 - v1^2 mod u2, and v1 + v2 is invertible mod u2, so
-    u1 k = v2 - v1 mod u2."""
-    if len(u1) == 1:
-        return u2, v2
-    if len(u2) == 1:
-        return u1, v1
-    if u1 == u2 and v2 == pneg(R, v1):
-        return (f[-1],), ()
-    x, y = _residue(R, v1, u2), _residue(R, v2, u2)
-    if u1 != u2:
-        k = _divide_mod(R, [b - a for a, b in zip(x, y)], _residue(R, u1, u2), u2)
-        if k is not None:
-            return _glue(R, u1, v1, u2, k)
-    k = _divide_mod(R, _residue(R, _quotient(f, u1, v1), u2), [a + b for a, b in zip(x, y)], u2)
-    if k is not None:
-        return _glue(R, u1, v1, u2, k)
-    vsum = tuple(a + b for a, b in zip_longest(v1, v2, fillvalue=0))
-    if u1 != u2:
-        k = _divide_mod(R, _residue(R, _quotient(f, u2, v2), u1), _residue(R, vsum, u1), u1)
-        if k is not None:
-            return _glue(R, u2, v2, u1, k)
-    # r: the root of v1 + v2 for u1 == u2, else a common root of u1 and u2
-    line = vsum if u1 == u2 else u1 if len(u1) == 2 else u2 if len(u2) == 2 else (
-        u1[0] - u2[0], u1[1] - u2[1])
-    line = (line + (0, 0))[:2]
-    r = R.reduce(-line[0] * R.inv(R.reduce(line[1])))
-    if peval(R, u1, r) or peval(R, u2, r) or peval(R, vsum, r):
-        raise RepresentationDegenerate("the operands share no opposite points in the ring")
-    return _compose(R, f, *_remove_root(R, u1, v1, r), *_remove_root(R, u2, v2, r))
-
-
-def _reduce_step(R, f, u, v):
-    """One Cantor reduction of a pair with deg u = 3 or 4: u' = (f - v^2)/u
-    made monic and v' = -v mod u', in closed form.  deg u' <= 2."""
+def _sum(R, f, u1, v1, u2, v2):
+    """(u, v) of the reduced sum of two nonzero classes; the cases are those
+    of ``add``, taken by testing a resultant for a unit."""
     red = R.reduce
-    one = u[-1]
-    if len(u) == 4:  # (f - v^2)/u = t^2 + q1 t + q0
-        v0, v1, v2 = (v + (0, 0, 0))[:3]
-        q1 = red(f[4] - v2 * v2 - u[2])
-        q0 = red(f[3] - 2 * v1 * v2 - u[1] - u[2] * q1)
-        return (q0, q1, one), ptrim(R, (v2 * q0 - v0, v2 * q1 - v1))
-    v0, v1, v2, v3 = (v + (0, 0, 0, 0))[:4]
-    if not v3:  # (f - v^2)/u = t + q0 = t - s
-        s = red(u[3] + v2 * v2 - f[4])
-        return (red(-s), one), ptrim(R, (-peval(R, v, s),))
-    # (f - v^2)/u = q2 t^2 + q1 t + q0 with q2 = -v3^2, a unit unless v3 is
-    # a nonzero non-unit: then the reduced u has no unit leading coefficient
-    q2 = red(-v3 * v3)
-    q1 = red(1 - 2 * v2 * v3 - u[3] * q2)
-    q0 = red(f[4] - v2 * v2 - 2 * v1 * v3 - u[3] * q1 - u[2] * q2)
-    inv = R.inv(q2)
-    w0, w1 = red(q0 * inv), red(q1 * inv)
-    # v mod u', from t^2 = -w1 t - w0 and t^3 = (w1^2 - w0) t + w1 w0
-    return (w0, w1, one), ptrim(R, (v2 * w0 - v0 - v3 * w1 * w0, v2 * w1 - v1 - v3 * (w1 * w1 - w0)))
+    a0 = u1[0]
+    x0 = v1[0] if v1 else 0
+    x1 = v1[1] if len(v1) == 2 else 0
+    y0 = v2[0] if v2 else 0
+    y1 = v2[1] if len(v2) == 2 else 0
+    if u1 == u2:
+        if not red(x0 + y0) and not red(x1 + y1):  # opposite classes
+            return (f[5],), ()
+        pair = _same_branch(R, f, u1, v1, u2, v2)
+        if pair is not None:
+            return pair
+    elif len(u2) == 2:  # CRT: k0 = (v2 - v1) / u1 at the root s of u2
+        s = -u2[0]
+        inv = R.unit_inverse(red(a0 + s if len(u1) == 2 else a0 + (u1[1] + s) * s))
+        if inv is not None:
+            return _glue_reduce(R, f, u1, v1, u2, red((y0 - x0 - x1 * s) * inv), 0)
+    else:  # CRT: k = (v2 - v1) / (u1 mod u2) mod u2
+        b0, b1 = u2[0], u2[1]
+        d0, d1 = (a0, f[5]) if len(u1) == 2 else (a0 - b0, u1[1] - b1)
+        inv = R.unit_inverse(red(d0 * d0 - b1 * d0 * d1 + b0 * d1 * d1))
+        if inv is not None:
+            n0, n1 = y0 - x0, y1 - x1
+            i0, i1 = (d0 - b1 * d1) * inv, -d1 * inv
+            h = n1 * i1
+            return _glue_reduce(R, f, u1, v1, u2, red(n0 * i0 - b0 * h), red(n0 * i1 + n1 * i0 - b1 * h))
+    # a root r that u1, u2 and v1 + v2 share: on the line v1 + v2 for u1 =
+    # u2, else on u1, u2 or u1 - u2, whichever has degree 1
+    if u1 == u2 or len(u1) == len(u2) == 3:
+        l0, l1 = (x0 + y0, x1 + y1) if u1 == u2 else (a0 - u2[0], u1[1] - u2[1])
+        inv = R.unit_inverse(red(l1))
+        r = None if inv is None else red(-l0 * inv)
+    else:
+        r = red(-a0 if len(u1) == 2 else -u2[0])
+    if r is not None and not (peval(R, u1, r) or peval(R, u2, r) or red(x0 + y0 + (x1 + y1) * r)):
+        (w1, c1), (w2, c2) = _remove_root(R, u1, v1, r), _remove_root(R, u2, v2, r)
+        if len(w1) == 1:
+            return w2, c2
+        if len(w2) == 1:
+            return w1, c1
+        return _sum(R, f, w1, c1, w2, c2)
+    if u1 != u2:
+        pair = _same_branch(R, f, u1, v1, u2, v2) or _same_branch(R, f, u2, v2, u1, v1)
+        if pair is not None:
+            return pair
+    raise RepresentationDegenerate(f"no case of the composition applies over {R}")
 
 
 def add(curve: HyperellipticCurve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
-    """D1 + D2 by Cantor's composition and one reduction step, in closed form.
+    """D1 + D2 by Cantor's composition and reduction, in one pass on the
+    coefficients.
 
     A zero operand returns the other one unchanged, and u1 == u2 with
     v1 + v2 = 0 mod u1 gives the zero class.  Otherwise the composition is
     (u1 u2, v1 + u1 k) for one k mod u2, read off in the residues mod u2:
 
     - coprime: res(u1, u2) is a unit, and k = (v2 - v1) / u1 mod u2 (CRT);
+    - opposite at a shared root r: u1, u2 and v1 + v2 vanish at a root r in
+      the ring, found on whichever of v1 + v2 (for u1 == u2), u1, u2 or
+      u1 - u2 has degree 1.  The point (t - r, v1(r)) and its opposite, a
+      Weierstrass point (v(r) = 0) being its own, are split off and
+      cancel, and the rest, of degree <= 1 on each side, composes;
     - same branch: res(u2, v1 + v2) is a unit, for one order of the
       operands, and k = ((f - v1^2) / u1) / (v1 + v2) mod u2.  This is a
       doubling's Hensel step (k = ((f - v^2) / u) / 2v), and it composes
-      operands whose points agree at a shared or double root;
-    - opposite at a shared root r: the point (t - r, v1(r)) and its
-      opposite, a Weierstrass point (v(r) = 0) being its own, are split off
-      and cancel, and the rest, of degree <= 1 on each side, composes.
+      operands whose points agree at a shared or double root.  A doubling
+      tries it first, as nothing else composes one.
 
-    One closed-form reduction step then takes deg u from 3 or 4 to <= 2.
-    Every scalar inverse goes through ``R.inv``.  Over Z/p^j a resultant
-    that is not a unit with no shared root in the ring, or a non-unit
-    pivot, raises RepresentationDegenerate.
+    ``_glue_reduce`` then writes out the product and its one reduction
+    step, from deg u1 u2 = 3 or 4 to <= 2, without building the product.
+    A case falls through to the next when its resultant is not a unit, a
+    test made before its numerator is computed, with no exception raised;
+    every scalar inverse is ``R.unit_inverse``.  Over Z/p^j a sum that no
+    case composes, or a reduction whose leading coefficient is not a unit,
+    raises RepresentationDegenerate.
     """
     R = D1.ring
     if R is not D2.ring and R != D2.ring:
         raise InvalidInput("divisors live over different rings")
-    if D1.is_zero():
+    u1, u2 = D1.u, D2.u
+    if len(u1) == 1:
         return D2
-    if D2.is_zero():
+    if len(u2) == 1:
         return D1
-    f = curve.f_in(R)
-    u, v = _compose(R, f, D1.u, D1.v, D2.u, D2.v)
-    if len(u) > 3:
-        u, v = _reduce_step(R, f, u, v)
-    else:
-        v = ptrim(R, v)
-    return MumfordDivisor(u, v, R)
+    return _as_divisor((*_sum(R, curve.f_in(R), u1, D1.v, u2, D2.v), R))
 
 
 def neg(curve: HyperellipticCurve, D: MumfordDivisor) -> MumfordDivisor:
@@ -574,14 +613,32 @@ def order_of(curve: HyperellipticCurve, D: MumfordDivisor, search_bound: int = 1
 def reduce_mod(curve: HyperellipticCurve, D: MumfordDivisor, p: int, j: int) -> MumfordDivisor:
     """Coefficient-wise reduction of a rational divisor into Z/p^j.  The
     homomorphism keeps u monic and u | v^2 - f, so the pair is not
-    re-checked; a coefficient that is not p-integral raises NotPIntegral."""
-    if D.ring != QQ:
+    re-checked; a coefficient that is not p-integral raises NotPIntegral.
+
+    One pass over the coefficients: each Fraction is read once, by
+    ``as_integer_ratio``, and anything else goes through ``R.coerce``; v is
+    trimmed only where its leading residue is 0."""
+    if D.ring is not QQ and D.ring != QQ:
         raise InvalidInput("reduce_mod expects a divisor over the rationals")
     if curve.disc_f % p == 0:
         raise UnsupportedPrime(f"{p} divides disc(f): bad reduction")
     R = residue_ring(p, j)
-    # coerce returns residues, and a monic u has no trailing zero to trim
-    return MumfordDivisor(tuple(map(R.coerce, D.u)), ptrim(R, map(R.coerce, D.v)), R)
+    m = R.modulus
+    out = []
+    for c in D.u + D.v:
+        if type(c) is Fraction:
+            n, d = c.as_integer_ratio()
+            if d != 1:
+                if gcd(d, p) != 1:
+                    raise NotPIntegral(f"denominator {d} not coprime to {p}")
+                n *= pow(d, -1, m)
+            out.append(n % m)
+        else:
+            out.append(R.coerce(c))
+    k = len(D.u)  # a monic u has no trailing zero to trim
+    while len(out) > k and not out[-1]:
+        out.pop()
+    return _as_divisor((tuple(out[:k]), tuple(out[k:]), R))
 
 
 class CurvePoints(Sequence):
@@ -606,10 +663,6 @@ class CurvePoints(Sequence):
         return map(_as_divisor, zip(self._u, self._v, repeat(self.ring)))
 
 
-# MumfordDivisor from a (u, v, ring) tuple with no Python frame per point
-_as_divisor = partial(tuple.__new__, MumfordDivisor)
-
-
 def _horner_mod(f, a, mod):
     """f(a) mod p^j for a monic quintic f and an int64 array a of residues.
     Each step multiplies two residues below p^j <= _ENUM_BUDGET = 10^4, so
@@ -629,7 +682,8 @@ def enumerate_curve_points_mod(curve: HyperellipticCurve, p: int, j: int) -> Cur
     evaluated, by one vectorised Horner, only at the a over a mod-p
     abscissa with points.  One stable argsort of b^2 mod p^j lists the
     residues b by their square and then in ascending order, and the roots
-    of each f(a) are the run that ``searchsorted`` finds there."""
+    of each f(a) are a run there, whose length and start are read off a
+    ``bincount`` of the squares and its cumulative sum at f(a)."""
     mod = p**j
     if mod > _ENUM_BUDGET:
         raise BudgetExceeded(f"p^j = {mod} exceeds the enumeration budget")
@@ -638,15 +692,16 @@ def enumerate_curve_points_mod(curve: HyperellipticCurve, p: int, j: int) -> Cur
     residues = np.arange(mod, dtype=np.int64)
     squares = residues * residues % mod
     roots = np.argsort(squares, kind="stable")
-    squares = squares[roots]
+    # the roots of c are the run of tally[c] entries of roots from first[c]
+    tally = np.bincount(squares, minlength=mod)
+    first = np.cumsum(tally) - tally
     low = residues[:p]
     base = np.isin(_horner_mod(f, low, p), low * low % p)
     a = residues[base[residues % p]]
     fa = _horner_mod(f, a, mod)
-    lo = np.searchsorted(squares, fa, "left")
-    count = np.searchsorted(squares, fa, "right") - lo
-    # point k is root k - (points before its a) of its a's run from lo
-    start = np.repeat(lo - np.cumsum(count) + count, count)
+    count = tally[fa]
+    # point k is root k - (points before its a) of its a's run
+    start = np.repeat(first[fa] - np.cumsum(count) + count, count)
     b = roots[start + np.arange(len(start))]
     u = chain.from_iterable(map(repeat, zip((-a % mod).tolist(), repeat(1)), count.tolist()))
     v = list(zip(b.tolist()))  # (b,) per point, and () where b = 0

@@ -201,6 +201,11 @@ def _inline_curve(inline: dict, cfg: PrecisionConfig):
     if unknown:
         names = ", ".join(sorted(map(repr, unknown)))
         raise ConfigRejected(f"inline curve has unknown keys: {names}")
+    gamma = sorted(inline.keys() & {"gamma_terms", "gamma_constant"})
+    if "h_fal" in inline and gamma:
+        keys = ", ".join(map(repr, ["h_fal", *gamma]))
+        raise ConfigRejected(f"inline curve gives the Faltings height twice: {keys}; give h_fal "
+                             "or gamma_terms and gamma_constant")
     missing = [k for k in ("g", "period_matrix", "deg_K0") if k not in inline]
     if "h_fal" not in inline and not {"gamma_terms", "gamma_constant"} <= inline.keys():
         missing.append("h_fal (or gamma_terms and gamma_constant)")
@@ -211,9 +216,8 @@ def _inline_curve(inline: dict, cfg: PrecisionConfig):
         values = {
             key: parse(key, inline[key]) for key, parse in _INLINE_FIELDS.items() if key in inline
         }
-        terms, constant = values.pop("gamma_terms", None), values.pop("gamma_constant", None)
         if "h_fal" not in values:
-            values["h_fal"] = faltings_height_gamma(terms, constant, cfg)
+            values["h_fal"] = faltings_height_gamma(values.pop("gamma_terms"), values.pop("gamma_constant"), cfg)
     tau = PeriodMatrix(values.pop("period_matrix"), bits=bits)
     if tau.g != values["g"]:
         raise ConfigRejected(f"period matrix is {tau.g}x{tau.g} but g = {values['g']}")

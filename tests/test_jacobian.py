@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -305,6 +306,17 @@ def _cantor_general(curve, D1, D2):
 
 
 ADD_CASES = {"zero", "opposite", "coprime", "doubling", "shared root", "double root", "2-torsion"}
+# (case, deg u1, deg u2) of every pair that meets the Euclidean oracle in
+# test_closed_forms_match_euclid: each degree-specialised branch of the sum
+ADD_BRANCHES = {
+    ("zero", 0, 0), ("zero", 0, 1), ("zero", 0, 2), ("zero", 1, 0), ("zero", 2, 0),
+    ("opposite", 1, 1), ("opposite", 2, 2),
+    ("coprime", 1, 1), ("coprime", 1, 2), ("coprime", 2, 1), ("coprime", 2, 2),
+    ("doubling", 1, 1), ("doubling", 2, 2),
+    ("shared root", 1, 1), ("shared root", 1, 2), ("shared root", 2, 1), ("shared root", 2, 2),
+    ("double root", 1, 2), ("double root", 2, 1), ("double root", 2, 2),
+    ("2-torsion", 1, 2), ("2-torsion", 2, 1), ("2-torsion", 2, 2),
+}
 
 
 def _add_case(curve, A, B):
@@ -410,7 +422,8 @@ class TestAddProperties:
         S + (-A) = B wherever ``add`` computes them, and it computes at least
         one: the other can meet a point of S and a distinct point of -A or
         -B that agree mod p, whose difference has no pair over Z/p^2.  Every
-        case of ``add`` is taken.  The preset curve has bad reduction at 5,
+        case of ``add`` is taken, at every degree pair it has (ADD_BRANCHES).
+        The preset curve has bad reduction at 5,
         so z^2 = t^5 + t^2 + 1 serves there, and at 3 and 7 as well."""
         other = td.HyperellipticCurve((1, 0, 1, 0, 0, 1))
         pairs = []
@@ -424,7 +437,7 @@ class TestAddProperties:
             pool = _two_point_sums(curve, p, _cantor_general)
             every = [(curve, A, B) for A in pool for B in pool]
             pairs += every if len(every) <= 3000 else rng.sample(every, 3000)
-        seen, beyond = set(), 0
+        seen, branches, beyond = set(), set(), 0
         for i, (C, A, B) in enumerate(pairs):
             want = _outcome(_cantor_general, C, A, B)
             got = _outcome(td.add, C, A, B)
@@ -433,6 +446,7 @@ class TestAddProperties:
             if got[0] == "refused":
                 continue
             seen.add(_add_case(C, A, B))
+            branches.add((_add_case(C, A, B), len(A.u) - 1, len(B.u) - 1))
             if want[0] != "refused":
                 assert got == want, (C, A, B)
                 continue
@@ -443,6 +457,7 @@ class TestAddProperties:
             assert back[0] in (A, "refused") and back[1] in (B, "refused"), (A, B)
             assert back != ["refused", "refused"], (A, B)
         assert seen == ADD_CASES
+        assert branches == ADD_BRANCHES
         assert beyond > 0
 
     def test_group_law_over_random_curves(self):
@@ -507,6 +522,31 @@ class TestReductionHomomorphism:
                 assert lhs == rhs
                 checked += 1
         assert checked >= 90  # the vast majority of pairs must be conclusive
+
+    @pytest.mark.parametrize("p, j", [(97, 3), (199, 3), (13, 4), (3, 4), (7, 3)])
+    def test_reduce_commutes_with_add_at_sweep_levels(self, curve, rational_subgroup, p, j):
+        """All 100 sums of the ten rational classes at levels as deep as the
+        benchmark's homomorphism sums and torsion lifts: each is conclusive
+        and equals the reduced rational sum, and no exception is raised
+        inside ``add``, since each case falls through on a unit test."""
+        red = [td.reduce_mod(curve, D, p, j) for D in rational_subgroup]
+        raised = []
+
+        def watch(frame, event, arg):
+            if event == "exception":
+                raised.append((frame.f_code.co_name, arg[0].__name__))
+            return watch
+
+        before = sys.gettrace()
+        sys.settrace(watch)
+        try:
+            sums = [td.add(curve, A, B) for A in red for B in red]
+        finally:
+            sys.settrace(before)
+        assert raised == []
+        want = [td.reduce_mod(curve, td.add(curve, A, B), p, j)
+                for A in rational_subgroup for B in rational_subgroup]
+        assert sums == want
 
     @pytest.mark.parametrize("p", [3, 7])
     def test_orders_divide_jacobian_order(self, curve, rational_subgroup, p):

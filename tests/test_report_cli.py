@@ -231,13 +231,16 @@ class TestCliExitCodes:
             ({**PRESET_VERIFY, "torsion_list": [[5, 1]]}, "torsion_list"),
             ({**PRESET_VERIFY, "torsion_list": [[[0, 0, "1/0"], [1]]]}, "'1/0'"),
             ({**PRESET_VERIFY, "torsion_list": [[[0, 0, "x"], [1]]]}, "'x'"),
+            ({"inline": {**GAMMA_INLINE, "h_fal": "0.5"}}, "'gamma_terms'"),
+            ({"inline": {**VALID_INLINE, "gamma_constant": "0"}}, "'gamma_constant'"),
         ],
         ids=["entry-without-im", "genus-string", "torsion-list-int", "semistable-string",
              "good-reduction-int", "base-point-string", "disc-float", "disc-string",
              "component-lcm-string", "bad-prime-string", "nt-omega-string", "nt-omega-nan",
              "h-fal-string", "gamma-exponent-string", "tau-non-symmetric", "tau-indefinite",
              "tau-empty", "tau-int", "tau-flat-list", "torsion-strings", "torsion-ints",
-             "torsion-zero-denominator", "torsion-non-number"],
+             "torsion-zero-denominator", "torsion-non-number", "h-fal-and-gamma-product",
+             "h-fal-and-gamma-constant"],
     )
     def test_malformed_value_rejected(self, tmp_path, capsys, doc, field):
         """A malformed value inside the document exits 2 and names its
@@ -518,7 +521,8 @@ class TestWorkingPrecision:
         inline = preset_inline(preset)
         with mp.workprec(256):
             h_ref = mp.mpf(mp.nstr(preset.data.h_fal, 40))
-        if source == "h_fal":
+        if source == "h_fal":  # in place of the gamma product, not beside it
+            del inline["gamma_terms"], inline["gamma_constant"]
             inline["h_fal"] = mp.nstr(h_ref, 40)
         data, _, _ = td.report._inline_curve(inline, td.PrecisionConfig())
         with mp.workprec(256):
@@ -571,7 +575,7 @@ class TestFlagOverrides:
 
     def test_preset_only_document_gives_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"preset": "bost-mestre", "comment": "ignored"}))
+        path.write_text(json.dumps({"preset": "bost-mestre"}))
         args = cli.build_parser().parse_args(["--config", str(path)])
         config = cli.config_from_args(args)
         assert config == td.RunConfig(preset="bost-mestre")
@@ -579,3 +583,14 @@ class TestFlagOverrides:
         assert config.output_path == "-"
         assert config.verify is False
         assert config.grid_points_per_dim is None
+
+    @pytest.mark.parametrize("extra", [{"verfy": True}, {"comment": "ignored"}],
+                             ids=["misspelt-verify", "comment"])
+    def test_unknown_top_level_key_exits_2(self, tmp_path, capsys, extra):
+        """A document key that is not a RunConfig field used to be dropped:
+        "verfy" ran with verify false and an empty verification table."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**PRESET_VERIFY, **extra}))
+        assert cli.main(["--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and repr(next(iter(extra))) in err
