@@ -5,15 +5,20 @@ embedded in the Jacobian via the single point at infinity.  Divisor classes
 are carried in Mumford form (u, v) with u monic of degree <= 2 and u | v^2 - f,
 over the rationals or over a residue ring Z/p^j.  The group law is Cantor's
 composition and reduction, written out in closed form on the coefficients:
-no polynomial gcd and no polynomial division.  A resultant or pivot that is
-not a unit of Z/p^j raises RepresentationDegenerate rather than guessing a
-representative.
+no polynomial gcd and no polynomial division, and one pass per sum that
+picks its case, k mod u2, and the reduced pair of (u1 u2, v1 + u1 k) with
+no degree-4 intermediate.  A case whose resultant is not a unit falls
+through to the next on a test, not on an exception; a sum that no case
+composes over Z/p^j, or a reduction pivot that is not a unit, raises
+RepresentationDegenerate rather than guessing a representative.
 
 Each coefficient ring owns its normal form: ``R.reduce`` is the identity
 over Q and ``x % p^j`` over Z/p^j.  The polynomial helpers pass every
 coefficient they return through it, so a zero coefficient is falsy and no
-helper branches on the ring; a new ring needs ``coerce``, ``reduce`` and
-``inv``, and every scalar inverse of ``add`` goes through ``inv``.
+helper branches on the ring.  A new ring needs ``coerce``, ``reduce``,
+``unit_inverse`` (1/x, or None where x is not a unit), through which
+``add`` takes every scalar inverse, and ``inv``, which raises
+RepresentationDegenerate on a non-unit and serves ``pdivmod``.
 
 There is one ring object per (p, j): ``residue_ring`` is cached, and
 ``reduce_mod`` and ``enumerate_curve_points_mod`` build their divisors on
@@ -24,7 +29,8 @@ cheap to build.
 
 ``enumerate_curve_points_mod`` is a numpy sieve: f by a vectorised Horner
 at the abscissae that lie over a mod-p abscissa with points, and the roots
-of each value from one stable argsort of the squares mod p^j.  It returns
+of each value from one stable argsort of the squares mod p^j, located by a
+``bincount`` of the squares and its cumulative sum.  It returns
 a read-only sequence that builds each point's MumfordDivisor as it is read.
 CPython never untracks a named tuple, so up to 10^4 kept pairs would reach
 the cyclic garbage collector's oldest generation and set off its full
@@ -386,13 +392,15 @@ def _glue_reduce(R, f, u1, v1, u2, k0, k1):
             q2 = red(-k1 * k1)
             inv = R.unit_inverse(q2)
             if inv is None:
-                raise RepresentationDegenerate(f"the reduced u's leading coefficient {q2} is not a unit in {R}")
+                raise RepresentationDegenerate(
+                    f"the reduced u's leading coefficient {q2} is not a unit in {R}"
+                )
             w0 = x0 + a0 * k0
             q1 = one - 2 * w2 * k1 - c3 * q2
             q0 = f[4] - w2 * w2 - 2 * w1 * k1 - c3 * q1 - (a0 + a1 * b1 + b0) * q2
             e0, e1 = red(q0 * inv), red(q1 * inv)
-            # -v mod u' = t^2 + e1 t + e0, from t^2 = -e1 t - e0 and
-            # t^3 = (e1^2 - e0) t + e1 e0
+            # u' = t^2 + e1 t + e0, and v' = -v mod u' from t^2 = -e1 t - e0
+            # and t^3 = (e1^2 - e0) t + e1 e0
             r0 = red(w2 * e0 - w0 - k1 * e1 * e0)
             r1 = red(w2 * e1 - w1 - k1 * (e1 * e1 - e0))
             return (e0, e1, one), ((r0, r1) if r1 else (r0,) if r0 else ())
@@ -450,17 +458,8 @@ def _same_branch(R, f, u1, v1, u2, v2):
     # n / d, with 1 / d = (d0 - b1 d1 - d1 t) / res(u2, d) mod u2
     i0, i1 = (d0 - b1 * d1) * inv, -d1 * inv
     h = n1 * i1
-    return _glue_reduce(R, f, u1, v1, u2, red(n0 * i0 - b0 * h), red(n0 * i1 + n1 * i0 - b1 * h))
-
-
-def _remove_root(R, u, v, r):
-    """The class (w, v mod w) with w = u / (t - r): a pair less its point at r."""
-    one = u[-1]
-    if len(u) == 2:
-        return (one,), ()
-    s = R.reduce(-u[1] - r)  # u = (t - r)(t - s)
-    c = peval(R, v, s)
-    return (R.reduce(-s), one), ((c,) if c else ())
+    k0, k1 = red(n0 * i0 - b0 * h), red(n0 * i1 + n1 * i0 - b1 * h)
+    return _glue_reduce(R, f, u1, v1, u2, k0, k1)
 
 
 def _sum(R, f, u1, v1, u2, v2):
@@ -491,7 +490,8 @@ def _sum(R, f, u1, v1, u2, v2):
             n0, n1 = y0 - x0, y1 - x1
             i0, i1 = (d0 - b1 * d1) * inv, -d1 * inv
             h = n1 * i1
-            return _glue_reduce(R, f, u1, v1, u2, red(n0 * i0 - b0 * h), red(n0 * i1 + n1 * i0 - b1 * h))
+            k0, k1 = red(n0 * i0 - b0 * h), red(n0 * i1 + n1 * i0 - b1 * h)
+            return _glue_reduce(R, f, u1, v1, u2, k0, k1)
     # a root r that u1, u2 and v1 + v2 share: on the line v1 + v2 for u1 =
     # u2, else on u1, u2 or u1 - u2, whichever has degree 1
     if u1 == u2 or len(u1) == len(u2) == 3:
@@ -500,13 +500,20 @@ def _sum(R, f, u1, v1, u2, v2):
         r = None if inv is None else red(-l0 * inv)
     else:
         r = red(-a0 if len(u1) == 2 else -u2[0])
-    if r is not None and not (peval(R, u1, r) or peval(R, u2, r) or red(x0 + y0 + (x1 + y1) * r)):
-        (w1, c1), (w2, c2) = _remove_root(R, u1, v1, r), _remove_root(R, u2, v2, r)
-        if len(w1) == 1:
-            return w2, c2
-        if len(w2) == 1:
-            return w1, c1
-        return _sum(R, f, w1, c1, w2, c2)
+    if r is not None and not (
+        red(a0 + r if len(u1) == 2 else a0 + (u1[1] + r) * r)
+        or red(u2[0] + r if len(u2) == 2 else u2[0] + (u2[1] + r) * r)
+        or red(x0 + y0 + (x1 + y1) * r)
+    ):
+        # split off the point at r and its opposite: a quadratic u = (t - r)
+        # (t - s) keeps the pair (t - s, v(s)), a linear u the zero class
+        rest = []
+        for u, c0, c1 in ((u1, x0, x1), (u2, y0, y1)):
+            if len(u) == 3:
+                s = red(-u[1] - r)
+                c = red(c0 + c1 * s)
+                rest += (red(-s), f[5]), ((c,) if c else ())
+        return rest if len(rest) == 2 else _sum(R, f, *rest)
     if u1 != u2:
         pair = _same_branch(R, f, u1, v1, u2, v2) or _same_branch(R, f, u2, v2, u1, v1)
         if pair is not None:
@@ -531,16 +538,17 @@ def add(curve: HyperellipticCurve, D1: MumfordDivisor, D2: MumfordDivisor) -> Mu
     - same branch: res(u2, v1 + v2) is a unit, for one order of the
       operands, and k = ((f - v1^2) / u1) / (v1 + v2) mod u2.  This is a
       doubling's Hensel step (k = ((f - v^2) / u) / 2v), and it composes
-      operands whose points agree at a shared or double root.  A doubling
-      tries it first, as nothing else composes one.
+      operands whose points agree at a shared or double root.
 
-    ``_glue_reduce`` then writes out the product and its one reduction
-    step, from deg u1 u2 = 3 or 4 to <= 2, without building the product.
-    A case falls through to the next when its resultant is not a unit, a
-    test made before its numerator is computed, with no exception raised;
-    every scalar inverse is ``R.unit_inverse``.  Over Z/p^j a sum that no
-    case composes, or a reduction whose leading coefficient is not a unit,
-    raises RepresentationDegenerate.
+    The cases are tried in this order, except that u1 == u2, a doubling
+    among them, tries the same branch before the shared root.  Each case
+    tests its resultant for a unit, through ``R.unit_inverse``, before it
+    computes its numerator, and falls through to the next on None: no
+    exception is raised or caught.  ``_glue_reduce`` then writes out
+    (u1 u2, v1 + u1 k) and its one reduction step, from deg u1 u2 = 3 or 4
+    to <= 2, on the coefficients, without building the product.  Over
+    Z/p^j a sum that no case composes, or a reduction whose leading
+    coefficient is not a unit, raises RepresentationDegenerate.
     """
     R = D1.ring
     if R is not D2.ring and R != D2.ring:
@@ -691,7 +699,8 @@ def enumerate_curve_points_mod(curve: HyperellipticCurve, p: int, j: int) -> Cur
     f = curve.f_in(R)
     residues = np.arange(mod, dtype=np.int64)
     squares = residues * residues % mod
-    roots = np.argsort(squares, kind="stable")
+    # p^j <= _ENUM_BUDGET < 2^16: a stable argsort on 16-bit keys is a radix sort
+    roots = np.argsort(squares.astype(np.uint16), kind="stable")
     # the roots of c are the run of tally[c] entries of roots from first[c]
     tally = np.bincount(squares, minlength=mod)
     first = np.cumsum(tally) - tally

@@ -217,7 +217,9 @@ def _inline_curve(inline: dict, cfg: PrecisionConfig):
             key: parse(key, inline[key]) for key, parse in _INLINE_FIELDS.items() if key in inline
         }
         if "h_fal" not in values:
-            values["h_fal"] = faltings_height_gamma(values.pop("gamma_terms"), values.pop("gamma_constant"), cfg)
+            values["h_fal"] = faltings_height_gamma(
+                values.pop("gamma_terms"), values.pop("gamma_constant"), cfg
+            )
     tau = PeriodMatrix(values.pop("period_matrix"), bits=bits)
     if tau.g != values["g"]:
         raise ConfigRejected(f"period matrix is {tau.g}x{tau.g} but g = {values['g']}")
