@@ -411,6 +411,16 @@ def _glue_reduce(R, f, u1, v1, u2, k0, k1):
     return (q0, q1, one), ((r0, r1) if r1 else (r0,) if r0 else ())
 
 
+def _divide(R, n0, n1, d0, d1, inv, u2):
+    """(n1 t + n0) / (d1 t + d0) mod a monic quadratic u2 = t^2 + b1 t + b0,
+    reduced, given inv = 1 / res(u2, d), from 1 / d = (d0 - b1 d1 - d1 t) inv."""
+    red = R.reduce
+    b0, b1 = u2[0], u2[1]
+    i0, i1 = (d0 - b1 * d1) * inv, -d1 * inv
+    h = n1 * i1
+    return red(n0 * i0 - b0 * h), red(n0 * i1 + n1 * i0 - b1 * h)
+
+
 def _same_branch(R, f, u1, v1, u2, v2):
     """The reduced sum by k = ((f - v1^2) / u1) / (v1 + v2) mod u2, or None
     when res(u2, v1 + v2) is not a unit.  The quotient (f - v1^2) / u1 is
@@ -455,10 +465,7 @@ def _same_branch(R, f, u1, v1, u2, v2):
         q1 = f[3] - a0 - a1 * q2
         e = b1 - q2
         n1, n0 = q1 - b0 + b1 * e, f[2] - x1 * x1 - a0 * q2 - a1 * q1 + b0 * e
-    # n / d, with 1 / d = (d0 - b1 d1 - d1 t) / res(u2, d) mod u2
-    i0, i1 = (d0 - b1 * d1) * inv, -d1 * inv
-    h = n1 * i1
-    k0, k1 = red(n0 * i0 - b0 * h), red(n0 * i1 + n1 * i0 - b1 * h)
+    k0, k1 = _divide(R, n0, n1, d0, d1, inv, u2)
     return _glue_reduce(R, f, u1, v1, u2, k0, k1)
 
 
@@ -487,10 +494,7 @@ def _sum(R, f, u1, v1, u2, v2):
         d0, d1 = (a0, f[5]) if len(u1) == 2 else (a0 - b0, u1[1] - b1)
         inv = R.unit_inverse(red(d0 * d0 - b1 * d0 * d1 + b0 * d1 * d1))
         if inv is not None:
-            n0, n1 = y0 - x0, y1 - x1
-            i0, i1 = (d0 - b1 * d1) * inv, -d1 * inv
-            h = n1 * i1
-            k0, k1 = red(n0 * i0 - b0 * h), red(n0 * i1 + n1 * i0 - b1 * h)
+            k0, k1 = _divide(R, y0 - x0, y1 - x1, d0, d1, inv, u2)
             return _glue_reduce(R, f, u1, v1, u2, k0, k1)
     # a root r that u1, u2 and v1 + v2 share: on the line v1 + v2 for u1 =
     # u2, else on u1, u2 or u1 - u2, whichever has degree 1

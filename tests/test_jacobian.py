@@ -423,8 +423,8 @@ class TestAddProperties:
         one: the other can meet a point of S and a distinct point of -A or
         -B that agree mod p, whose difference has no pair over Z/p^2.  Every
         case of ``add`` is taken, at every degree pair it has (ADD_BRANCHES).
-        The preset curve has bad reduction at 5,
-        so z^2 = t^5 + t^2 + 1 serves there, and at 3 and 7 as well."""
+        The preset curve has bad reduction at 5, so z^2 = t^5 + t^2 + 1
+        serves there, and at 3 and 7 as well."""
         other = td.HyperellipticCurve((1, 0, 1, 0, 0, 1))
         pairs = []
         for C, p in ((curve, 3), (curve, 7), (other, 3), (other, 5), (other, 7)):
@@ -445,8 +445,9 @@ class TestAddProperties:
                 assert want[0] != "refused" and got[0] != "refused", (C, A, B)
             if got[0] == "refused":
                 continue
-            seen.add(_add_case(C, A, B))
-            branches.add((_add_case(C, A, B), len(A.u) - 1, len(B.u) - 1))
+            case = _add_case(C, A, B)
+            seen.add(case)
+            branches.add((case, len(A.u) - 1, len(B.u) - 1))
             if want[0] != "refused":
                 assert got == want, (C, A, B)
                 continue
