@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 from .errors import (
     BudgetExceeded,
@@ -53,11 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    """RunConfig from the config document's fields, overlaid with the flags
+    """RunConfig from the config document's keys, overlaid with the flags
     that were given.  A document that cannot be read, is not JSON or is not
-    a JSON object raises ConfigRejected naming its path, and so does one
-    with a key that is not a RunConfig field, naming every such key, so
-    that a misspelt key does not run with the field's default."""
+    a JSON object raises ConfigRejected naming its path."""
     doc = {}
     if args.config:
         try:
@@ -69,16 +66,10 @@ def config_from_args(args) -> RunConfig:
             raise ConfigRejected(
                 f"config {args.config}: the document must be a JSON object, not {type(doc).__name__}"
             )
-    names = {f.name for f in fields(RunConfig)}
-    unknown = doc.keys() - names
-    if unknown:
-        keys = ", ".join(sorted(map(repr, unknown)))
-        raise ConfigRejected(f"config {args.config}: unknown keys: {keys}")
-    kwargs = dict(doc)
-    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    flags = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
     if "preset" in flags:
-        kwargs.pop("inline", None)
-    return RunConfig(**{**kwargs, **flags})
+        doc.pop("inline", None)
+    return RunConfig(**{**doc, **flags})
 
 
 def main(argv=None) -> int:
@@ -106,14 +97,8 @@ def main(argv=None) -> int:
         with open(config.output_path, "w") as fh:
             fh.write(text)
     pl = report.payload
-    print(
-        "theta_max={} combined={} log10(main exponent)={}".format(
-            pl["theta_max"]["value"]["dec"],
-            pl["combined_constant"]["dec"],
-            pl["log10_main_exponent"]["dec"],
-        ),
-        file=sys.stderr,
-    )
+    print(f"theta_max={pl['theta_max']['value']['dec']} combined={pl['combined_constant']['dec']} "
+          f"log10(main exponent)={pl['log10_main_exponent']['dec']}", file=sys.stderr)
     return EXIT_OK
 
 

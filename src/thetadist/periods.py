@@ -105,8 +105,9 @@ class PrecisionConfig:
 class PeriodMatrix:
     """A g x g symmetric complex matrix with positive-definite imaginary part.
 
-    Validation happens at construction: symmetry up to a relative tolerance of
-    1e-10, and a smallest eigenvalue of Im(tau) above 1e-20.
+    Validation happens at construction: entries finite as doubles, symmetry
+    up to a relative tolerance of 1e-10, a smallest eigenvalue of Im(tau)
+    above 1e-20, and an Im(tau) that inverts at the working precision.
     """
 
     def __init__(self, entries, bits: int = 128):
@@ -115,6 +116,9 @@ class PeriodMatrix:
             g = len(rows)
             if g < 1 or any(len(r) != g for r in rows):
                 raise InvalidPeriodMatrix("tau must be a square matrix")
+            # the grid scan and the double Newton steps read tau as doubles
+            if not all(np.isfinite(complex(z)) for row in rows for z in row):
+                raise InvalidPeriodMatrix("tau has an entry that is not finite as a double")
             tau = mp.matrix(rows)
             maxabs = max(abs(tau[i, j]) for i in range(g) for j in range(g))
             for i in range(g):
@@ -132,12 +136,16 @@ class PeriodMatrix:
                 raise InvalidPeriodMatrix(
                     f"smallest eigenvalue of Im(tau) is {lam_min}, below tolerance"
                 )
+            try:
+                Yinv = Y**-1
+            except ZeroDivisionError:  # mpmath's LU refuses a pivot below its tolerance
+                raise InvalidPeriodMatrix(f"Im(tau) is numerically singular at {bits} bits") from None
             self.g = g
             self.bits = bits
             self.tau = tau
             self.X = X
             self.Y = Y
-            self.Yinv = Y**-1
+            self.Yinv = Yinv
             self.detY = mp.det(Y)
             self.lambda_min = lam_min
 

@@ -8,6 +8,8 @@ report dictionary whose serialization is byte-stable for a fixed config.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
@@ -36,67 +38,43 @@ from .jacobian import HyperellipticCurve, make_divisor, verify_bound
 from .maximize import OptimizerConfig, default_optimizer_config, theta_max
 from .periods import PeriodMatrix, PrecisionConfig
 
-_PRESET_ALIASES = {"bost-mestre", "bost-mestre-y2+y=x5"}
+_PRESET_ALIASES = ("bost-mestre", "bost-mestre-y2+y=x5")
 
 
-@dataclass
-class RunConfig:
-    preset: str | None = None
-    inline: dict | None = None
-    p: int = 3
-    residue_degree: int | None = None
-    precision_bits: int = 128
-    grid_points_per_dim: int | None = None
-    jmax: int = 4
-    torsion_list: list | None = None   # [(u_strs, v_strs), ...]
-    verify: bool = False
-    output_path: str = "-"
-
-    def __post_init__(self):
-        if (self.preset is None) == (self.inline is None):
-            raise ConfigRejected("exactly one of preset/inline must be given")
-        if self.inline is not None and not isinstance(self.inline, dict):
-            raise ConfigRejected("inline must be an object of curve data")
-        optional = ("grid_points_per_dim", "residue_degree")
-        for name in ("p", "jmax", "precision_bits") + optional:
-            value = getattr(self, name)
-            if value is None and name in optional:
-                continue
-            _require_int(name, value)
-        _require_bool("verify", self.verify)
-        if not isinstance(self.output_path, str):
-            raise ConfigRejected(f"output_path must be a string, not {self.output_path!r}")
-        if self.jmax < 1:
-            raise ConfigRejected(f"jmax = {self.jmax} checks no level p^j; it must be >= 1")
-        if not is_prime(self.p):
-            raise ConfigRejected(f"p = {self.p} is not prime")
-        if self.preset is not None and self.preset not in _PRESET_ALIASES:
-            raise ConfigRejected(f"unknown preset {self.preset!r}")
-        if self.torsion_list is not None and not (
-            isinstance(self.torsion_list, (list, tuple))
-            and all(
-                isinstance(t, (list, tuple))
-                and len(t) == 2
-                and all(isinstance(w, (list, tuple)) for w in t)
-                for t in self.torsion_list
-            )
-        ):
-            raise ConfigRejected(
-                "torsion_list must be a list of [u, v] pairs of coefficient lists, "
-                f"not {self.torsion_list!r}"
-            )
+def _require(test, expected: str):
+    """The parser of a field whose value must pass test: the value, or
+    ConfigRejected naming the field and saying what it must be."""
+    def parse(name: str, value):
+        if not test(value):
+            raise ConfigRejected(f"{name} must be {expected}, not {value!r}")
+        return value
+    return parse
 
 
-def _require_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigRejected(f"{name} must be an integer, not {value!r}")
-    return value
+def _optional(parse):
+    """parse, for a field that may also be null."""
+    return lambda name, value: None if value is None else parse(name, value)
 
 
-def _require_bool(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigRejected(f"{name} must be true or false, not {value!r}")
-    return value
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _is_pairs(value, item=lambda x: True) -> bool:
+    """value is a list of [a, b] pairs, and item(a) and item(b) hold."""
+    return _is_list(value) and all(_is_list(t) and len(t) == 2 and all(map(item, t)) for t in value)
+
+
+def _int_in(lo: int, hi=math.inf):
+    return _require(lambda v: _is_int(v) and lo <= v <= hi, f"an integer in [{lo}, {hi}]")
+
+
+_require_int = _require(_is_int, "an integer")
+_require_bool = _require(lambda v: isinstance(v, bool), "true or false")
 
 
 def _parse_number(name: str, value, parse=mp.mpf):
@@ -108,7 +86,7 @@ def _parse_number(name: str, value, parse=mp.mpf):
             x = parse(value)
             if mp.isfinite(x):
                 return x
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ArithmeticError):
         pass
     raise ConfigRejected(f"{name} must be a finite number, not {value!r}")
 
@@ -138,48 +116,45 @@ def _coord(c, bits: int) -> str:
         return mp.nstr(r - mp.floor(r), 20)
 
 
-def _parse_complex(entry):
+def _parse_complex(name: str, entry):
     """An {"re", "im"} entry as an mpc at mpmath's current precision."""
-    if not isinstance(entry, dict) or not {"re", "im"} <= entry.keys():
-        raise ConfigRejected(
-            f"period_matrix entry {entry!r} must be an object with keys 're' and 'im'"
-        )
-    try:
-        return mp.mpc(mp.mpf(entry["re"]), mp.mpf(entry["im"]))
-    except (TypeError, ValueError):
-        raise ConfigRejected(f"period_matrix entry {entry!r} is not a complex number") from None
+    _require(lambda e: isinstance(e, dict) and {"re", "im"} <= e.keys(),
+             "an object with keys 're' and 'im'")(f"{name} entry", entry)
+    return mp.mpc(_parse_number(name, entry["re"]), _parse_number(name, entry["im"]))
 
 
 def _parse_rows(name: str, rows):
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ConfigRejected(f"{name} must be a list of rows of entries, not {rows!r}")
-    return [[_parse_complex(e) for e in row] for row in rows]
+    _require(lambda r: _is_list(r) and all(map(_is_list, r)), "a list of rows")(name, rows)
+    return [[_parse_complex(name, e) for e in row] for row in rows]
 
 
 def _parse_gamma_terms(name: str, terms):
-    if not isinstance(terms, (list, tuple)) or not all(
-        isinstance(t, (list, tuple)) and len(t) == 2 for t in terms
-    ):
-        raise ConfigRejected(f"{name} must be a list of [a, e] pairs, not {terms!r}")
-    return [
-        (_parse_number(name, a, Fraction), _require_int(f"{name} exponent", e))
-        for a, e in terms
-    ]
+    _require(_is_pairs, "a list of [a, e] pairs")(name, terms)
+    return [(_parse_number(name, a, Fraction), _require_int(f"{name} exponent", e))
+            for a, e in terms]
 
 
 def _parse_primes(name: str, primes):
-    if not isinstance(primes, (list, tuple)):
-        raise ConfigRejected(f"{name} must be a list of integers, not {primes!r}")
+    _require(_is_list, "a list of integers")(name, primes)
     return frozenset(_require_int(name, x) for x in primes)
 
 
+def _writable(path) -> bool:
+    """True for "-", stdout, and for a new or writable file in an existing
+    directory.  No file is created."""
+    if path == "-" or not isinstance(path, str) or "\0" in path:
+        return path == "-"
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    return bool(os.path.basename(path)) and not os.path.isdir(path) and os.access(target, os.W_OK)
+
+
 # Each inline key and the parser of its value, called as parse(key, value) at
-# the working precision.  Any other key is refused, so that a misspelt
-# optional field is not silently replaced by its default; an optional key
-# that is left out takes CurveArithData's default.
+# the working precision.  An optional key that is left out takes
+# CurveArithData's default.  deg_K0 is capped because h_bound builds
+# p**deg_K0 exactly.
 _INLINE_FIELDS = {
     "g": _require_int,
-    "deg_K0": _require_int,
+    "deg_K0": _int_in(1, 10**4),
     "period_matrix": _parse_rows,
     "h_fal": _parse_number,
     "gamma_terms": _parse_gamma_terms,
@@ -193,33 +168,74 @@ _INLINE_FIELDS = {
     "base_point_hyperelliptic_fixed": _require_bool,
 }
 
+# Each top-level key and the parser of its value.  The caps bound the work of
+# every accepted document: 2048 bits, and p < 2^32, below which is_prime's
+# trial division takes under 2^16 steps, keep a run within seconds; 100^4 is
+# the grid budget at g = 2.  run() checks residue_degree <= deg_K0.
+_RUN_FIELDS = {
+    "preset": _optional(_require(lambda v: isinstance(v, str) and v in _PRESET_ALIASES,
+                                 "'bost-mestre'")),
+    "inline": _optional(_require(lambda v: isinstance(v, dict), "an object of curve data")),
+    "p": _require(lambda p: _is_int(p) and p < 2**32 and is_prime(p), "a prime below 2^32"),
+    "residue_degree": _optional(_int_in(1)),
+    "precision_bits": _int_in(53, 2048),
+    "grid_points_per_dim": _optional(_int_in(8, 100)),
+    "jmax": _int_in(1),
+    "torsion_list": _optional(_require(partial(_is_pairs, item=_is_list),
+                                       "a list of [u, v] pairs of coefficient lists")),
+    "verify": _require_bool,
+    "output_path": _require(_writable, "'-' or a writable file in an existing directory"),
+}
+
+
+def _parse_fields(what: str, doc: dict, table: dict, required=()) -> dict:
+    """{key: table[key](key, value)} over a document's keys.  ConfigRejected
+    names every key that table lacks, so that a misspelt optional key does not
+    run with its default, and every required key that the document lacks."""
+    unknown = ", ".join(sorted(map(repr, doc.keys() - table.keys())))
+    if unknown:
+        raise ConfigRejected(f"{what} has unknown keys: {unknown}")
+    missing = ", ".join(k for k in required if k not in doc)
+    if missing:
+        raise ConfigRejected(f"{what} lacks required keys: {missing}")
+    return {key: table[key](key, value) for key, value in doc.items()}
+
+
+@dataclass(init=False)
+class RunConfig:
+    """A run's settings: each keyword argument is parsed by its _RUN_FIELDS entry."""
+
+    preset: str | None = None
+    inline: dict | None = None
+    p: int = 3
+    residue_degree: int | None = None
+    precision_bits: int = 128
+    grid_points_per_dim: int | None = None
+    jmax: int = 4
+    torsion_list: list | None = None   # [(u_strs, v_strs), ...]
+    verify: bool = False
+    output_path: str = "-"
+
+    def __init__(self, **doc):
+        vars(self).update(_parse_fields("config", doc, _RUN_FIELDS))
+        if (self.preset is None) == (self.inline is None):
+            raise ConfigRejected("exactly one of preset/inline must be given")
+
 
 def _inline_curve(inline: dict, cfg: PrecisionConfig):
     """(data, tau, curve) of an inline curve document.  The document holds no
     curve equation, so curve is None."""
-    unknown = inline.keys() - _INLINE_FIELDS.keys()
-    if unknown:
-        names = ", ".join(sorted(map(repr, unknown)))
-        raise ConfigRejected(f"inline curve has unknown keys: {names}")
-    gamma = sorted(inline.keys() & {"gamma_terms", "gamma_constant"})
-    if "h_fal" in inline and gamma:
-        keys = ", ".join(map(repr, ["h_fal", *gamma]))
-        raise ConfigRejected(f"inline curve gives the Faltings height twice: {keys}; give h_fal "
-                             "or gamma_terms and gamma_constant")
-    missing = [k for k in ("g", "period_matrix", "deg_K0") if k not in inline]
-    if "h_fal" not in inline and not {"gamma_terms", "gamma_constant"} <= inline.keys():
-        missing.append("h_fal (or gamma_terms and gamma_constant)")
-    if missing:
-        raise ConfigRejected(f"inline curve lacks required keys: {', '.join(missing)}")
     bits = cfg.working_precision_bits
     with mp.workprec(bits):
-        values = {
-            key: parse(key, inline[key]) for key, parse in _INLINE_FIELDS.items() if key in inline
-        }
-        if "h_fal" not in values:
-            values["h_fal"] = faltings_height_gamma(
-                values.pop("gamma_terms"), values.pop("gamma_constant"), cfg
-            )
+        required = ("g", "period_matrix", "deg_K0")
+        values = _parse_fields("inline curve", inline, _INLINE_FIELDS, required)
+        height = [k for k in ("h_fal", "gamma_terms", "gamma_constant") if k in values]
+        if height == ["gamma_terms", "gamma_constant"]:
+            terms, constant = values.pop("gamma_terms"), values.pop("gamma_constant")
+            values["h_fal"] = faltings_height_gamma(terms, constant, cfg)
+        elif height != ["h_fal"]:
+            raise ConfigRejected(f"inline curve gives the Faltings height by the keys {height}; "
+                                 "give h_fal, or gamma_terms and gamma_constant")
     tau = PeriodMatrix(values.pop("period_matrix"), bits=bits)
     if tau.g != values["g"]:
         raise ConfigRejected(f"period matrix is {tau.g}x{tau.g} but g = {values['g']}")
@@ -233,8 +249,7 @@ def _curve_record(config: RunConfig, cfg: PrecisionConfig):
         bundle = bost_mestre_preset(cfg)
         curve = HyperellipticCurve(bundle.curve_coeffs)
         return bundle.data, bundle.tau, curve, bundle.torsion, {"preset": bundle.name}
-    data, tau, curve = _inline_curve(config.inline, cfg)
-    return data, tau, curve, (), {"inline": config.inline}
+    return (*_inline_curve(config.inline, cfg), (), {"inline": config.inline})
 
 
 def run(config: RunConfig) -> BoundReport:
@@ -242,6 +257,8 @@ def run(config: RunConfig) -> BoundReport:
     bits = cfg.working_precision_bits
     data, tau, curve, torsion, echo_curve = _curve_record(config, cfg)
     p = config.p
+    if (config.residue_degree or 0) > data.deg_K0:
+        raise ConfigRejected(f"residue_degree must be at most deg_K0 = {data.deg_K0}")
 
     if config.verify:
         if curve is None:
@@ -253,16 +270,14 @@ def run(config: RunConfig) -> BoundReport:
     if violated:
         raise HypothesisViolated("; ".join(violated))
 
-    if config.grid_points_per_dim is None:
-        ocfg = default_optimizer_config(tau.g)
-    else:
-        ocfg = OptimizerConfig(grid_points_per_dim=config.grid_points_per_dim)
+    nd = config.grid_points_per_dim
+    ocfg = default_optimizer_config(tau.g) if nd is None else OptimizerConfig(nd)
 
+    zd = zar_degree(data, cfg)
     tm = theta_max(tau, ocfg, cfg)
     data.theta_max = tm.value
 
     with mp.workprec(bits):
-        zd = zar_degree(data, cfg)
         combined = mp.log(tm.value) + zd
         D = constant_D(data, cfg)
         H_p = h_bound(p, data.g, data.deg_K0)

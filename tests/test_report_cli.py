@@ -1,8 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thetadist as td
 from thetadist import cli
@@ -50,6 +55,79 @@ GENUS_MISMATCH_INLINE = {
     "h_fal": 0.0,
     "period_matrix": [[{"re": "0", "im": "1"}]],
 }
+
+
+def tau_with(re="0", im="1"):
+    """VALID_INLINE's period matrix with its first entry replaced."""
+    rows = [list(row) for row in VALID_INLINE["period_matrix"]]
+    rows[0][0] = {"re": re, "im": im}
+    return rows
+
+
+# documents that exit 2 and name their field, the second of each pair
+MALFORMED = [
+    ({"inline": {**GENUS_MISMATCH_INLINE, "period_matrix": [[{"re": "0"}]]}},
+     "period_matrix"),
+    ({"inline": {**GENUS_MISMATCH_INLINE, "g": "two"}}, "g"),
+    ({"preset": "bost-mestre", "torsion_list": 5}, "torsion_list"),
+    ({"inline": {**VALID_INLINE, "semistable": "false"}}, "semistable"),
+    ({"inline": {**VALID_INLINE, "good_reduction_everywhere": 0}},
+     "good_reduction_everywhere"),
+    ({"inline": {**VALID_INLINE, "base_point_hyperelliptic_fixed": "yes"}},
+     "base_point_hyperelliptic_fixed"),
+    ({"inline": {**VALID_INLINE, "disc": 10.7}}, "disc"),
+    ({"inline": {**VALID_INLINE, "disc": "ten"}}, "disc"),
+    ({"inline": {**VALID_INLINE, "component_lcm": "x"}}, "component_lcm"),
+    ({"inline": {**VALID_INLINE, "bad_primes": ["x"]}}, "bad_primes"),
+    ({"inline": {**VALID_INLINE, "nt_omega": "abc"}}, "nt_omega"),
+    ({"inline": {**VALID_INLINE, "nt_omega": "nan"}}, "nt_omega"),
+    ({"inline": {**VALID_INLINE, "h_fal": "abc"}}, "h_fal"),
+    ({"inline": {**GAMMA_INLINE, "gamma_terms": [["1/5", "x"]]}}, "gamma_terms"),
+    ({"inline": {**VALID_INLINE, "period_matrix": NON_SYMMETRIC}}, "symmetric"),
+    ({"inline": {**VALID_INLINE, "period_matrix": INDEFINITE}}, "positive definite"),
+    ({"inline": {**VALID_INLINE, "period_matrix": []}}, "square"),
+    ({"inline": {**VALID_INLINE, "period_matrix": 5}}, "period_matrix"),
+    ({"inline": {**VALID_INLINE, "period_matrix": [5, 6]}}, "period_matrix"),
+    ({**PRESET_VERIFY, "torsion_list": [["x", "1"]]}, "torsion_list"),
+    ({**PRESET_VERIFY, "torsion_list": [[5, 1]]}, "torsion_list"),
+    ({**PRESET_VERIFY, "torsion_list": [[[0, 0, "1/0"], [1]]]}, "'1/0'"),
+    ({**PRESET_VERIFY, "torsion_list": [[[0, 0, "x"], [1]]]}, "'x'"),
+    ({"inline": {**GAMMA_INLINE, "h_fal": "0.5"}}, "'gamma_terms'"),
+    ({"inline": {**VALID_INLINE, "gamma_constant": "0"}}, "'gamma_constant'"),
+    # caps that bound the work of an accepted document, and values that used
+    # to raise out of cli.main
+    ({"inline": {**VALID_INLINE, "period_matrix": tau_with(re="nan")}}, "period_matrix"),
+    ({"inline": {**VALID_INLINE, "period_matrix": tau_with(re="inf")}}, "period_matrix"),
+    ({"inline": {**VALID_INLINE, "period_matrix": tau_with(im="nan")}}, "period_matrix"),
+    ({"inline": {**VALID_INLINE, "period_matrix": tau_with(im="inf")}}, "period_matrix"),
+    ({"inline": {**VALID_INLINE, "period_matrix": tau_with(im="1/0")}}, "period_matrix"),
+    ({"preset": ["bost-mestre"]}, "preset"),
+    ({"preset": {"name": "bost-mestre"}}, "preset"),
+    ({"preset": "bost-mestre", "precision_bits": 4096}, "precision_bits"),
+    ({"preset": "bost-mestre", "precision_bits": 10**30}, "precision_bits"),
+    ({"preset": "bost-mestre", "p": 10**14 + 31}, "p must be a prime"),
+    ({"preset": "bost-mestre", "p": 10**30}, "p must be a prime"),
+    ({"inline": {**VALID_INLINE, "deg_K0": 10**7}}, "deg_K0"),
+    ({"preset": "bost-mestre", "residue_degree": 41}, "residue_degree"),
+    ({"preset": "bost-mestre", "residue_degree": 10**30}, "residue_degree"),
+    ({"preset": "bost-mestre", "grid_points_per_dim": 10**30}, "grid_points_per_dim"),
+]
+MALFORMED_IDS = [
+    "entry-without-im", "genus-string", "torsion-list-int", "semistable-string",
+    "good-reduction-int", "base-point-string", "disc-float", "disc-string",
+    "component-lcm-string", "bad-prime-string", "nt-omega-string", "nt-omega-nan",
+    "h-fal-string", "gamma-exponent-string", "tau-non-symmetric", "tau-indefinite",
+    "tau-empty", "tau-int", "tau-flat-list", "torsion-strings", "torsion-ints",
+    "torsion-zero-denominator", "torsion-non-number", "h-fal-and-gamma-product",
+    "h-fal-and-gamma-constant",
+    "tau-re-nan", "tau-re-inf", "tau-im-nan", "tau-im-inf", "tau-zero-denominator",
+    "preset-list", "preset-object", "precision-4096", "precision-huge", "p-above-2-32",
+    "p-huge", "deg-K0-huge", "residue-degree-above-deg-K0", "residue-degree-huge", "grid-huge",
+]
+
+
+def refuse_theta_max(*args):
+    raise AssertionError("theta_max ran")
 
 
 CLI_ARGS = [
@@ -202,46 +280,7 @@ class TestCliExitCodes:
         assert cli.main(["--config", str(path)]) == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "doc, field",
-        [
-            ({"inline": {**GENUS_MISMATCH_INLINE, "period_matrix": [[{"re": "0"}]]}},
-             "period_matrix"),
-            ({"inline": {**GENUS_MISMATCH_INLINE, "g": "two"}}, "g"),
-            ({"preset": "bost-mestre", "torsion_list": 5}, "torsion_list"),
-            ({"inline": {**VALID_INLINE, "semistable": "false"}}, "semistable"),
-            ({"inline": {**VALID_INLINE, "good_reduction_everywhere": 0}},
-             "good_reduction_everywhere"),
-            ({"inline": {**VALID_INLINE, "base_point_hyperelliptic_fixed": "yes"}},
-             "base_point_hyperelliptic_fixed"),
-            ({"inline": {**VALID_INLINE, "disc": 10.7}}, "disc"),
-            ({"inline": {**VALID_INLINE, "disc": "ten"}}, "disc"),
-            ({"inline": {**VALID_INLINE, "component_lcm": "x"}}, "component_lcm"),
-            ({"inline": {**VALID_INLINE, "bad_primes": ["x"]}}, "bad_primes"),
-            ({"inline": {**VALID_INLINE, "nt_omega": "abc"}}, "nt_omega"),
-            ({"inline": {**VALID_INLINE, "nt_omega": "nan"}}, "nt_omega"),
-            ({"inline": {**VALID_INLINE, "h_fal": "abc"}}, "h_fal"),
-            ({"inline": {**GAMMA_INLINE, "gamma_terms": [["1/5", "x"]]}}, "gamma_terms"),
-            ({"inline": {**VALID_INLINE, "period_matrix": NON_SYMMETRIC}}, "symmetric"),
-            ({"inline": {**VALID_INLINE, "period_matrix": INDEFINITE}}, "positive definite"),
-            ({"inline": {**VALID_INLINE, "period_matrix": []}}, "square"),
-            ({"inline": {**VALID_INLINE, "period_matrix": 5}}, "period_matrix"),
-            ({"inline": {**VALID_INLINE, "period_matrix": [5, 6]}}, "period_matrix"),
-            ({**PRESET_VERIFY, "torsion_list": [["x", "1"]]}, "torsion_list"),
-            ({**PRESET_VERIFY, "torsion_list": [[5, 1]]}, "torsion_list"),
-            ({**PRESET_VERIFY, "torsion_list": [[[0, 0, "1/0"], [1]]]}, "'1/0'"),
-            ({**PRESET_VERIFY, "torsion_list": [[[0, 0, "x"], [1]]]}, "'x'"),
-            ({"inline": {**GAMMA_INLINE, "h_fal": "0.5"}}, "'gamma_terms'"),
-            ({"inline": {**VALID_INLINE, "gamma_constant": "0"}}, "'gamma_constant'"),
-        ],
-        ids=["entry-without-im", "genus-string", "torsion-list-int", "semistable-string",
-             "good-reduction-int", "base-point-string", "disc-float", "disc-string",
-             "component-lcm-string", "bad-prime-string", "nt-omega-string", "nt-omega-nan",
-             "h-fal-string", "gamma-exponent-string", "tau-non-symmetric", "tau-indefinite",
-             "tau-empty", "tau-int", "tau-flat-list", "torsion-strings", "torsion-ints",
-             "torsion-zero-denominator", "torsion-non-number", "h-fal-and-gamma-product",
-             "h-fal-and-gamma-constant"],
-    )
+    @pytest.mark.parametrize("doc, field", MALFORMED, ids=MALFORMED_IDS)
     def test_malformed_value_rejected(self, tmp_path, capsys, doc, field):
         """A malformed value inside the document exits 2 and names its
         field, instead of ending in a traceback or being coerced: a boolean
@@ -251,6 +290,28 @@ class TestCliExitCodes:
         path.write_text(json.dumps(doc))
         assert cli.main(["--config", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, field", MALFORMED, ids=MALFORMED_IDS)
+    def test_rejected_before_theta_max(self, tmp_path, capsys, monkeypatch, doc, field):
+        """Every value is checked before the maximization starts: p**f for
+        f = 10^30 used to grow until memory ran out after theta_max."""
+        monkeypatch.setattr(td.report, "theta_max", refuse_theta_max)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("out", ["missing/r.json", "", "."],
+                             ids=["missing-directory", "empty", "directory"])
+    def test_unwritable_output_rejected_before_theta_max(self, tmp_path, capsys, monkeypatch,
+                                                         out):
+        """A report path in a directory that does not exist, or that is not a
+        file name, exits 2 before any theta work and creates nothing; it used
+        to raise FileNotFoundError after the whole run."""
+        monkeypatch.setattr(td.report, "theta_max", refuse_theta_max)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--preset", "bost-mestre", "--out", out]) == 2
+        assert "output_path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReportContent:
@@ -594,3 +655,78 @@ class TestFlagOverrides:
         assert cli.main(["--config", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and repr(next(iter(extra))) in err
+
+
+# what a mutation puts in place of a value or appends to a list: wrong types,
+# non-finite numbers, a zero denominator, huge integers and nested lists
+FUZZ_ATOMS = [
+    None, True, False, 0, -1, 2.5, "", "x", "nan", "inf", "-inf", "1/0",
+    float("nan"), float("inf"), 2**31 - 1, 10**30, -10**30, 10**400,
+    [], [[]], [1, [2]], {}, {"re": "0"},
+]
+# the valid documents that the mutations start from, which between them give
+# every key a value
+FUZZ_SEEDS = [
+    {**PRESET_VERIFY, "residue_degree": 2, "precision_bits": 128, "jmax": 4,
+     "torsion_list": [[[0, 0, 1], [1]], [[0, 0, 1], [-1]]], "output_path": "-"},
+    {"inline": {**VALID_INLINE, "nt_omega": 0.0, "bad_primes": [], "disc": 1, "component_lcm": 1,
+                "good_reduction_everywhere": True, "semistable": True,
+                "base_point_hyperelliptic_fixed": False},
+     "p": 3, "residue_degree": 1, "grid_points_per_dim": 8},
+    {"inline": GAMMA_INLINE, "p": 3, "grid_points_per_dim": 8},
+]
+
+
+def nodes(doc, path=()):
+    """(path, value) of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from nodes(value, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A seed document after 1-3 mutations, each of which swaps a value for an
+    atom, deletes a key or a list element, or appends an element to a list:
+    an atom or a copy of one of the list's elements."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["swap", "delete", "append"]))
+        found = [(path, v) for path, v in nodes(doc) if kind != "append" or isinstance(v, list)]
+        if not found:
+            continue
+        path, value = draw(st.sampled_from(found))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "swap":
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_ATOMS)))
+        elif kind == "delete":
+            del parent[path[-1]]
+        else:
+            value.append(copy.deepcopy(draw(st.sampled_from(FUZZ_ATOMS + value))))
+    return doc
+
+
+class TestConfigFuzz:
+    def test_every_mutated_document_exits_with_a_documented_code(self, tmp_path, monkeypatch):
+        """cli.main on a mutated document returns 0, 2, 3, 4 or 5, raises
+        nothing and, since every accepted value is capped, takes seconds at
+        most.  A mutated output_path writes into tmp_path."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        codes = set()
+
+        @settings(derandomize=True, max_examples=1000, deadline=5000, database=None)
+        @given(mutated_documents())
+        def check(doc):
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["--config", str(path)])
+            assert code in (0, 2, 3, 4, 5)
+            codes.add(code)
+
+        check()
+        assert {0, 2} <= codes

@@ -279,6 +279,27 @@ class TestTheta:
         with pytest.raises(td.InvalidPeriodMatrix, match="below tolerance"):
             td.PeriodMatrix([[1e-25j]])
 
+    @pytest.mark.parametrize("entry", [
+        mp.mpc(mp.nan, 1), mp.mpc(mp.inf, 1), mp.mpc(0, mp.nan), mp.mpc(0, mp.inf),
+        complex(0, float("inf")), mp.mpc(10**400, 1), mp.mpc(0, 10**400),
+    ])
+    def test_non_finite_entry_rejected(self, entry):
+        """A NaN or infinite entry, or one beyond double range, is refused
+        before the eigenvalue check, which used to raise mpmath's
+        RuntimeError or ZeroDivisionError, or to pass a NaN or an infinity on
+        to the double kernels."""
+        with pytest.raises(td.InvalidPeriodMatrix, match="not finite"):
+            td.PeriodMatrix([[1j, 0.5], [0.5, entry]])
+        with pytest.raises(td.InvalidPeriodMatrix, match="not finite"):
+            td.PeriodMatrix([[entry]])
+
+    def test_numerically_singular_imaginary_part_rejected(self):
+        """Im(tau) = [[1e300, 1/2], [1/2, 1]] is positive definite, but at 128
+        bits mpmath's LU takes its second pivot for zero: InvalidInput, not
+        ZeroDivisionError."""
+        with pytest.raises(td.InvalidPeriodMatrix, match="numerically singular"):
+            td.PeriodMatrix([[1e300j, 0.5j], [0.5j, 1j]])
+
     @pytest.mark.parametrize("case", FROZEN_128, ids=lambda c: f"{c[0]}-{c[1]}")
     def test_values_bit_identical(self, case, tau_s4, cfg):
         """theta and theta_norm do not depend on whether derivatives are summed."""
