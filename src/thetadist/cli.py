@@ -11,13 +11,8 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    BudgetExceeded,
-    ConfigRejected,
-    HypothesisViolated,
-    InvalidInput,
-    PrecisionTooLow,
-)
+from .errors import (BudgetExceeded, ConfigRejected, HypothesisViolated, InvalidInput,
+                     PrecisionTooLow)
 from .report import RunConfig, run, serialize_report
 
 EXIT_OK = 0

@@ -35,7 +35,7 @@ from .bounds import (
 )
 from .errors import ConfigRejected, HypothesisViolated
 from .jacobian import HyperellipticCurve, make_divisor, verify_bound
-from .maximize import OptimizerConfig, default_optimizer_config, theta_max
+from .maximize import _GRID_BUDGET, OptimizerConfig, default_optimizer_config, theta_max
 from .periods import PeriodMatrix, PrecisionConfig
 
 _PRESET_ALIASES = ("bost-mestre", "bost-mestre-y2+y=x5")
@@ -170,8 +170,8 @@ _INLINE_FIELDS = {
 
 # Each top-level key and the parser of its value.  The caps bound the work of
 # every accepted document: 2048 bits, and p < 2^32, below which is_prime's
-# trial division takes under 2^16 steps, keep a run within seconds; 100^4 is
-# the grid budget at g = 2.  run() checks residue_degree <= deg_K0.
+# trial division takes under 2^16 steps, keep a run within seconds.  run()
+# checks residue_degree and the grid against the curve before any theta work.
 _RUN_FIELDS = {
     "preset": _optional(_require(lambda v: isinstance(v, str) and v in _PRESET_ALIASES,
                                  "'bost-mestre'")),
@@ -179,7 +179,7 @@ _RUN_FIELDS = {
     "p": _require(lambda p: _is_int(p) and p < 2**32 and is_prime(p), "a prime below 2^32"),
     "residue_degree": _optional(_int_in(1)),
     "precision_bits": _int_in(53, 2048),
-    "grid_points_per_dim": _optional(_int_in(8, 100)),
+    "grid_points_per_dim": _optional(_int_in(8)),
     "jmax": _int_in(1),
     "torsion_list": _optional(_require(partial(_is_pairs, item=_is_list),
                                        "a list of [u, v] pairs of coefficient lists")),
@@ -259,6 +259,10 @@ def run(config: RunConfig) -> BoundReport:
     p = config.p
     if (config.residue_degree or 0) > data.deg_K0:
         raise ConfigRejected(f"residue_degree must be at most deg_K0 = {data.deg_K0}")
+    nd = config.grid_points_per_dim
+    ocfg = default_optimizer_config(tau.g) if nd is None else OptimizerConfig(nd)
+    if ocfg.grid_points_per_dim ** (2 * tau.g) > _GRID_BUDGET:
+        raise ConfigRejected(f"grid_points_per_dim = {nd} exceeds the grid budget at g = {tau.g}")
 
     if config.verify:
         if curve is None:
@@ -269,9 +273,6 @@ def run(config: RunConfig) -> BoundReport:
     violated = hyp.violated_conditions()
     if violated:
         raise HypothesisViolated("; ".join(violated))
-
-    nd = config.grid_points_per_dim
-    ocfg = default_optimizer_config(tau.g) if nd is None else OptimizerConfig(nd)
 
     zd = zar_degree(data, cfg)
     tm = theta_max(tau, ocfg, cfg)

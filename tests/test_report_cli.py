@@ -56,6 +56,14 @@ GENUS_MISMATCH_INLINE = {
     "period_matrix": [[{"re": "0", "im": "1"}]],
 }
 
+# a genus-3 inline curve: 30^6 grid points exceed the 10^8 budget
+G3_INLINE = {
+    "g": 3,
+    "deg_K0": 1,
+    "h_fal": 0.0,
+    "period_matrix": [[{"re": repr(z.real), "im": repr(z.imag)} for z in row] for row in TAU_G3],
+}
+
 
 def tau_with(re="0", im="1"):
     """VALID_INLINE's period matrix with its first entry replaced."""
@@ -111,6 +119,7 @@ MALFORMED = [
     ({"preset": "bost-mestre", "residue_degree": 41}, "residue_degree"),
     ({"preset": "bost-mestre", "residue_degree": 10**30}, "residue_degree"),
     ({"preset": "bost-mestre", "grid_points_per_dim": 10**30}, "grid_points_per_dim"),
+    ({"inline": G3_INLINE, "grid_points_per_dim": 30}, "grid_points_per_dim"),
 ]
 MALFORMED_IDS = [
     "entry-without-im", "genus-string", "torsion-list-int", "semistable-string",
@@ -123,6 +132,7 @@ MALFORMED_IDS = [
     "tau-re-nan", "tau-re-inf", "tau-im-nan", "tau-im-inf", "tau-zero-denominator",
     "preset-list", "preset-object", "precision-4096", "precision-huge", "p-above-2-32",
     "p-huge", "deg-K0-huge", "residue-degree-above-deg-K0", "residue-degree-huge", "grid-huge",
+    "grid-over-budget-at-g3",
 ]
 
 
