@@ -142,8 +142,10 @@ def _parse_primes(name: str, primes):
 def _writable(path) -> bool:
     """True for "-", stdout, and for a new or writable file in an existing
     directory.  No file is created."""
-    if path == "-" or not isinstance(path, str) or "\0" in path:
-        return path == "-"
+    if path == "-":
+        return True
+    if not isinstance(path, str) or "\0" in path:
+        return False
     target = path if os.path.exists(path) else os.path.dirname(path) or "."
     return bool(os.path.basename(path)) and not os.path.isdir(path) and os.access(target, os.W_OK)
 
