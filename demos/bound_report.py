@@ -12,8 +12,9 @@ import mpmath as mp
 
 import thetadist as td
 
-cfg = td.PrecisionConfig()
-preset = td.bost_mestre_preset(cfg)
+# every constant below, and the theta sums on preset.tau, run at 128 bits
+bits = 128
+preset = td.bost_mestre_preset(bits)
 g, deg_K0, p = preset.data.g, preset.data.deg_K0, 3
 
 # --- combinatorial chain ---------------------------------------------------
@@ -31,14 +32,13 @@ print("Galois-degree bound on that order:  log10 =",
       mp.nstr(mp.log10(td.degree_bound(order, g)), 15))
 
 # --- Arakelov side ---------------------------------------------------------
-h_fal = td.faltings_height_gamma(preset.gamma_terms, preset.gamma_constant, cfg)
+h_fal = td.faltings_height_gamma(preset.gamma_terms, preset.gamma_constant, bits)
 print("\nFaltings height (gamma product):", mp.nstr(h_fal, 28))
 
-ocfg = td.OptimizerConfig(grid_points_per_dim=16)
-tm = td.theta_max(preset.tau, ocfg, cfg)
+tm = td.theta_max(preset.tau, grid_points_per_dim=16)
 preset.data.theta_max = tm.value
-with mp.workprec(cfg.working_precision_bits):
-    zd = td.zar_degree(preset.data, cfg)
+with mp.workprec(bits):
+    zd = td.zar_degree(preset.data, bits)
     combined = mp.log(tm.value) + zd
     arak = abs(combined)
     print("zar_degree =", mp.nstr(zd, 25))
@@ -46,7 +46,7 @@ with mp.workprec(cfg.working_precision_bits):
     print("   (numerically indistinguishable from (3/8) log 5 =",
           mp.nstr(mp.mpf(3) / 8 * mp.log(5), 25), ")")
 
-D = td.constant_D(preset.data, cfg)
+D = td.constant_D(preset.data, bits)
 print("constant D = 2 [K0:Q] |combined| =", mp.nstr(D, 25))
 
 # --- the exponents ---------------------------------------------------------

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .periods import (
     PeriodMatrix,
-    PrecisionConfig,
     ThetaPoint,
     reduce_to_fundamental,
     theta,
@@ -32,7 +31,6 @@ from .periods import (
     theta_norm_normalization_check,
 )
 from .maximize import (
-    OptimizerConfig,
     ThetaMaxResult,
     default_optimizer_config,
     theta_max,

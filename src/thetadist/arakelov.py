@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import HypothesisViolated, InvalidInput
-from .periods import PeriodMatrix, PrecisionConfig
+from .periods import PeriodMatrix, _check_bits
 
 SATISFIED = "satisfied"
 VIOLATED = "violated"
@@ -85,17 +85,16 @@ class HypothesisReport:
         return [n for n, v in names if v == VIOLATED]
 
 
-def zar_degree(data: CurveArithData, cfg: PrecisionConfig | None = None):
+def zar_degree(data: CurveArithData, bits: int = 128):
     """Per-degree arithmetic degree of the restricted metrized theta bundle:
-    nt_omega/4 + h_fal/2 + (g/4) log(4 pi).
+    nt_omega/4 + h_fal/2 + (g/4) log(4 pi), at ``bits``.
 
     Valid under good reduction everywhere; otherwise the closed form does not
     apply and the call is rejected.
     """
     if not data.good_reduction_everywhere:
         raise HypothesisViolated("zar_degree requires good reduction everywhere")
-    cfg = cfg or PrecisionConfig()
-    with mp.workprec(cfg.working_precision_bits):
+    with mp.workprec(_check_bits(bits)):
         return (
             mp.mpf(data.nt_omega) / 4
             + mp.mpf(data.h_fal) / 2
@@ -103,19 +102,18 @@ def zar_degree(data: CurveArithData, cfg: PrecisionConfig | None = None):
         )
 
 
-def constant_D(data: CurveArithData, cfg: PrecisionConfig | None = None):
-    """D = 2 [K0:Q] |log theta_max + zar_degree|."""
+def constant_D(data: CurveArithData, bits: int = 128):
+    """D = 2 [K0:Q] |log theta_max + zar_degree|, at ``bits``."""
     if data.theta_max is None or data.theta_max <= 0:
         raise InvalidInput("data.theta_max must be a positive real")
-    cfg = cfg or PrecisionConfig()
-    with mp.workprec(cfg.working_precision_bits):
-        return 2 * data.deg_K0 * abs(mp.log(mp.mpf(data.theta_max)) + zar_degree(data, cfg))
+    with mp.workprec(_check_bits(bits)):
+        return 2 * data.deg_K0 * abs(mp.log(mp.mpf(data.theta_max)) + zar_degree(data, bits))
 
 
-def faltings_height_gamma(terms, constant_part, cfg: PrecisionConfig | None = None):
-    """constant_part - (1/2) sum_e e*log Gamma(a) over (a, e) pairs, a in (0,1)."""
-    cfg = cfg or PrecisionConfig()
-    with mp.workprec(cfg.working_precision_bits):
+def faltings_height_gamma(terms, constant_part, bits: int = 128):
+    """constant_part - (1/2) sum_e e*log Gamma(a) over (a, e) pairs, a in
+    (0,1), at ``bits``."""
+    with mp.workprec(_check_bits(bits)):
         acc = mp.mpf(0)
         for a, e in terms:
             a = mp.mpf(a.numerator) / a.denominator if isinstance(a, Fraction) else mp.mpf(a)
@@ -182,7 +180,7 @@ class PresetBundle:
 
 
 def preset_period_matrix(bits: int = 128) -> PeriodMatrix:
-    with mp.workprec(bits + 16):
+    with mp.workprec(_check_bits(bits) + 16):
         z5 = mp.exp(2j * mp.pi / 5)
         entries = [
             [-(z5**4), z5**2 + 1],
@@ -191,12 +189,12 @@ def preset_period_matrix(bits: int = 128) -> PeriodMatrix:
     return PeriodMatrix(entries, bits=bits)
 
 
-def bost_mestre_preset(cfg: PrecisionConfig | None = None) -> PresetBundle:
-    cfg = cfg or PrecisionConfig()
-    bits = cfg.working_precision_bits
-    with mp.workprec(bits):
+def bost_mestre_preset(bits: int = 128) -> PresetBundle:
+    """The preset curve's data, period matrix and torsion classes, with its
+    constants and tau at ``bits``."""
+    with mp.workprec(_check_bits(bits)):
         gamma_constant = 2 * mp.log(2 * mp.pi)
-        h_fal = faltings_height_gamma(FALTINGS_GAMMA_TERMS, gamma_constant, cfg)
+        h_fal = faltings_height_gamma(FALTINGS_GAMMA_TERMS, gamma_constant, bits)
     data = CurveArithData(
         g=2,
         deg_K0=40,

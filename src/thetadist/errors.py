@@ -6,7 +6,7 @@ class ThetadistError(Exception):
 
 
 class PrecisionTooLow(ThetadistError):
-    """Requested absolute error is below the working-precision floor."""
+    """A result needs more precision than the computation kept."""
 
 
 class ConfigRejected(ThetadistError):

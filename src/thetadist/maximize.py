@@ -25,7 +25,6 @@ guard.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigRejected, InvalidInput
-from .periods import PeriodMatrix, PrecisionConfig, sqrt_norm_grid
+from .periods import PeriodMatrix, sqrt_norm_grid
 from .periods import _SCAN_CHUNK, _theta_batch, _theta_point
 
 # Grid points per scan.  The value array, resident from the scan until the
@@ -51,30 +50,22 @@ _GRID_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    grid_points_per_dim: int = 32
-
-    def __post_init__(self):
-        if self.grid_points_per_dim < 8:
-            raise InvalidInput("grid_points_per_dim must be >= 8")
-
-
-@dataclass(frozen=True)
 class ThetaMaxResult:
     value: object          # mpf, the maximum of sqrt(<s,s>)
     argmax_coords: tuple   # lattice coordinates in [0,1)^{2g}
     grid_best: float
 
 
-def default_optimizer_config(g: int) -> OptimizerConfig:
-    """256 points per axis at g = 1; for g >= 2 the largest nd <= 32 with
-    nd^(2g) <= 32^4, the preset's grid (10 at g = 3), but at least 8."""
+def default_optimizer_config(g: int) -> int:
+    """The default grid points per axis: 256 at g = 1; for g >= 2 the
+    largest nd <= 32 with nd^(2g) <= 32^4, the preset's grid (10 at g = 3),
+    but at least 8."""
     if g == 1:
-        return OptimizerConfig(grid_points_per_dim=256)
+        return 256
     nd = 32
     while nd > 8 and nd ** (2 * g) > 32**4:
         nd -= 1
-    return OptimizerConfig(grid_points_per_dim=nd)
+    return nd
 
 
 def _solve_definite(A, b):
@@ -100,26 +91,28 @@ def _solve_definite(A, b):
     return np.array(x)
 
 
-def _newton(tau: PeriodMatrix, start, bits: int | None = None):
+def _newton(tau: PeriodMatrix, start, polish: bool = False):
     """Newton ascent on log<s,s> = const - 2 pi m'Ym + 2 Re log theta(n + tau m).
 
     With J = [I | tau] and a = theta'/theta the gradient in x = (n, m) is
     2 Re(J'a) - 4 pi (0, Ym) and the Hessian H = 2 Re(J'(theta''/theta -
     a a')J) - 4 pi diag(0, Y); the kernel's factor exp(-pi m'Ym) cancels in the
-    ratios.  With ``bits`` None the sum is ``_theta_batch`` at one point, the
+    ratios.  Without ``polish`` the sum is ``_theta_batch`` at one point, the
     algebra runs in doubles, and a step below 2^(-26) ends the iteration.
-    With ``bits`` the sum is ``_theta_point`` and the algebra runs on mpmath
-    numbers, both at ``bits``, and a step below 2^(-bits/2), which leaves an
-    error near 2^(-bits), ends it.  The iterate is kept in [-1/2, 1/2)^{2g},
-    where the sum's lattice set is smallest.  Returns ``(value, x)``: x
-    reduced to [0,1)^{2g}, and value = sqrt(<s,s>) = |s| (det Y)^(1/4) from
-    the s of the last sum, one sub-tolerance step from x, where <s,s> differs
-    from its value at x only at second order.  Returns None when
-    ``_solve_definite`` rejects -H or the cap is reached.
+    With ``polish`` the sum is ``_theta_point`` and the algebra runs on
+    mpmath numbers, both at bits = ``tau.bits``, and a step below
+    2^(-bits/2), which leaves an error near 2^(-bits), ends it.  The iterate
+    is kept in [-1/2, 1/2)^{2g}, where the sum's lattice set is smallest.
+    Returns ``(value, x)``: x reduced to [0,1)^{2g}, and value = sqrt(<s,s>)
+    = |s| (det Y)^(1/4) from the s of the last sum, one sub-tolerance step
+    from x, where <s,s> differs from its value at x only at second order.
+    Returns None when a sum is 0 (an s that underflows in doubles, far from
+    every maximum), when ``_solve_definite`` rejects -H, or when the cap is
+    reached.
     """
-    g = tau.g
-    with contextlib.nullcontext() if bits is None else mp.workprec(bits):
-        if bits is None:
+    g, bits = tau.g, tau.bits
+    with mp.workprec(bits):
+        if not polish:
             ctx = tau.lattice
             x = np.asarray(start, dtype=float)
             J, Y4pi = np.hstack([np.eye(g), ctx.taun]), 4 * np.pi * ctx.Y
@@ -133,10 +126,12 @@ def _newton(tau: PeriodMatrix, start, bits: int | None = None):
             root4, tol = mp.sqrt(mp.sqrt(tau.detY)), mp.mpf(2) ** (-mp.mpf(bits) / 2)
         for _ in range(_NEWTON_MAX_STEPS):
             x = np.array([c - round(c) for c in x])
-            if bits is None:
-                s, d1, d2 = (v[0] for v in _theta_batch(tau, x[None], derivs=True))
+            if polish:
+                s, d1, d2 = _theta_point(tau, x, derivs=True)
             else:
-                s, d1, d2 = _theta_point(tau, x, bits, derivs=True)
+                s, d1, d2 = (v[0] for v in _theta_batch(tau, x[None], derivs=True))
+            if s == 0:
+                return None
             a = d1 / s
             H = J.T @ (d2 / s - np.outer(a, a)) @ J
             # real parts one by one: ndarray.real keeps object arrays as they are
@@ -247,38 +242,37 @@ def _tie_key(x, bits: int):
         return tuple(int(mp.nint(c * scale)) % scale for c in x)
 
 
-def theta_max(
-    tau: PeriodMatrix,
-    ocfg: OptimizerConfig | None = None,
-    cfg: PrecisionConfig | None = None,
-) -> ThetaMaxResult:
+def theta_max(tau: PeriodMatrix, grid_points_per_dim: int | None = None) -> ThetaMaxResult:
     """Maximum of sqrt(<s,s>) over the torus, with argmax coordinates.
 
-    Scans the grid {k/Nd}^{2g} with ``sqrt_norm_grid``, then runs Newton's
-    method in doubles from the grid's discrete local maxima (wrap-around
-    neighbours, values compared at a relative 1e-13), one start per cluster
-    of tied neighbouring maxima, taken in the first-axis slabs 0, ..., Nd //
-    2: the norm is even, so the maxima of the other slabs are their mirrors.
+    Scans the grid {k/Nd}^{2g}, Nd = ``grid_points_per_dim`` (at least 8;
+    ``default_optimizer_config`` when None), with ``sqrt_norm_grid``, then
+    runs Newton's method in doubles from the grid's discrete local maxima
+    (wrap-around neighbours, values compared at a relative 1e-13), one start
+    per cluster of tied neighbouring maxima, taken in the first-axis slabs 0,
+    ..., Nd // 2: the norm is even, so the maxima of the other slabs are
+    their mirrors.
     A start where -H has a pivot that is not positive, or that does not
     converge within the step cap, is dropped without a working-precision
     sum.  The converged points whose double value is within a relative 1e-13
-    of the best are polished by Newton at the working precision, one per
+    of the best are polished by Newton at bits = ``tau.bits``, one per
     pair {x, -x}: of x and -x mod 1, the one of lower ``_tie_key`` read at
     the double Newton's tolerance 2^-26, and once per key, so a pair whose
     two keys straddle a rounding step is polished twice.  The value is the
     one the best polish took from its own last lattice sum.  Deterministic
-    for fixed configs at any ambient mpmath precision: a tie cluster starts
+    for fixed inputs at any ambient mpmath precision: a tie cluster starts
     from its lowest flat grid index, and of the refined values within
-    ``target_abs_error`` of the best, compared at the working precision, the
+    2^(-floor(bits/2)) max(1, best) of the best, compared at bits, the
     lowest coordinates win, compared lexicographically mod 1 at the Newton
-    stop tolerance (``_tie_key``).
-    Raises BudgetExceeded when no start converges or the best value
-    falls below the grid's best by more than double rounding.
+    stop tolerance (``_tie_key``, whose unit is the same 2^(-floor(bits/2))).
+    Raises InvalidInput when Nd < 8, ConfigRejected when the grid exceeds
+    ``_GRID_BUDGET``, and BudgetExceeded when no start converges or the best
+    value falls below the grid's best by more than double rounding.
     """
-    ocfg = ocfg or default_optimizer_config(tau.g)
-    cfg = cfg or PrecisionConfig()
-    dim = 2 * tau.g
-    nd = ocfg.grid_points_per_dim
+    nd = default_optimizer_config(tau.g) if grid_points_per_dim is None else grid_points_per_dim
+    if nd < 8:
+        raise InvalidInput("grid_points_per_dim must be >= 8")
+    dim, bits = 2 * tau.g, tau.bits
     if nd**dim > _GRID_BUDGET:
         raise ConfigRejected(f"grid budget exceeded: {nd}^{dim} > {_GRID_BUDGET}")
 
@@ -301,15 +295,16 @@ def theta_max(
         if key in polished_keys:
             continue
         polished_keys.add(key)
-        polished = _newton(tau, x, cfg.working_precision_bits)
+        polished = _newton(tau, x, polish=True)
         if polished is not None:
             candidates.append(polished)
     if not candidates:
         raise BudgetExceeded("Newton refinement converged from no grid start")
-    with mp.workprec(cfg.working_precision_bits):
+    with mp.workprec(bits):
         top = max(v for v, _ in candidates)
-        ties = [t for t in candidates if top - t[0] <= cfg.target_abs_error]
-    value, argmax = min(ties, key=lambda t: _tie_key(t[1], cfg.working_precision_bits))
+        unit = mp.mpf(2) ** -(bits // 2) * max(1, top)
+        ties = [t for t in candidates if top - t[0] <= unit]
+    value, argmax = min(ties, key=lambda t: _tie_key(t[1], bits))
     if value < grid_best * (1 - _GRID_RTOL):
         raise BudgetExceeded(
             f"refined maximum {mp.nstr(value, 17)} is below the grid value {grid_best!r}"

@@ -6,23 +6,24 @@ z-gradient and z-Hessian of theta times the same factor.  A term of s has
 modulus exp(-pi (M+m)'Y(M+m)), so s is bounded for every m, and sqrt(det Y)
 |s|^2 is the theta norm.  Each sum leaves out the terms outside an ellipsoid
 {M : (M+m)'Y(M+m) <= r^2}, which sum to at most 2^-bits
-(``_ellipsoid_radius2``).  ``_theta_point`` sums one point at a given bit
-count for ``theta``, ``theta_norm`` and the maximizer's polish.  Two double
-kernels sum a box that holds the 2^-60 ellipsoid of every m in [-1/2,
-1/2]^g: ``_theta_batch`` at scattered points (spot checks, the maximizer's
-Newton steps) and ``sqrt_norm_grid`` on the grid scan's tensor grids.  The
-torus average, ``theta_norm_normalization_check``, reads the grid scan's
-m-slice coefficients (``_slice_coefficients``) and integrates over n exactly
-by Parseval, with a midpoint rule in m alone.
+(``_ellipsoid_radius2``).  ``_theta_point`` sums one point at tau's working
+precision, ``PeriodMatrix.bits``, for ``theta``, ``theta_norm`` and the
+maximizer's polish.  Two double kernels sum a box that holds the 2^-60
+ellipsoid of every m in [-1/2, 1/2]^g: ``_theta_batch`` at scattered points
+(spot checks, the maximizer's Newton steps) and ``sqrt_norm_grid`` on the
+grid scan's tensor grids.  The torus average,
+``theta_norm_normalization_check``, reads the grid scan's m-slice
+coefficients (``_slice_coefficients``) and integrates over n exactly by
+Parseval, with a midpoint rule in m alone.
 
 All these sums read one lattice context per ``PeriodMatrix`` (the layout of
 Deconinck, Heil, Bobenko, van Hoeij, Schmies, "Computing Riemann theta
 functions", Math. Comp. 73 (2004)).  For the working precision it holds the
 factors of Y that enumerate an ellipsoid axis by axis (Fincke, Pohst, Math.
-Comp. 44 (1985)), one row of the last axis per prefix of the others, and per
-bit count a table of exp(pi i M'tau M) filled on demand.  A term is the
-table entry times per-axis powers of exp(2 pi i z_k), and each row is summed
-before its prefix's powers multiply it once.  ``_theta_point`` does this
+Comp. 44 (1985)), one row of the last axis per prefix of the others, and a
+table of exp(pi i M'tau M) filled on demand.  A term is the table entry
+times per-axis powers of exp(2 pi i z_k), and each row is summed before its
+prefix's powers multiply it once.  ``_theta_point`` does this
 arithmetic on Python integers: table entries and powers are fixed-point
 complexes of bits + 32 bits, every row is summed at one exponent set by the
 bound exp(pi m'Ym) on its terms, and each output is rounded once, so the
@@ -44,7 +45,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_man_exp, fzero, to_fixed
 
-from .errors import BudgetExceeded, InvalidInput, InvalidPeriodMatrix, PrecisionTooLow
+from .errors import BudgetExceeded, InvalidInput, InvalidPeriodMatrix
 
 _SYMMETRY_RTOL = 1e-10
 _LAMBDA_MIN_TOL = 1e-20
@@ -75,43 +76,36 @@ _ELLIPSOID_SLACK = 2.0**-20
 # error bound N c 2^-(bits + 32) for N terms stays below the 2^-bits tail
 # while N c <= 2^32 (see _theta_point).
 _GUARD_BITS = 32
+# The working precisions, in bits, that a PeriodMatrix and the Arakelov
+# functions accept.
+_BITS_RANGE = (53, 2048)
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Working precision (bits) and the absolute error target for theta sums.
+def _check_bits(bits) -> int:
+    """bits, or InvalidInput when it is not an integer in ``_BITS_RANGE``.
 
-    ``target_abs_error`` must lie above the floor 2^(8 - bits).  The mpmath
-    sums truncate s at 2^-bits, below every admissible target, so the target
-    does not set their lattice sets; ``theta`` says what it bounds there.
+    Called before mp.workprec(bits) is entered: mpmath sets its global
+    precision before it fails on a value such as 10**400, and keeps it, so
+    every later workprec would fail too.
     """
-
-    working_precision_bits: int = 128
-    target_abs_error: float = 1e-25
-
-    def __post_init__(self):
-        if self.working_precision_bits < 53:
-            raise InvalidInput("working_precision_bits must be >= 53")
-        if self.target_abs_error <= 0:
-            raise InvalidInput("target_abs_error must be positive")
-        floor = mp.mpf(2) ** (-self.working_precision_bits + 8)
-        if mp.mpf(self.target_abs_error) <= floor:
-            raise PrecisionTooLow(
-                f"target_abs_error {self.target_abs_error} is at or below the "
-                f"precision floor 2^{-self.working_precision_bits + 8}"
-            )
+    lo, hi = _BITS_RANGE
+    if not (isinstance(bits, int) and lo <= bits <= hi):
+        raise InvalidInput(f"bits must be an integer from {lo} to {hi}")
+    return bits
 
 
 class PeriodMatrix:
-    """A g x g symmetric complex matrix with positive-definite imaginary part.
+    """A g x g symmetric complex matrix with positive-definite imaginary part,
+    and the working precision ``bits`` of every mpmath sum on it.
 
-    Validation happens at construction: entries finite as doubles, symmetry
-    up to a relative tolerance of 1e-10, a smallest eigenvalue of Im(tau)
-    above 1e-20, and an Im(tau) that inverts at the working precision.
+    Validation happens at construction: bits in ``_BITS_RANGE``, entries
+    finite as doubles, symmetry up to a relative tolerance of 1e-10, a
+    smallest eigenvalue of Im(tau) above 1e-20, and an Im(tau) that inverts
+    at the working precision.
     """
 
     def __init__(self, entries, bits: int = 128):
-        with mp.workprec(bits):
+        with mp.workprec(_check_bits(bits)):
             rows = [[mp.mpc(x) for x in row] for row in entries]
             g = len(rows)
             if g < 1 or any(len(r) != g for r in rows):
@@ -221,7 +215,7 @@ class LatticeContext:
     ``Y`` (tau and Im tau as doubles), ``tau_rows``, ``X_rows``, ``Y_rows``
     and ``Yinv_rows`` (tau, Re tau, Im tau and its inverse as lists of rows
     of mpmath numbers), ``scale`` = sqrt(det Y), the factors of Y that
-    ``ellipsoid_rows`` walks, and ``phases(bits)``.
+    ``ellipsoid_rows`` walks, and ``phases``, built on first use.
 
     The double part is built on first use by a double kernel: the radii
     ``R``, the box ``M`` of the M with |M_k| <= R_k (rows in lexicographic
@@ -256,13 +250,12 @@ class LatticeContext:
     """
 
     def __init__(self, tau: PeriodMatrix):
-        self.g = tau.g
+        self.g, self.bits = tau.g, tau.bits
         self.tau_rows = tau.tau.tolist()
         self.X_rows = tau.X.tolist()
         self.Y_rows = tau.Y.tolist()
         self.Yinv_rows = tau.Yinv.tolist()
         self._lambda_min = float(tau.lambda_min)
-        self._phases = {}
         self.taun = tau.tau_np
         self.Y = self.taun.imag
         self.scale = math.sqrt(float(tau.detY))
@@ -332,18 +325,17 @@ class LatticeContext:
         table = np.exp(2j * np.pi * (self.quad + self.M @ (self.taun @ centre)) - np.pi * qc)
         return centre, qc, table.reshape([2 * k + 1 for k in self.R])
 
-    def phases(self, bits: int) -> dict:
-        """exp(pi i M'tau M) at ``bits`` as fixed-point complexes
+    @cached_property
+    def phases(self) -> _PhaseTable:
+        """exp(pi i M'tau M) at tau's precision as fixed-point complexes
         (``_PhaseTable``), keyed by the tuple M.
 
-        One table per bit count.  An entry is computed the first time a
-        lattice set asks for its M, and kept under M and -M, whose M'tau M
-        is the same sum of the same products; so the table holds the union of
-        the sets summed so far at that bit count and their negatives.
+        An entry is computed the first time a lattice set asks for its M, and
+        kept under M and -M, whose M'tau M is the same sum of the same
+        products; so the table holds the union of the sets summed so far and
+        their negatives.
         """
-        if bits not in self._phases:
-            self._phases[bits] = _PhaseTable(self.tau_rows, bits)
-        return self._phases[bits]
+        return _PhaseTable(self.tau_rows, self.bits)
 
     def ellipsoid_rows(self, c, r2: float) -> list:
         """The lattice set {M : (M+c)'Y(M+c) <= r2} as rows ``(prefix, lo,
@@ -494,14 +486,14 @@ def _axis_powers(w: tuple, lo: int, hi: int, width: int) -> list:
     return (down[:0:-1] + up)[lo + len(down) - 1 : hi + len(down)]
 
 
-def _lattice_set(tau: PeriodMatrix, m, bits: int) -> list:
+def _lattice_set(tau: PeriodMatrix, m) -> list:
     """The rows (``LatticeContext.ellipsoid_rows``) of the lattice set the
-    sum at ``bits`` runs over at lattice coordinates (n, m): {M :
+    sum at tau's precision runs over at lattice coordinates (n, m): {M :
     (M+c)'Y(M+c) <= r^2}, with c = m and r^2 from ``_ellipsoid_radius2``."""
     ctx = tau.lattice
     c = np.array([float(v) for v in m])
     r2 = _ellipsoid_radius2(
-        tau.g, float(tau.lambda_min), float(c @ ctx.Y @ c), float(np.linalg.norm(c)), bits
+        tau.g, float(tau.lambda_min), float(c @ ctx.Y @ c), float(np.linalg.norm(c)), tau.bits
     )
     return ctx.ellipsoid_rows(c.tolist(), r2)
 
@@ -515,9 +507,10 @@ def _extent(rows: list) -> tuple:
     return lows, highs
 
 
-def _theta_point(tau: PeriodMatrix, x, bits: int, derivs: bool = False):
+def _theta_point(tau: PeriodMatrix, x, derivs: bool = False):
     """s = theta(n + tau m) exp(-pi m'Ym) at lattice coordinates x = (n, m),
-    summed at ``bits``: ``_theta_batch`` at one point, at working precision.
+    summed at bits = ``tau.bits``: ``_theta_batch`` at one point, at working
+    precision.
 
     The sum runs over ``_lattice_set``, whose theta terms left out, with
     their derivative weights, sum to at most 2^-bits, so those of s to at
@@ -572,8 +565,8 @@ def _theta_point(tau: PeriodMatrix, x, bits: int, derivs: bool = False):
     M M', each times exp(-pi m'Ym).  Theta is summed in the same rows and
     order either way, so s is bit-identical with and without ``derivs``.
     """
-    g = tau.g
-    table = tau.lattice.phases(bits)
+    g, bits = tau.g, tau.bits
+    table = tau.lattice.phases
     width, frac = table.width, table.frac
     n, m = [[to_fixed(mp.convert(c)._mpf_, frac) for c in half] for half in (x[:g], x[g:])]
     # 2 pi i z_k at 2 frac fractional bits, and pi m'Ym at 3 frac
@@ -591,7 +584,7 @@ def _theta_point(tau: PeriodMatrix, x, bits: int, derivs: bool = False):
         factors = [_fixed(c * factor, width) for c in scales]
     # E - W, the exponent of every row's product with its prefix
     e_sum = math.floor(quad / (1 << 3 * frac) / math.log(2)) - 2 * width
-    rows = _lattice_set(tau, x[g:], bits)
+    rows = _lattice_set(tau, x[g:])
     lows, highs = _extent(rows)
     powers = [_axis_powers(_fixed(w, width), lo, hi, width) for w, lo, hi in zip(exps, lows, highs)]
     last, lo_g = powers[-1], lows[-1]
@@ -644,40 +637,35 @@ def _theta_point(tau: PeriodMatrix, x, bits: int, derivs: bool = False):
         return s, np.array(d1), np.array(d2)
 
 
-def theta(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None):
-    """Riemann theta function theta(z, tau).
+def theta(tau: PeriodMatrix, z: ThetaPoint):
+    """Riemann theta function theta(z, tau), at bits = ``tau.bits``.
 
     theta(z) = exp(log_multiplier + pi m0'Y m0) s, with z reduced to z0 in
     the fundamental cell and s from ``_theta_point`` at the coordinates
-    (n0, m0) of z0.  s is within 2^-bits of its sum (bits =
-    ``cfg.working_precision_bits``), so the error of theta is at most
-    2^-bits exp(pi y'Y^-1 y), y = Im z, plus a relative 2^-bits times the
-    size of the multiplier's exponent, which is rounded at the working
-    precision.  It is absolute, below ``target_abs_error``, only near the
-    fundamental cell.
+    (n0, m0) of z0.  s is within 2^-bits of its sum, so the error of theta
+    is at most 2^-bits exp(pi y'Y^-1 y), y = Im z, plus a relative 2^-bits
+    times the size of the multiplier's exponent, which is rounded at the
+    working precision.  It is absolute only near the fundamental cell.
     """
-    cfg = cfg or PrecisionConfig()
-    bits = cfg.working_precision_bits
-    with mp.workprec(bits):
+    with mp.workprec(tau.bits):
         z0, _, _, log_mult = reduce_to_fundamental(tau, z)
         x0 = _lattice_coords(tau, z0)
         m0 = x0[tau.g :]
         quad = mp.fdot(m0, [mp.fdot(row, m0) for row in tau.lattice.Y_rows])
-        return mp.exp(log_mult + mp.pi * quad) * _theta_point(tau, x0, bits)
+        return mp.exp(log_mult + mp.pi * quad) * _theta_point(tau, x0)
 
 
-def theta_norm(tau: PeriodMatrix, z: ThetaPoint, cfg: PrecisionConfig | None = None):
-    """Moret-Bailly norm det(Im tau)^(1/2) exp(-2 pi y' (Im tau)^-1 y) |theta|^2.
+def theta_norm(tau: PeriodMatrix, z: ThetaPoint):
+    """Moret-Bailly norm det(Im tau)^(1/2) exp(-2 pi y' (Im tau)^-1 y) |theta|^2,
+    at ``tau.bits``.
 
     sqrt(det Y) |s|^2 with s from ``_theta_point`` at the lattice
     coordinates of z recentred to [-1/2, 1/2): the norm is invariant under
     lattice translation of z, so it needs no multiplier.
     """
-    cfg = cfg or PrecisionConfig()
-    bits = cfg.working_precision_bits
-    with mp.workprec(bits):
+    with mp.workprec(tau.bits):
         x = [c - mp.nint(c) for c in _lattice_coords(tau, z)]
-        return mp.sqrt(tau.detY) * abs(_theta_point(tau, x, bits)) ** 2
+        return mp.sqrt(tau.detY) * abs(_theta_point(tau, x)) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from .bounds import (
 )
 from .errors import ConfigRejected, HypothesisViolated
 from .jacobian import HyperellipticCurve, make_divisor, verify_bound
-from .maximize import _GRID_BUDGET, OptimizerConfig, default_optimizer_config, theta_max
-from .periods import PeriodMatrix, PrecisionConfig
+from .maximize import _GRID_BUDGET, default_optimizer_config, theta_max
+from .periods import _BITS_RANGE, PeriodMatrix
 
 _PRESET_ALIASES = ("bost-mestre", "bost-mestre-y2+y=x5")
 
@@ -171,16 +171,17 @@ _INLINE_FIELDS = {
 }
 
 # Each top-level key and the parser of its value.  The caps bound the work of
-# every accepted document: 2048 bits, and p < 2^32, below which is_prime's
-# trial division takes under 2^16 steps, keep a run within seconds.  run()
-# checks residue_degree and the grid against the curve before any theta work.
+# every accepted document: 2048 bits (PeriodMatrix's range), and p < 2^32,
+# below which is_prime's trial division takes under 2^16 steps, keep a run
+# within seconds.  run() checks residue_degree and the grid against the curve
+# before any theta work.
 _RUN_FIELDS = {
     "preset": _optional(_require(lambda v: isinstance(v, str) and v in _PRESET_ALIASES,
                                  "'bost-mestre'")),
     "inline": _optional(_require(lambda v: isinstance(v, dict), "an object of curve data")),
     "p": _require(lambda p: _is_int(p) and p < 2**32 and is_prime(p), "a prime below 2^32"),
     "residue_degree": _optional(_int_in(1)),
-    "precision_bits": _int_in(53, 2048),
+    "precision_bits": _int_in(*_BITS_RANGE),
     "grid_points_per_dim": _optional(_int_in(8)),
     "jmax": _int_in(1),
     "torsion_list": _optional(_require(partial(_is_pairs, item=_is_list),
@@ -224,17 +225,16 @@ class RunConfig:
             raise ConfigRejected("exactly one of preset/inline must be given")
 
 
-def _inline_curve(inline: dict, cfg: PrecisionConfig):
-    """(data, tau, curve) of an inline curve document.  The document holds no
-    curve equation, so curve is None."""
-    bits = cfg.working_precision_bits
+def _inline_curve(inline: dict, bits: int):
+    """(data, tau, curve) of an inline curve document at ``bits``.  The
+    document holds no curve equation, so curve is None."""
     with mp.workprec(bits):
         required = ("g", "period_matrix", "deg_K0")
         values = _parse_fields("inline curve", inline, _INLINE_FIELDS, required)
         height = [k for k in ("h_fal", "gamma_terms", "gamma_constant") if k in values]
         if height == ["gamma_terms", "gamma_constant"]:
             terms, constant = values.pop("gamma_terms"), values.pop("gamma_constant")
-            values["h_fal"] = faltings_height_gamma(terms, constant, cfg)
+            values["h_fal"] = faltings_height_gamma(terms, constant, bits)
         elif height != ["h_fal"]:
             raise ConfigRejected(f"inline curve gives the Faltings height by the keys {height}; "
                                  "give h_fal, or gamma_terms and gamma_constant")
@@ -244,26 +244,25 @@ def _inline_curve(inline: dict, cfg: PrecisionConfig):
     return CurveArithData(**values), tau, None
 
 
-def _curve_record(config: RunConfig, cfg: PrecisionConfig):
-    """(data, tau, curve, torsion pairs, echo) of the config's curve: the
-    preset's, or an inline document's, which has no torsion pairs."""
+def _curve_record(config: RunConfig):
+    """(data, tau, curve, torsion pairs, echo) of the config's curve at its
+    precision: the preset's, or an inline document's, which has no torsion
+    pairs."""
     if config.preset is not None:
-        bundle = bost_mestre_preset(cfg)
+        bundle = bost_mestre_preset(config.precision_bits)
         curve = HyperellipticCurve(bundle.curve_coeffs)
         return bundle.data, bundle.tau, curve, bundle.torsion, {"preset": bundle.name}
-    return (*_inline_curve(config.inline, cfg), (), {"inline": config.inline})
+    return (*_inline_curve(config.inline, config.precision_bits), (), {"inline": config.inline})
 
 
 def run(config: RunConfig) -> BoundReport:
-    cfg = PrecisionConfig(working_precision_bits=config.precision_bits)
-    bits = cfg.working_precision_bits
-    data, tau, curve, torsion, echo_curve = _curve_record(config, cfg)
+    bits = config.precision_bits
+    data, tau, curve, torsion, echo_curve = _curve_record(config)
     p = config.p
     if (config.residue_degree or 0) > data.deg_K0:
         raise ConfigRejected(f"residue_degree must be at most deg_K0 = {data.deg_K0}")
-    nd = config.grid_points_per_dim
-    ocfg = default_optimizer_config(tau.g) if nd is None else OptimizerConfig(nd)
-    if ocfg.grid_points_per_dim ** (2 * tau.g) > _GRID_BUDGET:
+    nd = config.grid_points_per_dim or default_optimizer_config(tau.g)
+    if nd ** (2 * tau.g) > _GRID_BUDGET:
         raise ConfigRejected(f"grid_points_per_dim = {nd} exceeds the grid budget at g = {tau.g}")
 
     if config.verify:
@@ -276,13 +275,13 @@ def run(config: RunConfig) -> BoundReport:
     if violated:
         raise HypothesisViolated("; ".join(violated))
 
-    zd = zar_degree(data, cfg)
-    tm = theta_max(tau, ocfg, cfg)
+    zd = zar_degree(data, bits)
+    tm = theta_max(tau, nd)
     data.theta_max = tm.value
 
     with mp.workprec(bits):
         combined = mp.log(tm.value) + zd
-        D = constant_D(data, cfg)
+        D = constant_D(data, bits)
         H_p = h_bound(p, data.g, data.deg_K0)
         main_exp = tate_voloch_exponent_main(D, H_p)
         log10_H_p = mp.log10(H_p)
@@ -318,7 +317,7 @@ def run(config: RunConfig) -> BoundReport:
             "p": p,
             "residue_degree": config.residue_degree,
             "precision_bits": bits,
-            "grid_points_per_dim": ocfg.grid_points_per_dim,
+            "grid_points_per_dim": nd,
             "jmax": config.jmax,
             "verify": config.verify,
         },

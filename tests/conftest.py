@@ -5,18 +5,13 @@ import thetadist as td
 
 
 @pytest.fixture(scope="session")
-def cfg():
-    return td.PrecisionConfig(working_precision_bits=128, target_abs_error=1e-25)
-
-
-@pytest.fixture(scope="session")
 def tau_g1():
     return td.PeriodMatrix([[1j]])
 
 
 @pytest.fixture(scope="session")
-def preset(cfg):
-    return td.bost_mestre_preset(cfg)
+def preset():
+    return td.bost_mestre_preset(128)
 
 
 @pytest.fixture(scope="session")
@@ -30,13 +25,12 @@ def curve(preset):
 
 
 @pytest.fixture(scope="session")
-def s4_theta_max_timed(tau_s4, cfg):
+def s4_theta_max_timed(tau_s4):
     """Full-budget maximization on the built-in period matrix, computed once."""
     import time
 
-    ocfg = td.OptimizerConfig(grid_points_per_dim=32)
     t0 = time.perf_counter()
-    result = td.theta_max(tau_s4, ocfg, cfg)
+    result = td.theta_max(tau_s4, 32)
     return result, time.perf_counter() - t0
 
 

@@ -44,17 +44,17 @@ def test_criterion_1_theta_max(s4_theta_max_timed, announce):
     )
 
 
-def test_criterion_2_faltings_height(preset, cfg, announce):
-    v = td.faltings_height_gamma(preset.gamma_terms, preset.gamma_constant, cfg)
+def test_criterion_2_faltings_height(preset, announce):
+    v = td.faltings_height_gamma(preset.gamma_terms, preset.gamma_constant, preset.tau.bits)
     with mp.workprec(200):
         err = abs(v - mp.mpf(PAPER_H_FAL))
     announce(2, err < mp.mpf("1e-15"), f"gamma-product Faltings height (|err| = {mp.nstr(err, 3)})")
 
 
-def test_criterion_3_combined_constant(preset, cfg, s4_theta_max, announce):
+def test_criterion_3_combined_constant(preset, s4_theta_max, announce):
     preset.data.theta_max = s4_theta_max.value
-    with mp.workprec(cfg.working_precision_bits):
-        combined = mp.log(s4_theta_max.value) + td.zar_degree(preset.data, cfg)
+    with mp.workprec(preset.tau.bits):
+        combined = mp.log(s4_theta_max.value) + td.zar_degree(preset.data, preset.tau.bits)
         err = abs(combined - mp.mpf(PAPER_COMBINED))
         obs = abs(combined - mp.mpf(3) / 8 * mp.log(5))
     ok = err < mp.mpf("1e-10") and obs < mp.mpf("1e-13")
@@ -95,9 +95,9 @@ def test_criterion_5_bound_chain_exactness(announce):
     )
 
 
-def test_criterion_6_final_exponent(preset, cfg, s4_theta_max, announce):
+def test_criterion_6_final_exponent(preset, s4_theta_max, announce):
     preset.data.theta_max = s4_theta_max.value
-    D = td.constant_D(preset.data, cfg)
+    D = td.constant_D(preset.data, preset.tau.bits)
     H_3 = td.h_bound(3, 2, 40)
     exponent = td.tate_voloch_exponent_main(D, H_3)
     log10_exp = float(mp.log10(exponent))

@@ -182,7 +182,7 @@ class TestQueries:
         with mp.workprec(128):
             value = mp.mpf("1.06639277369136206671054075858")
         result = td.ThetaMaxResult(value, (0.0, 0.0, 0.0, 0.0), float(value))
-        monkeypatch.setattr(td.report, "theta_max", lambda tau, ocfg, cfg: result)
+        monkeypatch.setattr(td.report, "theta_max", lambda tau, nd: result)
         payload = td.run(td.RunConfig(preset="bost-mestre", p=199)).payload
         field = payload["main_exponent"]
         assert field["sign"] == 1

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -238,8 +239,31 @@ class TestCliExitCodes:
     def test_grid_budget_rejected(self, capsys):
         assert cli.main(["--preset", "bost-mestre", "--grid", "200"]) == 2
 
-    def test_precision_floor_failure(self, capsys):
-        assert cli.main(["--preset", "bost-mestre", "--precision-bits", "64"]) == 5
+    def test_precision_64_bits_runs(self, capsys):
+        """Every precision_bits in range runs: at 64 bits the report prints
+        Theta_Max to 16 digits, the golden 128-bit value rounded there."""
+        assert cli.main(["--preset", "bost-mestre", "--precision-bits", "64", "--out", "-"]) == 0
+        printed = json.loads(capsys.readouterr().out)["theta_max"]["value"]["dec"]
+        golden = json.loads(GOLDEN_P3_F2.read_text())["theta_max"]["value"]["dec"]
+        digits = td.report._digits(64)
+        assert len(printed.replace(".", "")) == digits == 16
+        with mp.workprec(300):
+            assert printed == mp.nstr(mp.mpf(golden), digits, strip_zeros=False)
+
+    @pytest.mark.parametrize("im", [str(2**31 - 1), "1e30"])
+    def test_huge_im_tau_exceeds_budget(self, tmp_path, capsys, im):
+        """tau = diag(i, im i): at m_2 != 0 the double sum s underflows to 0,
+        and Newton drops that start instead of dividing by it.  Every start
+        is dropped, so the run exits 4, with no RuntimeWarning."""
+        rows = [[{"re": "0", "im": "1"}, {"re": "0", "im": "0"}],
+                [{"re": "0", "im": "0"}, {"re": "0", "im": im}]]
+        inline = {"g": 2, "deg_K0": 1, "h_fal": 0.0, "period_matrix": rows}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"inline": inline, "p": 3, "grid_points_per_dim": 8}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--config", str(path)]) == 4
+        assert "budget exceeded" in capsys.readouterr().err
 
     def test_inline_genus_one_rejected(self, tmp_path, capsys):
         doc = {
@@ -410,7 +434,7 @@ class TestThetaMaxFields:
         def run(argmax_coords, grid_best):
             value = mp.mpf("1.0663927736913620667")
             result = td.ThetaMaxResult(value, argmax_coords, grid_best)
-            monkeypatch.setattr(td.report, "theta_max", lambda tau, ocfg, cfg: result)
+            monkeypatch.setattr(td.report, "theta_max", lambda tau, nd: result)
             return td.run(td.RunConfig(preset="bost-mestre", p=3)).payload["theta_max"]
 
         return run
@@ -595,7 +619,7 @@ class TestWorkingPrecision:
         if source == "h_fal":  # in place of the gamma product, not beside it
             del inline["gamma_terms"], inline["gamma_constant"]
             inline["h_fal"] = mp.nstr(h_ref, 40)
-        data, _, _ = td.report._inline_curve(inline, td.PrecisionConfig())
+        data, _, _ = td.report._inline_curve(inline, 128)
         with mp.workprec(256):
             assert abs(data.h_fal - h_ref) < mp.mpf("1e-35")
 

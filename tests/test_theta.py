@@ -17,11 +17,11 @@ S4_THETA0_RE = "1.0502862579537883794134248631481479"
 S4_THETA0_IM = "-0.16634900114656232797813445567977354"
 
 
-def set_radii(tau, m, cfg, shells):
-    """Per-axis box radii around the lattice set the working-precision sum
+def set_radii(tau, m, shells):
+    """Per-axis box radii around the lattice set the sum at tau's precision
     runs over at lattice coordinates (n, m): its extent on each axis plus
     ``shells``."""
-    rows = td.periods._lattice_set(tau, m, cfg.working_precision_bits)
+    rows = td.periods._lattice_set(tau, m)
     lows, highs = td.periods._extent(rows)
     return [max(-lo, hi) + shells for lo, hi in zip(lows, highs)]
 
@@ -106,47 +106,46 @@ def set_tau(name, tau_s4):
 
 
 class TestTheta:
-    def test_g1_value_matches_classical_constant(self, tau_g1, cfg):
-        v = td.theta(tau_g1, td.ThetaPoint((0,)), cfg)
+    def test_g1_value_matches_classical_constant(self, tau_g1):
+        v = td.theta(tau_g1, td.ThetaPoint((0,)))
         with mp.workprec(200):
             ref = mp.pi ** mp.mpf("0.25") / mp.gamma(mp.mpf(3) / 4)
-        assert abs(v - ref) < 2 * cfg.target_abs_error
-        assert abs(v.imag) < cfg.target_abs_error
+        assert abs(v - ref) < 2e-25
+        assert abs(v.imag) < 1e-25
 
-    def test_s4_theta_at_zero_regression(self, tau_s4, cfg):
-        v = td.theta(tau_s4, td.ThetaPoint((0, 0)), cfg)
+    def test_s4_theta_at_zero_regression(self, tau_s4):
+        v = td.theta(tau_s4, td.ThetaPoint((0, 0)))
         with mp.workprec(200):
             ref = mp.mpc(mp.mpf(S4_THETA0_RE), mp.mpf(S4_THETA0_IM))
-        assert abs(v - ref) < 2 * cfg.target_abs_error
+        assert abs(v - ref) < 2e-25
 
-    def test_evenness(self, tau_s4, cfg):
+    def test_evenness(self, tau_s4):
         rng = random.Random(11)
         for _ in range(10):
             z = tuple(
                 complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) for _ in range(2)
             )
             zm = tuple(-w for w in z)
-            a = td.theta(tau_s4, td.ThetaPoint(z), cfg)
-            b = td.theta(tau_s4, td.ThetaPoint(zm), cfg)
-            assert abs(a - b) <= 2 * cfg.target_abs_error * max(1, abs(a))
+            a = td.theta(tau_s4, td.ThetaPoint(z))
+            b = td.theta(tau_s4, td.ThetaPoint(zm))
+            assert abs(a - b) <= 2e-25 * max(1, abs(a))
 
-    def test_truncation_soundness(self, tau_s4, cfg):
+    def test_truncation_soundness(self, tau_s4):
         """s over the lattice set at x in [-1/2, 1/2)^{2g}, where theta_norm
         and Newton sum, against the independent oracle summed over the
         set's per-axis extent plus two shells, times exp(-pi m'Ym), on tau =
         i, the preset and each matrix of SET_TAUS."""
         rng = random.Random(5)
-        bits = cfg.working_precision_bits
         for name in ["i", "s4"] + list(SET_TAUS):
             tau = set_tau(name, tau_s4)
             g = tau.g
             for _ in range(5 if g < 3 else 3):
                 x = [rng.random() - 0.5 for _ in range(2 * g)]
-                a = td.periods._theta_point(tau, x, bits)
+                a = td.periods._theta_point(tau, x)
                 m = x[g:]
                 with mp.workprec(200):
                     q = sum(m[i] * tau.Y[i, j] * m[j] for i in range(g) for j in range(g))
-                    b = brute_theta(tau, lattice_point(tau, x, 200).z, set_radii(tau, m, cfg, 2))
+                    b = brute_theta(tau, lattice_point(tau, x, 200).z, set_radii(tau, m, 2))
                     b *= mp.exp(-mp.pi * q)
                 assert abs(a - b) < 1e-35 * max(1, abs(a)), name
 
@@ -162,28 +161,29 @@ class TestTheta:
         unrecentred coordinates in [0, 1), where ``theta`` sums.  One oracle
         sum at 320 bits over the 256-bit set's extent plus two shells serves
         all three bit counts."""
-        tau = td.PeriodMatrix({"y60": TAU_Y60, "r10": TAU_R10, "coupled": TAU_COUPLED}[name])
+        entries = {"y60": TAU_Y60, "r10": TAU_R10, "coupled": TAU_COUPLED}[name]
+        taus = {bits: td.PeriodMatrix(entries, bits=bits) for bits in (128, 192, 256)}
+        tau = taus[256]
         g = tau.g
         corners = [[0.3, -0.2] + list(m) for m in itertools.product((-0.5, 0.5), repeat=g)]
         points = corners + np.random.default_rng(4).random((2, 2 * g)).tolist()
-        cfg256 = td.PrecisionConfig(working_precision_bits=256)
         for x in points:
             m = x[g:]
             with mp.workprec(320):
                 q = mp.fsum(m[i] * tau.Y[i, j] * m[j] for i in range(g) for j in range(g))
                 z = lattice_point(tau, x, 320).z
-                th, grad, hess = brute_theta_derivs(tau, z, set_radii(tau, m, cfg256, 2), bits=320)
+                th, grad, hess = brute_theta_derivs(tau, z, set_radii(tau, m, 2), bits=320)
                 factor = mp.exp(-mp.pi * q)
                 refs = [[th * factor], [v * factor for v in grad],
                         [v * factor for row in hess for v in row]]
-            for bits in (128, 192, 256):
-                rows = td.periods._lattice_set(tau, m, bits)
+            for bits, tau_b in taus.items():
+                rows = td.periods._lattice_set(tau_b, m)
                 terms = sum(hi - lo + 1 for _, lo, hi in rows)
                 l1 = max(sum(map(abs, p)) + max(-lo, hi) for p, lo, hi in rows)
                 big = max(max(map(abs, p + (lo, hi))) for p, lo, hi in rows)
                 arith = terms * (7 + 3 * g + 10 * l1) * mp.mpf(2) ** -(bits + 32)
-                s = td.periods._theta_point(tau, x, bits)
-                got = td.periods._theta_point(tau, x, bits, derivs=True)
+                s = td.periods._theta_point(tau_b, x)
+                got = td.periods._theta_point(tau_b, x, derivs=True)
                 assert got[0] == s
                 for order, (value, ref) in enumerate(zip(got, refs)):
                     weight = (2 * mp.pi * max(big, 1)) ** order
@@ -192,7 +192,7 @@ class TestTheta:
                         assert abs(v - r) <= tol, (name, x, bits, order)
 
     @pytest.mark.parametrize("name", ["s4"] + list(SET_TAUS))
-    def test_lattice_set_is_tight(self, name, tau_s4, cfg, monkeypatch):
+    def test_lattice_set_is_tight(self, name, tau_s4, monkeypatch):
         """At ten seeded points theta_norm's sum runs over at most twice the
         M whose term has modulus >= 2^-128 where the sum runs, at the
         coordinates (n, c) of z recentred to [-1/2, 1/2): exp(pi c'Yc - pi
@@ -210,20 +210,20 @@ class TestTheta:
         Y = tau.lattice.Y
         for x in rng.random((10, 2 * g)):
             sets.clear()
-            td.theta_norm(tau, lattice_point(tau, x), cfg)
+            td.theta_norm(tau, lattice_point(tau, x))
             [(c, rows)] = sets
             c = np.array(c)
             assert np.abs(c - (x[g:] - np.round(x[g:]))).max() < 1e-12
             summed = sum(hi - lo + 1 for _, lo, hi in rows)
             box = np.array(list(itertools.product(
-                *(range(-r, r + 1) for r in set_radii(tau, c, cfg, 2))
+                *(range(-r, r + 1) for r in set_radii(tau, c, 2))
             )))
             q = np.einsum("li,ij,lj->l", box + c, Y, box + c)
             needed = int((q <= c @ Y @ c + 128 * np.log(2) / np.pi).sum())
             assert needed <= summed <= 2 * needed
 
     @pytest.mark.parametrize("name", ["s4", "g3"])
-    def test_derivatives_match_oracle(self, name, tau_s4, cfg):
+    def test_derivatives_match_oracle(self, name, tau_s4):
         """The ratios Newton reads, theta'/theta and theta''/theta, against
         the oracle's analytic derivatives (``brute_theta_derivs``, each term
         weighted by 2 pi i M_k and (2 pi i)^2 M_k M_l) summed over the
@@ -231,9 +231,9 @@ class TestTheta:
         tau = tau_s4 if name == "s4" else td.PeriodMatrix(TAU_G3)
         g = tau.g
         x = [0.3 + 0.1 * i for i in range(g)] + [0.3 - 0.05 * j for j in range(g)]
-        s, d1, d2 = td.periods._theta_point(tau, x, cfg.working_precision_bits, derivs=True)
+        s, d1, d2 = td.periods._theta_point(tau, x, derivs=True)
         z0 = lattice_point(tau, x)
-        R = set_radii(tau, x[g:], cfg, 1)
+        R = set_radii(tau, x[g:], 1)
         with mp.workprec(200):
             th, grad, hess = brute_theta_derivs(tau, z0.z, R)
             for i in range(g):
@@ -243,7 +243,7 @@ class TestTheta:
                     ref = hess[i][j] / th
                     assert abs(d2[i, j] / s - ref) <= 1e-30 * max(1, abs(ref))
 
-    def test_relative_error_away_from_fundamental_cell(self, tau_s4, cfg):
+    def test_relative_error_away_from_fundamental_cell(self, tau_s4):
         """theta's error is relative to exp(pi y'Y^-1 y), not absolute: at
         x = (0.2, 0.4, 3.3, 2.7), |theta| = 1.24e40, and at seeded points up
         to 4 cells from the fundamental cell, theta agrees with the oracle
@@ -252,11 +252,11 @@ class TestTheta:
         rng = np.random.default_rng(3)
         for x in [[0.2, 0.4, 3.3, 2.7]] + (rng.random((5, 4)) * 8 - 4).tolist():
             z = lattice_point(tau_s4, x, 300)
-            a = td.theta(tau_s4, z, cfg)
+            a = td.theta(tau_s4, z)
             b = brute_theta(tau_s4, z.z, 14, bits=300)
             assert abs(a - b) <= 1e-35 * abs(b), x
 
-    def test_oracle_agreement_random_points(self, tau_s4, cfg):
+    def test_oracle_agreement_random_points(self, tau_s4):
         """theta at 100 seeded points against the oracle summed over the
         lattice set at z's coordinates plus two shells, radii (9, 8) to
         (10, 9), instead of the box of radius 12."""
@@ -266,10 +266,10 @@ class TestTheta:
                 complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4))
                 for _ in range(2)
             )
-            a = td.theta(tau_s4, td.ThetaPoint(z), cfg)
+            a = td.theta(tau_s4, td.ThetaPoint(z))
             m = td.periods._lattice_coords(tau_s4, td.ThetaPoint(z))[2:]
-            b = brute_theta(tau_s4, z, set_radii(tau_s4, m, cfg, 2), bits=160)
-            assert abs(a - b) <= 2 * cfg.target_abs_error
+            b = brute_theta(tau_s4, z, set_radii(tau_s4, m, 2), bits=160)
+            assert abs(a - b) <= 2e-25
 
     def test_invalid_period_matrix(self):
         with pytest.raises(td.InvalidPeriodMatrix):
@@ -301,7 +301,7 @@ class TestTheta:
             td.PeriodMatrix([[1e300j, 0.5j], [0.5j, 1j]])
 
     @pytest.mark.parametrize("case", FROZEN_128, ids=lambda c: f"{c[0]}-{c[1]}")
-    def test_values_bit_identical(self, case, tau_s4, cfg):
+    def test_values_bit_identical(self, case, tau_s4):
         """theta and theta_norm do not depend on whether derivatives are summed."""
         name, z, re, im, norm = case
         tau = {
@@ -310,18 +310,14 @@ class TestTheta:
             "0.8i": td.PeriodMatrix([[0.8j, 0, 0], [0, 0.8j, 0], [0, 0, 0.8j]]),
         }[name]
         point = td.ThetaPoint(z)
-        with mp.workprec(cfg.working_precision_bits):
-            th = td.theta(tau, point, cfg)
+        with mp.workprec(tau.bits):
+            th = td.theta(tau, point)
             assert abs(th - mp.mpc(re, im)) <= 1e-35 * abs(th)
-            nv = td.theta_norm(tau, point, cfg)
+            nv = td.theta_norm(tau, point)
             assert abs(nv - mp.mpf(norm)) <= 1e-35 * nv
             x = td.periods._lattice_coords(tau, point)
-            s = td.periods._theta_point(tau, x, cfg.working_precision_bits)
-            assert td.periods._theta_point(tau, x, cfg.working_precision_bits, derivs=True)[0] == s
-
-    def test_precision_floor_rejected(self):
-        with pytest.raises(td.PrecisionTooLow):
-            td.PrecisionConfig(working_precision_bits=64, target_abs_error=1e-30)
+            s = td.periods._theta_point(tau, x)
+            assert td.periods._theta_point(tau, x, derivs=True)[0] == s
 
 
 class TestReduceToFundamental:
@@ -330,14 +326,14 @@ class TestReduceToFundamental:
         assert m == (0,) and n == (0,)
         assert abs(lm) == 0
 
-    def test_g1_example(self, tau_g1, cfg):
+    def test_g1_example(self, tau_g1):
         z = td.ThetaPoint((3 + 2j,))
         z0, m, n, lm = td.reduce_to_fundamental(tau_g1, z)
         assert m == (2,) and n == (3,)
         assert abs(z0.z[0]) < 1e-30
-        with mp.workprec(cfg.working_precision_bits):
-            lhs = abs(td.theta(tau_g1, z, cfg))
-            rhs = abs(mp.exp(lm) * td.theta(tau_g1, z0, cfg))
+        with mp.workprec(tau_g1.bits):
+            lhs = abs(td.theta(tau_g1, z))
+            rhs = abs(mp.exp(lm) * td.theta(tau_g1, z0))
         assert abs(lhs - rhs) < 1e-12 * max(1, lhs)
 
     def test_g2_pure_lattice_vector(self, tau_s4):
@@ -362,16 +358,16 @@ class TestReduceToFundamental:
 
 
 class TestThetaNorm:
-    def test_g1_value_at_zero(self, tau_g1, cfg):
-        v = td.theta_norm(tau_g1, td.ThetaPoint((0,)), cfg)
+    def test_g1_value_at_zero(self, tau_g1):
+        v = td.theta_norm(tau_g1, td.ThetaPoint((0,)))
         with mp.workprec(200):
             ref = abs(mp.pi ** mp.mpf("0.25") / mp.gamma(mp.mpf(3) / 4)) ** 2
         assert abs(v - ref) < 1e-20
 
-    def test_lattice_invariance(self, tau_s4, cfg):
+    def test_lattice_invariance(self, tau_s4):
         rng = random.Random(3)
         base = td.ThetaPoint((0.3 + 0.2j, -0.1 + 0.4j))
-        v0 = td.theta_norm(tau_s4, base, cfg)
+        v0 = td.theta_norm(tau_s4, base)
         for _ in range(6):
             m = [rng.randint(-3, 3) for _ in range(2)]
             n = [rng.randint(-3, 3) for _ in range(2)]
@@ -382,17 +378,17 @@ class TestThetaNorm:
                     + n[i]
                     for i in range(2)
                 )
-            v = td.theta_norm(tau_s4, td.ThetaPoint(z), cfg)
+            v = td.theta_norm(tau_s4, td.ThetaPoint(z))
             assert abs(v - v0) <= 1e-10 * v0
 
-    def test_s4_value_at_argmax_matches_paper_square(self, tau_s4, cfg, s4_theta_max):
+    def test_s4_value_at_argmax_matches_paper_square(self, tau_s4, s4_theta_max):
         coords = s4_theta_max.argmax_coords
-        with mp.workprec(cfg.working_precision_bits):
+        with mp.workprec(tau_s4.bits):
             z = tuple(
                 coords[i] + sum(tau_s4.tau[i, j] * coords[2 + j] for j in range(2))
                 for i in range(2)
             )
-            v = td.theta_norm(tau_s4, td.ThetaPoint(z), cfg)
+            v = td.theta_norm(tau_s4, td.ThetaPoint(z))
             paper = mp.mpf("1.06639277369136206671054075") ** 2
         assert abs(v - paper) < 1e-10
 
@@ -536,7 +532,7 @@ class TestNormBatch:
             ("a113", 40), ("coupled", 6), ("d400", 12),
         ],
     )
-    def test_matches_theta_norm(self, name, points, tau_s4, cfg):
+    def test_matches_theta_norm(self, name, points, tau_s4):
         """Against the 128-bit sum, which shares no code with the batch kernel
         beyond the lattice context.  Near a zero of theta both lose all
         relative digits, so the relative bound applies where <s,s> is above
@@ -558,7 +554,7 @@ class TestNormBatch:
             # m, where it is a Gaussian of width about 1/sqrt(4 pi Y_22)
             coords[:, tau.g :] /= 20
         fast = td.periods.norm_batch(tau, coords)
-        ref = np.array([float(td.theta_norm(tau, lattice_point(tau, x), cfg)) for x in coords])
+        ref = np.array([float(td.theta_norm(tau, lattice_point(tau, x))) for x in coords])
         big = ref > 1e-6 * ref.max()
         assert big.sum() >= 2
         assert np.abs(fast - ref).max() <= 1e-12 * ref.max()
@@ -662,16 +658,16 @@ class TestSqrtNormGrid:
 
 class TestLatticeContext:
     @pytest.mark.parametrize("name", ["s4", "g3"])
-    def test_warm_theta_norm_makes_g_plus_two_exps(self, name, tau_s4, cfg, monkeypatch):
+    def test_warm_theta_norm_makes_g_plus_two_exps(self, name, tau_s4, monkeypatch):
         """Once the phase table holds a point's lattice set, a theta_norm
         call exponentiates only per axis, plus the norm's Gaussian factor."""
         tau = tau_s4 if name == "s4" else td.PeriodMatrix(TAU_G3)
         point = td.ThetaPoint(tuple(0.3 + 0.2j - 0.1j * i for i in range(tau.g)))
-        td.theta_norm(tau, point, cfg)
+        td.theta_norm(tau, point)
         calls = []
         exp = mp.exp
         monkeypatch.setattr(mp, "exp", lambda x: calls.append(x) or exp(x))
-        td.theta_norm(tau, point, cfg)
+        td.theta_norm(tau, point)
         assert 0 < len(calls) <= tau.g + 2
 
     def test_double_kernels_reuse_radius(self, monkeypatch):
@@ -716,13 +712,15 @@ class TestLatticeContext:
         """Y = [[1, 1 - eps], [1 - eps, 1]] at a diagonal point z_1 = z_2,
         against the Jacobi inversion theta(z, iY) = det Y^(-1/2) exp(-pi
         z'Y^-1 z) theta(-i Y^-1 z, i Y^-1): there the dual sum over |M_k| <=
-        9 converges fast.  At eps = 5e-6 the double box holds more than
-        _BATCH_TERMS terms, but theta sums its own ellipsoid and never
-        builds the double part; norm_batch still raises."""
+        9 converges fast.  theta at tau's ``bits`` is within ``target`` of
+        it, and within ``rtol`` of it relatively.  At eps = 5e-6 the double
+        box holds more than _BATCH_TERMS terms, but theta sums its own
+        ellipsoid and never builds the double part; norm_batch still
+        raises."""
         a = 1 - eps
-        tau = td.PeriodMatrix([[1j, a * 1j], [a * 1j, 1j]])
+        tau = td.PeriodMatrix([[1j, a * 1j], [a * 1j, 1j]], bits=bits)
         w = 0.3 + 0.2j
-        v = td.theta(tau, td.ThetaPoint((w, w)), td.PrecisionConfig(bits, target))
+        v = td.theta(tau, td.ThetaPoint((w, w)))
         assert "R" not in vars(tau.lattice)
         with mp.workprec(300):
             det = 1 - mp.mpf(a) ** 2
@@ -733,7 +731,7 @@ class TestLatticeContext:
                 mp.exp(-mp.pi * w * sum(u)) / mp.sqrt(det)
                 * brute_theta(dual, [-1j * c for c in u], 9, bits=300)
             )
-            assert abs(v - ref) <= rtol * abs(ref)
+            assert abs(v - ref) <= min(target, rtol * abs(ref))
         if not box_fits:
             start = time.perf_counter()
             with pytest.raises(td.BudgetExceeded, match="holds [\\d,]+ lattice terms"):
@@ -798,16 +796,3 @@ class TestLatticeContext:
         for got, want in zip(kernels(), ref):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert len(tables) > 2 * len({id(t) for t in tables})
-
-    def test_tables_keyed_by_precision(self, tau_s4, cfg):
-        """A 192-bit sum after a 128-bit one on the same tau uses its own
-        table: it equals the sum on a fresh tau, and the 128-bit value to
-        the tail bound."""
-        hi = td.PrecisionConfig(working_precision_bits=192, target_abs_error=1e-25)
-        tau = td.PeriodMatrix(tau_s4.tau.tolist())
-        point = td.ThetaPoint((1.7 - 0.3j, 0.25 + 1.1j))
-        low = td.theta(tau, point, cfg)
-        high = td.theta(tau, point, hi)
-        assert high == td.theta(td.PeriodMatrix(tau_s4.tau.tolist()), point, hi)
-        with mp.workprec(192):
-            assert abs(high - low) < 1e-25 * max(1, abs(high))

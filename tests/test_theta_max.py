@@ -18,30 +18,27 @@ S4_ARGMAX = ("0.1", "0.9", "0.8", "0.1")
 
 
 class TestThetaMaxG1:
-    def test_beats_dense_grid(self, tau_g1, cfg):
-        ocfg = td.OptimizerConfig(grid_points_per_dim=64)
-        res = td.theta_max(tau_g1, ocfg, cfg)
+    def test_beats_dense_grid(self, tau_g1):
+        res = td.theta_max(tau_g1, 64)
         # an independent, much denser grid must not beat the reported max
         axis = np.arange(400) / 400.0
         coords = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
         dense = float(np.sqrt(td.periods.norm_batch(tau_g1, coords)).max())
         assert float(res.value) >= dense - 1e-9
 
-    def test_grid_best_below_value(self, tau_g1, cfg):
-        res = td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=64), cfg)
+    def test_grid_best_below_value(self, tau_g1):
+        res = td.theta_max(tau_g1, 64)
         assert res.grid_best <= float(res.value) + 1e-12
 
 
 class TestThetaMaxG2:
-    def test_block_diagonal_factorizes(self, cfg):
+    def test_block_diagonal_factorizes(self):
         """For tau = diag(tau1, tau2) the norm is a product of g=1 norms, so
         the maxima multiply."""
-        o1 = td.OptimizerConfig(grid_points_per_dim=64)
-        r_i = td.theta_max(td.PeriodMatrix([[1j]]), o1, cfg)
-        r_2i = td.theta_max(td.PeriodMatrix([[2j]]), o1, cfg)
-        o2 = td.OptimizerConfig(grid_points_per_dim=12)
-        r_d = td.theta_max(td.PeriodMatrix([[1j, 0], [0, 2j]]), o2, cfg)
-        with mp.workprec(cfg.working_precision_bits):
+        r_i = td.theta_max(td.PeriodMatrix([[1j]]), 64)
+        r_2i = td.theta_max(td.PeriodMatrix([[2j]]), 64)
+        r_d = td.theta_max(td.PeriodMatrix([[1j, 0], [0, 2j]]), 12)
+        with mp.workprec(128):
             assert abs(r_d.value - r_i.value * r_2i.value) < 1e-20
 
     def test_probes_never_beat_max(self, tau_s4, s4_theta_max):
@@ -50,76 +47,72 @@ class TestThetaMaxG2:
         vals = np.sqrt(td.periods.norm_batch(tau_s4, coords))
         assert float(vals.max()) <= float(s4_theta_max.value) + 1e-12
 
-    def test_grid_monotone_in_budget(self, tau_s4, cfg):
-        v8 = td.theta_max(
-            tau_s4, td.OptimizerConfig(grid_points_per_dim=8), cfg
-        ).value
-        v16 = td.theta_max(
-            tau_s4, td.OptimizerConfig(grid_points_per_dim=16), cfg
-        ).value
+    def test_grid_monotone_in_budget(self, tau_s4):
+        v8 = td.theta_max(tau_s4, 8).value
+        v16 = td.theta_max(tau_s4, 16).value
         assert float(v16) >= float(v8) - 1e-12
 
-    def test_shifted_grid_stability(self, tau_s4, cfg, s4_theta_max):
+    def test_shifted_grid_stability(self, tau_s4, s4_theta_max):
         """No coordinate of the 17^4 grid equals one of the argmax's (0.1,
         0.9, 0.8), so Newton starts off the 32^4 grid points."""
-        shifted = td.theta_max(tau_s4, td.OptimizerConfig(grid_points_per_dim=17), cfg)
-        with mp.workprec(cfg.working_precision_bits):
+        shifted = td.theta_max(tau_s4, 17)
+        with mp.workprec(128):
             assert abs(shifted.value - s4_theta_max.value) < 1e-20
 
-    def test_closed_form_value(self, preset, cfg, s4_theta_max):
+    def test_closed_form_value(self, preset, s4_theta_max):
         """log Theta_Max + zar_degree = (3/8) log 5 to within the 1e-25 theta
         tail bound, so Newton must bring the value that close."""
-        with mp.workprec(cfg.working_precision_bits):
-            closed = mp.exp(mp.mpf(3) / 8 * mp.log(5) - td.zar_degree(preset.data, cfg))
+        with mp.workprec(128):
+            closed = mp.exp(mp.mpf(3) / 8 * mp.log(5) - td.zar_degree(preset.data))
             assert abs(s4_theta_max.value - closed) < mp.mpf("1e-24")
 
-    def test_ridge_matrix_converges(self, cfg):
+    def test_ridge_matrix_converges(self):
         """The 8 best 16^4 grid points of this (not Minkowski-reduced) matrix
         lie on one ridge where the Hessian is indefinite, so Newton drops
         every start taken from them; one start per grid local maximum still
         reaches the maximum the 24^4 grid finds."""
         tau = td.PeriodMatrix(TAU_RIDGE)
-        r16 = td.theta_max(tau, td.OptimizerConfig(grid_points_per_dim=16), cfg)
-        r24 = td.theta_max(tau, td.OptimizerConfig(grid_points_per_dim=24), cfg)
-        with mp.workprec(cfg.working_precision_bits):
+        r16 = td.theta_max(tau, 16)
+        r24 = td.theta_max(tau, 24)
+        with mp.workprec(128):
             assert abs(r16.value - mp.mpf("1.4324439077679387733")) < 1e-18
             assert abs(r16.value - r24.value) < 1e-20
 
-    def test_grid_scan_memory(self, tau_s4, cfg):
+    def test_grid_scan_memory(self, tau_s4):
         """The 32^4 scan and start selection hold a few 8 MB value arrays."""
         tracemalloc.start()
         try:
-            td.theta_max(tau_s4, td.OptimizerConfig(grid_points_per_dim=32), cfg)
+            td.theta_max(tau_s4, 32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64e6
 
-    def test_argmax_reproduces_value(self, tau_s4, cfg, s4_theta_max):
+    def test_argmax_reproduces_value(self, tau_s4, s4_theta_max):
         coords = s4_theta_max.argmax_coords
-        with mp.workprec(cfg.working_precision_bits):
+        with mp.workprec(128):
             z = tuple(
                 coords[i] + sum(tau_s4.tau[i, j] * coords[2 + j] for j in range(2))
                 for i in range(2)
             )
-            v = mp.sqrt(td.theta_norm(tau_s4, td.ThetaPoint(z), cfg))
+            v = mp.sqrt(td.theta_norm(tau_s4, td.ThetaPoint(z)))
         assert abs(v - s4_theta_max.value) < 1e-12
 
 
-    def test_preset_cost_and_value(self, tau_s4, cfg, monkeypatch):
+    def test_preset_cost_and_value(self, tau_s4, monkeypatch):
         """At 32^4 the three half-period starts (value 0.99694) are dropped in
         doubles; of the two symmetric maxima x* and -x* only x* is polished,
         at two derivative sums, and the value comes from the last of them."""
         calls = []
         kernel = td.periods._theta_point
 
-        def counted(tau, x, bits, derivs=False):
+        def counted(tau, x, derivs=False):
             calls.append(np.array([float(c) for c in x]))
-            return kernel(tau, x, bits, derivs)
+            return kernel(tau, x, derivs)
 
         monkeypatch.setattr(td.periods, "_theta_point", counted)
         monkeypatch.setattr(td.maximize, "_theta_point", counted)
-        res = td.theta_max(tau_s4, td.OptimizerConfig(grid_points_per_dim=32), cfg)
+        res = td.theta_max(tau_s4, 32)
 
         half_periods = {528: (0, 0, 0.5, 0.5), 16384: (0, 0.5, 0, 0), 524288: (0.5, 0, 0, 0)}
         starts = td.maximize._grid_starts(td.periods.sqrt_norm_grid(tau_s4, 32))
@@ -129,32 +122,32 @@ class TestThetaMaxG2:
             for h in half_periods.values():
                 d = (x - np.array(h)) % 1
                 assert np.minimum(d, 1 - d).max() > 1e-3
-        with mp.workprec(cfg.working_precision_bits):
+        with mp.workprec(128):
             assert abs(res.value - mp.mpf(S4_THETA_MAX)) < mp.mpf("1e-35")
             assert max(abs(c - mp.mpf(a)) for c, a in zip(res.argmax_coords, S4_ARGMAX)) < 1e-30
 
     def test_polish_quadratic_at_512_bits(self, monkeypatch):
         """The polish converges quadratically at 512 bits as well: from
         double accuracy the one polished maximum takes at most 4 derivative
-        sums."""
-        cfg = td.PrecisionConfig(working_precision_bits=512, target_abs_error=1e-25)
-        tau = td.bost_mestre_preset(cfg).tau
+        sums.  Every polish sum runs at tau.bits: on this tau, with mpmath
+        at 512 bits, and with a phase table of 512 + 32 bits."""
+        tau = td.bost_mestre_preset(512).tau
         calls = []
         kernel = td.periods._theta_point
 
-        def counted(tau, x, bits, derivs=False):
-            calls.append(bits)
-            return kernel(tau, x, bits, derivs)
+        def counted(t, x, derivs=False):
+            calls.append((t is tau, mp.mp.prec, t.lattice.phases.width))
+            return kernel(t, x, derivs)
 
         monkeypatch.setattr(td.maximize, "_theta_point", counted)
-        td.theta_max(tau, td.OptimizerConfig(grid_points_per_dim=32), cfg)
-        assert calls and set(calls) == {512}
+        td.theta_max(tau, 32)
+        assert calls and set(calls) == {(True, 512, 512 + td.periods._GUARD_BITS)}
         assert len(calls) <= 4
 
 
 class TestThetaDerivs:
     @pytest.mark.parametrize("name", ["i", "s4", "ridge", "g3", "y21", "c30"])
-    def test_matches_working_precision_kernel(self, name, tau_s4, cfg):
+    def test_matches_working_precision_kernel(self, name, tau_s4):
         """_theta_batch(derivs=True) against _theta_point(derivs=True) at
         seeded points, taken at the recentred coordinates the double kernel
         sums at: both return s and its derivatives with the same factor
@@ -168,7 +161,7 @@ class TestThetaDerivs:
         for x in rng.random((4, 2 * g)):
             fast = [v[0] for v in td.periods._theta_batch(tau, x[None], derivs=True)]
             x = x - np.round(x)
-            th, d1, d2 = td.periods._theta_point(tau, x, cfg.working_precision_bits, derivs=True)
+            th, d1, d2 = td.periods._theta_point(tau, x, derivs=True)
             slow = (
                 np.array(complex(th)),
                 np.array([complex(d1[i]) for i in range(g)]),
@@ -344,121 +337,119 @@ def whole_grid_starts(vals):
     return flat[label == flat]
 
 
-def two_polishes(monkeypatch, polish):
+def two_polishes(monkeypatch, refine):
     """Make theta_max polish twice.  Newton in doubles converges from the
     first two starts only, to two points of one value that are not each
-    other's mirror, so both are polished; the k-th polish returns ``polish(tau,
-    k, bits)``.  Returns the list of polished starts."""
+    other's mirror, so both are polished; the k-th polish returns ``refine(tau,
+    k)``.  Returns the list of polished starts."""
     points = [(0.0, 0.2, 0.5, 0.5), (0.0, 0.3, 0.5, 0.5)]
     doubles, polished = [], []
 
-    def stub(tau, start, bits=None):
-        if bits is None:
+    def stub(tau, start, polish=False):
+        if not polish:
             doubles.append(start)
             return (1.07, points[len(doubles) - 1]) if len(doubles) <= 2 else None
         polished.append(start)
-        return polish(tau, len(polished) - 1, bits)
+        return refine(tau, len(polished) - 1)
 
     monkeypatch.setattr(td.maximize, "_newton", stub)
     return polished
 
 
 class TestConfigAndGuards:
-    def test_optimizer_config_validation(self):
-        with pytest.raises(td.InvalidInput):
-            td.OptimizerConfig(grid_points_per_dim=4)
+    def test_optimizer_config_validation(self, tau_g1):
+        with pytest.raises(td.InvalidInput, match=">= 8"):
+            td.theta_max(tau_g1, 4)
 
-    def test_grid_budget_guard(self, tau_s4, cfg):
+    def test_grid_budget_guard(self, tau_s4):
         with pytest.raises(td.ConfigRejected):
-            td.theta_max(tau_s4, td.OptimizerConfig(grid_points_per_dim=200), cfg)
+            td.theta_max(tau_s4, 200)
 
     def test_default_config_by_genus(self):
-        assert td.default_optimizer_config(1).grid_points_per_dim == 256
-        assert td.default_optimizer_config(2).grid_points_per_dim == 32
+        assert td.default_optimizer_config(1) == 256
+        assert td.default_optimizer_config(2) == 32
         # 10^6 <= 32^4 < 11^6; at g = 4 no nd >= 8 fits 32^4, and 8^8 is
         # within the grid budget
-        assert td.default_optimizer_config(3).grid_points_per_dim == 10
-        assert td.default_optimizer_config(4).grid_points_per_dim == 8
+        assert td.default_optimizer_config(3) == 10
+        assert td.default_optimizer_config(4) == 8
 
-    def test_no_converged_start_raises(self, tau_g1, cfg, monkeypatch):
+    def test_no_converged_start_raises(self, tau_g1, monkeypatch):
         newton = td.maximize._newton
 
-        def no_polish(tau, start, bits=None):
-            return newton(tau, start) if bits is None else None
+        def no_polish(tau, start, polish=False):
+            return None if polish else newton(tau, start)
 
         monkeypatch.setattr(td.maximize, "_newton", no_polish)
         with pytest.raises(td.BudgetExceeded):
-            td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=8), cfg)
+            td.theta_max(tau_g1, 8)
 
-    def test_no_double_converged_start_raises(self, tau_g1, cfg, monkeypatch):
+    def test_no_double_converged_start_raises(self, tau_g1, monkeypatch):
         """When Newton in doubles drops every start, no start is polished at
         working precision."""
-        def newton(tau, start, bits=None):
-            if bits is not None:
+        def newton(tau, start, polish=False):
+            if polish:
                 raise AssertionError("polished a start Newton in doubles dropped")
             return None
 
         monkeypatch.setattr(td.maximize, "_newton", newton)
         with pytest.raises(td.BudgetExceeded):
-            td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=8), cfg)
+            td.theta_max(tau_g1, 8)
 
-    def test_refined_below_grid_raises(self, tau_g1, cfg, monkeypatch):
+    def test_refined_below_grid_raises(self, tau_g1, monkeypatch):
         newton = td.maximize._newton
 
-        def low_polish(tau, start, bits=None):
-            return newton(tau, start) if bits is None else (mp.mpf("0.5"), (mp.mpf(0),) * 2)
+        def low_polish(tau, start, polish=False):
+            return (mp.mpf("0.5"), (mp.mpf(0),) * 2) if polish else newton(tau, start)
 
         monkeypatch.setattr(td.maximize, "_newton", low_polish)
         with pytest.raises(td.BudgetExceeded):
-            td.theta_max(tau_g1, td.OptimizerConfig(grid_points_per_dim=8), cfg)
+            td.theta_max(tau_g1, 8)
 
-    def test_tie_break_ignores_ambient_precision(self, tau_s4, cfg, monkeypatch):
+    def test_tie_break_ignores_ambient_precision(self, tau_s4, monkeypatch):
         """Polishes of the symmetric maxima x* and -x* tie up to rounding.
         With the value of the twin of higher coordinates raised by a relative
-        2^-120, far below target_abs_error, the lowest coordinates still win
+        2^-120, far below the 128-bit tie unit 2^-64, the lowest coordinates still win
         at an ambient precision of 53 bits and of 300 bits."""
         newton = td.maximize._newton
         maxima = [tuple(float(c) for c in S4_ARGMAX), tuple(1 - float(c) for c in S4_ARGMAX)]
 
-        def polish(tau, k, bits):
-            value, x = newton(tau, maxima[k], bits)
+        def polish(tau, k):
+            value, x = newton(tau, maxima[k], polish=True)
             if x[0] > 0.5:
-                with mp.workprec(bits):
+                with mp.workprec(tau.bits):
                     value *= 1 + mp.mpf(2) ** -120
             return value, x
 
-        ocfg = td.OptimizerConfig(grid_points_per_dim=8)
         argmaxes = []
         for ambient in (53, 300):
             calls = two_polishes(monkeypatch, polish)
             with mp.workprec(ambient):
-                argmaxes.append(td.theta_max(tau_s4, ocfg, cfg).argmax_coords)
+                argmaxes.append(td.theta_max(tau_s4, 8).argmax_coords)
             assert len(calls) == 2
         assert argmaxes[0] == argmaxes[1]
         assert argmaxes[0][0] < 0.5
 
-    def test_tie_break_reads_coordinates_mod_one(self, tau_s4, cfg, monkeypatch):
+    def test_tie_break_reads_coordinates_mod_one(self, tau_s4, monkeypatch):
         """Twin maxima whose first coordinate is 0 mod 1, one polish leaving
         it at 1 - 1e-30 and the other at 1e-30, with equal values: the
         tie-break takes both as 0, and the second coordinate picks the 0.2
         twin, whichever polish comes first."""
-        with mp.workprec(cfg.working_precision_bits):
+        with mp.workprec(128):
             eps = mp.mpf("1e-30")
             twins = [(1 - eps, mp.mpf("0.2"), 0.5, 0.5), (eps, mp.mpf("0.3"), 0.5, 0.5)]
         for first in (0, 1):
 
-            def polish(tau, k, bits):
+            def polish(tau, k):
                 # the first polish returns one twin, every later one the other
-                with mp.workprec(bits):
+                with mp.workprec(tau.bits):
                     return mp.mpf(S4_THETA_MAX), twins[first if k == 0 else 1 - first]
 
             polished = two_polishes(monkeypatch, polish)
-            ocfg = td.OptimizerConfig(grid_points_per_dim=8)
-            assert td.theta_max(tau_s4, ocfg, cfg).argmax_coords == twins[0]
+            assert td.theta_max(tau_s4, 8).argmax_coords == twins[0]
             assert len(polished) >= 2
 
     @pytest.mark.parametrize("twins", [(0,), (1,), (0, 1), (1, 0)])
-    def test_polishes_one_member_per_pair(self, tau_s4, cfg, monkeypatch, twins):
+    def test_polishes_one_member_per_pair(self, tau_s4, monkeypatch, twins):
         """theta is even, so x* and -x* are one maximum: whichever of them
         Newton in doubles reaches, and in either order, one polish runs, from
         x*, the member of lower coordinates, and x* is the argmax."""
@@ -466,23 +457,22 @@ class TestConfigAndGuards:
         maxima = [tuple(float(c) for c in S4_ARGMAX), tuple(1 - float(c) for c in S4_ARGMAX)]
         doubles, starts = iter(twins), []
 
-        def stub(tau, start, bits=None):
-            if bits is None:
+        def stub(tau, start, polish=False):
+            if not polish:
                 k = next(doubles, None)
                 return None if k is None else newton(tau, maxima[k])
             starts.append(np.array([float(c) for c in start]))
-            return newton(tau, start, bits)
+            return newton(tau, start, polish=True)
 
         monkeypatch.setattr(td.maximize, "_newton", stub)
-        res = td.theta_max(tau_s4, td.OptimizerConfig(grid_points_per_dim=8), cfg)
+        res = td.theta_max(tau_s4, 8)
         assert len(starts) == 1
         assert np.abs(starts[0] - np.array(maxima[0])).max() < 1e-12
-        with mp.workprec(cfg.working_precision_bits):
+        with mp.workprec(128):
             assert max(abs(c - mp.mpf(a)) for c, a in zip(res.argmax_coords, S4_ARGMAX)) < 1e-30
 
-    def test_deterministic_rerun(self, tau_s4, cfg):
-        ocfg = td.OptimizerConfig(grid_points_per_dim=12)
-        a = td.theta_max(tau_s4, ocfg, cfg)
-        b = td.theta_max(tau_s4, ocfg, cfg)
+    def test_deterministic_rerun(self, tau_s4):
+        a = td.theta_max(tau_s4, 12)
+        b = td.theta_max(tau_s4, 12)
         assert a.value == b.value
         assert a.argmax_coords == b.argmax_coords
