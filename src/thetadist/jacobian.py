@@ -15,10 +15,9 @@ RepresentationDegenerate rather than guessing a representative.
 Each coefficient ring owns its normal form: ``R.reduce`` is the identity
 over Q and ``x % p^j`` over Z/p^j.  The polynomial helpers pass every
 coefficient they return through it, so a zero coefficient is falsy and no
-helper branches on the ring.  A new ring needs ``coerce``, ``reduce``,
+helper branches on the ring.  A new ring needs ``coerce``, ``reduce`` and
 ``unit_inverse`` (1/x, or None where x is not a unit), through which
-``add`` takes every scalar inverse, and ``inv``, which raises
-RepresentationDegenerate on a non-unit and serves ``pdivmod``.
+``add`` and ``pdivmod`` take every scalar inverse.
 
 There is one ring object per (p, j): ``residue_ring`` is cached, and
 ``reduce_mod`` and ``enumerate_curve_points_mod`` build their divisors on
@@ -95,11 +94,6 @@ class RationalField:
         """1 / x, or None for x = 0."""
         return Fraction(1, 1) / x if x else None
 
-    def inv(self, x):
-        if not x:
-            raise RepresentationDegenerate("division by zero over Q")
-        return Fraction(1, 1) / x
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -160,13 +154,6 @@ class ResidueRing:
         """The inverse of the residue x, or None when x is not a unit."""
         return pow(x, -1, self.modulus) if gcd(x, self.p) == 1 else None
 
-    def inv(self, x):
-        if gcd(int(x), self.p) != 1:
-            raise RepresentationDegenerate(
-                f"{x} is not a unit modulo {self.p}^{self.j}"
-            )
-        return pow(int(x), -1, self.modulus)
-
     def __eq__(self, other):
         return isinstance(other, ResidueRing) and other.modulus == self.modulus
 
@@ -221,7 +208,13 @@ def pdivmod(R, a, b):
     A monic b takes no inverse."""
     if not b:
         raise RepresentationDegenerate("polynomial division by zero")
-    inv_lc = None if b[-1] == 1 else R.inv(b[-1])
+    inv_lc = None
+    if b[-1] != 1:
+        inv_lc = R.unit_inverse(b[-1])
+        if inv_lc is None:
+            raise RepresentationDegenerate(
+                f"the divisor's leading coefficient {b[-1]} is not a unit in {R}"
+            )
     a, q = list(a), []
     while len(a) >= len(b):
         c = a.pop()
@@ -744,7 +737,7 @@ def on_curve_mod(curve: HyperellipticCurve, Dmod: MumfordDivisor, p: int, j: int
     u0, u1 = Dmod.u[0], Dmod.u[1]
     if (u1 * u1 - 4 * u0) % p != 0:
         return False
-    alpha = (-u1 * R.inv(2)) % p
+    alpha = (-u1 * R.unit_inverse(2)) % p
     # conjugate pair of a Weierstrass point: the class is the base point
     return peval(R, Dmod.v, alpha) == 0
 

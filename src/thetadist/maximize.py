@@ -113,16 +113,15 @@ def _newton(tau: PeriodMatrix, start, polish: bool = False):
     g, bits = tau.g, tau.bits
     with mp.workprec(bits):
         if not polish:
-            ctx = tau.lattice
             x = np.asarray(start, dtype=float)
-            J, Y4pi = np.hstack([np.eye(g), ctx.taun]), 4 * np.pi * ctx.Y
-            root4, tol = math.sqrt(ctx.scale), 2.0**-26
+            J, Y4pi = np.hstack([np.eye(g), tau.tau_np]), 4 * np.pi * tau.Y_np
+            root4, tol = math.sqrt(tau.scale), 2.0**-26
         else:
             x = np.array([mp.mpf(c) for c in start])
-            J = np.hstack([np.eye(g), np.array(tau.tau.tolist())])
+            J = np.hstack([np.eye(g), np.array(tau.tau_rows)])
             # the array on the left: an mpmath number on the left first
             # tries, and fails, to convert the array, at the cost of its repr
-            Y4pi = np.array(tau.Y.tolist()) * (4 * mp.pi)
+            Y4pi = np.array(tau.Y_rows) * (4 * mp.pi)
             root4, tol = mp.sqrt(mp.sqrt(tau.detY)), mp.mpf(2) ** (-mp.mpf(bits) / 2)
         for _ in range(_NEWTON_MAX_STEPS):
             x = np.array([c - round(c) for c in x])

@@ -16,11 +16,12 @@ grid scan's tensor grids.  The torus average,
 coefficients (``_slice_coefficients``) and integrates over n exactly by
 Parseval, with a midpoint rule in m alone.
 
-All these sums read one lattice context per ``PeriodMatrix`` (the layout of
-Deconinck, Heil, Bobenko, van Hoeij, Schmies, "Computing Riemann theta
-functions", Math. Comp. 73 (2004)).  For the working precision it holds the
-factors of Y that enumerate an ellipsoid axis by axis (Fincke, Pohst, Math.
-Comp. 44 (1985)), one row of the last axis per prefix of the others, and a
+All these sums read their per-tau inputs from the ``PeriodMatrix``, each
+built once, on first use (the layout of Deconinck, Heil, Bobenko, van
+Hoeij, Schmies, "Computing Riemann theta functions", Math. Comp. 73
+(2004)).  For the working precision it holds the factors of Y that
+enumerate an ellipsoid axis by axis (Fincke, Pohst, Math. Comp. 44
+(1985)), one row of the last axis per prefix of the others, and a
 table of exp(pi i M'tau M) filled on demand.  A term is the table entry
 times per-axis powers of exp(2 pi i z_k), and each row is summed before its
 prefix's powers multiply it once.  ``_theta_point`` does this
@@ -31,7 +32,7 @@ computed s is within N c 2^-(bits + 32) of the sum over its N terms, c a
 small multiple of the largest |M|_1, plus a rounding of s.  A call whose set
 the table already holds makes g + 1 exponentials.  The double part, the box
 and its cell-centred term layout, is built on first use by a double kernel
-(see ``LatticeContext``).
+(see ``PeriodMatrix``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ _LAMBDA_MIN_TOL = 1e-20
 # Complex values in the largest temporary of one _theta_batch chunk (the
 # prod_{k>1} (2R_k+1) partial sums or the sum_k (2R_k+1) per-axis powers of
 # each point, for each of its weighted copies), 92 MB, and the most terms a
-# context's box may hold.
+# PeriodMatrix's box may hold.
 _BATCH_TERMS = 20_000 * 289
 # Values that one chunk of sqrt_norm_grid's m-slices may hold in a complex
 # temporary when a slab of slices holds fewer, and that one block of grid slabs
@@ -61,7 +62,7 @@ _BATCH_TERMS = 20_000 * 289
 # cache.
 _SCAN_CHUNK = 2**15
 # Bound on the log of the product of the g per-axis row moduli of a term in
-# LatticeContext's layout.  Its phase-table entries have modulus <= 1, so every
+# PeriodMatrix's layout.  Its phase-table entries have modulus <= 1, so every
 # partial sum stays below exp(500) times the box's number of terms.
 _ROW_LOG_BOUND = 500.0
 # Largest aliasing error of the torus average's midpoint rule that
@@ -96,12 +97,51 @@ def _check_bits(bits) -> int:
 
 class PeriodMatrix:
     """A g x g symmetric complex matrix with positive-definite imaginary part,
-    and the working precision ``bits`` of every mpmath sum on it.
+    the working precision ``bits`` of every mpmath sum on it, and the per-tau
+    inputs of the lattice sums (see the module docstring).
 
     Validation happens at construction: bits in ``_BITS_RANGE``, entries
     finite as doubles, symmetry up to a relative tolerance of 1e-10, a
     smallest eigenvalue of Im(tau) above 1e-20, and an Im(tau) that inverts
-    at the working precision.
+    at the working precision.  Construction keeps ``tau`` (an mpmath
+    matrix), ``tau_rows``, ``X_rows``, ``Y_rows`` and ``Yinv_rows`` (tau, Re
+    tau, Im tau and its inverse as lists of rows of mpmath numbers),
+    ``detY`` and ``lambda_min``.  Everything else is built on first use:
+    ``tau_np`` and ``Y_np`` (tau and Im tau as read-only doubles), ``scale``
+    = sqrt(det Y), the factors of Y that ``ellipsoid_rows`` walks
+    (``cholesky``) and ``phases`` for the working-precision sums, and the double part below for
+    the double kernels.
+
+    The double part: the radii ``R``, the box ``M`` of the M with |M_k| <=
+    R_k (rows in lexicographic order), ``quad`` = M'tau M/2, ``freqs`` (the
+    rows 2 pi i (-R_k, ..., R_k)), ``cells`` and the cell tables.  At m in
+    [-1/2, 1/2]^g, where the double kernels recentre, a term has modulus
+    exp(-pi (M+m)'Y(M+m)), so with r^2 = ``_ellipsoid_radius2``(g,
+    lambda_min, 0, sqrt(g)/2, 60) the terms outside {M : (M+m)'Y(M+m) <=
+    r^2}, with their derivative weights, sum to at most 2^-60.  There |M_k +
+    m_k| <= r sqrt((Y^-1)_kk), so R_k = floor(r sqrt((Y^-1)_kk) + 1/2) makes
+    the box hold every such set.  Reading ``R`` raises BudgetExceeded before
+    any array is built when the box holds more than ``_BATCH_TERMS`` terms
+    (a nearly singular Y); the working-precision sums never read it.
+
+    The term of M at w = n + tau m, times exp(-pi m'Ym), is the product of
+
+    - a phase-table entry t_M = exp(2 pi i (M'tau M/2 + M'tau c) - pi c'Yc),
+      shared by every m in the cell with centre c (``cell_chunks``);
+    - per-axis rows P_k(j) = exp(2 pi i u_k j) at j = M_k, u = n + tau (m - c);
+    - exp(-pi (m'Ym - c'Yc)).
+
+    |t_M| = exp(-pi (M+c)'Y(M+c)) <= 1 for every tau.  The cells split each
+    axis l of m in [-1/2, 1/2) into ``cells[l]`` = B_l equal parts, so
+    |m_l - c_l| <= 1/(2 B_l) and the g row moduli multiply to at most
+    exp(2 pi sum_k R_k |Y (m - c)|_k) <= exp(pi sum_l colsum_l / B_l), with
+    colsum_l = sum_k R_k |Y_kl|.  B_l = max(1, ceil(pi g colsum_l /
+    ``_ROW_LOG_BOUND``)) keeps that below exp(``_ROW_LOG_BOUND``): no factor
+    or partial sum of a contraction overflows, and a table entry that
+    underflows drops a term below exp(-745 + ``_ROW_LOG_BOUND``).  Each
+    product of moduli is the term's own, so rounding errors are those of the
+    unfactored sum.  A well-conditioned tau, such as the preset, has one
+    cell, c = 0.
     """
 
     def __init__(self, entries, bits: int = 128):
@@ -122,7 +162,6 @@ class PeriodMatrix:
             # symmetrize so downstream linear algebra sees an exactly symmetric Y
             tau = (tau + tau.T) / 2
             Y = tau.apply(mp.im)
-            X = tau.apply(mp.re)
             lam_min = min(mp.eigsy(Y, eigvals_only=True))
             if lam_min <= 0:
                 raise InvalidPeriodMatrix("Im(tau) is not positive definite")
@@ -137,25 +176,144 @@ class PeriodMatrix:
             self.g = g
             self.bits = bits
             self.tau = tau
-            self.X = X
-            self.Y = Y
-            self.Yinv = Yinv
+            self.tau_rows = tau.tolist()
+            self.X_rows = tau.apply(mp.re).tolist()
+            self.Y_rows = Y.tolist()
+            self.Yinv_rows = Yinv.tolist()
             self.detY = mp.det(Y)
             self.lambda_min = lam_min
-
-    @property
-    def tau_np(self) -> np.ndarray:
-        return np.array(
-            [[complex(self.tau[i, j]) for j in range(self.g)] for i in range(self.g)]
-        )
-
-    @cached_property
-    def lattice(self) -> LatticeContext:
-        """The lattice context the theta sums share, built on first use."""
-        return LatticeContext(self)
+        # the last cell table built: a table per cell could hold up to
+        # prod(cells) prod_k (2R_k+1) values
+        self._table = (None, None)
 
     def __repr__(self):
         return f"PeriodMatrix(g={self.g}, bits={self.bits})"
+
+    @cached_property
+    def tau_np(self) -> np.ndarray:
+        a = np.array([[complex(v) for v in row] for row in self.tau_rows])
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def Y_np(self) -> np.ndarray:
+        return self.tau_np.imag
+
+    @cached_property
+    def scale(self) -> float:
+        return math.sqrt(float(self.detY))
+
+    @cached_property
+    def cholesky(self) -> tuple:
+        """``(d, mu)``: Y = U U' with U upper triangular, the Cholesky factor
+        of Y with its axes reversed, so that (M+c)'Y(M+c) = sum_k d_k (v_k +
+        sum_{j<k} mu_jk v_j)^2 with v = M + c, d_k = U_kk^2 and mu_jk = U_jk
+        / U_kk."""
+        U = np.linalg.cholesky(self.Y_np[::-1, ::-1])[::-1, ::-1]
+        return (np.diag(U) ** 2).tolist(), (U / np.diag(U)).tolist()
+
+    @cached_property
+    def R(self) -> tuple:
+        g = self.g
+        r = math.sqrt(_ellipsoid_radius2(g, float(self.lambda_min), 0.0, math.sqrt(g) / 2, 60))
+        R = tuple(int(r * math.sqrt(v) + 0.5) for v in np.diag(np.linalg.inv(self.Y_np)))
+        terms = math.prod(2 * k + 1 for k in R)
+        if terms > _BATCH_TERMS:
+            raise BudgetExceeded(
+                f"the double kernels' box of radii {R} holds {terms:,} lattice "
+                f"terms, more than {_BATCH_TERMS:,}: Im tau is too close to singular"
+            )
+        return R
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        return np.array(list(itertools.product(*(range(-k, k + 1) for k in self.R))))
+
+    @cached_property
+    def quad(self) -> np.ndarray:
+        return 0.5 * np.einsum("li,ij,lj->l", self.M, self.tau_np, self.M)
+
+    @cached_property
+    def freqs(self) -> list:
+        return [2j * np.pi * np.arange(-r, r + 1) for r in self.R]
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        colsum = np.array(self.R) @ np.abs(self.Y_np)
+        return np.maximum(1, np.ceil(np.pi * self.g * colsum / _ROW_LOG_BOUND)).astype(int)
+
+    def cell_chunks(self, m: np.ndarray, chunk: int):
+        """Yield ``(rows, u, q, t)`` for the rows of ``m`` (N x g, in [-1/2,
+        1/2)) grouped by cell, cells in order and rows in their original
+        order, at most ``chunk`` rows at a time: the rows' indices (a slice
+        when they are consecutive), u = (m - c) tau' and q = m'Ym - c'Yc for
+        the cell's centre c, and the cell's phase table t_M of shape (2R_1+1,
+        ..., 2R_g+1).  The last table built is kept, so consecutive calls on
+        one cell build it once."""
+        index = np.minimum(((m + 0.5) * self.cells).astype(int), self.cells - 1)
+        key = np.ravel_multi_index(index.T, self.cells)
+        order = np.argsort(key, kind="stable")
+        edges = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
+        for start, stop in zip(edges[:-1], edges[1:]):
+            cell = key[order[start]]
+            if self._table[0] != cell:
+                self._table = (cell, self._build_cell_table(cell))
+            centre, qc, table = self._table[1]
+            for i in range(start, stop, chunk):
+                rows = order[i : min(i + chunk, stop)]
+                mm = m[rows]
+                q = np.einsum("ni,ij,nj->n", mm, self.Y_np, mm) - qc
+                if rows[-1] - rows[0] == len(rows) - 1:
+                    rows = slice(rows[0], rows[-1] + 1)
+                yield rows, (mm - centre) @ self.tau_np.T, q, table
+
+    def _build_cell_table(self, cell) -> tuple:
+        centre = (np.array(np.unravel_index(cell, self.cells)) + 0.5) / self.cells - 0.5
+        qc = centre @ self.Y_np @ centre
+        table = np.exp(2j * np.pi * (self.quad + self.M @ (self.tau_np @ centre)) - np.pi * qc)
+        return centre, qc, table.reshape([2 * k + 1 for k in self.R])
+
+    @cached_property
+    def phases(self) -> _PhaseTable:
+        """exp(pi i M'tau M) at tau's precision as fixed-point complexes
+        (``_PhaseTable``), keyed by the tuple M.
+
+        An entry is computed the first time a lattice set asks for its M, and
+        kept under M and -M, whose M'tau M is the same sum of the same
+        products; so the table holds the union of the sets summed so far and
+        their negatives.
+        """
+        return _PhaseTable(self.tau_rows, self.bits)
+
+    def ellipsoid_rows(self, c, r2: float) -> list:
+        """The lattice set {M : (M+c)'Y(M+c) <= r2} as rows ``(prefix, lo,
+        hi)``, one per prefix (M_1, ..., M_{g-1}) in lexicographic order: the
+        set's M with that prefix are prefix + (j,) for lo <= j <= hi.
+
+        Fincke-Pohst enumeration on Y = U U' with U upper triangular, so that
+        with v = M + c the form is sum_k d_k (v_k + sum_{j<k} mu_jk v_j)^2
+        and axis k's term depends on the axes before it alone: each prefix
+        leaves one interval of M_k.  Membership is decided in doubles, on r2
+        inflated by ``_ELLIPSOID_SLACK``, so the rows hold the set and
+        possibly a few points on its boundary.
+        """
+        g = self.g
+        d, mu = self.cholesky
+        rows = []
+
+        def walk(k, prefix, v, rest):
+            s = c[k] + sum(mu[j][k] * v[j] for j in range(k))
+            h = math.sqrt(max(rest, 0.0) / d[k])
+            lo, hi = math.ceil(-s - h), math.floor(-s + h)
+            if k == g - 1:
+                if lo <= hi:
+                    rows.append((prefix, lo, hi))
+                return
+            for m in range(lo, hi + 1):
+                walk(k + 1, prefix + (m,), v + [m + c[k]], rest - d[k] * (m + s) ** 2)
+
+        walk(0, (), [], r2 * (1 + _ELLIPSOID_SLACK))
+        return rows
 
 
 @dataclass(frozen=True)
@@ -165,10 +323,10 @@ class ThetaPoint:
     z: tuple
 
     def __post_init__(self):
-        # Coerce at elevated precision so entries already carried as
-        # high-precision mpmath numbers are not re-rounded to the ambient
-        # (possibly 53-bit) context precision.
-        with mp.workprec(max(mp.mp.prec, 384)):
+        # Coerce at the top of the working-precision range, so that a real or
+        # string entry keeps every bit a sum at any tau.bits can use, whatever
+        # the ambient precision; an mpc entry is copied without rounding.
+        with mp.workprec(max(mp.mp.prec, _BITS_RANGE[1])):
             zt = tuple(mp.mpc(w) for w in self.z)
         for w in zt:
             if not (mp.isfinite(w.real) and mp.isfinite(w.imag)):
@@ -202,169 +360,9 @@ def reduce_to_fundamental(tau: PeriodMatrix, z: ThetaPoint):
 def _lattice_coords(tau: PeriodMatrix, z: ThetaPoint) -> list:
     """The lattice coordinates x = (n, m) of z = n + tau m at tau's
     precision: m = Y^-1 Im z and n = Re z - X m."""
-    ctx = tau.lattice
     with mp.workprec(tau.bits):
-        m = [mp.fdot(row, [w.imag for w in z.z]) for row in ctx.Yinv_rows]
-        return [w.real - mp.fdot(row, m) for w, row in zip(z.z, ctx.X_rows)] + m
-
-
-class LatticeContext:
-    """Per-tau inputs of the lattice sums (see the module docstring).
-
-    Built eagerly, and all the working-precision sums read: ``taun`` and
-    ``Y`` (tau and Im tau as doubles), ``tau_rows``, ``X_rows``, ``Y_rows``
-    and ``Yinv_rows`` (tau, Re tau, Im tau and its inverse as lists of rows
-    of mpmath numbers), ``scale`` = sqrt(det Y), the factors of Y that
-    ``ellipsoid_rows`` walks, and ``phases``, built on first use.
-
-    The double part is built on first use by a double kernel: the radii
-    ``R``, the box ``M`` of the M with |M_k| <= R_k (rows in lexicographic
-    order), ``quad`` = M'tau M/2, ``cells`` and the cell tables.  At m in
-    [-1/2, 1/2]^g, where the double kernels recentre, a term has modulus
-    exp(-pi (M+m)'Y(M+m)), so with r^2 = ``_ellipsoid_radius2``(g,
-    lambda_min, 0, sqrt(g)/2, 60) the terms outside {M : (M+m)'Y(M+m) <=
-    r^2}, with their derivative weights, sum to at most 2^-60.  There |M_k +
-    m_k| <= r sqrt((Y^-1)_kk), so R_k = floor(r sqrt((Y^-1)_kk) + 1/2) makes
-    the box hold every such set.  Reading ``R`` raises BudgetExceeded before
-    any array is built when the box holds more than ``_BATCH_TERMS`` terms
-    (a nearly singular Y); the working-precision sums never read it.
-
-    The term of M at w = n + tau m, times exp(-pi m'Ym), is the product of
-
-    - a phase-table entry t_M = exp(2 pi i (M'tau M/2 + M'tau c) - pi c'Yc),
-      shared by every m in the cell with centre c (``cell_chunks``);
-    - per-axis rows P_k(j) = exp(2 pi i u_k j) at j = M_k, u = n + tau (m - c);
-    - exp(-pi (m'Ym - c'Yc)).
-
-    |t_M| = exp(-pi (M+c)'Y(M+c)) <= 1 for every tau.  The cells split each
-    axis l of m in [-1/2, 1/2) into ``cells[l]`` = B_l equal parts, so
-    |m_l - c_l| <= 1/(2 B_l) and the g row moduli multiply to at most
-    exp(2 pi sum_k R_k |Y (m - c)|_k) <= exp(pi sum_l colsum_l / B_l), with
-    colsum_l = sum_k R_k |Y_kl|.  B_l = max(1, ceil(pi g colsum_l /
-    ``_ROW_LOG_BOUND``)) keeps that below exp(``_ROW_LOG_BOUND``): no factor
-    or partial sum of a contraction overflows, and a table entry that
-    underflows drops a term below exp(-745 + ``_ROW_LOG_BOUND``).  Each
-    product of moduli is the term's own, so rounding errors are those of the
-    unfactored sum.  A well-conditioned tau, such as the preset, has one
-    cell, c = 0.
-    """
-
-    def __init__(self, tau: PeriodMatrix):
-        self.g, self.bits = tau.g, tau.bits
-        self.tau_rows = tau.tau.tolist()
-        self.X_rows = tau.X.tolist()
-        self.Y_rows = tau.Y.tolist()
-        self.Yinv_rows = tau.Yinv.tolist()
-        self._lambda_min = float(tau.lambda_min)
-        self.taun = tau.tau_np
-        self.Y = self.taun.imag
-        self.scale = math.sqrt(float(tau.detY))
-        # the last cell table built: a table per cell could hold up to
-        # prod(cells) prod_k (2R_k+1) values
-        self._table = (None, None)
-        # Y = U U' with U upper triangular: the Cholesky factor of Y with its
-        # axes reversed.  (M+c)'Y(M+c) = sum_k d_k (v_k + sum_{j<k} mu_jk
-        # v_j)^2 with v = M + c, d_k = U_kk^2 and mu_jk = U_jk / U_kk.
-        U = np.linalg.cholesky(self.Y[::-1, ::-1])[::-1, ::-1]
-        self._d = (np.diag(U) ** 2).tolist()
-        self._mu = (U / np.diag(U)).tolist()
-
-    @cached_property
-    def R(self) -> tuple:
-        r = math.sqrt(_ellipsoid_radius2(self.g, self._lambda_min, 0.0, math.sqrt(self.g) / 2, 60))
-        R = tuple(int(r * math.sqrt(v) + 0.5) for v in np.diag(np.linalg.inv(self.Y)))
-        terms = math.prod(2 * k + 1 for k in R)
-        if terms > _BATCH_TERMS:
-            raise BudgetExceeded(
-                f"the double kernels' box of radii {R} holds {terms:,} lattice "
-                f"terms, more than {_BATCH_TERMS:,}: Im tau is too close to singular"
-            )
-        return R
-
-    @cached_property
-    def M(self) -> np.ndarray:
-        return np.array(list(itertools.product(*(range(-k, k + 1) for k in self.R))))
-
-    @cached_property
-    def quad(self) -> np.ndarray:
-        return 0.5 * np.einsum("li,ij,lj->l", self.M, self.taun, self.M)
-
-    @cached_property
-    def cells(self) -> np.ndarray:
-        colsum = np.array(self.R) @ np.abs(self.Y)
-        return np.maximum(1, np.ceil(np.pi * self.g * colsum / _ROW_LOG_BOUND)).astype(int)
-
-    def cell_chunks(self, m: np.ndarray, chunk: int):
-        """Yield ``(rows, u, q, t)`` for the rows of ``m`` (N x g, in [-1/2,
-        1/2)) grouped by cell, cells in order and rows in their original
-        order, at most ``chunk`` rows at a time: the rows' indices (a slice
-        when they are consecutive), u = (m - c) tau' and q = m'Ym - c'Yc for
-        the cell's centre c, and the cell's phase table t_M of shape (2R_1+1,
-        ..., 2R_g+1).  The last table built is kept, so consecutive calls on
-        one cell build it once."""
-        index = np.minimum(((m + 0.5) * self.cells).astype(int), self.cells - 1)
-        key = np.ravel_multi_index(index.T, self.cells)
-        order = np.argsort(key, kind="stable")
-        edges = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
-        for start, stop in zip(edges[:-1], edges[1:]):
-            cell = key[order[start]]
-            if self._table[0] != cell:
-                self._table = (cell, self._build_cell_table(cell))
-            centre, qc, table = self._table[1]
-            for i in range(start, stop, chunk):
-                rows = order[i : min(i + chunk, stop)]
-                mm = m[rows]
-                q = np.einsum("ni,ij,nj->n", mm, self.Y, mm) - qc
-                if rows[-1] - rows[0] == len(rows) - 1:
-                    rows = slice(rows[0], rows[-1] + 1)
-                yield rows, (mm - centre) @ self.taun.T, q, table
-
-    def _build_cell_table(self, cell) -> tuple:
-        centre = (np.array(np.unravel_index(cell, self.cells)) + 0.5) / self.cells - 0.5
-        qc = centre @ self.Y @ centre
-        table = np.exp(2j * np.pi * (self.quad + self.M @ (self.taun @ centre)) - np.pi * qc)
-        return centre, qc, table.reshape([2 * k + 1 for k in self.R])
-
-    @cached_property
-    def phases(self) -> _PhaseTable:
-        """exp(pi i M'tau M) at tau's precision as fixed-point complexes
-        (``_PhaseTable``), keyed by the tuple M.
-
-        An entry is computed the first time a lattice set asks for its M, and
-        kept under M and -M, whose M'tau M is the same sum of the same
-        products; so the table holds the union of the sets summed so far and
-        their negatives.
-        """
-        return _PhaseTable(self.tau_rows, self.bits)
-
-    def ellipsoid_rows(self, c, r2: float) -> list:
-        """The lattice set {M : (M+c)'Y(M+c) <= r2} as rows ``(prefix, lo,
-        hi)``, one per prefix (M_1, ..., M_{g-1}) in lexicographic order: the
-        set's M with that prefix are prefix + (j,) for lo <= j <= hi.
-
-        Fincke-Pohst enumeration on Y = U U' with U upper triangular, so that
-        with v = M + c the form is sum_k d_k (v_k + sum_{j<k} mu_jk v_j)^2
-        and axis k's term depends on the axes before it alone: each prefix
-        leaves one interval of M_k.  Membership is decided in doubles, on r2
-        inflated by ``_ELLIPSOID_SLACK``, so the rows hold the set and
-        possibly a few points on its boundary.
-        """
-        g, d, mu = self.g, self._d, self._mu
-        rows = []
-
-        def walk(k, prefix, v, rest):
-            s = c[k] + sum(mu[j][k] * v[j] for j in range(k))
-            h = math.sqrt(max(rest, 0.0) / d[k])
-            lo, hi = math.ceil(-s - h), math.floor(-s + h)
-            if k == g - 1:
-                if lo <= hi:
-                    rows.append((prefix, lo, hi))
-                return
-            for m in range(lo, hi + 1):
-                walk(k + 1, prefix + (m,), v + [m + c[k]], rest - d[k] * (m + s) ** 2)
-
-        walk(0, (), [], r2 * (1 + _ELLIPSOID_SLACK))
-        return rows
+        m = [mp.fdot(row, [w.imag for w in z.z]) for row in tau.Yinv_rows]
+        return [w.real - mp.fdot(row, m) for w, row in zip(z.z, tau.X_rows)] + m
 
 
 class _PhaseTable(dict):
@@ -487,15 +485,14 @@ def _axis_powers(w: tuple, lo: int, hi: int, width: int) -> list:
 
 
 def _lattice_set(tau: PeriodMatrix, m) -> list:
-    """The rows (``LatticeContext.ellipsoid_rows``) of the lattice set the
+    """The rows (``PeriodMatrix.ellipsoid_rows``) of the lattice set the
     sum at tau's precision runs over at lattice coordinates (n, m): {M :
     (M+c)'Y(M+c) <= r^2}, with c = m and r^2 from ``_ellipsoid_radius2``."""
-    ctx = tau.lattice
     c = np.array([float(v) for v in m])
     r2 = _ellipsoid_radius2(
-        tau.g, float(tau.lambda_min), float(c @ ctx.Y @ c), float(np.linalg.norm(c)), tau.bits
+        tau.g, float(tau.lambda_min), float(c @ tau.Y_np @ c), float(np.linalg.norm(c)), tau.bits
     )
-    return ctx.ellipsoid_rows(c.tolist(), r2)
+    return tau.ellipsoid_rows(c.tolist(), r2)
 
 
 def _extent(rows: list) -> tuple:
@@ -515,7 +512,7 @@ def _theta_point(tau: PeriodMatrix, x, derivs: bool = False):
     The sum runs over ``_lattice_set``, whose theta terms left out, with
     their derivative weights, sum to at most 2^-bits, so those of s to at
     most 2^-bits exp(-pi m'Ym).  A term exp(2 pi i (M'tau M/2 + M'z)), z = n
-    + tau m, is the context's phase for M times the per-axis powers exp(2 pi
+    + tau m, is tau's phase for M times the per-axis powers exp(2 pi
     i z_k)^(M_k) over the set's extent.  Along a row's range of M_g the
     phases times the powers of axis g are summed, and the row sum is
     multiplied once by the product of its prefix's g - 1 powers.
@@ -566,7 +563,7 @@ def _theta_point(tau: PeriodMatrix, x, derivs: bool = False):
     order either way, so s is bit-identical with and without ``derivs``.
     """
     g, bits = tau.g, tau.bits
-    table = tau.lattice.phases
+    table = tau.phases
     width, frac = table.width, table.frac
     n, m = [[to_fixed(mp.convert(c)._mpf_, frac) for c in half] for half in (x[:g], x[g:])]
     # 2 pi i z_k at 2 frac fractional bits, and pi m'Ym at 3 frac
@@ -651,7 +648,7 @@ def theta(tau: PeriodMatrix, z: ThetaPoint):
         z0, _, _, log_mult = reduce_to_fundamental(tau, z)
         x0 = _lattice_coords(tau, z0)
         m0 = x0[tau.g :]
-        quad = mp.fdot(m0, [mp.fdot(row, m0) for row in tau.lattice.Y_rows])
+        quad = mp.fdot(m0, [mp.fdot(row, m0) for row in tau.Y_rows])
         return mp.exp(log_mult + mp.pi * quad) * _theta_point(tau, x0)
 
 
@@ -679,7 +676,7 @@ def norm_batch(tau: PeriodMatrix, coords: np.ndarray) -> np.ndarray:
     lattice invariant so the recentring does not change the values.  The
     value is sqrt(det Y) |s|^2 with s from ``_theta_batch``.
     """
-    return tau.lattice.scale * np.abs(_theta_batch(tau, coords)) ** 2
+    return tau.scale * np.abs(_theta_batch(tau, coords)) ** 2
 
 
 def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
@@ -693,14 +690,14 @@ def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
     same factor.  The factor does not depend on z, so the ratios d1/s and
     d2/s are theta'/theta and theta''/theta.
 
-    The terms are the context's (``LatticeContext``), over its box |j_k| <=
+    The terms are tau's (``PeriodMatrix``), over its box |j_k| <=
     R_k: points are grouped into its cells of m, and in a cell with centre c
     theta is the cell's phase table contracted with the per-axis rows P_k(j)
     = exp(2 pi i u_k j), u = n + tau (m - c), one axis at a time, first one
     (n x L_1) x (L_1 x L_2...L_g) product with L_k = 2R_k+1, then a batched
     vector-matrix product per remaining axis: N (L_1 + ... + L_g)
     exponentials per call, plus L_1...L_g per cell whose table is not the
-    context's last, instead of N L_1...L_g.  Since dP_k/dz_k = 2 pi i j P_k,
+    last one built, instead of N L_1...L_g.  Since dP_k/dz_k = 2 pi i j P_k,
     the derivatives are the same contraction with axis k's rows weighted by
     2 pi i j for d/dz_k, and axes k and l weighted for d^2/dz_k dz_l (as in
     ``_theta_point``): with ``derivs`` each point contributes K = 1 + g +
@@ -714,8 +711,7 @@ def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
         raise InvalidInput("coords must have shape (N, 2g)")
     if not np.isfinite(coords).all():
         raise InvalidInput("coords has a non-finite entry")
-    ctx = tau.lattice
-    js = [2j * np.pi * np.arange(-r, r + 1) for r in ctx.R]
+    js = tau.freqs
     L = [len(j) for j in js]
     weights = [()]
     if derivs:
@@ -727,7 +723,7 @@ def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
     mc = coords[:, g:] - np.round(coords[:, g:])
     chunk = max(1, _BATCH_TERMS // (K * max(sum(L), math.prod(L[1:]))))
     out = np.empty((len(coords), K), dtype=complex)
-    for pts, u, q, table in ctx.cell_chunks(mc, chunk):
+    for pts, u, q, table in tau.cell_chunks(mc, chunk):
         u = nc[pts] + u
         rows = [np.exp(u[:, k, None, None] * j) * w for k, (j, w) in enumerate(zip(js, W))]
         th = rows[0].reshape(-1, L[0]) @ table.reshape(L[0], -1)
@@ -742,30 +738,29 @@ def _theta_batch(tau: PeriodMatrix, coords: np.ndarray, derivs: bool = False):
     return out[:, 0], out[:, 1 : 1 + g], d2
 
 
-def _slice_coefficients(ctx: LatticeContext, ms: np.ndarray, chunk: int):
+def _slice_coefficients(tau: PeriodMatrix, ms: np.ndarray, chunk: int):
     """Yield ``(rows, D, w)`` for the m-slices ``ms`` (N x g, in [-1/2,
-    1/2)) in the chunks of ``ctx.cell_chunks``: the rows' indices, the
+    1/2)) in the chunks of ``tau.cell_chunks``: the rows' indices, the
     coefficients D of shape (N', 2R_1+1, ..., 2R_g+1) and the weights w of
     shape (N',), so that w |sum_M D_M exp(2 pi i M'n)|^2 is <s,s>(n, m).
 
     For fixed m the theta sum is a trigonometric polynomial in n,
     theta(n + tau m) = sum_M C_M(m) exp(2 pi i M'n), C_M(m) = exp(pi i
-    M'tau M + 2 pi i M'tau m), and the context's terms at n = 0 (see
-    ``LatticeContext``) give it: in a cell with centre c, D_M = C_M(m)
+    M'tau M + 2 pi i M'tau m), and tau's terms at n = 0 (see
+    ``PeriodMatrix``) give it: in a cell with centre c, D_M = C_M(m)
     exp(-pi c'Yc) is the cell's phase table times the slice's per-axis
     powers exp(2 pi i j (tau (m - c))_k), |j| <= R_k, and w = sqrt(det Y)
     exp(-2 pi (m'Ym - c'Yc)).  A slice costs (2R_1+1) + ... + (2R_g+1)
     exponentials.
     """
-    g = ctx.g
-    js = [2j * np.pi * np.arange(-r, r + 1) for r in ctx.R]
-    for rows, u, q, table in ctx.cell_chunks(ms, chunk):
+    g, js = tau.g, tau.freqs
+    for rows, u, q, table in tau.cell_chunks(ms, chunk):
         D = np.exp(u[:, 0, None] * js[0])
         for k in range(1, g):
             power = np.exp(u[:, k, None] * js[k])
             D = D[..., None] * power.reshape((len(u),) + (1,) * k + (-1,))
         D *= table
-        yield rows, D, ctx.scale * np.exp(-2 * np.pi * q)
+        yield rows, D, tau.scale * np.exp(-2 * np.pi * q)
 
 
 def sqrt_norm_grid(tau: PeriodMatrix, nd: int) -> np.ndarray:
@@ -793,9 +788,7 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int) -> np.ndarray:
     mirror: the mirrored slabs are copied a block of at most
     ``_SCAN_CHUNK`` values, or one slab, at a time.
     """
-    g = tau.g
-    ctx = tau.lattice
-    js = [2j * np.pi * np.arange(-r, r + 1) for r in ctx.R]
+    g, js = tau.g, tau.freqs
     # recentred to [-1/2, 1/2) as in norm_batch, where the box holds
     axis = np.arange(nd) / nd
     axis -= np.round(axis)
@@ -804,7 +797,7 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int) -> np.ndarray:
     ms = np.array(list(itertools.product(axis[:half], *[axis] * (g - 1))))
     out = np.empty((nd**g, nd**g))
     chunk = max(nd ** (g - 1), _SCAN_CHUNK // max(nd**g, math.prod(map(len, js))))
-    for cols, D, w in _slice_coefficients(ctx, ms, chunk):
+    for cols, D, w in _slice_coefficients(tau, ms, chunk):
         for e in E:
             D = np.tensordot(D, e, axes=(1, 1))
         out[:, cols] = (np.abs(D.reshape(len(w), -1)) ** 2 * w[:, None]).T
@@ -867,7 +860,7 @@ def theta_norm_normalization_check(tau: PeriodMatrix, sample_budget: int):
 
     which is sum_M w |D_M|^2 over each slice's coefficients from
     ``_slice_coefficients``, the terms ``sqrt_norm_grid`` sums, over the
-    context's box (its omitted terms sum below 2^-60).  X cancels in
+    box |M_k| <= R_k (its omitted terms sum below 2^-60).  X cancels in
     |C_M|^2, so F depends on Y alone: the check tests the moduli of the
     kernel's terms and the quadrature in m, not the terms' phases, which
     the tests compare against ``norm_batch``.
@@ -890,8 +883,7 @@ def theta_norm_normalization_check(tau: PeriodMatrix, sample_budget: int):
     nd = 1
     while (nd + 1) ** (2 * g) <= sample_budget:
         nd += 1
-    ctx = tau.lattice
-    bound = 2.0 ** (-g / 2) * _alias_sum(np.linalg.inv(ctx.Y), nd)
+    bound = 2.0 ** (-g / 2) * _alias_sum(np.linalg.inv(tau.Y_np), nd)
     if bound > _ALIAS_TOL:
         raise BudgetExceeded(
             f"the midpoint rule on {nd}^{g} slices has aliasing bound "
@@ -901,9 +893,9 @@ def theta_norm_normalization_check(tau: PeriodMatrix, sample_budget: int):
     axis = (np.arange(nd) + 0.5) / nd
     axis -= np.round(axis)
     ms = np.array(list(itertools.product(axis, repeat=g)))
-    chunk = max(1, _SCAN_CHUNK // math.prod(2 * r + 1 for r in ctx.R))
+    chunk = max(1, _SCAN_CHUNK // math.prod(2 * r + 1 for r in tau.R))
     total = sum(
         w @ (np.abs(D.reshape(len(w), -1)) ** 2).sum(axis=1)
-        for _, D, w in _slice_coefficients(ctx, ms, chunk)
+        for _, D, w in _slice_coefficients(tau, ms, chunk)
     )
     return float(total) / nd**g, 2.0 ** (-g / 2)

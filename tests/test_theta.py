@@ -51,17 +51,16 @@ TAU_COUPLED = [[400j, 200j], [200j, 400j]]
 
 
 def per_term_norm_batch(tau, coords):
-    """<s,s> with one complex exp per (point, lattice term) over the context's
+    """<s,s> with one complex exp per (point, lattice term) over tau's
     box: the unfactored sum, the reference for ``norm_batch``."""
     g = tau.g
-    ctx = tau.lattice
     x = coords - np.round(coords)
     out = []
     for i in range(0, len(x), 1000):
         n, m = x[i : i + 1000, :g], x[i : i + 1000, g:]
-        terms = np.exp(2j * np.pi * (ctx.quad[:, None] + ctx.M @ (n + m @ ctx.taun.T).T))
-        gauss = np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", m, ctx.Y, m))
-        out.append(ctx.scale * gauss * np.abs(terms.sum(axis=0)) ** 2)
+        terms = np.exp(2j * np.pi * (tau.quad[:, None] + tau.M @ (n + m @ tau.tau_np.T).T))
+        gauss = np.exp(-2 * np.pi * np.einsum("ni,ij,nj->n", m, tau.Y_np, m))
+        out.append(tau.scale * gauss * np.abs(terms.sum(axis=0)) ** 2)
     return np.concatenate(out)
 
 
@@ -144,7 +143,7 @@ class TestTheta:
                 a = td.periods._theta_point(tau, x)
                 m = x[g:]
                 with mp.workprec(200):
-                    q = sum(m[i] * tau.Y[i, j] * m[j] for i in range(g) for j in range(g))
+                    q = sum(m[i] * tau.Y_rows[i][j] * m[j] for i in range(g) for j in range(g))
                     b = brute_theta(tau, lattice_point(tau, x, 200).z, set_radii(tau, m, 2))
                     b *= mp.exp(-mp.pi * q)
                 assert abs(a - b) < 1e-35 * max(1, abs(a)), name
@@ -170,7 +169,7 @@ class TestTheta:
         for x in points:
             m = x[g:]
             with mp.workprec(320):
-                q = mp.fsum(m[i] * tau.Y[i, j] * m[j] for i in range(g) for j in range(g))
+                q = mp.fsum(m[i] * tau.Y_rows[i][j] * m[j] for i in range(g) for j in range(g))
                 z = lattice_point(tau, x, 320).z
                 th, grad, hess = brute_theta_derivs(tau, z, set_radii(tau, m, 2), bits=320)
                 factor = mp.exp(-mp.pi * q)
@@ -200,14 +199,14 @@ class TestTheta:
         tau = set_tau(name, tau_s4)
         g = tau.g
         sets = []
-        rows_of = tau.lattice.ellipsoid_rows
+        rows_of = tau.ellipsoid_rows
         monkeypatch.setattr(
-            tau.lattice,
+            tau,
             "ellipsoid_rows",
             lambda c, r2: sets.append((c, rows_of(c, r2))) or sets[-1][1],
         )
         rng = np.random.default_rng(1)
-        Y = tau.lattice.Y
+        Y = tau.Y_np
         for x in rng.random((10, 2 * g)):
             sets.clear()
             td.theta_norm(tau, lattice_point(tau, x))
@@ -347,7 +346,7 @@ class TestReduceToFundamental:
         """The lattice coordinates (n0, m0) of z0 lie in [0, 1)^{2g}, n0
         included, where Re tau is not 0."""
         rng = random.Random(13)
-        Y, X = tau_s4.lattice.Y, tau_s4.lattice.taun.real
+        Y, X = tau_s4.Y_np, tau_s4.tau_np.real
         for _ in range(20):
             z = tuple(complex(rng.uniform(-5, 5), rng.uniform(-3, 3)) for _ in range(2))
             z0 = td.reduce_to_fundamental(tau_s4, td.ThetaPoint(z))[0]
@@ -391,6 +390,19 @@ class TestThetaNorm:
             v = td.theta_norm(tau_s4, td.ThetaPoint(z))
             paper = mp.mpf("1.06639277369136206671054075") ** 2
         assert abs(v - paper) < 1e-10
+
+
+    def test_point_keeps_bits_above_384(self):
+        """Real entries made at 1100 bits keep every bit in a ThetaPoint built
+        at the ambient 53 bits: theta_norm at 1024 bits is the same as on a
+        ThetaPoint built at 1100 bits."""
+        tau = td.bost_mestre_preset(1024).tau
+        with mp.workprec(1100):
+            z = (mp.mpf(1) / 3, mp.mpf(2) / 7)
+            inside = td.ThetaPoint(z)
+        with mp.workprec(53):
+            outside = td.ThetaPoint(z)
+        assert td.theta_norm(tau, outside) == td.theta_norm(tau, inside)
 
 
 class TestNormalization:
@@ -457,7 +469,7 @@ class TestNormalization:
         be +1, and without the Gaussian in m the error would be of order 1."""
         monkeypatch.setattr(td.periods, "_ALIAS_TOL", 1.0)
         tau = td.PeriodMatrix({"c30": TAU_C30, "y21": TAU_Y21, "y60": TAU_Y60}[name])
-        yinv = np.linalg.inv(tau.lattice.Y)
+        yinv = np.linalg.inv(tau.Y_np)
         js = np.array(list(itertools.product(range(-20, 21), repeat=tau.g)))
         js = js[js.any(axis=1)]
         signs = (-1.0) ** js.sum(axis=1)
@@ -534,9 +546,10 @@ class TestNormBatch:
     )
     def test_matches_theta_norm(self, name, points, tau_s4):
         """Against the 128-bit sum, which shares no code with the batch kernel
-        beyond the lattice context.  Near a zero of theta both lose all
-        relative digits, so the relative bound applies where <s,s> is above
-        1e-6 of the batch maximum; elsewhere the bound is absolute."""
+        beyond the PeriodMatrix's cached values.  Near a zero of theta both
+        lose all relative digits, so the relative bound applies where <s,s>
+        is above 1e-6 of the batch maximum; elsewhere the bound is
+        absolute."""
         tau = {
             "i": td.PeriodMatrix([[1j]]),
             "s4": tau_s4,
@@ -589,7 +602,7 @@ class TestSqrtNormGrid:
         """The separable scan against norm_batch at every grid point.  The
         preset's box has 2R_k+1 = 11 > 8 and the g = 3 box 7 > 6, where an FFT
         of length nd would alias.  TAU_C30 has 4 x 4 cells of m.  Both
-        kernels take their terms from the lattice context, so the scan is
+        kernels take their terms from tau's box and cells, so the scan is
         also checked against the unfactored sum, one exp per term, except on
         TAU_C30, where those terms reach e^94 before the Gaussian factor."""
         tau = {
@@ -670,6 +683,21 @@ class TestLatticeContext:
         td.theta_norm(tau, point)
         assert 0 < len(calls) <= tau.g + 2
 
+    def test_built_on_first_use(self, tau_s4):
+        """Construction builds no double array or table, a working-precision
+        theta_norm builds no part of the double kernels' box, and the double
+        copies of tau are read-only."""
+        tau = td.PeriodMatrix(tau_s4.tau.tolist())
+        box = {"R", "M", "quad", "freqs", "cells"}
+        cached = box | {"tau_np", "Y_np", "scale", "cholesky", "phases"}
+        assert not cached & set(vars(tau))
+        assert tau._table == (None, None)
+        td.theta_norm(tau, td.ThetaPoint((0.3 + 0.2j, -0.1 + 0.4j)))
+        assert not box & set(vars(tau))
+        for a in (tau.tau_np, tau.Y_np):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+
     def test_double_kernels_reuse_radius(self, monkeypatch):
         tau = td.PeriodMatrix(TAU_G3)
         coords = np.random.default_rng(3).random((50, 6))
@@ -693,16 +721,16 @@ class TestLatticeContext:
         2^-60.  Every row of that set lies in the box, at seeded m and at
         the corners of the half cell."""
         tau = tau_s4 if name == "s4" else td.PeriodMatrix({**SET_TAUS, "c30": TAU_C30}[name])
-        g, ctx = tau.g, tau.lattice
+        g = tau.g
         r2 = td.periods._ellipsoid_radius2(g, float(tau.lambda_min), 0.0, np.sqrt(g) / 2, 60)
         corners = np.array(list(itertools.product((-0.5, 0.5), repeat=g)))
         ms = np.vstack([np.random.default_rng(9).random((200, g)) - 0.5, corners])
-        sets = [ctx.ellipsoid_rows(m.tolist(), r2) for m in ms]
+        sets = [tau.ellipsoid_rows(m.tolist(), r2) for m in ms]
         assert sum(map(len, sets)) > len(ms)
         for m, rows in zip(ms, sets):
             for prefix, lo, hi in rows:
-                assert all(abs(k) <= r for k, r in zip(prefix, ctx.R)), (name, m)
-                assert -ctx.R[-1] <= lo and hi <= ctx.R[-1], (name, m)
+                assert all(abs(k) <= r for k, r in zip(prefix, tau.R)), (name, m)
+                assert -tau.R[-1] <= lo and hi <= tau.R[-1], (name, m)
 
     @pytest.mark.parametrize(
         "eps, bits, target, rtol, box_fits",
@@ -721,7 +749,7 @@ class TestLatticeContext:
         tau = td.PeriodMatrix([[1j, a * 1j], [a * 1j, 1j]], bits=bits)
         w = 0.3 + 0.2j
         v = td.theta(tau, td.ThetaPoint((w, w)))
-        assert "R" not in vars(tau.lattice)
+        assert "R" not in vars(tau)
         with mp.workprec(300):
             det = 1 - mp.mpf(a) ** 2
             yinv = [[1 / det, -a / det], [-a / det, 1 / det]]
@@ -741,7 +769,7 @@ class TestLatticeContext:
     @pytest.mark.parametrize("eps", [1e-6, 1e-10])
     def test_near_singular_y_fails_fast(self, eps):
         """Y = [[1, 1 - eps], [1 - eps, 1]] would need a double box of tens
-        of millions of terms or more; the context raises before building
+        of millions of terms or more; reading the box raises before building
         any array, and says how large the box is."""
         start = time.perf_counter()
         tau = td.PeriodMatrix([[1j, (1 - eps) * 1j], [(1 - eps) * 1j, 1j]])
@@ -752,13 +780,12 @@ class TestLatticeContext:
         assert int(terms.replace(",", "")) > td.periods._BATCH_TERMS
 
     def test_newton_builds_cell_table_once(self, tau_s4, monkeypatch):
-        """The context keeps its last cell table, so Newton in doubles on the
+        """tau keeps its last cell table, so Newton in doubles on the
         preset (one cell) builds it once for all its one-point steps."""
         tau = td.PeriodMatrix(tau_s4.tau.tolist())
-        ctx = tau.lattice
         builds, steps = [], []
-        build, batch = ctx._build_cell_table, td.maximize._theta_batch
-        monkeypatch.setattr(ctx, "_build_cell_table", lambda c: builds.append(c) or build(c))
+        build, batch = tau._build_cell_table, td.maximize._theta_batch
+        monkeypatch.setattr(tau, "_build_cell_table", lambda c: builds.append(c) or build(c))
         monkeypatch.setattr(
             td.maximize, "_theta_batch", lambda *a, **k: steps.append(a) or batch(*a, **k)
         )
@@ -771,8 +798,7 @@ class TestLatticeContext:
         maximum, when TAU_C30's 16 cells of m span several chunks each.
         The box is read first: _BATCH_TERMS also caps it."""
         tau = td.PeriodMatrix(TAU_C30)
-        ctx = tau.lattice
-        L = [2 * r + 1 for r in ctx.R]
+        L = [2 * r + 1 for r in tau.R]
         coords = np.random.default_rng(31).random((2000, 4))
 
         def kernels():
@@ -785,14 +811,14 @@ class TestLatticeContext:
         # of 24 or 23 slices in the scan, so that most cells span several chunks
         monkeypatch.setattr(td.periods, "_BATCH_TERMS", 42 * max(sum(L), math.prod(L[1:])))
         monkeypatch.setattr(td.periods, "_SCAN_CHUNK", 1)
-        tables, chunks = [], ctx.cell_chunks
+        tables, chunks = [], tau.cell_chunks
 
         def spy(m, chunk):
             for item in chunks(m, chunk):
                 tables.append(item[3])
                 yield item
 
-        monkeypatch.setattr(ctx, "cell_chunks", spy)
+        monkeypatch.setattr(tau, "cell_chunks", spy)
         for got, want in zip(kernels(), ref):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert len(tables) > 2 * len({id(t) for t in tables})

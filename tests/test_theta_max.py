@@ -136,7 +136,7 @@ class TestThetaMaxG2:
         kernel = td.periods._theta_point
 
         def counted(t, x, derivs=False):
-            calls.append((t is tau, mp.mp.prec, t.lattice.phases.width))
+            calls.append((t is tau, mp.mp.prec, t.phases.width))
             return kernel(t, x, derivs)
 
         monkeypatch.setattr(td.maximize, "_theta_point", counted)
