@@ -35,6 +35,9 @@ CPython never untracks a named tuple, so up to 10^4 kept pairs would reach
 the cyclic garbage collector's oldest generation and set off its full
 collections; the sequence keeps exact tuples of ints, which it untracks.
 
+Curve membership mod p^j is one rule, deg u <= 1: the zero class and the
+pairs (t - a, b) that ``enumerate_curve_points_mod`` lists, at every p and j.
+
 ``order_of`` walks k*D only up to half the order and meets a stored -j*D.
 The order of a class depends on the curve alone, not on any prime, so each
 curve keeps the orders it has found and walks a class at most once.
@@ -717,29 +720,13 @@ def enumerate_curve_points_mod(curve: HyperellipticCurve, p: int, j: int) -> Cur
 
 
 def on_curve_mod(curve: HyperellipticCurve, Dmod: MumfordDivisor, p: int, j: int) -> bool:
-    """Is Dmod the image over Z/p^j of a point of the embedded curve?
-
-    Zero and degree-1 pairs are decided directly.  At j = 1 and p > 2 a
-    degree-2 u is off the curve unless it carries a double root a with
-    v(a) = 0, in which case the conjugate pair is stripped and the class is
-    the base point.  Every other degree-2 u is off the curve: the embedded
-    points (``enumerate_curve_points_mod``) have degree at most 1.
-    """
-    R = Dmod.ring
-    if Dmod.is_zero():
-        return True
-    if len(Dmod.u) == 2:
-        a = R.reduce(-Dmod.u[0])
-        b = Dmod.v[0] if Dmod.v else 0
-        return R.reduce(b * b) == peval(R, curve.f_in(R), a)
-    if j > 1 or p == 2:
-        return False
-    u0, u1 = Dmod.u[0], Dmod.u[1]
-    if (u1 * u1 - 4 * u0) % p != 0:
-        return False
-    alpha = (-u1 * R.unit_inverse(2)) % p
-    # conjugate pair of a Weierstrass point: the class is the base point
-    return peval(R, Dmod.v, alpha) == 0
+    """Is the pair Dmod over Z/p^j the image of a point of the embedded
+    curve?  Exactly when deg u <= 1, at every p and j: the embedded points
+    are zero and the [(a, b) - inf], the pairs (t - a, b) that
+    ``enumerate_curve_points_mod`` lists.  A degree-1 pair needs no check
+    of b^2 = f(a), since u | v^2 - f is that equation, so the answer reads
+    deg u alone; curve, p and j stay in the signature for its callers."""
+    return len(Dmod.u) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +751,12 @@ class PadicDistanceResult:
 
 def vp_distance(curve: HyperellipticCurve, D: MumfordDivisor, p: int, j_max: int) -> PadicDistanceResult:
     """Largest j <= j_max with D mod p^j on the embedded curve (v_p >= 0 by
-    convention); 'infinite' when D is the class of a curve point over Q."""
+    convention); 'infinite' when D is the class of a curve point over Q.
+
+    The loop over j is v_p's definition.  ``reduce_mod`` keeps deg u, so a
+    degree-2 class stops at j = 1 with v_p = 0 and the check is vacuous in
+    this model; a test that can hold beyond j = 1, such as u(0) = v(0) = 0
+    with a finite Weierstrass base point, reuses the loop as it stands."""
     if D.ring != QQ:
         raise InvalidInput("vp_distance expects a divisor over the rationals")
     if j_max < 1:

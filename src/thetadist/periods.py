@@ -359,7 +359,10 @@ def reduce_to_fundamental(tau: PeriodMatrix, z: ThetaPoint):
 
 def _lattice_coords(tau: PeriodMatrix, z: ThetaPoint) -> list:
     """The lattice coordinates x = (n, m) of z = n + tau m at tau's
-    precision: m = Y^-1 Im z and n = Re z - X m."""
+    precision: m = Y^-1 Im z and n = Re z - X m.  A z of other than g
+    entries raises InvalidInput."""
+    if len(z.z) != tau.g:
+        raise InvalidInput(f"z has {len(z.z)} entries but tau is {tau.g}x{tau.g}")
     with mp.workprec(tau.bits):
         m = [mp.fdot(row, [w.imag for w in z.z]) for row in tau.Yinv_rows]
         return [w.real - mp.fdot(row, m) for w, row in zip(z.z, tau.X_rows)] + m

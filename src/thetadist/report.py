@@ -268,7 +268,8 @@ def run(config: RunConfig) -> BoundReport:
     if config.verify:
         if curve is None:
             raise ConfigRejected("p-adic verification needs a curve equation (preset only)")
-        classes = [make_divisor(curve, u, v) for u, v in config.torsion_list or torsion]
+        pairs = torsion if config.torsion_list is None else config.torsion_list
+        classes = [make_divisor(curve, u, v) for u, v in pairs]
 
     hyp = check_hypotheses(data, p)
     violated = hyp.violated_conditions()

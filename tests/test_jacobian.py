@@ -811,11 +811,11 @@ class TestEnumerationOracle:
 
 
 class TestOnCurveMod:
-    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_independent_classification_at_j1(self, curve, p):
         """Exhaustive comparison over F_p against a root-splitting argument:
-        a class is the image of a curve point iff it is zero, a degree-1 pair
-        on the curve, or a stripped conjugate pair of a Weierstrass point."""
+        a class is the image of a curve point iff it is zero or a degree-1
+        pair on the curve."""
         R = ResidueRing(p, 1)
         f = curve.f_in(R)
         for D in all_divisors_mod(curve, p):
@@ -826,12 +826,32 @@ class TestOnCurveMod:
                 b = D.v[0] if D.v else 0
                 expected = b * b % p == peval(R, f, a)
             else:
-                # deg u = 2: on the curve only when u has a double root alpha
-                # with v(alpha) = 0 (the pair collapses to 2-torsion = zero);
-                # a monic quadratic over F_p with exactly one root has it doubled
-                roots = [a for a in range(p) if peval(R, D.u, a) == 0]
-                expected = len(roots) == 1 and peval(R, D.v, roots[0]) == 0
+                # deg u = 2: off the curve, at p = 5 (which divides disc f)
+                # too, where u = (t + 1)^2 with v(-1) = 0 is a valid pair
+                expected = False
             assert td.on_curve_mod(curve, D, p, 1) == expected, D
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_equals_enumeration_at_j1(self, curve, p):
+        """on_curve_mod is membership in enumerate_curve_points_mod for every
+        valid reduced pair over F_p; at p = 5 it used to accept the five
+        pairs u = (t + 1)^2, v = c (t + 1), which the oracle does not list."""
+        keys = {P.key() for P in td.enumerate_curve_points_mod(curve, p, 1)}
+        for D in all_divisors_mod(curve, p):
+            assert td.on_curve_mod(curve, D, p, 1) == (D.key() in keys), D
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_equals_enumeration_at_j2(self, curve, rational_subgroup, p):
+        """The same at j = 2, on the enumerated points and on the ten
+        rational classes taken into Z/p^2 (by coercion, since reduce_mod
+        refuses p = 5)."""
+        R = residue_ring(p, 2)
+        points = td.enumerate_curve_points_mod(curve, p, 2)
+        keys = {P.key() for P in points}
+        classes = [td.make_divisor(curve, T.u, T.v, R) for T in rational_subgroup]
+        assert any(len(D.u) == 3 for D in classes)
+        for D in [*points, *classes]:
+            assert td.on_curve_mod(curve, D, p, 2) == (D.key() in keys), D
 
     def test_oracle_membership_at_j2(self, curve):
         for p in (3, 5):

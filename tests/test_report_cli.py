@@ -409,6 +409,14 @@ class TestReportContent:
         assert cli.main(args + ["--out", str(tmp_path / "r.json")]) == 2
         assert "u does not divide" in capsys.readouterr().err
 
+    def test_empty_torsion_list_checks_none(self, tmp_path, capsys):
+        """An explicit [] checks no class: it used to fall back to the
+        preset's two default classes and print two rows."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**PRESET_VERIFY, "torsion_list": []}))
+        assert cli.main(["--config", str(path), "--out", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["verification_table"] == []
+
     def test_round_trip(self, cli_reports):
         _, blobs = cli_reports
         report = td.parse_report(blobs[0].decode())

@@ -355,6 +355,14 @@ class TestReduceToFundamental:
             x0 = np.concatenate([w.real - X @ m0, m0])
             assert ((x0 > -1e-9) & (x0 < 1 + 1e-9)).all(), z
 
+    @pytest.mark.parametrize("z", [(0.1 + 0.2j,), (0.1 + 0.2j, 0.3, 0.4j)], ids=["len1", "len3"])
+    @pytest.mark.parametrize("fn", [td.theta, td.theta_norm, td.reduce_to_fundamental])
+    def test_wrong_length_z_rejected(self, tau_s4, fn, z):
+        """A z of other than g entries: its extra entries used to be dropped
+        (theta_norm 0.7726 at length 3) and a short one raised IndexError."""
+        with pytest.raises(td.InvalidInput, match="entries"):
+            fn(tau_s4, td.ThetaPoint(z))
+
 
 class TestThetaNorm:
     def test_g1_value_at_zero(self, tau_g1):
