@@ -233,15 +233,6 @@ def pmod(R, a, b):
     return pdivmod(R, a, b)[1]
 
 
-def peval(R, a, x):
-    """a(x) in R; Horner in exact ints or Fractions, reduced once at the end
-    (reduction is a ring homomorphism)."""
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return R.reduce(acc)
-
-
 def _resultant(a, b):
     """Resultant over Q by the Euclidean recurrence."""
     a, b = ptrim(QQ, a), ptrim(QQ, b)

@@ -1,14 +1,14 @@
 """Global maximization of the square-root theta norm over the Jacobian torus.
 
 Deterministic three-stage search.  theta is even, so the norm is invariant
-under x -> -x mod Z^{2g}, and each stage works on half the torus.  A full
+under x -> -x mod Z^{2g}, and each stage works on half the torus.  A
 tensor grid in lattice coordinates is scanned in double precision by
 ``periods.sqrt_norm_grid``, which evaluates the theta sum on each m-slice as
-a trigonometric polynomial in n (one small matrix product per axis), sums
-the slices of half the m_1-slabs and copies the rest from their mirrors.
+a trigonometric polynomial in n (one small matrix product per axis) and
+returns the m_1-slabs 0, ..., nd // 2, a fundamental domain of x -> -x.
 One Newton iteration on log<s,s>, ``_newton``, then runs twice: in doubles
-from the grid's discrete local maxima in the first-axis slabs 0, ..., nd //
-2, one start per cluster of tied neighbouring maxima, and at working
+from the discrete local maxima of that half grid, its edge neighbours read
+as mirrors, one start per cluster of tied neighbouring maxima, and at working
 precision from the converged points whose double value ties the best, one
 per pair {x, -x}, which from double accuracy takes two lattice sums.  Both
 read the one theta-sum contract of ``periods`` (lattice coordinates x = (n,
@@ -34,12 +34,13 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigRejected, InvalidInput
 from .periods import PeriodMatrix, sqrt_norm_grid
-from .periods import _SCAN_CHUNK, _theta_batch, _theta_point
+from .periods import _SCAN_CHUNK, _mirror, _theta_batch, _theta_point
 
-# Grid points per scan.  The value array, resident from the scan until the
-# starts are chosen, costs 8 bytes per point; choosing the starts adds two
-# buffers of one block of slabs each (``periods._SCAN_CHUNK`` points, or one
-# slab if larger).
+# Grid points per scan.  The value array, half the grid, resident from the
+# scan until the starts are chosen, costs 8 bytes per point it holds; choosing
+# the starts adds two buffers of one block of slabs each
+# (``periods._SCAN_CHUNK`` points, or one slab if larger) and, at the half's
+# edges, one mirrored slab.
 _GRID_BUDGET = 10**8
 _NEWTON_MAX_STEPS = 20  # starts in a maximum's basin converge in about six
 # Grid values carry a relative error of about 1e-15: values closer than this
@@ -164,54 +165,54 @@ def _max3(src: np.ndarray, dst: np.ndarray, ax: int, before, after) -> None:
     np.maximum(dst[part(-1, None)], after[part(0, 1)], out=dst[part(-1, None)])
 
 
-def _grid_starts(vals: np.ndarray, symmetric: bool = False) -> np.ndarray:
-    """Flat indices of the local maxima of a periodic grid, one per tie cluster.
+def _grid_starts(vals: np.ndarray) -> np.ndarray:
+    """Flat indices of the local maxima of an even periodic grid, one per tie
+    cluster, from the half of it ``periods.sqrt_norm_grid`` returns.
 
-    A point is a local maximum when none of its 3^d - 1 wrap-around
-    neighbours exceeds it by more than ``_GRID_RTOL``.  Neighbouring local
-    maxima form one cluster, represented by its lowest flat index, so a
-    plateau of ties makes one start.  Returned in flat-index order.
-
-    With ``symmetric``, vals must be invariant under x -> -x (index k of
-    every axis read at -k mod nd), so the local maxima of slab vals[i] are
-    the mirrors of those of slab vals[-i], and only the slabs i = 0, ...,
-    nd // 2, a fundamental domain of -1 on the first axis, are filtered; their
-    neighbours still come from the whole grid.  The clusters are formed
-    over the maxima found and their mirrors, and the starts returned are
-    those of the whole grid that lie in these slabs.
+    vals holds the first-axis slabs 0, ..., nd // 2 of a grid {k/nd}^d that
+    is invariant under x -> -x (index k of every axis read at -k mod nd);
+    nd is read off the last axis.  A point is a local maximum when none of
+    its 3^d - 1 wrap-around neighbours on the whole grid exceeds it by more
+    than ``_GRID_RTOL``.  Neighbouring local maxima of the whole grid form
+    one cluster, represented by its lowest flat index, so a plateau of ties
+    makes one start; the clusters are formed over the maxima found and
+    their mirrors, which are the maxima of the other slabs, and the starts
+    returned are those that lie in vals, as flat indices of vals in
+    increasing order.
 
     The maxima are found one block of first-axis slabs vals[i] at a time, in
     the order of i; a block holds one slab, or as many as fit in
     ``periods._SCAN_CHUNK``.  The neighbourhood maximum is a maximum over a
     product of per-axis windows, so it is taken one axis at a time, the
     first axis first: straight from vals, with the slabs on either side of
-    the block (wrapping around) as its neighbours, then each other axis
-    within the block, alternating between two block-sized buffers.  No
-    buffer is larger than a block.
+    the block as its neighbours, then each other axis within the block,
+    alternating between two block-sized buffers.  Beyond the edges of vals
+    the neighbours are mirrors (``periods._mirror``): slab -1 of slab 1, and
+    slab nd // 2 + 1 of slab nd - nd // 2 - 1, the last slab itself when nd
+    is odd.  No buffer is larger than a block.
     """
-    shape, n, slab = vals.shape, vals.shape[0], vals[0].size
-    b = max(1, min(n, _SCAN_CHUNK // slab))
+    half, nd, slab = len(vals), vals.shape[-1], vals[0].size
+    shape, axes = (nd,) + vals.shape[1:], tuple(range(vals.ndim - 1))
+    b = max(1, min(half, _SCAN_CHUNK // slab))
     bufs = [np.empty_like(vals[:b]) for _ in range(2)]
-    stop = n // 2 + 1 if symmetric else n
     parts = []
-    for lo in range(0, stop, b):
-        hi = min(lo + b, n)
+    for lo in range(0, half, b):
+        hi = min(lo + b, half)
         top, spare = (a[: hi - lo] for a in bufs)
-        _max3(vals[lo:hi], top, 0, vals[lo - 1, None], vals[hi % n, None])
+        before = vals[lo - 1] if lo else _mirror(vals[1], axes)
+        after = vals[hi] if hi < half else _mirror(vals[nd - half], axes)
+        _max3(vals[lo:hi], top, 0, before[None], after[None])
         for ax in range(1, vals.ndim):
             _max3(top, spare, ax, top, top)
             top, spare = spare, top
         scaled = np.multiply(vals[lo:hi], 1 + _GRID_RTOL, out=spare)
         parts.append(np.flatnonzero(top <= scaled) + lo * slab)
     flat = np.concatenate(parts)
-    if symmetric:
-        # the maxima of the other slabs are the mirrors of these, and a
-        # cluster may reach slabs on both sides through them (np.union1d
-        # would import numpy.ma, a megabyte of modules)
-        flat = flat[flat < stop * slab]
-        mirrors = np.ravel_multi_index(-np.array(np.unravel_index(flat, shape)), shape, mode="wrap")
-        flat = np.sort(np.concatenate([flat, mirrors]))
-        flat = flat[np.diff(flat, prepend=-1) != 0]
+    # a cluster may reach slabs on both sides through the mirrors (np.union1d
+    # would import numpy.ma, a megabyte of modules)
+    mirrors = np.ravel_multi_index(-np.array(np.unravel_index(flat, shape)), shape, mode="wrap")
+    flat = np.sort(np.concatenate([flat, mirrors]))
+    flat = flat[np.diff(flat, prepend=-1) != 0]
     coords = np.array(np.unravel_index(flat, shape))
     src, dst = [], []
     for step in itertools.product((-1, 0, 1), repeat=vals.ndim):
@@ -229,7 +230,7 @@ def _grid_starts(vals: np.ndarray, symmetric: bool = False) -> np.ndarray:
             break
         label = new
     starts = flat[label == flat]
-    return starts[starts < stop * slab]
+    return starts[starts < vals.size]
 
 
 def _tie_key(x, bits: int):
@@ -248,9 +249,10 @@ def theta_max(tau: PeriodMatrix, grid_points_per_dim: int | None = None) -> Thet
     ``default_optimizer_config`` when None), with ``sqrt_norm_grid``, then
     runs Newton's method in doubles from the grid's discrete local maxima
     (wrap-around neighbours, values compared at a relative 1e-13), one start
-    per cluster of tied neighbouring maxima, taken in the first-axis slabs 0,
-    ..., Nd // 2: the norm is even, so the maxima of the other slabs are
-    their mirrors.
+    per cluster of tied neighbouring maxima, taken in the m_1-slabs 0, ...,
+    Nd // 2 that the scan returns: the norm is even, so the maxima of the
+    other slabs are their mirrors.  A start's index in that (m, n) array is
+    rolled to the lattice coordinates (n, m).
     A start where -H has a pivot that is not positive, or that does not
     converge within the step cap, is dropped without a working-precision
     sum.  The converged points whose double value is within a relative 1e-13
@@ -260,10 +262,11 @@ def theta_max(tau: PeriodMatrix, grid_points_per_dim: int | None = None) -> Thet
     two keys straddle a rounding step is polished twice.  The value is the
     one the best polish took from its own last lattice sum.  Deterministic
     for fixed inputs at any ambient mpmath precision: a tie cluster starts
-    from its lowest flat grid index, and of the refined values within
-    2^(-floor(bits/2)) max(1, best) of the best, compared at bits, the
-    lowest coordinates win, compared lexicographically mod 1 at the Newton
-    stop tolerance (``_tie_key``, whose unit is the same 2^(-floor(bits/2))).
+    from its lowest flat index in the (m, n) layout, and of the refined
+    values within 2^(-floor(bits/2)) max(1, best) of the best, compared at
+    bits, the lowest coordinates win, compared lexicographically mod 1 at
+    the Newton stop tolerance (``_tie_key``, whose unit is the same
+    2^(-floor(bits/2))).
     Raises InvalidInput when Nd < 8, ConfigRejected when the grid exceeds
     ``_GRID_BUDGET``, and BudgetExceeded when no start converges or the best
     value falls below the grid's best by more than double rounding.
@@ -277,8 +280,8 @@ def theta_max(tau: PeriodMatrix, grid_points_per_dim: int | None = None) -> Thet
 
     vals = sqrt_norm_grid(tau, nd)
     grid_best = float(vals.max())
-    starts = _grid_starts(vals, symmetric=True)
-    starts = np.stack(np.unravel_index(starts, vals.shape), axis=1) / nd
+    # (m, n) grid indices to lattice coordinates (n, m)
+    starts = np.roll(np.unravel_index(_grid_starts(vals), vals.shape), tau.g, axis=0).T / nd
 
     converged = [r for r in (_newton(tau, x) for x in starts) if r is not None]
     if not converged:

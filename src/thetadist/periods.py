@@ -11,7 +11,8 @@ precision, ``PeriodMatrix.bits``, for ``theta``, ``theta_norm`` and the
 maximizer's polish.  Two double kernels sum a box that holds the 2^-60
 ellipsoid of every m in [-1/2, 1/2]^g: ``_theta_batch`` at scattered points
 (spot checks, the maximizer's Newton steps) and ``sqrt_norm_grid`` on the
-grid scan's tensor grids.  The torus average,
+m_1-slabs 0, ..., nd // 2 of the grid scan's tensor grids, the half that x
+-> -x does not repeat.  The torus average,
 ``theta_norm_normalization_check``, reads the grid scan's m-slice
 coefficients (``_slice_coefficients``) and integrates over n exactly by
 Parseval, with a midpoint rule in m alone.
@@ -57,7 +58,7 @@ _LAMBDA_MIN_TOL = 1e-20
 _BATCH_TERMS = 20_000 * 289
 # Values that one chunk of sqrt_norm_grid's m-slices may hold in a complex
 # temporary when a slab of slices holds fewer, and that one block of grid slabs
-# holds when sqrt_norm_grid mirrors it or maximize._grid_starts filters it:
+# holds when maximize._grid_starts filters it:
 # enough to amortise numpy's per-call cost at g = 1, small enough to stay in
 # cache.
 _SCAN_CHUNK = 2**15
@@ -767,29 +768,27 @@ def _slice_coefficients(tau: PeriodMatrix, ms: np.ndarray, chunk: int):
 
 
 def sqrt_norm_grid(tau: PeriodMatrix, nd: int) -> np.ndarray:
-    """sqrt(<s,s>) on the tensor grid {k/nd}^{2g}, doubles.
-
-    Returns an array of shape (nd,)*2g indexed by the lattice coordinates
-    (n, m), with the values ``norm_batch`` gives at those points to within
-    rounding.  Each m-slice's coefficients D (``_slice_coefficients``) are
-    contracted with the nd x (2R_k+1) table exp(2 pi i n_k M_k) along each
-    axis k (E_1 D E_2' for g = 2).  A matrix product, unlike an FFT, does
-    not alias when 2R_k+1 > nd.
+    """sqrt(<s,s>) on half the tensor grid {k/nd}^{2g}, doubles.
 
     theta and exp(-pi m'Ym) are even, so <s,s>(-x) = <s,s>(x), and -x is a
-    grid point: index k of an axis goes to -k mod nd (``_mirror``).  Only
-    the slices of m_1-slabs 0, ..., floor(nd/2), a fundamental domain of -1
-    on that axis, are summed; the other slabs are copied from their
-    mirrors, and a slab that is its own mirror (0, and nd/2 for even nd) is
-    averaged with its mirror, so the grid is exactly invariant under x ->
-    -x.  The slices are summed in chunks of at least nd^(g-1) and of up to
-    ``_SCAN_CHUNK`` complex values per temporary (64 slices at g = 1, nd =
-    512), and a chunk of consecutive slices is stored through a slice.
-    Memory beyond the returned array is a few temporaries of
-    max(``_SCAN_CHUNK``, nd^(g-1) max(nd^g, prod_k (2R_k+1))) complex
-    values, 16/nd bytes per grid point on the preset, and one block's
-    mirror: the mirrored slabs are copied a block of at most
-    ``_SCAN_CHUNK`` values, or one slab, at a time.
+    grid point: index k of an axis goes to -k mod nd (``_mirror``).  The
+    m_1-slabs 0, ..., floor(nd/2) are a fundamental domain of -1 on that
+    axis, and only they are summed and returned: an array of shape
+    (floor(nd/2) + 1,) + (nd,)^(2g-1) indexed by the lattice coordinates
+    (m, n), m_1 first, with the values ``norm_batch`` gives at those points
+    to within rounding.  A slab that is its own mirror (0, and nd/2 for even
+    nd) is averaged with its mirror, so the half is an exact fundamental
+    domain of x -> -x.
+
+    Each m-slice's coefficients D (``_slice_coefficients``) are contracted
+    with the nd x (2R_k+1) table exp(2 pi i n_k M_k) along each axis k (E_1
+    D E_2' for g = 2) into one row of the result.  A matrix product, unlike
+    an FFT, does not alias when 2R_k+1 > nd.  The slices are summed in
+    chunks of at least nd^(g-1) and of up to ``_SCAN_CHUNK`` complex values
+    per temporary (64 slices at g = 1, nd = 512), and a chunk of consecutive
+    slices is stored through a slice.  Memory beyond the returned array is a
+    few temporaries of max(``_SCAN_CHUNK``, nd^(g-1) max(nd^g, prod_k
+    (2R_k+1))) complex values, 16/nd bytes per grid point on the preset.
     """
     g, js = tau.g, tau.freqs
     # recentred to [-1/2, 1/2) as in norm_batch, where the box holds
@@ -798,28 +797,17 @@ def sqrt_norm_grid(tau: PeriodMatrix, nd: int) -> np.ndarray:
     E = [np.exp(np.outer(axis, j)) for j in js]
     half = nd // 2 + 1
     ms = np.array(list(itertools.product(axis[:half], *[axis] * (g - 1))))
-    out = np.empty((nd**g, nd**g))
+    out = np.empty((len(ms), nd**g))
     chunk = max(nd ** (g - 1), _SCAN_CHUNK // max(nd**g, math.prod(map(len, js))))
-    for cols, D, w in _slice_coefficients(tau, ms, chunk):
+    for rows, D, w in _slice_coefficients(tau, ms, chunk):
         for e in E:
             D = np.tensordot(D, e, axes=(1, 1))
-        out[:, cols] = (np.abs(D.reshape(len(w), -1)) ** 2 * w[:, None]).T
-    summed = out[:, : len(ms)]
-    np.sqrt(summed, out=summed)
-    out = out.reshape((nd,) * (2 * g))
-    n_axes = (slice(None),) * g
-    others = tuple(ax for ax in range(2 * g) if ax != g)
-    # slabs k, ..., stop - 1 mirror slabs nd - k, ..., nd - stop + 1
-    block = max(1, _SCAN_CHUNK // nd ** (2 * g - 1))
-    for k in range(half, nd, block):
-        stop = min(k + block, nd)
-        src = out[n_axes + (slice(nd - stop + 1, nd - k + 1),)]
-        out[n_axes + (slice(k, stop),)] = np.flip(_mirror(src, others), g)
-    for k in range(half):
-        if -k % nd == k:
-            slab = out[n_axes + (k,)]
-            slab += _mirror(slab, tuple(range(2 * g - 1)))
-            slab *= 0.5
+        out[rows] = np.abs(D.reshape(len(w), -1)) ** 2 * w[:, None]
+    np.sqrt(out, out=out)
+    out = out.reshape((half,) + (nd,) * (2 * g - 1))
+    for slab in (out[0], out[-1]) if nd % 2 == 0 else (out[0],):
+        slab += _mirror(slab, tuple(range(2 * g - 1)))
+        slab *= 0.5
     return out
 
 

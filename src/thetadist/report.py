@@ -109,11 +109,13 @@ def _dec(x, bits: int) -> dict:
 
 
 def _coord(c, bits: int) -> str:
-    """A lattice coordinate in [0, 1) to 20 digits: the rounding taken mod 1,
-    so a coordinate just below 1 prints as 0."""
+    """A lattice coordinate in [0, 1) to 20 digits, or ``_digits(bits)`` when
+    that is less: the rounding taken mod 1, so a coordinate just below 1
+    prints as 0."""
+    digits = min(20, _digits(bits))
     with mp.workprec(bits):
-        r = mp.mpf(mp.nstr(mp.mpf(c), 20))
-        return mp.nstr(r - mp.floor(r), 20)
+        r = mp.mpf(mp.nstr(mp.mpf(c), digits))
+        return mp.nstr(r - mp.floor(r), digits)
 
 
 def _parse_complex(name: str, entry):

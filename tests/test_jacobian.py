@@ -14,7 +14,6 @@ from thetadist.jacobian import (
     QQ,
     ResidueRing,
     pdivmod,
-    peval,
     pmod,
     pmul,
     pneg,
@@ -22,6 +21,15 @@ from thetadist.jacobian import (
     ptrim,
     residue_ring,
 )
+
+
+def peval(R, a, x):
+    """a(x) in R; Horner in exact ints or Fractions, reduced once at the end
+    (reduction is a ring homomorphism)."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return R.reduce(acc)
 
 
 def D1(curve):

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import mpmath as mp
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import thetadist as td
 from thetadist import cli
-from test_logscale import ln_l_bound
+from test_bound_magnitudes import ln_l_bound
 from test_theta import TAU_G3
 
 
@@ -249,6 +250,15 @@ class TestCliExitCodes:
         assert len(printed.replace(".", "")) == digits == 16
         with mp.workprec(300):
             assert printed == mp.nstr(mp.mpf(golden), digits, strip_zeros=False)
+
+    def test_precision_64_bits_coordinates(self, capsys):
+        """At 64 bits the argmax coordinates print no more significant digits
+        than Theta_Max, 16, and so print the golden 128-bit report's."""
+        args = ["--preset", "bost-mestre", "--grid", "8", "--precision-bits", "64", "--out", "-"]
+        assert cli.main(args) == 0
+        coords = json.loads(capsys.readouterr().out)["theta_max"]["argmax_coords"]
+        assert all(len(Decimal(c).normalize().as_tuple().digits) <= 16 for c in coords)
+        assert coords == json.loads(GOLDEN_P3_F2.read_text())["theta_max"]["argmax_coords"]
 
     @pytest.mark.parametrize("im", [str(2**31 - 1), "1e30"])
     def test_huge_im_tau_exceeds_budget(self, tmp_path, capsys, im):

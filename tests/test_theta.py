@@ -607,9 +607,10 @@ class TestSqrtNormGrid:
         ),
     )
     def test_matches_norm_batch(self, name, nd, tau_s4):
-        """The separable scan against norm_batch at every grid point.  The
-        preset's box has 2R_k+1 = 11 > 8 and the g = 3 box 7 > 6, where an FFT
-        of length nd would alias.  TAU_C30 has 4 x 4 cells of m.  Both
+        """The separable scan against norm_batch at every point of the half
+        grid it returns, given to norm_batch in (n, m) order.  The preset's
+        box has 2R_k+1 = 11 > 8 and the g = 3 box 7 > 6, where an FFT of
+        length nd would alias.  TAU_C30 has 4 x 4 cells of m.  Both
         kernels take their terms from tau's box and cells, so the scan is
         also checked against the unfactored sum, one exp per term, except on
         TAU_C30, where those terms reach e^94 before the Gaussian factor."""
@@ -622,10 +623,9 @@ class TestSqrtNormGrid:
             "c30": td.PeriodMatrix(TAU_C30),
         }[name]
         grid = td.periods.sqrt_norm_grid(tau, nd)
-        assert grid.shape == (nd,) * (2 * tau.g)
+        assert grid.shape == (nd // 2 + 1,) + (nd,) * (2 * tau.g - 1)
         assert np.isfinite(grid).all()
-        axis = np.arange(nd) / nd
-        coords = np.array(list(itertools.product(axis, repeat=2 * tau.g)))
+        coords = half_grid_coords(grid, tau.g)
         ref = np.sqrt(td.periods.norm_batch(tau, coords))
         assert np.abs(grid.ravel() - ref).max() <= 1e-14 * grid.max()
         if name != "c30":
@@ -637,11 +637,12 @@ class TestSqrtNormGrid:
         grid_cases(("s4", 32), ("s4", 31), ("i", 256), ("i", 255), ("g3", 7), ("c30", 12)),
     )
     def test_reflection_invariant(self, name, nd, tau_s4):
-        """<s,s>(-x) = <s,s>(x), and the scan copies half the grid from the
-        other half: the grid equals itself read at index -k mod nd on every
-        axis, bit for bit.  An even nd has two self-mirrored slabs per axis,
-        0 and nd/2, an odd nd one; TAU_C30's 4 x 4 cells make its chunks
-        non-consecutive."""
+        """<s,s>(-x) = <s,s>(x).  The scan returns the m_1-slabs 0, ...,
+        nd // 2, and averages the self-mirrored ones with their mirrors: they
+        equal themselves read at index -k mod nd on every axis, bit for bit.
+        An even nd has two self-mirrored slabs, 0 and nd/2, an odd nd one.
+        norm_batch at the mirror of every point of the half gives the half's
+        value; TAU_C30's 4 x 4 cells make its chunks non-consecutive."""
         tau = {
             "s4": tau_s4,
             "i": td.PeriodMatrix([[1j]]),
@@ -649,12 +650,15 @@ class TestSqrtNormGrid:
             "c30": td.PeriodMatrix(TAU_C30),
         }[name]
         grid = td.periods.sqrt_norm_grid(tau, nd)
-        mirror = np.roll(np.flip(grid), 1, tuple(range(grid.ndim)))
-        assert np.array_equal(grid, mirror)
+        axes = tuple(range(grid.ndim - 1))
+        for k in {0, nd // 2} if nd % 2 == 0 else {0}:
+            assert np.array_equal(grid[k], td.periods._mirror(grid[k], axes))
+        ref = np.sqrt(td.periods.norm_batch(tau, -half_grid_coords(grid, tau.g) % 1))
+        assert np.abs(grid.ravel() - ref).max() <= 1e-14 * grid.max()
 
     def test_mirror_copy_buffers_no_half_grid(self, tau_s4):
-        """The mirrored half of the 32^4 grid is copied without a buffer of
-        half the grid: the scan holds its 8 MB result and little else."""
+        """The scan holds its half of the 32^4 grid, 4.5 MB, and a few chunk
+        temporaries."""
         td.periods.sqrt_norm_grid(tau_s4, 32)
         tracemalloc.start()
         try:
@@ -662,11 +666,11 @@ class TestSqrtNormGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * grid.nbytes
+        assert peak < grid.nbytes + 2**21
 
     def test_midpoint_mirror_copy_buffers_no_half_grid(self, tau_s4):
-        """The same on the odd 31^4 grid, whose one self-mirrored slab per
-        axis is averaged with its mirror."""
+        """The same on the odd 31^4 grid, whose one self-mirrored slab is
+        averaged with its mirror."""
         td.periods.sqrt_norm_grid(tau_s4, 31)
         tracemalloc.start()
         try:
@@ -674,7 +678,15 @@ class TestSqrtNormGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * grid.nbytes
+        assert peak < grid.nbytes + 2**21
+
+
+def half_grid_coords(grid, g):
+    """The lattice coordinates (n, m) of the points of a sqrt_norm_grid
+    result, indexed (m, n), in the order of grid.ravel()."""
+    nd = grid.shape[-1]
+    index = np.indices(grid.shape).reshape(grid.ndim, -1)
+    return np.roll(index, g, axis=0).T / nd
 
 
 class TestLatticeContext:

@@ -114,12 +114,14 @@ class TestThetaMaxG2:
         monkeypatch.setattr(td.maximize, "_theta_point", counted)
         res = td.theta_max(tau_s4, 32)
 
-        half_periods = {528: (0, 0, 0.5, 0.5), 16384: (0, 0.5, 0, 0), 524288: (0.5, 0, 0, 0)}
-        starts = td.maximize._grid_starts(td.periods.sqrt_norm_grid(tau_s4, 32))
-        assert set(half_periods) <= set(starts)
+        half_periods = [(0, 0, 0.5, 0.5), (0, 0.5, 0, 0), (0.5, 0, 0, 0)]
+        vals = td.periods.sqrt_norm_grid(tau_s4, 32)
+        starts = np.unravel_index(td.maximize._grid_starts(vals), vals.shape)
+        starts = {tuple(x) for x in np.roll(starts, 2, axis=0).T / 32}
+        assert set(half_periods) <= starts
         assert len(calls) <= 2
         for x in calls:
-            for h in half_periods.values():
+            for h in half_periods:
                 d = (x - np.array(h)) % 1
                 assert np.minimum(d, 1 - d).max() > 1e-3
         with mp.workprec(128):
@@ -207,22 +209,23 @@ class TestSolveDefinite:
 
 class TestGridStarts:
     def test_one_start_per_symmetric_maximum(self, tau_s4):
-        """The 10 grid points within 1e-14 of the preset's 32^4 maximum form
-        two 5-point clusters, one around each of two symmetric maxima."""
+        """The 5 points of the preset's 32^4 half grid within 1e-14 of its
+        maximum form one cluster and make one start.  With their mirrors
+        they are the two clusters around the symmetric maxima x* and -x*."""
         vals = td.periods.sqrt_norm_grid(tau_s4, 32)
         starts = td.maximize._grid_starts(vals)
-        near = np.flatnonzero(vals.ravel() >= vals.max() * (1 - 1e-14))
-        assert len(near) == 10
-
-        def cluster(i):
-            d = np.abs(np.array(np.unravel_index(near, vals.shape)).T
-                       - np.array(np.unravel_index(i, vals.shape))) % 32
-            return set(near[np.minimum(d, 32 - d).max(axis=1) <= 2])
-
+        near = np.flatnonzero(vals >= vals.max() * (1 - 1e-14))
         picked = [i for i in starts if i in near]
-        assert len(picked) == 2
-        a, b = cluster(picked[0]), cluster(picked[1])
-        assert len(a) == len(b) == 5 and not a & b
+        near = np.array(np.unravel_index(near, vals.shape))
+        assert near.shape[1] == 5
+
+        def spread(a, b):
+            d = np.abs(a[:, :, None] - b[:, None, :]) % 32
+            return np.minimum(d, 32 - d).max(axis=0)
+
+        assert len(picked) == 1
+        assert spread(near, near).max() <= 2
+        assert spread(near, -near % 32).min() > 2
         assert list(starts) == sorted(starts)
 
     def test_rounding_noise_keeps_starts(self, tau_s4):
@@ -237,31 +240,33 @@ class TestGridStarts:
         lowest flat index; starts come in flat-index order."""
         k = np.cos(2 * np.pi * np.arange(8) / 8)
         vals = k[:, None] + k[None, :]
-        vals[0, 7] = vals[7, 0] = 2.0
+        vals[0, 7] = vals[0, 1] = 2.0
         vals[4, 4] = 3.0
-        assert list(td.maximize._grid_starts(vals)) == [0, 36]
+        assert list(td.maximize._grid_starts(vals[:5])) == [0, 36]
 
     def test_matches_whole_grid_filter(self):
-        """The slab-by-slab filter picks the whole-grid filter's starts on
-        continuous values, on values rounded to one decimal (plateaus), and on
-        a periodic cosine peaked on slab 0, 1, nd - 2 or nd - 1 of the first
-        axis.  A peak one slab in from an end leaves the far end's slab a
-        maximum if the wrap between slabs nd - 1 and 0 is lost.  nd = 300 at
-        d = 2 splits into blocks of several slabs; d = 6 stops at nd = 9,
-        whose 9^6 points already take one block per slab."""
+        """On grids invariant under x -> -x, the half-torus filter picks the
+        whole-grid filter's starts in first-axis slabs 0, ..., nd // 2:
+        continuous values, values rounded to one decimal (plateaus), and a
+        pair of mirrored cosine peaks, one centred on first-axis slab 0, 1,
+        nd // 2 - 1, nd // 2, nd // 2 + 1, nd - 2 or nd - 1.  These peaks
+        put maxima next to both edges of the half, where the neighbours are
+        read as mirrors.  nd = 300 and 301 at d = 2 split into blocks of
+        several slabs; d = 6 stops at nd = 9, whose 9^6 points already take
+        one block per slab."""
         rng = np.random.default_rng(19)
         sizes = [(d, nd) for d in (2, 4, 6) for nd in (8, 9, 13) if nd**d < 10**6]
-        for d, nd in sizes + [(2, 300)]:
+        for d, nd in sizes + [(2, 300), (2, 301)]:
             shape = (nd,) * d
-            noise = rng.standard_normal(shape)
+            noise = symmetric(rng.standard_normal(shape))
             grids = [noise, np.round(noise, 1)]
-            for peak in (0, 1, nd - 2, nd - 1):
+            for peak in (0, 1, nd // 2 - 1, nd // 2, nd // 2 + 1, nd - 2, nd - 1):
                 centre = np.array([peak] + list(rng.integers(0, nd, d - 1)))
                 x = np.indices(shape) - centre.reshape((d,) + (1,) * d)
-                grids.append(np.cos(2 * np.pi * x / nd).sum(axis=0))
+                grids.append(symmetric(np.cos(2 * np.pi * x / nd).sum(axis=0)))
             for vals in grids:
-                expected = whole_grid_starts(vals)
-                assert np.array_equal(td.maximize._grid_starts(vals), expected), (d, nd)
+                assert np.array_equal(td.maximize._grid_starts(vals[: nd // 2 + 1]),
+                                      half_of_whole_grid_starts(vals)), (d, nd)
 
     def test_half_torus_matches_whole_grid_cut(self):
         """On a grid invariant under x -> -x, the half-torus filter picks the
@@ -273,18 +278,12 @@ class TestGridStarts:
         rng = np.random.default_rng(20)
         for d, nd in [(2, 8), (2, 9), (4, 8), (4, 9), (6, 8), (6, 9), (2, 300), (2, 301)]:
             shape = (nd,) * d
-
-            def symmetric(a):
-                return a + np.roll(np.flip(a), 1, tuple(range(d)))
-
             noise = symmetric(rng.standard_normal(shape))
             centre = rng.integers(0, nd, d).reshape((d,) + (1,) * d)
             peaks = symmetric(np.cos(2 * np.pi * (np.indices(shape) - centre) / nd).sum(axis=0))
             for vals in (noise, np.round(noise, 1), peaks):
-                expected = whole_grid_starts(vals)
-                expected = expected[expected < (nd // 2 + 1) * nd ** (d - 1)]
-                half = td.maximize._grid_starts(vals, symmetric=True)
-                assert np.array_equal(half, expected), (d, nd)
+                half = td.maximize._grid_starts(vals[: nd // 2 + 1])
+                assert np.array_equal(half, half_of_whole_grid_starts(vals)), (d, nd)
 
     def test_allocates_no_grid_sized_array(self, tau_s4):
         vals = td.periods.sqrt_norm_grid(tau_s4, 32)
@@ -302,11 +301,22 @@ class TestGridStarts:
         vals = td.periods.sqrt_norm_grid(tau_s4, 32)
         tracemalloc.start()
         try:
-            td.maximize._grid_starts(vals, symmetric=True)
+            td.maximize._grid_starts(vals)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4 * td.periods._SCAN_CHUNK * vals.itemsize
+
+
+def symmetric(a):
+    """a plus a read at x -> -x, index k of every axis at -k mod nd."""
+    return a + np.roll(np.flip(a), 1, tuple(range(a.ndim)))
+
+
+def half_of_whole_grid_starts(vals):
+    """whole_grid_starts(vals) in first-axis slabs 0, ..., nd // 2."""
+    starts = whole_grid_starts(vals)
+    return starts[starts < (len(vals) // 2 + 1) * vals[0].size]
 
 
 def whole_grid_starts(vals):
