@@ -55,7 +55,7 @@ def config_from_args(args) -> RunConfig:
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigRejected(f"config {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigRejected(
@@ -86,11 +86,16 @@ def main(argv=None) -> int:
         return EXIT_PRECISION_FAILURE
 
     text = serialize_report(report)
-    if config.output_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(config.output_path, "w") as fh:
-            fh.write(text)
+    try:
+        if config.output_path == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(config.output_path, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"config rejected: output_path {config.output_path!r}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_REJECTED
     pl = report.payload
     print(f"theta_max={pl['theta_max']['value']['dec']} combined={pl['combined_constant']['dec']} "
           f"log10(main exponent)={pl['log10_main_exponent']['dec']}", file=sys.stderr)

@@ -1,7 +1,21 @@
+import importlib.metadata
+import os
+
 import mpmath as mp
 import pytest
 
 import thetadist as td
+
+
+@pytest.fixture(scope="session")
+def installed_env():
+    """os.environ without PYTHONPATH, for running the installed package from
+    outside the checkout.  Skips when no thetadist distribution is installed."""
+    try:
+        importlib.metadata.distribution("thetadist")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("no thetadist distribution is installed (pip install .)")
+    return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 
 
 @pytest.fixture(scope="session")

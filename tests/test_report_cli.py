@@ -2,7 +2,11 @@ import contextlib
 import copy
 import io
 import json
+import re
+import shutil
+import subprocess
 import warnings
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -74,68 +78,62 @@ def tau_with(re="0", im="1"):
     return rows
 
 
-# documents that exit 2 and name their field, the second of each pair
-MALFORMED = [
-    ({"inline": {**GENUS_MISMATCH_INLINE, "period_matrix": [[{"re": "0"}]]}},
-     "period_matrix"),
-    ({"inline": {**GENUS_MISMATCH_INLINE, "g": "two"}}, "g"),
-    ({"preset": "bost-mestre", "torsion_list": 5}, "torsion_list"),
-    ({"inline": {**VALID_INLINE, "semistable": "false"}}, "semistable"),
-    ({"inline": {**VALID_INLINE, "good_reduction_everywhere": 0}},
-     "good_reduction_everywhere"),
-    ({"inline": {**VALID_INLINE, "base_point_hyperelliptic_fixed": "yes"}},
-     "base_point_hyperelliptic_fixed"),
-    ({"inline": {**VALID_INLINE, "disc": 10.7}}, "disc"),
-    ({"inline": {**VALID_INLINE, "disc": "ten"}}, "disc"),
-    ({"inline": {**VALID_INLINE, "component_lcm": "x"}}, "component_lcm"),
-    ({"inline": {**VALID_INLINE, "bad_primes": ["x"]}}, "bad_primes"),
-    ({"inline": {**VALID_INLINE, "nt_omega": "abc"}}, "nt_omega"),
-    ({"inline": {**VALID_INLINE, "nt_omega": "nan"}}, "nt_omega"),
-    ({"inline": {**VALID_INLINE, "h_fal": "abc"}}, "h_fal"),
-    ({"inline": {**GAMMA_INLINE, "gamma_terms": [["1/5", "x"]]}}, "gamma_terms"),
-    ({"inline": {**VALID_INLINE, "period_matrix": NON_SYMMETRIC}}, "symmetric"),
-    ({"inline": {**VALID_INLINE, "period_matrix": INDEFINITE}}, "positive definite"),
-    ({"inline": {**VALID_INLINE, "period_matrix": []}}, "square"),
-    ({"inline": {**VALID_INLINE, "period_matrix": 5}}, "period_matrix"),
-    ({"inline": {**VALID_INLINE, "period_matrix": [5, 6]}}, "period_matrix"),
-    ({**PRESET_VERIFY, "torsion_list": [["x", "1"]]}, "torsion_list"),
-    ({**PRESET_VERIFY, "torsion_list": [[5, 1]]}, "torsion_list"),
-    ({**PRESET_VERIFY, "torsion_list": [[[0, 0, "1/0"], [1]]]}, "'1/0'"),
-    ({**PRESET_VERIFY, "torsion_list": [[[0, 0, "x"], [1]]]}, "'x'"),
-    ({"inline": {**GAMMA_INLINE, "h_fal": "0.5"}}, "'gamma_terms'"),
-    ({"inline": {**VALID_INLINE, "gamma_constant": "0"}}, "'gamma_constant'"),
+def inline(base=VALID_INLINE, **fields):
+    """A document whose inline curve is base with the given fields replaced."""
+    return {"inline": {**base, **fields}}
+
+
+# documents that exit 2 and name their field, by row id
+MALFORMED = {
+    "entry-without-im": (inline(GENUS_MISMATCH_INLINE, period_matrix=[[{"re": "0"}]]),
+                         "period_matrix"),
+    "genus-string": (inline(GENUS_MISMATCH_INLINE, g="two"), "g"),
+    "torsion-list-int": ({"preset": "bost-mestre", "torsion_list": 5}, "torsion_list"),
+    "semistable-string": (inline(semistable="false"), "semistable"),
+    "good-reduction-int": (inline(good_reduction_everywhere=0), "good_reduction_everywhere"),
+    "base-point-string": (inline(base_point_hyperelliptic_fixed="yes"),
+                          "base_point_hyperelliptic_fixed"),
+    "disc-float": (inline(disc=10.7), "disc"),
+    "disc-string": (inline(disc="ten"), "disc"),
+    "component-lcm-string": (inline(component_lcm="x"), "component_lcm"),
+    "bad-prime-string": (inline(bad_primes=["x"]), "bad_primes"),
+    "nt-omega-string": (inline(nt_omega="abc"), "nt_omega"),
+    "nt-omega-nan": (inline(nt_omega="nan"), "nt_omega"),
+    "h-fal-string": (inline(h_fal="abc"), "h_fal"),
+    "gamma-exponent-string": (inline(GAMMA_INLINE, gamma_terms=[["1/5", "x"]]), "gamma_terms"),
+    "tau-non-symmetric": (inline(period_matrix=NON_SYMMETRIC), "symmetric"),
+    "tau-indefinite": (inline(period_matrix=INDEFINITE), "positive definite"),
+    "tau-empty": (inline(period_matrix=[]), "square"),
+    "tau-int": (inline(period_matrix=5), "period_matrix"),
+    "tau-flat-list": (inline(period_matrix=[5, 6]), "period_matrix"),
+    "torsion-strings": ({**PRESET_VERIFY, "torsion_list": [["x", "1"]]}, "torsion_list"),
+    "torsion-ints": ({**PRESET_VERIFY, "torsion_list": [[5, 1]]}, "torsion_list"),
+    "torsion-zero-denominator": ({**PRESET_VERIFY, "torsion_list": [[[0, 0, "1/0"], [1]]]},
+                                 "'1/0'"),
+    "torsion-non-number": ({**PRESET_VERIFY, "torsion_list": [[[0, 0, "x"], [1]]]}, "'x'"),
+    "h-fal-and-gamma-product": (inline(GAMMA_INLINE, h_fal="0.5"), "'gamma_terms'"),
+    "h-fal-and-gamma-constant": (inline(gamma_constant="0"), "'gamma_constant'"),
     # caps that bound the work of an accepted document, and values that used
     # to raise out of cli.main
-    ({"inline": {**VALID_INLINE, "period_matrix": tau_with(re="nan")}}, "period_matrix"),
-    ({"inline": {**VALID_INLINE, "period_matrix": tau_with(re="inf")}}, "period_matrix"),
-    ({"inline": {**VALID_INLINE, "period_matrix": tau_with(im="nan")}}, "period_matrix"),
-    ({"inline": {**VALID_INLINE, "period_matrix": tau_with(im="inf")}}, "period_matrix"),
-    ({"inline": {**VALID_INLINE, "period_matrix": tau_with(im="1/0")}}, "period_matrix"),
-    ({"preset": ["bost-mestre"]}, "preset"),
-    ({"preset": {"name": "bost-mestre"}}, "preset"),
-    ({"preset": "bost-mestre", "precision_bits": 4096}, "precision_bits"),
-    ({"preset": "bost-mestre", "precision_bits": 10**30}, "precision_bits"),
-    ({"preset": "bost-mestre", "p": 10**14 + 31}, "p must be a prime"),
-    ({"preset": "bost-mestre", "p": 10**30}, "p must be a prime"),
-    ({"inline": {**VALID_INLINE, "deg_K0": 10**7}}, "deg_K0"),
-    ({"preset": "bost-mestre", "residue_degree": 41}, "residue_degree"),
-    ({"preset": "bost-mestre", "residue_degree": 10**30}, "residue_degree"),
-    ({"preset": "bost-mestre", "grid_points_per_dim": 10**30}, "grid_points_per_dim"),
-    ({"inline": G3_INLINE, "grid_points_per_dim": 30}, "grid_points_per_dim"),
-]
-MALFORMED_IDS = [
-    "entry-without-im", "genus-string", "torsion-list-int", "semistable-string",
-    "good-reduction-int", "base-point-string", "disc-float", "disc-string",
-    "component-lcm-string", "bad-prime-string", "nt-omega-string", "nt-omega-nan",
-    "h-fal-string", "gamma-exponent-string", "tau-non-symmetric", "tau-indefinite",
-    "tau-empty", "tau-int", "tau-flat-list", "torsion-strings", "torsion-ints",
-    "torsion-zero-denominator", "torsion-non-number", "h-fal-and-gamma-product",
-    "h-fal-and-gamma-constant",
-    "tau-re-nan", "tau-re-inf", "tau-im-nan", "tau-im-inf", "tau-zero-denominator",
-    "preset-list", "preset-object", "precision-4096", "precision-huge", "p-above-2-32",
-    "p-huge", "deg-K0-huge", "residue-degree-above-deg-K0", "residue-degree-huge", "grid-huge",
-    "grid-over-budget-at-g3",
-]
+    "tau-re-nan": (inline(period_matrix=tau_with(re="nan")), "period_matrix"),
+    "tau-re-inf": (inline(period_matrix=tau_with(re="inf")), "period_matrix"),
+    "tau-im-nan": (inline(period_matrix=tau_with(im="nan")), "period_matrix"),
+    "tau-im-inf": (inline(period_matrix=tau_with(im="inf")), "period_matrix"),
+    "tau-zero-denominator": (inline(period_matrix=tau_with(im="1/0")), "period_matrix"),
+    "preset-list": ({"preset": ["bost-mestre"]}, "preset"),
+    "preset-object": ({"preset": {"name": "bost-mestre"}}, "preset"),
+    "precision-4096": ({"preset": "bost-mestre", "precision_bits": 4096}, "precision_bits"),
+    "precision-huge": ({"preset": "bost-mestre", "precision_bits": 10**30}, "precision_bits"),
+    "p-above-2-32": ({"preset": "bost-mestre", "p": 10**14 + 31}, "p must be a prime"),
+    "p-huge": ({"preset": "bost-mestre", "p": 10**30}, "p must be a prime"),
+    "deg-K0-huge": (inline(deg_K0=10**7), "deg_K0"),
+    "residue-degree-above-deg-K0": ({"preset": "bost-mestre", "residue_degree": 41},
+                                    "residue_degree"),
+    "residue-degree-huge": ({"preset": "bost-mestre", "residue_degree": 10**30}, "residue_degree"),
+    "grid-huge": ({"preset": "bost-mestre", "grid_points_per_dim": 10**30}, "grid_points_per_dim"),
+    "grid-over-budget-at-g3": ({"inline": G3_INLINE, "grid_points_per_dim": 30},
+                               "grid_points_per_dim"),
+}
 
 
 def refuse_theta_max(*args):
@@ -201,164 +199,292 @@ class TestRunConfig:
             td.RunConfig(preset="bost-mestre", output_path=output_path)
 
 
-class TestCliExitCodes:
-    def test_success(self, cli_reports):
-        codes, _ = cli_reports
-        assert codes == [0, 0]
+@dataclass(frozen=True)
+class Case:
+    """One thetadist run: its exit code, the config document it reads as
+    cfg.json (JSON-encoded unless a str; no file when None), its argv, a
+    regular expression that stderr matches, and a predicate check(out, err,
+    cwd) on stdout, stderr and the directory it ran in.  A run that exits 2 does no
+    theta work, unless it is `late`: refused at the report's write."""
 
-    def test_composite_p_rejected(self, capsys):
-        assert cli.main(["--preset", "bost-mestre", "--p", "4"]) == 2
+    code: int
+    doc: object = None
+    argv: tuple = ("--config", "cfg.json")
+    err: str = ""
+    check: object = None
+    late: bool = False
+    id: str | None = None
 
-    def test_even_prime_violates_hypotheses(self, capsys):
-        """The preset has good reduction everywhere: 2 violates (2) and (4),
-        not (3)."""
-        assert cli.main(["--preset", "bost-mestre", "--p", "2"]) == 3
-        err = capsys.readouterr().err
-        assert "(4) p unramified" in err
-        assert "(3)" not in err
 
-    def test_ramified_prime_violates_hypotheses(self, capsys):
-        assert cli.main(["--preset", "bost-mestre", "--p", "5"]) == 3
-        err = capsys.readouterr().err
-        assert "(4) p unramified" in err
-        assert "(3)" not in err
+def preset_args(*flags):
+    return ("--preset", "bost-mestre", "--p", "3", *flags)
 
-    def test_singular_box_exceeds_budget(self, tmp_path, capsys):
-        """Im tau = [[1, 0.999999], [0.999999, 1]] is valid, but the double
-        kernels' box would hold too many terms: exit 4, nothing on stdout."""
-        inline = {"g": 2, "deg_K0": 1, "h_fal": 0.0, "period_matrix": [
+
+GOLDEN_THETA = json.loads(GOLDEN_P3_F2.read_text())["theta_max"]
+
+
+def golden_bytes(out, err, cwd):
+    return (cwd / "r.json").read_bytes() == GOLDEN_P3_F2.read_bytes()
+
+
+def golden_digits(out, err, cwd):
+    """Theta_Max prints the golden report's digits."""
+    return json.loads(out)["theta_max"]["value"]["dec"] == GOLDEN_THETA["value"]["dec"]
+
+
+def golden_at_64_bits(out, err, cwd):
+    """At 64 bits Theta_Max prints 16 digits, the golden value rounded there."""
+    with mp.workprec(300):
+        rounded = mp.nstr(mp.mpf(GOLDEN_THETA["value"]["dec"]), 16, strip_zeros=False)
+    return td.report._digits(64) == 16 and json.loads(out)["theta_max"]["value"]["dec"] == rounded
+
+
+def golden_coords_at_64_bits(out, err, cwd):
+    """At 64 bits the argmax coordinates print no more significant digits than
+    Theta_Max, 16, and so print the golden report's; Theta_Max is the golden
+    value to within one unit of its last printed digit."""
+    theta = json.loads(out)["theta_max"]
+    a, b = Decimal(theta["value"]["dec"]), Decimal(GOLDEN_THETA["value"]["dec"])
+    return (all(len(Decimal(c).normalize().as_tuple().digits) <= 16 for c in theta["argmax_coords"])
+            and theta["argmax_coords"] == GOLDEN_THETA["argmax_coords"]
+            and abs(a - b) <= Decimal(1).scaleb(a.as_tuple().exponent))
+
+
+def no_stdout(out, err, cwd):
+    return out == ""
+
+
+def hypothesis_4_not_3(out, err, cwd):
+    """The preset has good reduction everywhere: the prime violates (4), not (3)."""
+    return "(4) p unramified" in err and "(3)" not in err
+
+
+# The CLI cases, filed under the name of the in-process test that runs them
+# (run_source, below).  test_installed_script runs every row again through
+# the installed console script.
+CASES = {
+    "test_success": [
+        Case(0, argv=preset_args("--grid", "8", "--verify", "--out", "r.json"),
+             check=lambda out, err, cwd: "theta_max" in json.loads((cwd / "r.json").read_text()))],
+    "test_golden_digits": [
+        Case(0, argv=preset_args("--grid", "8", "--out", "-"), check=golden_digits, id="grid-8"),
+        Case(0, argv=preset_args("--grid", "8", "--precision-bits", "192", "--out", "-"),
+             check=golden_digits, id="bits-192"),
+        Case(0, argv=preset_args("--grid", "8", "--precision-bits", "2048", "--out", "-"),
+             check=golden_digits, id="bits-2048"),
+        # an odd grid has one self-mirrored slab, and the start selection's
+        # far edge reads the last slab's own mirror
+        Case(0, argv=preset_args("--grid", "9", "--out", "-"), check=golden_digits, id="grid-9"),
+    ],
+    "test_precision_64_bits_runs": [
+        Case(0, argv=("--preset", "bost-mestre", "--precision-bits", "64", "--out", "-"),
+             check=golden_at_64_bits)],
+    "test_precision_64_bits_coordinates": [
+        Case(0, argv=preset_args("--grid", "8", "--precision-bits", "64", "--out", "-"),
+             check=golden_coords_at_64_bits)],
+    "test_preset_p3_f2_byte_for_byte": [
+        # the CLI writes the committed report: a change to the maximization,
+        # the constants or the verification table that moves any printed
+        # digit shows here
+        Case(0, argv=preset_args("--f", "2", "--verify", "--out", "r.json"), check=golden_bytes)],
+    "test_torsion_list_strings": [
+        # the default classes spelled out as 'a/b' strings give the golden report
+        Case(0, {"torsion_list": [[["0/1", "0", "1"], ["1"]], [["0", "0", "2/2"], ["-1/1"]]]},
+             argv=("--config", "cfg.json", *preset_args("--f", "2", "--verify", "--out", "r.json")),
+             check=golden_bytes)],
+    "test_empty_torsion_list_checks_none": [
+        # an explicit [] used to fall back to the preset's two default classes
+        Case(0, {**PRESET_VERIFY, "torsion_list": []}, argv=("--config", "cfg.json", "--out", "-"),
+             check=lambda out, err, cwd: json.loads(out)["verification_table"] == [])],
+    "test_composite_p_rejected": [Case(2, argv=("--preset", "bost-mestre", "--p", "4"))],
+    "test_grid_budget_rejected": [Case(2, argv=("--preset", "bost-mestre", "--grid", "200"))],
+    "test_even_prime_violates_hypotheses": [
+        Case(3, argv=("--preset", "bost-mestre", "--p", "2"), check=hypothesis_4_not_3)],
+    "test_ramified_prime_violates_hypotheses": [
+        Case(3, argv=("--preset", "bost-mestre", "--p", "5"), check=hypothesis_4_not_3)],
+    "test_singular_box_exceeds_budget": [
+        # Im tau = [[1, 0.999999], [0.999999, 1]] is valid, but the double
+        # kernels' box would hold too many terms
+        Case(4, {**inline(period_matrix=[
             [{"re": "0", "im": "1"}, {"re": "0", "im": "0.999999"}],
             [{"re": "0", "im": "0.999999"}, {"re": "0", "im": "1"}],
-        ]}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"inline": inline, "p": 3}))
-        assert cli.main(["--config", str(path), "--out", "-"]) == 4
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "budget exceeded" in err and "lattice terms" in err
+        ]), "p": 3}, argv=("--config", "cfg.json", "--out", "-"), err="lattice terms",
+             check=no_stdout)],
+    "test_huge_im_tau_exceeds_budget": [
+        # tau = diag(i, im i): at m_2 != 0 the double sum underflows to 0, and
+        # Newton drops that start instead of dividing by it; every start is dropped
+        Case(4, {**inline(period_matrix=[[{"re": "0", "im": "1"}, {"re": "0", "im": "0"}],
+                                         [{"re": "0", "im": "0"}, {"re": "0", "im": im}]]),
+                 "p": 3, "grid_points_per_dim": 8}, err="budget exceeded", id=im)
+        for im in [str(2**31 - 1), "1e30"]
+    ],
+    "test_inline_genus_one_rejected": [
+        Case(2, inline(GENUS_MISMATCH_INLINE, g=1))],
+    "test_inline_genus_mismatch_rejected": [Case(2, {"inline": GENUS_MISMATCH_INLINE})],
+    "test_inline_missing_key_rejected": [
+        # without h_fal the Faltings height needs gamma_terms
+        Case(2, {"inline": {k: v for k, v in GENUS_MISMATCH_INLINE.items() if k != drop}},
+             err="gamma_terms" if drop == "h_fal" else drop, id=drop)
+        for drop in ["g", "period_matrix", "deg_K0", "h_fal"]
+    ] + [Case(2, {"inline": {"g": 2}}, err="lacks required keys", id="only-g")],
+    "test_inline_unknown_key_rejected": [
+        # instead of running with the field's default, hypothesis (1) satisfied
+        Case(2, inline(semistabel=False), err="'semistabel'")],
+    "test_non_integer_field_rejected": [
+        Case(2, {"preset": "bost-mestre", key: value}, err=key, id=f"{key}-{value}")
+        for key, value in [("p", "7"), ("jmax", 2.0), ("precision_bits", "128"),
+                           ("grid_points_per_dim", 12.5), ("residue_degree", True), ("p", None)]
+    ],
+    # a boolean is JSON true or false, not any value Python reads as one, and
+    # an integer is not truncated
+    "test_malformed_value_rejected": [
+        Case(2, doc, err=field, id=row) for row, (doc, field) in MALFORMED.items()],
+    "test_torsion_list_off_curve_rejected": [
+        # u = t^2 does not divide v^2 - f for v = 2
+        Case(2, {"torsion_list": [[["0", "0", "1"], ["2"]]]},
+             argv=("--config", "cfg.json", "--preset", "bost-mestre", "--grid", "8", "--verify",
+                   "--out", "r.json"), err="u does not divide")],
+    "test_unreadable_document_exits_2": [
+        Case(2, text, err=f"cfg.json: .*{fault}", id=f"{text}-{fault}")
+        for text, fault in [("[1, 2]", "JSON object"), ('{"preset": ', "Expecting value"),
+                            (None, "No such file")]
+    ] + [Case(2, "[" * 100_000 + "]" * 100_000, err="cfg.json: maximum recursion depth",
+              id="nested-too-deep")],
+    "test_string_verify_exits_2": [
+        # "false" used to run the verification and print its table
+        Case(2, {"preset": "bost-mestre", "p": 3, "verify": "false"}, err="verify",
+             check=no_stdout)],
+    "test_unknown_top_level_key_exits_2": [
+        # "verfy" used to be dropped, and run with verify false
+        Case(2, {**PRESET_VERIFY, **extra}, err=repr(next(iter(extra))), check=no_stdout, id=row)
+        for row, extra in [("misspelt-verify", {"verfy": True}),
+                           ("comment", {"comment": "ignored"})]
+    ],
+    "test_unwritable_output_rejected_before_theta_max": [
+        # a report path in a missing directory, or that is not a file name,
+        # used to raise FileNotFoundError after the whole run
+        Case(2, argv=("--preset", "bost-mestre", "--out", out), err="output_path",
+             check=lambda out, err, cwd: list(cwd.iterdir()) == [], id=row)
+        for row, out in [("missing-directory", "no-such-dir/r.json"), ("empty", ""),
+                         ("directory", ".")]
+    ],
+    "test_unwritable_output_rejected_at_write": [
+        # writable by os.access, yet every write fails with ENOSPC
+        Case(2, argv=preset_args("--grid", "8", "--out", "/dev/full"), err="output_path",
+             late=True, id="dev-full")],
+}
 
-    def test_grid_budget_rejected(self, capsys):
-        assert cli.main(["--preset", "bost-mestre", "--grid", "200"]) == 2
 
-    def test_precision_64_bits_runs(self, capsys):
-        """Every precision_bits in range runs: at 64 bits the report prints
-        Theta_Max to 16 digits, the golden 128-bit value rounded there."""
-        assert cli.main(["--preset", "bost-mestre", "--precision-bits", "64", "--out", "-"]) == 0
-        printed = json.loads(capsys.readouterr().out)["theta_max"]["value"]["dec"]
-        golden = json.loads(GOLDEN_P3_F2.read_text())["theta_max"]["value"]["dec"]
-        digits = td.report._digits(64)
-        assert len(printed.replace(".", "")) == digits == 16
-        with mp.workprec(300):
-            assert printed == mp.nstr(mp.mpf(golden), digits, strip_zeros=False)
+def pytest_generate_tests(metafunc):
+    """A name in CASES with several rows runs each of them."""
+    rows = CASES.get(metafunc.definition.name, ())
+    if "case" in metafunc.fixturenames and len(rows) > 1:
+        metafunc.parametrize("case", rows, ids=[row.id for row in rows])
 
-    def test_precision_64_bits_coordinates(self, capsys):
-        """At 64 bits the argmax coordinates print no more significant digits
-        than Theta_Max, 16, and so print the golden 128-bit report's."""
-        args = ["--preset", "bost-mestre", "--grid", "8", "--precision-bits", "64", "--out", "-"]
-        assert cli.main(args) == 0
-        coords = json.loads(capsys.readouterr().out)["theta_max"]["argmax_coords"]
-        assert all(len(Decimal(c).normalize().as_tuple().digits) <= 16 for c in coords)
-        assert coords == json.loads(GOLDEN_P3_F2.read_text())["theta_max"]["argmax_coords"]
 
-    @pytest.mark.parametrize("im", [str(2**31 - 1), "1e30"])
-    def test_huge_im_tau_exceeds_budget(self, tmp_path, capsys, im):
-        """tau = diag(i, im i): at m_2 != 0 the double sum s underflows to 0,
-        and Newton drops that start instead of dividing by it.  Every start
-        is dropped, so the run exits 4, with no RuntimeWarning."""
-        rows = [[{"re": "0", "im": "1"}, {"re": "0", "im": "0"}],
-                [{"re": "0", "im": "0"}, {"re": "0", "im": im}]]
-        inline = {"g": 2, "deg_K0": 1, "h_fal": 0.0, "period_matrix": rows}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"inline": inline, "p": 3, "grid_points_per_dim": 8}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(["--config", str(path)]) == 4
-        assert "budget exceeded" in capsys.readouterr().err
+@pytest.fixture
+def case(request):
+    """The one row filed under the test's name in CASES."""
+    (row,) = CASES[request.node.name]
+    return row
 
-    def test_inline_genus_one_rejected(self, tmp_path, capsys):
-        doc = {
-            "inline": {
-                "g": 1,
-                "deg_K0": 1,
-                "h_fal": 0.0,
-                "period_matrix": [[{"re": "0", "im": "1"}]],
-            }
-        }
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
-        assert cli.main(["--config", str(path)]) == 2
 
-    def test_inline_genus_mismatch_rejected(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"inline": GENUS_MISMATCH_INLINE}))
-        assert cli.main(["--config", str(path)]) == 2
+def check_case(case, code, out, err, cwd):
+    assert code == case.code, out + err
+    assert re.search(case.err, err), err
+    assert case.check is None or case.check(out, err, cwd), out + err
 
-    @pytest.mark.parametrize("drop", ["g", "period_matrix", "deg_K0", "h_fal"])
-    def test_inline_missing_key_rejected(self, tmp_path, capsys, drop):
-        """A missing required key is named, not raised as a KeyError; without
-        h_fal the Faltings height needs gamma_terms."""
-        inline = {k: v for k, v in GENUS_MISMATCH_INLINE.items() if k != drop}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"inline": inline}))
-        assert cli.main(["--config", str(path)]) == 2
-        assert ("gamma_terms" if drop == "h_fal" else drop) in capsys.readouterr().err
 
-    def test_inline_unknown_key_rejected(self, tmp_path, capsys):
-        """A misspelt optional key exits 2 and is named, instead of running
-        with the field's default (here hypothesis (1) reported satisfied)."""
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"inline": {**VALID_INLINE, "semistabel": False}}))
-        assert cli.main(["--config", str(path)]) == 2
-        assert "'semistabel'" in capsys.readouterr().err
+def write_document(case, cwd):
+    if case.doc is not None:
+        text = case.doc if isinstance(case.doc, str) else json.dumps(case.doc)
+        (cwd / "cfg.json").write_text(text)
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("p", "7"), ("jmax", 2.0), ("precision_bits", "128"),
-            ("grid_points_per_dim", 12.5), ("residue_degree", True), ("p", None),
-        ],
-    )
-    def test_non_integer_field_rejected(self, tmp_path, capsys, key, value):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"preset": "bost-mestre", key: value}))
-        assert cli.main(["--config", str(path)]) == 2
-        assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc, field", MALFORMED, ids=MALFORMED_IDS)
-    def test_malformed_value_rejected(self, tmp_path, capsys, doc, field):
-        """A malformed value inside the document exits 2 and names its
-        field, instead of ending in a traceback or being coerced: a boolean
-        is JSON true or false, not any value Python reads as one, and an
-        integer is not truncated."""
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
-        assert cli.main(["--config", str(path)]) == 2
-        assert field in capsys.readouterr().err
-
-    @pytest.mark.parametrize("doc, field", MALFORMED, ids=MALFORMED_IDS)
-    def test_rejected_before_theta_max(self, tmp_path, capsys, monkeypatch, doc, field):
-        """Every value is checked before the maximization starts: p**f for
-        f = 10^30 used to grow until memory ran out after theta_max."""
+def run_source(self, case, tmp_path, monkeypatch, capsys):
+    """A row through cli.main from a temporary directory, with warnings as
+    errors; a row that exits 2 before any theta work runs with theta_max
+    refused."""
+    monkeypatch.chdir(tmp_path)
+    write_document(case, tmp_path)
+    if case.code == 2 and not case.late:
         monkeypatch.setattr(td.report, "theta_max", refuse_theta_max)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
-        assert cli.main(["--config", str(path)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(list(case.argv))
+    check_case(case, code, *capsys.readouterr(), tmp_path)
 
-    @pytest.mark.parametrize("out", ["missing/r.json", "", "."],
-                             ids=["missing-directory", "empty", "directory"])
-    def test_unwritable_output_rejected_before_theta_max(self, tmp_path, capsys, monkeypatch,
-                                                         out):
-        """A report path in a directory that does not exist, or that is not a
-        file name, exits 2 before any theta work and creates nothing; it used
-        to raise FileNotFoundError after the whole run."""
+
+INSTALLED_CASES = [
+    pytest.param(row, id=name.removeprefix("test_") + (f"-{row.id}" if row.id else ""))
+    for name, rows in CASES.items() for row in rows
+]
+
+
+@pytest.mark.parametrize("row", INSTALLED_CASES)
+def test_installed_script(row, installed_env, tmp_path):
+    """A row through the thetadist script on PATH, from a temporary directory
+    and with no PYTHONPATH, so the installed package runs, not src/."""
+    script = shutil.which("thetadist", path=installed_env.get("PATH"))
+    assert script, "the thetadist distribution is installed, but no thetadist script is on PATH"
+    write_document(row, tmp_path)
+    proc = subprocess.run([script, *row.argv], cwd=tmp_path, capture_output=True, text=True,
+                          env={**installed_env, "PYTHONWARNINGS": "error"}, timeout=600)
+    check_case(row, proc.returncode, proc.stdout, proc.stderr, tmp_path)
+
+
+@pytest.mark.parametrize("exc, code", [
+    (td.ConfigRejected, 2), (td.InvalidInput, 2), (td.HypothesisViolated, 3),
+    (td.BudgetExceeded, 4), (td.PrecisionTooLow, 5),
+])
+def test_exit_code_of_each_refusal(monkeypatch, capsys, exc, code):
+    """cli.main maps each refusal of run to its documented exit code; no
+    config reaches exit 5 today."""
+
+    def run(config):
+        raise exc("stub")
+
+    monkeypatch.setattr(cli, "run", run)
+    assert cli.main(["--preset", "bost-mestre"]) == code
+    assert "stub" in capsys.readouterr().err
+
+
+class TestCliExitCodes:
+    # each name runs the CASES rows filed under it through run_source
+    test_success = run_source
+    test_golden_digits = run_source
+    test_precision_64_bits_runs = run_source
+    test_precision_64_bits_coordinates = run_source
+    test_composite_p_rejected = run_source
+    test_grid_budget_rejected = run_source
+    test_even_prime_violates_hypotheses = run_source
+    test_ramified_prime_violates_hypotheses = run_source
+    test_singular_box_exceeds_budget = run_source
+    test_huge_im_tau_exceeds_budget = run_source
+    test_inline_genus_one_rejected = run_source
+    test_inline_genus_mismatch_rejected = run_source
+    test_inline_missing_key_rejected = run_source
+    test_inline_unknown_key_rejected = run_source
+    test_non_integer_field_rejected = run_source
+    test_malformed_value_rejected = run_source
+    test_unwritable_output_rejected_before_theta_max = run_source
+    test_unwritable_output_rejected_at_write = run_source
+
+    @pytest.mark.parametrize("doc, field", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_rejected_before_theta_max(self, monkeypatch, doc, field):
+        """The library refuses each malformed document as the CLI does,
+        before the maximization starts: p**f for f = 10^30 used to grow until
+        memory ran out after theta_max."""
         monkeypatch.setattr(td.report, "theta_max", refuse_theta_max)
-        monkeypatch.chdir(tmp_path)
-        assert cli.main(["--preset", "bost-mestre", "--out", out]) == 2
-        assert "output_path" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        with pytest.raises((td.ConfigRejected, td.InvalidInput), match=re.escape(field)):
+            td.run(td.RunConfig(**doc))
 
 
 class TestReportContent:
+    test_torsion_list_strings = run_source
+    test_torsion_list_off_curve_rejected = run_source
+    test_empty_torsion_list_checks_none = run_source
+
     def test_byte_determinism(self, cli_reports):
         _, blobs = cli_reports
         assert blobs[0] == blobs[1]
@@ -399,34 +525,6 @@ class TestReportContent:
         assert cli.main(CLI_ARGS + ["--out", "-"]) == 0
         assert capsys.readouterr().out.encode() == blobs[0]
 
-    def test_torsion_list_strings(self, cli_reports, tmp_path):
-        """A config's torsion list of 'a/b' strings, the default list
-        spelled out, gives the default report."""
-        _, blobs = cli_reports
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"torsion_list": [
-            [["0/1", "0", "1"], ["1"]], [["0", "0", "2/2"], ["-1/1"]],
-        ]}))
-        out = tmp_path / "r.json"
-        assert cli.main(["--config", str(path)] + CLI_ARGS + ["--out", str(out)]) == 0
-        assert out.read_bytes() == blobs[0]
-
-    def test_torsion_list_off_curve_rejected(self, tmp_path, capsys):
-        """u = t^2 does not divide v^2 - f for v = 2: exit 2."""
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"torsion_list": [[["0", "0", "1"], ["2"]]]}))
-        args = ["--config", str(path), "--preset", "bost-mestre", "--grid", "8", "--verify"]
-        assert cli.main(args + ["--out", str(tmp_path / "r.json")]) == 2
-        assert "u does not divide" in capsys.readouterr().err
-
-    def test_empty_torsion_list_checks_none(self, tmp_path, capsys):
-        """An explicit [] checks no class: it used to fall back to the
-        preset's two default classes and print two rows."""
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**PRESET_VERIFY, "torsion_list": []}))
-        assert cli.main(["--config", str(path), "--out", "-"]) == 0
-        assert json.loads(capsys.readouterr().out)["verification_table"] == []
-
     def test_round_trip(self, cli_reports):
         _, blobs = cli_reports
         report = td.parse_report(blobs[0].decode())
@@ -434,14 +532,7 @@ class TestReportContent:
 
 
 class TestGoldenReport:
-    def test_preset_p3_f2_byte_for_byte(self, tmp_path):
-        """The CLI writes the committed report: a change to the maximization,
-        the constants or the verification table that moves any printed digit
-        shows here."""
-        out = tmp_path / "report.json"
-        args = ["--preset", "bost-mestre", "--p", "3", "--f", "2", "--verify"]
-        assert cli.main(args + ["--out", str(out)]) == 0
-        assert out.read_bytes() == GOLDEN_P3_F2.read_bytes()
+    test_preset_p3_f2_byte_for_byte = run_source
 
 
 class TestThetaMaxFields:
@@ -522,31 +613,14 @@ class TestRunInline:
     def test_verify_refused_before_theta_max(self, monkeypatch, source):
         """--verify on an inline curve, and a class off the curve, are refused
         before the maximization runs."""
-
-        def refuse(*args):
-            raise AssertionError("theta_max ran")
-
-        monkeypatch.setattr(td.report, "theta_max", refuse)
+        monkeypatch.setattr(td.report, "theta_max", refuse_theta_max)
         with pytest.raises((td.ConfigRejected, td.InvalidInput)):
             td.run(td.RunConfig(p=3, verify=True, **source))
 
     def test_inline_verify_needs_curve_equation(self, preset):
-        inline = {
-            "g": 2,
-            "deg_K0": 40,
-            "h_fal": -1.4525,
-            "period_matrix": [
-                [
-                    {"re": str(preset.tau.tau[i, j].real),
-                     "im": str(preset.tau.tau[i, j].imag)}
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ],
-            "disc": 10,
-            "base_point_hyperelliptic_fixed": True,
-        }
-        config = td.RunConfig(inline=inline, p=3, grid_points_per_dim=12, verify=True)
+        """The preset's own data typed inline carries no curve equation."""
+        config = td.RunConfig(inline=preset_inline(preset), p=3, grid_points_per_dim=12,
+                              verify=True)
         with pytest.raises(td.ConfigRejected):
             td.run(config)
 
@@ -557,15 +631,7 @@ class TestRunInline:
     def test_inline_genus_three_default_grid(self):
         """Without a grid size, g = 3 runs at 10^6 grid points, within the
         grid budget, and gives the value the 12^6 scan gives."""
-        inline = {
-            "g": 3,
-            "deg_K0": 1,
-            "h_fal": 0.0,
-            "period_matrix": [
-                [{"re": repr(z.real), "im": repr(z.imag)} for z in row] for row in TAU_G3
-            ],
-        }
-        report = td.run(td.RunConfig(inline=inline, p=3))
+        report = td.run(td.RunConfig(inline=G3_INLINE, p=3))
         assert report.payload["config_echo"]["grid_points_per_dim"] == 10
         assert report.payload["theta_max"]["value"]["dec"] == "1.48984839546273286995697154643"
 
@@ -643,6 +709,10 @@ class TestWorkingPrecision:
 
 
 class TestFlagOverrides:
+    test_unreadable_document_exits_2 = run_source
+    test_string_verify_exits_2 = run_source
+    test_unknown_top_level_key_exits_2 = run_source
+
     def test_flags_override_config_file(self, tmp_path):
         doc = {"preset": "bost-mestre", "p": 7, "jmax": 2}
         path = tmp_path / "cfg.json"
@@ -663,29 +733,6 @@ class TestFlagOverrides:
         assert config.verify is True
         assert config.p == 7
 
-    @pytest.mark.parametrize("text, fault", [
-        ("[1, 2]", "JSON object"),
-        ('{"preset": ', "Expecting value"),
-        (None, "No such file"),
-    ])
-    def test_unreadable_document_exits_2(self, tmp_path, capsys, text, fault):
-        """A document that is not a JSON object, not JSON, or not there
-        used to end in a traceback with exit 1."""
-        path = tmp_path / "cfg.json"
-        if text is not None:
-            path.write_text(text)
-        assert cli.main(["--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err and fault in err
-
-    def test_string_verify_exits_2(self, tmp_path, capsys):
-        """"false" used to run the verification and print its table."""
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"preset": "bost-mestre", "p": 3, "verify": "false"}))
-        assert cli.main(["--config", str(path)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "verify" in err
-
     def test_preset_only_document_gives_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "bost-mestre"}))
@@ -696,17 +743,6 @@ class TestFlagOverrides:
         assert config.output_path == "-"
         assert config.verify is False
         assert config.grid_points_per_dim is None
-
-    @pytest.mark.parametrize("extra", [{"verfy": True}, {"comment": "ignored"}],
-                             ids=["misspelt-verify", "comment"])
-    def test_unknown_top_level_key_exits_2(self, tmp_path, capsys, extra):
-        """A document key that is not a RunConfig field used to be dropped:
-        "verfy" ran with verify false and an empty verification table."""
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**PRESET_VERIFY, **extra}))
-        assert cli.main(["--config", str(path)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and repr(next(iter(extra))) in err
 
 
 # what a mutation puts in place of a value or appends to a list: wrong types,
